@@ -12,6 +12,13 @@ Experiment-result documents are always written with sorted keys so the same
 result serializes to byte-identical JSON — the property the campaign cache
 and the campaign determinism guarantee are built on.
 
+Optimization results (fronts of up to hundreds of n×n matrices, tens of MB
+at n=64) are written by a streaming writer: :func:`save_result` emits
+exactly the bytes of ``json.dumps(result_to_dict(...), indent=2)``, but
+formats each distinct matrix value once and writes point by point, through
+a temporary sibling file and :func:`os.replace`.  Loaders reject malformed
+documents with :class:`~repro.exceptions.ValidationError`.
+
 The ``checkpoint`` document type (:func:`save_checkpoint` /
 :func:`load_checkpoint`) stores a whole optimization run's resumable state;
 its payload is produced and consumed by :mod:`repro.core.driver`, and its
@@ -24,7 +31,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 import numpy as np
 
@@ -48,21 +55,30 @@ FORMAT_VERSION = 1
 
 def matrix_to_dict(matrix: RRMatrix) -> dict[str, Any]:
     """Serialize an RR matrix to a JSON-compatible dictionary."""
+    return _matrix_document(matrix, matrix.probabilities.tolist())
+
+
+def _matrix_document(matrix: RRMatrix, probabilities: Any) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "type": "rr_matrix",
         "n_categories": matrix.n_categories,
-        "probabilities": matrix.probabilities.tolist(),
+        "probabilities": probabilities,
     }
 
 
 def matrix_from_dict(document: dict[str, Any]) -> RRMatrix:
     """Deserialize an RR matrix from :func:`matrix_to_dict` output."""
     _check_document(document, "rr_matrix")
-    probabilities = np.asarray(document["probabilities"], dtype=np.float64)
+    try:
+        probabilities = np.asarray(document["probabilities"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"rr_matrix 'probabilities' is missing or not a numeric matrix: {exc}"
+        ) from exc
     matrix = RRMatrix(probabilities)
     declared = document.get("n_categories")
-    if declared is not None and int(declared) != matrix.n_categories:
+    if declared is not None and _number(int, declared, "n_categories") != matrix.n_categories:
         raise ValidationError(
             f"declared n_categories {declared} does not match matrix size {matrix.n_categories}"
         )
@@ -71,12 +87,20 @@ def matrix_from_dict(document: dict[str, Any]) -> RRMatrix:
 
 def result_to_dict(result: OptimizationResult, *, include_optimal_set: bool = False) -> dict[str, Any]:
     """Serialize an optimization result (front + metadata) to a dictionary."""
+    return _result_document(result, include_optimal_set, matrix_to_dict)
+
+
+def _result_document(
+    result: OptimizationResult,
+    include_optimal_set: bool,
+    matrix_document: Callable[[RRMatrix], dict[str, Any]],
+) -> dict[str, Any]:
     def point_to_dict(point: ParetoPoint) -> dict[str, Any]:
         return {
             "privacy": point.privacy,
             "utility": point.utility,
             "max_posterior": point.max_posterior,
-            "matrix": matrix_to_dict(point.matrix),
+            "matrix": matrix_document(point.matrix),
         }
 
     document: dict[str, Any] = {
@@ -97,21 +121,25 @@ def result_from_dict(document: dict[str, Any]) -> OptimizationResult:
     """Deserialize an optimization result from :func:`result_to_dict` output."""
     _check_document(document, "optimization_result")
 
-    def point_from_dict(item: dict[str, Any]) -> ParetoPoint:
-        return ParetoPoint(
-            matrix=matrix_from_dict(item["matrix"]),
-            privacy=float(item["privacy"]),
-            utility=float(item["utility"]),
-            max_posterior=float(item["max_posterior"]),
+    def points_from(key: str, *, required: bool) -> tuple[ParetoPoint, ...]:
+        return tuple(
+            ParetoPoint(
+                matrix=matrix_from_dict(item["matrix"]),
+                privacy=_number(float, item["privacy"], f"{where}.privacy"),
+                utility=_number(float, item["utility"], f"{where}.utility"),
+                max_posterior=_number(float, item["max_posterior"], f"{where}.max_posterior"),
+            )
+            for where, item in _point_items(
+                document, key, ("privacy", "utility", "max_posterior", "matrix"),
+                required=required,
+            )
         )
 
     return OptimizationResult(
-        points=tuple(point_from_dict(item) for item in document.get("points", [])),
-        optimal_set_points=tuple(
-            point_from_dict(item) for item in document.get("optimal_set_points", [])
-        ),
-        n_generations=int(document.get("n_generations", 0)),
-        n_evaluations=int(document.get("n_evaluations", 0)),
+        points=points_from("points", required=True),
+        optimal_set_points=points_from("optimal_set_points", required=False),
+        n_generations=_number(int, document.get("n_generations", 0), "n_generations"),
+        n_evaluations=_number(int, document.get("n_evaluations", 0), "n_evaluations"),
     )
 
 
@@ -134,15 +162,50 @@ def front_from_dict(document: dict[str, Any]) -> "ParetoFront":
     """Deserialize a Pareto front from :func:`front_to_dict` output."""
     from repro.analysis.front import FrontPoint, ParetoFront
 
+    if not isinstance(document, dict) or "name" not in document:
+        raise ValidationError("a front must be a JSON object with a 'name'")
     points = tuple(
         FrontPoint(
-            privacy=float(item["privacy"]),
-            utility=float(item["utility"]),
+            privacy=_number(float, item["privacy"], f"{where}.privacy"),
+            utility=_number(float, item["utility"], f"{where}.utility"),
             matrix=matrix_from_dict(item["matrix"]) if item.get("matrix") else None,
         )
-        for item in document.get("points", [])
+        for where, item in _point_items(document, "points", ("privacy", "utility"))
     )
     return ParetoFront(str(document["name"]), points)
+
+
+def _point_items(
+    document: dict[str, Any], key: str, fields: tuple[str, ...], *, required: bool = True
+) -> list[tuple[str, dict[str, Any]]]:
+    """``document[key]`` as ``(label, item)`` pairs, each item checked to be
+    an object carrying ``fields``; an optional absent key gives no items."""
+    if key not in document and not required:
+        return []
+    items = document.get(key)
+    if not isinstance(items, list):
+        raise ValidationError(
+            f"{key!r} must be a list of point objects, got {type(items).__name__}"
+        )
+    labelled = []
+    for index, item in enumerate(items):
+        where = f"{key}[{index}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"{where} must be an object, got {type(item).__name__}")
+        missing = [field for field in fields if field not in item]
+        if missing:
+            raise ValidationError(f"{where} has no {', '.join(map(repr, missing))}")
+        labelled.append((where, item))
+    return labelled
+
+
+def _number(kind: type, value: Any, what: str) -> Any:
+    """``kind(value)``, raising :class:`ValidationError` instead of a bare
+    ``TypeError``/``ValueError``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a number, got {value!r}") from exc
 
 
 def comparison_to_dict(comparison: "FrontComparison") -> dict[str, Any]:
@@ -406,14 +469,38 @@ def save_checkpoint(document: dict[str, Any], path: str | Path) -> Path:
     _check_document(document, "checkpoint")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temporary = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-checkpoint-", suffix=".json"
+    _write_atomically(
+        path,
+        ".tmp-checkpoint-",
+        lambda handle: handle.write(
+            json.dumps(document, sort_keys=True, separators=(",", ":"))
+        ),
+        rotate_to=checkpoint_rotation_path(path),
     )
+    truncate_checkpoint_file(path)
+    return path
+
+
+def _write_atomically(
+    path: Path,
+    prefix: str,
+    write: Callable[[TextIO], object],
+    *,
+    rotate_to: Path | None = None,
+) -> None:
+    """Have ``write`` fill a temporary sibling of ``path``, then move it over
+    ``path`` (first moving an existing ``path`` to ``rotate_to``, if given).
+
+    On any failure the temporary file is removed and ``path`` is untouched.
+    The file gets the permissions a plain ``open`` would have given it.
+    """
+    descriptor, temporary = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".json")
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, separators=(",", ":")))
-        if path.exists():
-            os.replace(path, checkpoint_rotation_path(path))
+            write(handle)
+        os.chmod(temporary, 0o666 & ~_umask())
+        if rotate_to is not None and path.exists():
+            os.replace(path, rotate_to)
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -421,8 +508,12 @@ def save_checkpoint(document: dict[str, Any], path: str | Path) -> Path:
         except OSError:
             pass
         raise
-    truncate_checkpoint_file(path)
-    return path
+
+
+def _umask() -> int:
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
@@ -540,11 +631,73 @@ def load_matrix(path: str | Path) -> RRMatrix:
 def save_result(
     result: OptimizationResult, path: str | Path, *, include_optimal_set: bool = False
 ) -> Path:
-    """Write an optimization result to a JSON file and return the path."""
+    """Write an optimization result to a JSON file and return the path.
+
+    The bytes are exactly ``json.dumps(result_to_dict(result,
+    include_optimal_set=...), indent=2)``, streamed point by point instead
+    of built as one string (see :func:`_write_result`).  The write goes
+    through a temporary sibling plus :func:`os.replace`, so a failure
+    partway never leaves a torn file at ``path``.
+    """
     path = Path(path)
-    document = result_to_dict(result, include_optimal_set=include_optimal_set)
-    path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+    points = list(result.points)
+    if include_optimal_set:
+        points.extend(result.optimal_set_points)
+    skeleton = json.dumps(
+        _result_document(
+            result,
+            include_optimal_set,
+            lambda matrix: _matrix_document(matrix, _PROBABILITIES_PLACEHOLDER),
+        ),
+        indent=2,
+    )
+    _write_atomically(
+        path, ".tmp-result-", lambda handle: _write_result(handle, skeleton, points)
+    )
     return path
+
+
+#: Stands in for every matrix's ``probabilities`` in the skeleton document
+#: that :func:`save_result` renders with :func:`json.dumps`; the only other
+#: strings in that document are its two ``type`` names.
+_PROBABILITIES_PLACEHOLDER = "<probabilities>"
+
+
+def _write_result(handle: TextIO, skeleton: str, points: list[ParetoPoint]) -> None:
+    """Stream ``skeleton`` with each point's probabilities spliced in.
+
+    ``json`` only uses its C encoder without ``indent``, and formatting
+    every float separately dominates a large front, yet crossover copies
+    whole columns so a front holds few distinct values.  Each distinct bit
+    pattern (so ``-0.0`` and ``0.0`` stay apart) is therefore formatted once
+    by ``json`` itself, and a matrix is written as lookups into that table.
+    """
+    parts = skeleton.split(json.dumps(_PROBABILITIES_PLACEHOLDER))
+    handle.write(parts[0])
+    if not points:
+        return
+    # Every matrix sits at the same depth: its array opens on the line of
+    # its "probabilities" key, rows one level deeper, values two.
+    key_line = parts[0][parts[0].rindex("\n") + 1:]
+    key_indent = "\n" + " " * (len(key_line) - len(key_line.lstrip(" ")))
+    row_indent, value_indent = key_indent + "  ", key_indent + "    "
+    flat = np.concatenate([point.matrix.probabilities.ravel() for point in points])
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    row_start = np.array([row_indent + "[" + value_indent + text for text in texts], dtype=object)
+    row_next = np.array(["," + value_indent + text for text in texts], dtype=object)
+    offset = 0
+    for point, after in zip(points, parts[1:]):
+        n = point.matrix.n_categories
+        codes = inverse[offset:offset + n * n].reshape(n, n)
+        offset += n * n
+        cells = np.empty((n, n + 1), dtype=object)
+        cells[:, 0] = row_start[codes[:, 0]]
+        cells[:, 1:n] = row_next[codes[:, 1:]]
+        cells[:, n] = row_indent + "],"
+        cells[n - 1, n] = row_indent + "]"
+        handle.write("[" + "".join(cells.ravel().tolist()) + key_indent + "]")
+        handle.write(after)
 
 
 def load_result(path: str | Path) -> OptimizationResult:

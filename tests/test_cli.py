@@ -531,3 +531,44 @@ class TestRunCheckpointFlags:
     def test_deadline_flag(self, capsys):
         code = main(self.FAST_RUN + ["--deadline", "9999"])
         assert code in (0, 1)
+
+
+def _malformed_fronts(tmp_path):
+    """``optimization_result`` documents broken the ways users hit: a point
+    without its matrix, and a ``points`` field that is not a list."""
+    from repro.io import result_to_dict
+    from repro.core.result import OptimizationResult, ParetoPoint
+    from repro.rr.matrix import RRMatrix
+
+    point = ParetoPoint(RRMatrix.identity(2), 0.0, 0.5, 1.0)
+    document = result_to_dict(OptimizationResult(points=(point,)))
+    no_matrix = json.loads(json.dumps(document))
+    del no_matrix["points"][0]["matrix"]
+    paths = []
+    for name, broken in (("no-matrix", no_matrix), ("int-points", {**document, "points": 7})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+class TestMalformedFrontDocuments:
+    def _assert_usage_error(self, capsys, exit_code):
+        assert exit_code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("optrr: error: cannot read --front")
+
+    def test_disguise_front_exits_2(self, capsys, tmp_path):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0 1 1 0\n", encoding="utf-8")
+        for front in _malformed_fronts(tmp_path):
+            self._assert_usage_error(
+                capsys, main(["disguise", str(codes), "--front", str(front)])
+            )
+
+    def test_pipeline_front_exits_2(self, capsys, tmp_path):
+        for front in _malformed_fronts(tmp_path):
+            self._assert_usage_error(
+                capsys, main(["pipeline", *FAST_PIPELINE, "--front", str(front)])
+            )

@@ -1,0 +1,228 @@
+"""The streaming ``optimization_result`` writer and the result loaders.
+
+:func:`repro.io.save_result` must write exactly the bytes of the reference
+encoder, ``json.dumps(result_to_dict(result, ...), indent=2)``; the oracle
+lives here, not in ``src/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import stat
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.core.result import OptimizationResult, ParetoPoint
+from repro.exceptions import ValidationError
+from repro.io import (
+    front_from_dict,
+    front_to_dict,
+    load_result,
+    result_from_dict,
+    result_to_dict,
+    save_result,
+)
+from repro.rr.matrix import RRMatrix
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+#: Values whose text is easy to get wrong: signed zero, the smallest
+#: subnormal, 17-significant-digit values and non-finite ones.
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 1.0, 0.1, 1 / 3, 0.30000000000000004,
+    0.12345678901234568, 1e-300, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0), st.floats())
+
+
+def reference_bytes(result: OptimizationResult, include_optimal_set: bool) -> bytes:
+    document = result_to_dict(result, include_optimal_set=include_optimal_set)
+    return json.dumps(document, indent=2).encode("utf-8")
+
+
+@st.composite
+def results(draw) -> OptimizationResult:
+    n = draw(st.integers(1, 12))
+    # Matrices draw their columns from a small shared pool, the way column
+    # crossover makes front matrices share values.
+    pool = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=4))
+
+    def point() -> ParetoPoint:
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        matrix = RRMatrix.from_validated(np.array([pool[pick] for pick in picks]).T)
+        return ParetoPoint(matrix, draw(values), draw(values), draw(values))
+
+    return OptimizationResult(
+        points=tuple(point() for _ in range(draw(st.integers(0, 4)))),
+        optimal_set_points=tuple(point() for _ in range(draw(st.integers(0, 3)))),
+        n_generations=draw(st.integers(0, 2**63)),
+        n_evaluations=draw(st.integers(0, 2**63)),
+    )
+
+
+class TestByteIdentity:
+    @SETTINGS
+    @given(result=results(), include_optimal_set=st.booleans())
+    def test_matches_the_reference_encoder(self, tmp_path, result, include_optimal_set):
+        path = save_result(
+            result, tmp_path / "result.json", include_optimal_set=include_optimal_set
+        )
+        assert path.read_bytes() == reference_bytes(result, include_optimal_set)
+
+    def test_signed_zeros_keep_their_own_text(self, tmp_path):
+        matrix = RRMatrix.from_validated(np.array([[-0.0, 1.0], [1.0, 0.0]]))
+        result = OptimizationResult(points=(ParetoPoint(matrix, 0.5, 0.25, 1.0),))
+        text = save_result(result, tmp_path / "result.json").read_text()
+        assert text.encode() == reference_bytes(result, False)
+        assert "-0.0" in text and "\n            0.0\n" in text
+
+    def test_empty_front(self, tmp_path):
+        result = OptimizationResult(points=())
+        for flag in (False, True):
+            path = save_result(result, tmp_path / "empty.json", include_optimal_set=flag)
+            assert path.read_bytes() == reference_bytes(result, flag)
+
+    def test_cli_output_matches_the_pre_streaming_bytes(self, tmp_path, capsys):
+        # sha256 of this document as written by the json.dumps(indent=2)
+        # encoder that the streaming writer replaced.
+        path = tmp_path / "full.json"
+        assert main([
+            "optimize", "--distribution", "normal", "--categories", "8",
+            "--records", "4000", "--generations", "6", "--population", "10",
+            "--seed", "3", "--output", str(path),
+        ]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3d2efc30acca7cccd131826653b6b560cda498397d2d917f70f256c32f92bb74"
+        )
+        assert path.read_bytes() == reference_bytes(load_result(path), False)
+
+
+class _FailingHandle:
+    """A file handle that raises on its ``budget + 1``-th write."""
+
+    def __init__(self, handle, budget: int) -> None:
+        self.handle, self.budget = handle, budget
+
+    def write(self, text: str) -> int:
+        if self.budget == 0:
+            raise OSError("disk full")
+        self.budget -= 1
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.handle.close()
+
+
+class TestAtomicWrite:
+    @pytest.fixture
+    def result(self) -> OptimizationResult:
+        points = tuple(
+            ParetoPoint(RRMatrix.identity(3), float(index), 1.0, 1.0) for index in range(4)
+        )
+        return OptimizationResult(points=points)
+
+    def test_failure_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, result):
+        path = tmp_path / "result.json"
+        path.write_text("previous result", encoding="utf-8")
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda *args, **kwargs: _FailingHandle(real_fdopen(*args, **kwargs), 3)
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_result(result, path)
+        assert path.read_text(encoding="utf-8") == "previous result"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["result.json"]
+
+    def test_replaces_an_existing_file_with_plain_open_permissions(self, tmp_path, result):
+        path = tmp_path / "result.json"
+        path.write_text("previous result", encoding="utf-8")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("", encoding="utf-8")
+        save_result(result, path)
+        assert path.read_bytes() == reference_bytes(result, False)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+def _result_document() -> dict:
+    point = ParetoPoint(RRMatrix.identity(2), 0.0, 0.5, 1.0)
+    result = OptimizationResult(points=(point,), optimal_set_points=(point,))
+    return result_to_dict(result, include_optimal_set=True)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("key", ["points", "optimal_set_points"])
+    @pytest.mark.parametrize("value", [7, "points", {"privacy": 0.0}, None])
+    def test_mistyped_point_lists(self, key, value):
+        document = _result_document()
+        document[key] = value
+        with pytest.raises(ValidationError, match=key):
+            result_from_dict(document)
+
+    def test_missing_points(self):
+        document = _result_document()
+        del document["points"]
+        with pytest.raises(ValidationError, match="points"):
+            result_from_dict(document)
+
+    def test_optimal_set_points_may_be_absent(self):
+        document = _result_document()
+        del document["optimal_set_points"]
+        assert result_from_dict(document).optimal_set_points == ()
+
+    @pytest.mark.parametrize("item", [7, "point", [0.0, 0.5], None])
+    def test_non_object_items(self, item):
+        document = _result_document()
+        document["points"].append(item)
+        with pytest.raises(ValidationError, match=r"points\[1\] must be an object"):
+            result_from_dict(document)
+
+    @pytest.mark.parametrize("field", ["privacy", "utility", "max_posterior", "matrix"])
+    def test_missing_point_fields(self, field):
+        document = _result_document()
+        del document["optimal_set_points"][0][field]
+        with pytest.raises(ValidationError, match=field):
+            result_from_dict(document)
+
+    @pytest.mark.parametrize("value", [None, "high", [1.0]])
+    def test_non_numeric_fields(self, value):
+        document = _result_document()
+        document["points"][0]["utility"] = value
+        with pytest.raises(ValidationError, match=r"points\[0\]\.utility"):
+            result_from_dict(document)
+
+    def test_non_numeric_probabilities(self):
+        document = _result_document()
+        document["points"][0]["matrix"]["probabilities"] = {"a": 1}
+        with pytest.raises(ValidationError, match="probabilities"):
+            result_from_dict(document)
+
+    def test_front_documents(self):
+        from repro.analysis.front import FrontPoint, ParetoFront
+
+        document = front_to_dict(ParetoFront("f", (FrontPoint(0.1, 0.2),)))
+        assert front_from_dict(document).points[0].privacy == 0.1
+        for broken in (
+            {**document, "points": 7},
+            {**document, "points": [7]},
+            {**document, "points": [{"privacy": 0.1}]},
+            {"points": []},
+            [],
+        ):
+            with pytest.raises(ValidationError):
+                front_from_dict(broken)

@@ -15,15 +15,21 @@ Usage (from the repository root, after running the benchmarks)::
 
 Exit code 0 when every tracked op meets its threshold, 1 otherwise (missing
 BENCH files or ops count as failures: a benchmark that silently stopped
-emitting must not turn the gate green).
+emitting must not turn the gate green).  It is also 1 when a baseline
+section has no ``BENCH_<name>.json`` snapshot committed at the repository
+root, so the ledger documents every gated number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+#: The checkout whose committed ``BENCH_<name>.json`` snapshots form the ledger.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_records(bench_dir: Path, name: str) -> dict[str, dict]:
@@ -35,9 +41,42 @@ def load_records(bench_dir: Path, name: str) -> dict[str, dict]:
     return {record["op"]: record for record in document.get("records", [])}
 
 
-def check(baseline_path: Path, bench_dir: Path, only: list[str] | None = None) -> int:
+def untracked_snapshots(baseline_path: Path, repo_root: Path) -> list[str]:
+    """``BENCH_<name>.json`` files of gated sections that ``repo_root`` does
+    not track.
+
+    Tracked means listed by ``git ls-files``; outside a git work tree (an
+    exported source tree) a file on disk counts.
+    """
+    baseline = json.loads(baseline_path.read_text())
+    names = [f"BENCH_{name}.json" for name in baseline if not name.startswith("_")]
+    try:
+        tracked = set(
+            subprocess.run(
+                ["git", "ls-files", "--", *names],
+                cwd=repo_root, capture_output=True, text=True, check=True,
+            ).stdout.split()
+        )
+    except (OSError, subprocess.CalledProcessError):
+        tracked = {name for name in names if (repo_root / name).is_file()}
+    return [name for name in names if name not in tracked]
+
+
+def check(
+    baseline_path: Path,
+    bench_dir: Path,
+    only: list[str] | None = None,
+    repo_root: Path | None = None,
+) -> int:
+    """Gate the records in ``bench_dir``; with ``repo_root``, also require a
+    committed snapshot for every baseline section (whatever ``only`` says)."""
     baseline = json.loads(baseline_path.read_text())
     failures: list[str] = []
+    if repo_root is not None:
+        failures.extend(
+            f"{name}: no committed snapshot at the repository root"
+            for name in untracked_snapshots(baseline_path, repo_root)
+        )
     print(f"perf gate: thresholds from {baseline_path}, records from {bench_dir}/")
     if only:
         unknown = sorted(set(only) - set(baseline))
@@ -107,7 +146,9 @@ def main() -> int:
              "benchmark",
     )
     arguments = parser.parse_args()
-    return check(arguments.baseline, arguments.bench_dir, only=arguments.only)
+    return check(
+        arguments.baseline, arguments.bench_dir, only=arguments.only, repo_root=REPO_ROOT
+    )
 
 
 if __name__ == "__main__":
