@@ -80,10 +80,7 @@ def main() -> None:
     print()
 
     # 3. Evaluate its predictions against the undisguised ground truth.
-    names = workload.dataset.attribute_names
-    predictions = np.array([
-        tree.predict_one(dict(zip(names, row))) for row in workload.dataset.records
-    ])
+    predictions = tree.predict(workload.dataset)
     truth = workload.dataset.column(CLASS_ATTRIBUTE)
     accuracy = float(np.mean(predictions == truth))
     majority = float(max(np.mean(truth == 0), np.mean(truth == 1)))

@@ -7,6 +7,11 @@ the contingency-table estimator: supports of attribute-value itemsets are
 read off the reconstructed joint distribution, frequent itemsets are found
 with a level-wise (Apriori-style) search, and rules are derived with the
 usual support/confidence thresholds.
+
+Table reuse: one :meth:`AssociationMiner.frequent_itemsets` (and so one
+:meth:`AssociationMiner.mine_rules`) call reconstructs each distinct
+attribute tuple once (:meth:`ContingencyEstimator.tables`); every candidate
+itemset over the same attributes reads its support off that one table.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Mapping, Sequence
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError
-from repro.mining.contingency import ContingencyEstimator
+from repro.mining.contingency import ContingencyEstimator, ContingencyTable
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval
 
@@ -96,11 +101,13 @@ class AssociationMiner:
         attributes = [attribute for attribute, _ in items]
         if len(set(attributes)) != len(attributes):
             raise DataError("an itemset may contain each attribute at most once")
-        estimator = ContingencyEstimator(self.matrices)
-        table = estimator.estimate(disguised, attributes)
-        # Sum the joint probability over all cells consistent with the items.
-        assignment = {attribute: code for attribute, code in items}
-        support = table.probability(assignment)
+        table = ContingencyEstimator(self.matrices).estimate(disguised, attributes)
+        return self._support(table, items)
+
+    @staticmethod
+    def _support(table: ContingencyTable, items: tuple[Item, ...]) -> ItemsetSupport:
+        """Support of ``items`` read off ``table`` (whose attributes they cover)."""
+        support = table.probability(dict(items))
         return ItemsetSupport(items, max(0.0, float(support)))
 
     def frequent_itemsets(
@@ -108,13 +115,12 @@ class AssociationMiner:
     ) -> list[ItemsetSupport]:
         """Level-wise search for frequent itemsets over ``attributes``."""
         names = tuple(attributes) if attributes is not None else disguised.attribute_names
-        estimator = ContingencyEstimator(self.matrices)
+        tables = ContingencyEstimator(self.matrices).tables(disguised)
         frequent: list[ItemsetSupport] = []
         # Level 1: single items, read from per-attribute marginals.
         single_frequent: list[Item] = []
         for name in names:
-            table = estimator.estimate(disguised, [name])
-            marginal = table.marginal(name)
+            marginal = tables([name]).marginal(name)
             for code, probability in enumerate(marginal):
                 if probability >= self.min_support:
                     item = (name, code)
@@ -126,7 +132,7 @@ class AssociationMiner:
                 combo_attributes = [attribute for attribute, _ in combo]
                 if len(set(combo_attributes)) != size:
                     continue
-                candidate = self.itemset_support(disguised, combo)
+                candidate = self._support(tables(combo_attributes), combo)
                 if candidate.support >= self.min_support:
                     frequent.append(candidate)
         return frequent

@@ -11,7 +11,7 @@ build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +93,10 @@ class ContingencyTable:
         return selected / total
 
 
+#: A table source: attribute names in axis order -> their joint table.
+TableLookup = Callable[[Sequence[str]], ContingencyTable]
+
+
 @dataclass(frozen=True)
 class ContingencyEstimator:
     """Estimate the joint distribution of disguised attributes.
@@ -135,6 +139,24 @@ class ContingencyEstimator:
         estimate = mechanism.estimate_joint_distribution(disguised, method=self.method)
         joint = estimate.probabilities.reshape(tuple(sizes))
         return ContingencyTable(names, tuple(sizes), joint)
+
+    def tables(self, disguised: CategoricalDataset) -> TableLookup:
+        """:meth:`estimate` memoised for one dataset.
+
+        The returned callable reconstructs each distinct attribute tuple (in
+        the order given) once and hands back the same table afterwards, so a
+        miner holds it for one mining call over ``disguised`` and drops it.
+        The shared tables must be treated as read-only.
+        """
+        memo: dict[tuple[str, ...], ContingencyTable] = {}
+
+        def table(attribute_names: Sequence[str]) -> ContingencyTable:
+            names = tuple(attribute_names)
+            if names not in memo:
+                memo[names] = self.estimate(disguised, names)
+            return memo[names]
+
+        return table
 
     def estimate_true(
         self, original: CategoricalDataset, attribute_names: Sequence[str]

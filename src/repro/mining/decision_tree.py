@@ -6,6 +6,14 @@ criterion instead of counting raw records.  This module implements that idea
 on top of the contingency estimator: at every node the information gain of
 each candidate attribute is computed from a reconstructed joint distribution
 of (attribute, class) restricted to the node's path condition.
+
+Table reuse: one :meth:`DecisionTreeBuilder.build` call reconstructs each
+distinct attribute tuple once (:meth:`ContingencyEstimator.tables`).  The
+table a node's split search reads for ``path + [attribute, class]`` is the
+same one the chosen child reads for its class distribution, and the branch
+masses come from ``path + [attribute]``.  Accuracy is scored column-wise with
+:meth:`DecisionTreeNode.predict`, which applies :meth:`predict_one`'s rule to
+whole index arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError
-from repro.mining.contingency import ContingencyEstimator
+from repro.mining.contingency import ContingencyEstimator, TableLookup
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_positive_int
 
@@ -63,6 +71,28 @@ class DecisionTreeNode:
             node = child
         return node.predicted_class
 
+    def predict(self, dataset: CategoricalDataset) -> np.ndarray:
+        """Predict the class code of every record of ``dataset``.
+
+        Index arrays are routed down the tree column-wise with the rule of
+        :meth:`predict_one`: records whose code has no child, and every
+        record reaching a node whose split attribute is not in ``dataset``,
+        get that node's :attr:`predicted_class`.  Every node labels all the
+        records that reach it; the children, visited later, relabel theirs.
+        """
+        names = dataset.attribute_names
+        predictions = np.empty(dataset.n_records, dtype=np.int64)
+        pending = [(self, np.arange(dataset.n_records))]
+        while pending:
+            node, rows = pending.pop()
+            predictions[rows] = node.predicted_class
+            if node.is_leaf or node.split_attribute not in names:
+                continue
+            column = dataset.records[rows, names.index(node.split_attribute)]
+            for code, child in node.children.items():
+                pending.append((child, rows[column == code]))
+        return predictions
+
     def count_nodes(self) -> int:
         """Total number of nodes in the subtree rooted here."""
         return 1 + sum(child.count_nodes() for child in self.children.values())
@@ -97,8 +127,11 @@ class DecisionTreeBuilder:
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_depth, "max_depth")
-        if self.min_information_gain < 0:
-            raise DataError("min_information_gain must be non-negative")
+        # Written so that NaN fails too: no gain ever compares below NaN.
+        if not self.min_information_gain >= 0:
+            raise DataError(
+                f"min_information_gain must be non-negative, got {self.min_information_gain}"
+            )
         if not 0 <= self.min_node_probability < 1:
             raise DataError("min_node_probability must be in [0, 1)")
 
@@ -117,20 +150,20 @@ class DecisionTreeBuilder:
         )
         if self.class_attribute in candidates:
             raise DataError("the class attribute cannot be a split candidate")
-        estimator = ContingencyEstimator(self.matrices)
-        return self._build_node(disguised, estimator, candidates, path={}, depth=0, mass=1.0)
+        tables = ContingencyEstimator(self.matrices).tables(disguised)
+        return self._build_node(disguised, tables, candidates, path={}, depth=0, mass=1.0)
 
     # -- internals -------------------------------------------------------------
     def _build_node(
         self,
         disguised: CategoricalDataset,
-        estimator: ContingencyEstimator,
+        tables: TableLookup,
         candidates: list[str],
         path: dict[str, int],
         depth: int,
         mass: float,
     ) -> DecisionTreeNode:
-        class_distribution = self._class_distribution(disguised, estimator, path)
+        class_distribution = self._class_distribution(tables, path)
         node = DecisionTreeNode(
             depth=depth,
             class_distribution=class_distribution,
@@ -138,15 +171,15 @@ class DecisionTreeBuilder:
         )
         if depth >= self.max_depth or not candidates or mass < self.min_node_probability:
             return node
-        best_attribute, best_gain = self._best_split(disguised, estimator, candidates, path)
+        best_attribute, best_gain = self._best_split(
+            tables, candidates, path, class_distribution
+        )
         if best_attribute is None or best_gain < self.min_information_gain:
             return node
         node.split_attribute = best_attribute
         attribute = disguised.attribute(best_attribute)
         remaining = [name for name in candidates if name != best_attribute]
-        branch_table = estimator.estimate(
-            disguised, list(path.keys()) + [best_attribute]
-        ) if path else estimator.estimate(disguised, [best_attribute])
+        branch_table = tables([*path, best_attribute])
         for code in range(attribute.n_categories):
             branch_path = dict(path)
             branch_path[best_attribute] = code
@@ -154,7 +187,7 @@ class DecisionTreeBuilder:
             if branch_mass <= 0:
                 continue
             node.children[code] = self._build_node(
-                disguised, estimator, remaining, branch_path, depth + 1, branch_mass
+                disguised, tables, remaining, branch_path, depth + 1, branch_mass
             )
         if not node.children:
             node.split_attribute = None
@@ -162,12 +195,10 @@ class DecisionTreeBuilder:
 
     def _class_distribution(
         self,
-        disguised: CategoricalDataset,
-        estimator: ContingencyEstimator,
+        tables: TableLookup,
         path: dict[str, int],
     ) -> np.ndarray:
-        attributes = list(path.keys()) + [self.class_attribute]
-        table = estimator.estimate(disguised, attributes)
+        table = tables([*path, self.class_attribute])
         if path:
             return table.conditional(self.class_attribute, path)
         return table.marginal(self.class_attribute)
@@ -187,18 +218,16 @@ class DecisionTreeBuilder:
 
     def _best_split(
         self,
-        disguised: CategoricalDataset,
-        estimator: ContingencyEstimator,
+        tables: TableLookup,
         candidates: list[str],
         path: dict[str, int],
+        parent_distribution: np.ndarray,
     ) -> tuple[str | None, float]:
-        parent_distribution = self._class_distribution(disguised, estimator, path)
         parent_entropy = _entropy(parent_distribution)
         best_attribute: str | None = None
         best_gain = -np.inf
         for name in candidates:
-            attributes = list(path.keys()) + [name, self.class_attribute]
-            table = estimator.estimate(disguised, attributes)
+            table = tables([*path, name, self.class_attribute])
             gain = self._information_gain(table, name, path, parent_entropy)
             if gain > best_gain:
                 best_attribute, best_gain = name, gain

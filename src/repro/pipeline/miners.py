@@ -42,7 +42,7 @@ from repro.data.workload import (
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import ValidationError
 from repro.mining.association import AssociationMiner, AssociationRule
-from repro.mining.decision_tree import DecisionTreeBuilder
+from repro.mining.decision_tree import DecisionTreeBuilder, DecisionTreeNode
 from repro.rr.estimation import estimate_distribution
 from repro.rr.matrix import RRMatrix
 
@@ -139,16 +139,9 @@ def _workload_key(workload: MiningWorkload) -> tuple:
     return (workload.data, workload.n_categories, workload.n_records, workload.seed)
 
 
-def _predict_accuracy(tree, dataset: CategoricalDataset) -> float:
+def _predict_accuracy(tree: DecisionTreeNode, dataset: CategoricalDataset) -> float:
     """Accuracy of ``tree`` on the (clean) records of ``dataset``."""
-    names = dataset.attribute_names
-    truth = dataset.column(CLASS_ATTRIBUTE)
-    predictions = np.fromiter(
-        (tree.predict_one(dict(zip(names, row))) for row in dataset.records),
-        dtype=np.int64,
-        count=dataset.n_records,
-    )
-    return float(np.mean(predictions == truth))
+    return float(np.mean(tree.predict(dataset) == dataset.column(CLASS_ATTRIBUTE)))
 
 
 def _run_tree_miner(

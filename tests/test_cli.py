@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,9 @@ class TestOptimizeOutput:
 #: Tiny pipeline workload shared by the CLI pipeline tests.
 FAST_PIPELINE = ["--data", "adult:sex", "--records", "600"]
 
+#: sha256 of the cold ``--jobs 1`` aggregate in the golden-digest test.
+GOLDEN_PIPELINE_SHA256 = "61aeee8080693af8f2a36befa8d2c1d8097b95882f961cdb228e4522505cd599"
+
 
 class TestPipeline:
     def test_runs_schemes_and_writes_aggregate(self, capsys, tmp_path):
@@ -376,6 +380,33 @@ class TestPipeline:
             "pipeline", *FAST_PIPELINE, "--schemes", "warner:0.8", "--jobs", "0",
         ]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_nan_min_information_gain_exits_2(self, capsys, tmp_path):
+        output = tmp_path / "aggregate.json"
+        exit_code = main([
+            "pipeline", *FAST_PIPELINE, "--schemes", "warner:0.8",
+            "--miners", "tree", "--seeds", "1",
+            "--miner-param", "tree:min_information_gain=nan",
+            "--output", str(output),
+        ])
+        assert exit_code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("optrr: error: ")
+        assert "min_information_gain" in err_lines[0]
+        assert not output.exists()
+
+    def test_cold_serial_aggregate_matches_golden_digest(self, capsys, tmp_path):
+        # Recorded with the per-record tree scorer and per-candidate table
+        # reconstruction; the CI pipeline-smoke job pins the same digest.
+        output = tmp_path / "golden.json"
+        assert main([
+            "pipeline", "--data", "adult:education",
+            "--schemes", "warner:0.8,warner:0.5,warner:0.3",
+            "--miners", "tree,rules", "--seeds", "0-1", "--records", "4000",
+            "--jobs", "1", "--output", str(output),
+        ]) == 0
+        assert hashlib.sha256(output.read_bytes()).hexdigest() == GOLDEN_PIPELINE_SHA256
 
 
 class TestAdultCategoriesResolution:
