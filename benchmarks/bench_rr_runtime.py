@@ -39,7 +39,7 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
-from repro.rr.randomize import RandomizedResponse
+from repro.rr.randomize import RandomizedResponse, disguise_codes
 from repro.rr.reference import broadcast_disguise_reference
 from repro.rr.schemes import uniform_perturbation_matrix
 from repro.rr.streaming import OnlineEstimator, StreamingDisguiser, iter_chunks
@@ -89,9 +89,6 @@ def _tracemalloc_peak(function) -> int:
 
 def measure_disguise_kernel(repeats: int = 7) -> dict[str, dict]:
     """Op -> record for the kernel-vs-frozen-broadcast sweep."""
-    from repro.backend.registry import active_backend
-
-    backend = active_backend()
     results: dict[str, dict] = {}
     points = [(n, N_RECORDS) for n in DOMAIN_SIZES]
     if SCALE_RECORDS > N_RECORDS:
@@ -99,9 +96,7 @@ def measure_disguise_kernel(repeats: int = 7) -> dict[str, dict]:
     for n, count in points:
         matrix, codes, uniforms = _workload(n, count)
         probabilities = matrix.probabilities
-        kernel = functools.partial(
-            backend.disguise_codes, probabilities, codes, uniforms
-        )
+        kernel = functools.partial(disguise_codes, probabilities, codes, uniforms)
         reference = functools.partial(
             broadcast_disguise_reference, probabilities, codes, uniforms
         )

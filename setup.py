@@ -1,10 +1,9 @@
 """Setuptools shim.
 
-The execution environment ships setuptools but not the ``wheel`` package, so
-PEP 660 editable installs (which build an editable wheel) fail.  Keeping a
-``setup.py`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` code path, which needs no wheel.  All project metadata
-lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``.  ``pip install -e .``
+builds an editable wheel, which needs the ``wheel`` package; where it is
+missing and cannot be fetched, ``python setup.py develop`` performs the same
+editable install (package plus the ``optrr`` command) through this file.
 """
 
 from setuptools import setup

@@ -32,11 +32,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.aggregate import format_aggregate_table
-from repro.backend import (
-    known_backend_names,
-    resolve_backend_name,
-    set_active_backend,
-)
 from repro.analysis.front import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_front_table, format_pipeline_table
@@ -47,7 +42,6 @@ from repro.core.search_space import log10_rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
 from repro.data.workload import resolve_workload_prior
 from repro.exceptions import (
-    BackendError,
     DataError,
     EstimationError,
     ExperimentError,
@@ -75,14 +69,6 @@ from repro.metrics.evaluation import MatrixEvaluator
 
 #: Default domain size for the synthetic priors when --categories is omitted.
 DEFAULT_CATEGORIES = 10
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the (B, n, n) hot kernels (default: "
-             "$REPRO_BACKEND, else numpy); see `docs/cli.md`",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget shared by the experiment's optimizer runs",
     )
-    _add_backend_argument(run_parser)
 
     campaign_parser = subparsers.add_parser(
         "campaign",
@@ -145,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write the aggregate JSON document to this path"
     )
     _add_resilience_arguments(campaign_parser, keep_going_default=True)
-    _add_backend_argument(campaign_parser)
 
     optimize_parser = subparsers.add_parser("optimize", help="optimize RR matrices for a workload")
     optimize_parser.add_argument("--distribution", default="normal",
@@ -203,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record fraction for low-fidelity evaluations, in (0, 1] "
              "(implies --fidelity; 1.0 disables fidelity scheduling)",
     )
-    _add_backend_argument(optimize_parser)
 
     pipeline_parser = subparsers.add_parser(
         "pipeline",
@@ -262,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the full per-cell pipeline_result JSON document to this path",
     )
     _add_resilience_arguments(pipeline_parser, keep_going_default=False)
-    _add_backend_argument(pipeline_parser)
 
     disguise_parser = subparsers.add_parser(
         "disguise",
@@ -313,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the JSON disguise_report document (counts, estimate, "
              "per-chunk diagnostics) to this path",
     )
-    _add_backend_argument(disguise_parser)
 
     compare_parser = subparsers.add_parser(
         "compare-schemes", help="compare the classic scheme families on a workload"
@@ -415,21 +396,6 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _activate_backend(name: str | None) -> str | None:
-    """Activate the array backend selected by ``--backend``/``REPRO_BACKEND``.
-
-    Returns an error message (for :func:`_fail`) when the resolved backend is
-    unknown or unavailable, ``None`` on success.  The known-backend list is
-    appended to unknown-name errors so the user can see what to pick from.
-    """
-    resolved = resolve_backend_name(name)
-    try:
-        set_active_backend(resolved)
-    except BackendError as exc:
-        return f"{exc} (known backends: {', '.join(known_backend_names())})"
-    return None
-
-
 def _resolve_distribution(name: str, n_categories: int | None) -> CategoricalDistribution:
     """Resolve a --distribution argument into a prior.
 
@@ -450,9 +416,6 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    backend_error = _activate_backend(args.backend)
-    if backend_error is not None:
-        return _fail(backend_error)
     overrides = {}
     if args.generations is not None:
         overrides["n_generations"] = args.generations
@@ -493,9 +456,6 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_campaign(args: argparse.Namespace) -> int:
-    backend_error = _activate_backend(args.backend)
-    if backend_error is not None:
-        return _fail(backend_error)
     if args.seeds < 1:
         return _fail("--seeds must be at least 1")
     if args.jobs < 1:
@@ -579,7 +539,7 @@ def _command_optimize(args: argparse.Namespace) -> int:
             result = _resumed_optimization(args)
         else:
             result = _fresh_optimization(args)
-    except (BackendError, DataError, ValidationError, OptimizationError) as exc:
+    except (DataError, ValidationError, OptimizationError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"checkpoint i/o failed: {exc}")
@@ -601,16 +561,8 @@ def _command_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _activate_backend_or_raise(name: str | None) -> None:
-    """Like :func:`_activate_backend`, raising the enriched error instead."""
-    error = _activate_backend(name)
-    if error is not None:
-        raise BackendError(error)
-
-
 def _fresh_optimization(args: argparse.Namespace):
     """Run `optrr optimize` from scratch (optionally writing checkpoints)."""
-    _activate_backend_or_raise(args.backend)
     prior = _resolve_distribution(args.distribution, args.categories)
     if args.low_fidelity_fraction is not None:
         low_fidelity_fraction = args.low_fidelity_fraction
@@ -658,10 +610,6 @@ def _resumed_optimization(args: argparse.Namespace):
             f"--resume expects an optrr checkpoint, got algorithm "
             f"{document.get('algorithm')!r}"
         )
-    # Backend precedence on resume: an explicit --backend wins, then the
-    # backend the checkpointed run used (so kill/resume stays consistent
-    # without re-passing the flag), then the env var / default.
-    _activate_backend_or_raise(args.backend or document.get("backend") or None)
     optimizer = OptRROptimizer.from_checkpoint(document)
     if args.generations is not None:
         optimizer = OptRROptimizer(
@@ -705,9 +653,6 @@ def _parse_miner_param_arguments(arguments: Sequence[str]) -> dict[str, dict[str
 
 
 def _command_pipeline(args: argparse.Namespace) -> int:
-    backend_error = _activate_backend(args.backend)
-    if backend_error is not None:
-        return _fail(backend_error)
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
     resilience_error = _validate_resilience_arguments(args)
@@ -891,9 +836,6 @@ def _command_disguise(args: argparse.Namespace) -> int:
     from repro.pipeline.spec import matrix_digest
     from repro.rr.streaming import OnlineEstimator, StreamingDisguiser
 
-    backend_error = _activate_backend(args.backend)
-    if backend_error is not None:
-        return _fail(backend_error)
     if args.chunk_size < 1:
         return _fail("--chunk-size must be at least 1")
     try:

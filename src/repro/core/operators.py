@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import active_backend
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import posterior_matrix
+from repro.metrics.privacy import posterior_matrix, posterior_tensor
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import (
@@ -210,12 +209,11 @@ def enforce_privacy_bound(
 # -- batched variants ---------------------------------------------------------
 #
 # The batch-evaluation engine moves whole populations through the variation
-# pipeline as (B, n, n) stacks.  The batched operators draw their randomness
-# here — in the exact order the reference implementation draws it, so backend
-# choice can never perturb the seeded RNG stream — and hand the pre-drawn
-# arrays to the RNG-free kernels of the active array backend
-# (:mod:`repro.backend`); the scalar functions remain the per-matrix
-# reference implementations.
+# pipeline as (B, n, n) stacks.  Each batched operator draws all of its
+# randomness up front, as whole arrays in a fixed order, and then runs
+# deterministic array code; the scalar functions remain the per-matrix
+# reference implementations.  The frozen batched bodies these must match bit
+# for bit live in ``tests/oracles/kernels.py``.
 
 
 def column_crossover_batch(
@@ -240,7 +238,8 @@ def column_crossover_batch(
         return first.copy(), second.copy()
     generator = as_rng(rng)
     cuts = generator.integers(1, n, size=first.shape[0])
-    return active_backend().crossover_columns(first, second, cuts)
+    swap = (np.arange(n)[None, :] >= cuts[:, None])[:, None, :]  # (P, 1, n)
+    return np.where(swap, second, first), np.where(swap, first, second)
 
 
 def _rebalance_columns_batch(
@@ -248,17 +247,48 @@ def _rebalance_columns_batch(
 ) -> np.ndarray:
     """Batched :func:`_rebalance_column`: apply ``delta[b]`` to
     ``columns[b, changed[b]]`` and redistribute ``-delta[b]`` over the other
-    entries of each column, with the same undo/clip/renormalise rules.
-
-    The implementation lives on the reference backend (it is the heart of the
-    ``mutate_stack`` kernel); this alias keeps the reference helper importable
-    next to :func:`_rebalance_column` for the equivalence tests.
-    """
-    from repro.backend.numpy_backend import NumpyBackend
-
-    return NumpyBackend._rebalance_columns(
-        np.asarray(columns, dtype=np.float64), changed, delta
+    entries of each column, with the same undo/clip/renormalise rules."""
+    batch_size, n = columns.shape
+    rows = np.arange(batch_size)
+    cols = np.array(columns, dtype=np.float64)
+    cols[rows, changed] = cols[rows, changed] + delta
+    others = np.ones((batch_size, n), dtype=bool)
+    others[rows, changed] = False
+    positive = delta > 0
+    weights = np.where(others, cols, 0.0)
+    total_weight = weights.sum(axis=1)
+    headroom = np.where(others, 1.0 - cols, 0.0)
+    total_headroom = headroom.sum(axis=1)
+    # Undo rows: nothing to take from / add to, so the change is reverted
+    # (including the same add-then-subtract rounding as the scalar code).
+    undo = (positive & (total_weight <= _EPSILON)) | (
+        ~positive & (total_headroom <= _EPSILON)
     )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        subtract = (
+            delta[:, None]
+            * weights
+            / np.where(total_weight > 0, total_weight, 1.0)[:, None]
+        )
+        add = (
+            (-delta)[:, None]
+            * headroom
+            / np.where(total_headroom > 0, total_headroom, 1.0)[:, None]
+        )
+    adjusted = cols + np.where(positive[:, None], -subtract, add)
+    adjusted = np.clip(adjusted, 0.0, 1.0)
+    sums = adjusted.sum(axis=1)
+    degenerate = sums <= 0
+    result = np.where(
+        degenerate[:, None],
+        1.0 / n,
+        adjusted / np.where(degenerate, 1.0, sums)[:, None],
+    )
+    if undo.any():
+        reverted = cols.copy()
+        reverted[rows, changed] = reverted[rows, changed] - delta
+        result[undo] = reverted[undo]
+    return result
 
 
 def proportional_column_mutation_batch(
@@ -272,8 +302,7 @@ def proportional_column_mutation_batch(
     For every matrix in the ``(B, n, n)`` stack a random element of a random
     column is perturbed and the rest of the column is rescaled, exactly as in
     :func:`proportional_column_mutation` (including the saturation-flip rule);
-    only the random draws are vectorized.  All draws happen here, in the
-    reference order; the deterministic rebalancing runs on the active backend.
+    only the random draws are vectorized.
     """
     check_in_unit_interval(scale, "scale", inclusive_low=False)
     stack = check_matrix_stack(stack, "stack")
@@ -285,9 +314,27 @@ def proportional_column_mutation_batch(
     element_indices = generator.integers(0, n, size=batch_size)
     magnitudes = generator.uniform(0.0, scale, size=batch_size)
     add = generator.integers(0, 2, size=batch_size).astype(bool)
-    return active_backend().mutate_stack(
-        stack, column_indices, element_indices, magnitudes, add
+    rows = np.arange(batch_size)
+    columns = stack[rows, :, column_indices]  # (B, n) copies via fancy indexing
+    element_values = columns[rows, element_indices]
+    delta = np.where(
+        add,
+        np.minimum(magnitudes, 1.0 - element_values),
+        -np.minimum(magnitudes, element_values),
     )
+    # The element is already saturated in the chosen direction; flip it
+    # (same rule as the scalar operator).
+    saturated = np.abs(delta) <= _EPSILON
+    flip_add = np.minimum(magnitudes, 1.0 - element_values)
+    flip_sub = -np.minimum(magnitudes, element_values)
+    flipped = np.where(flip_add != 0.0, flip_add, flip_sub)
+    delta = np.where(saturated, np.where(delta != 0.0, -delta, flipped), delta)
+    unchanged = np.abs(delta) <= _EPSILON
+    mutated_columns = _rebalance_columns_batch(columns, element_indices, delta)
+    mutated_columns[unchanged] = columns[unchanged]
+    result = stack.copy()
+    result[rows, :, column_indices] = mutated_columns
+    return result
 
 
 def enforce_privacy_bound_batch(
@@ -305,16 +352,79 @@ def enforce_privacy_bound_batch(
     removed mass is redistributed within its column; matrices that meet the
     bound (or hit one of the scalar early-exit conditions) drop out of the
     active set, and every matrix returns the best state it visited, so the
-    worst-case posterior never increases.  The repair is fully deterministic
-    and runs as a kernel of the active backend.
+    worst-case posterior never increases.  The repair is fully deterministic.
     """
     check_in_unit_interval(delta, "delta", inclusive_low=False)
     check_positive_int(max_passes, "max_passes")
     prior = np.asarray(prior, dtype=np.float64)
-    stack = check_matrix_stack(stack, "stack")
-    return active_backend().repair_stack(
-        stack, prior, delta, max_passes=max_passes, tolerance=tolerance
-    )
+    values = check_matrix_stack(stack, "stack").copy()
+    batch_size, n, _ = values.shape
+    if batch_size == 0:
+        return values
+    best = values.copy()
+    best_worst = np.full(batch_size, np.inf)
+    active = np.ones(batch_size, dtype=bool)
+    for pass_index in range(max_passes + 1):
+        index = np.flatnonzero(active)
+        if index.size == 0:
+            break
+        posterior = posterior_tensor(values[index], prior)
+        worst = posterior.reshape(index.size, -1).max(axis=1)
+        improved = worst < best_worst[index]
+        if improved.any():
+            improved_index = index[improved]
+            best[improved_index] = values[improved_index]
+            best_worst[improved_index] = worst[improved]
+        met = worst <= delta + tolerance
+        active[index[met]] = False
+        if pass_index == max_passes:
+            break
+        index = index[~met]
+        if index.size == 0:
+            continue
+        posterior = posterior[~met]
+        flat = posterior.reshape(index.size, -1).argmax(axis=1)
+        i = flat // n
+        j = flat % n
+        local = np.arange(index.size)
+        row_values = values[index, i, :]  # (A, n)
+        cell = values[index, i, j]
+        prior_j = prior[j]
+        row_rest = row_values @ prior - cell * prior_j
+        ok = prior_j > _EPSILON
+        if delta < 1.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                target = delta * row_rest / (prior_j * (1.0 - delta))
+        else:
+            target = cell.copy()
+        target = np.clip(target, 0.0, cell)
+        removed = cell - target
+        ok &= removed > _EPSILON
+        columns = values[index, :, j]  # (A, n)
+        columns[local, i] = target
+        others = np.ones((index.size, n), dtype=bool)
+        others[local, i] = False
+        headroom = np.where(others, 1.0 - columns, 0.0)
+        total_headroom = headroom.sum(axis=1)
+        ok &= total_headroom > _EPSILON
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = (
+                removed[:, None]
+                * headroom
+                / np.where(total_headroom > 0, total_headroom, 1.0)[:, None]
+            )
+        new_columns = np.clip(columns + spread, 0.0, 1.0)
+        column_sums = new_columns.sum(axis=1)
+        ok &= column_sums > 0
+        # Matrices that hit a scalar break condition freeze at their
+        # current (already scored) state.
+        active[index[~ok]] = False
+        if ok.any():
+            apply = np.flatnonzero(ok)
+            values[index[apply], :, j[apply]] = (
+                new_columns[apply] / column_sums[apply, None]
+            )
+    return best
 
 
 def random_initial_matrix(

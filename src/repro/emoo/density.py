@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import active_backend
 from repro.exceptions import OptimizationError
 
 
 def pairwise_distances(objectives: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between objective vectors.
 
-    Validation lives here; the distance computation itself is a kernel of the
-    active array backend (:mod:`repro.backend`).  The default ``numpy``
-    backend uses :func:`scipy.spatial.distance.pdist` (condensed upper
-    triangle, half the work and memory of the naive broadcast) when SciPy is
-    available and a broadcasted computation otherwise.
+    Uses :func:`scipy.spatial.distance.pdist` (condensed upper triangle, half
+    the work and memory of the naive broadcast).  SciPy is imported here, not
+    at module level, so commands that never rank a front do not pay for it.
     """
     points = np.asarray(objectives, dtype=np.float64)
     if points.ndim != 2:
         raise OptimizationError(f"objectives must be 2-D, got shape {points.shape}")
-    return active_backend().pairwise_distances(points)
+    count, dimensions = points.shape
+    if count < 2 or dimensions == 0:
+        return np.zeros((count, count))
+    from scipy.spatial.distance import pdist, squareform
+
+    return squareform(pdist(points, metric="euclidean"))
 
 
 def kth_nearest_distances(

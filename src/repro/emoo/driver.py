@@ -252,14 +252,12 @@ class OptimizationDriver:
 
     def checkpoint_document(self, *, stopped: bool = False) -> dict[str, Any]:
         """The complete run state as a versioned ``checkpoint`` document."""
-        from repro.backend.registry import active_backend_name
         from repro.io import FORMAT_VERSION
 
         return {
             "format_version": FORMAT_VERSION,
             "type": "checkpoint",
             "checkpoint_version": CHECKPOINT_VERSION,
-            "backend": active_backend_name(),
             "algorithm": self.optimization.algorithm_name,
             "fingerprint": self.optimization.setup_fingerprint(),
             "generation": self.generation,

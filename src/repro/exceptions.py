@@ -78,11 +78,3 @@ class FaultInjectedError(ReproError):
     """An error deliberately raised by the fault-injection harness
     (:mod:`repro.faults`) — never seen outside chaos tests."""
 
-
-class BackendError(ReproError):
-    """An array backend was requested that the registry does not know."""
-
-
-class BackendUnavailableError(BackendError):
-    """A known array backend cannot run in this environment (its optional
-    dependency is not importable); the message carries the install hint."""

@@ -16,9 +16,8 @@ Design invariants
   pure — so the same spec yields byte-identical aggregate documents whether
   it ran serially, on eight workers, or entirely from cache.
 * **Content-addressed caching.**  Every task is keyed by the SHA-256 of
-  ``(package version, experiment id, effective overrides, seed, array
-  backend)``.  A cache hit replays the stored document; a miss runs the
-  experiment and stores it.
+  ``(package version, experiment id, effective overrides, seed)``.  A cache
+  hit replays the stored document; a miss runs the experiment and stores it.
   Changing any input — including upgrading the library — changes the key, so
   stale results can never be replayed.
 * **Per-experiment overrides.**  One global override set is applied to a
@@ -37,7 +36,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import repro
-from repro.backend.registry import active_backend_name, set_active_backend
 from repro.analysis.aggregate import (
     ExperimentAggregate,
     aggregate_campaign_runs,
@@ -62,22 +60,19 @@ logger = get_logger(__name__)
 DEFAULT_CAMPAIGN_RETRIES = 1
 
 #: Cache-key prefix; bump when the key derivation itself changes.
-#: v2: the array-backend name joined the key (tolerance-exactness backends
-#: can produce slightly different fronts, so their results must not be
-#: replayed interchangeably).
-CACHE_KEY_SCHEMA = "campaign-task-v2"
+#: v3: the array-backend name left the key again (there is one kernel set).
+CACHE_KEY_SCHEMA = "experiment-task-v3"
 
 
 @dataclass(frozen=True)
 class CampaignTask:
     """One cell of the campaign grid: an experiment, a seed, the effective
     (spec-filtered) overrides — stored as sorted items so the task is hashable
-    and its cache key is canonical — and the array backend it runs under."""
+    and its cache key is canonical."""
 
     experiment_id: str
     seed: int
     overrides: tuple[tuple[str, Any], ...] = ()
-    backend: str = "numpy"
 
     def cache_key(self) -> str:
         """Content-addressed key of this task (includes the package version)."""
@@ -88,7 +83,6 @@ class CampaignTask:
                 "experiment_id": self.experiment_id,
                 "seed": self.seed,
                 "overrides": list(self.overrides),
-                "backend": self.backend,
             },
             sort_keys=True,
         )
@@ -107,7 +101,6 @@ class CampaignSpec:
     experiments: tuple[str, ...]
     seeds: tuple[int, ...]
     overrides: tuple[tuple[str, Any], ...] = ()
-    backend: str = "numpy"
 
     def tasks(self) -> tuple[CampaignTask, ...]:
         """The grid in canonical order: experiments outer, seeds inner."""
@@ -118,9 +111,7 @@ class CampaignSpec:
             effective = spec.filter_overrides(global_overrides)
             items = tuple(sorted(effective.items()))
             for seed in self.seeds:
-                tasks.append(
-                    CampaignTask(experiment_id, int(seed), items, self.backend)
-                )
+                tasks.append(CampaignTask(experiment_id, int(seed), items))
         return tuple(tasks)
 
 
@@ -168,10 +159,6 @@ def plan_campaign(
         experiments=experiments,
         seeds=tuple(int(seed) for seed in seeds),
         overrides=tuple(sorted(merged.items())),
-        # Materialized like the budget overrides above: the spec fully
-        # describes the campaign, and the cache key records the backend each
-        # task actually ran under.
-        backend=active_backend_name(),
     )
 
 
@@ -282,21 +269,18 @@ class CampaignResult:
 
 
 def _execute_task(
-    payload: tuple[str, int, tuple[tuple[str, Any], ...], str]
+    payload: tuple[str, int, tuple[tuple[str, Any], ...]]
 ) -> dict[str, Any]:
     """Process-pool entry point: run one task, return its result document.
 
     Must stay a module-level function (pickled by reference) and must return
     plain JSON-compatible data — shipping the canonical document rather than
     live objects keeps fresh and cached results bit-for-bit interchangeable.
-    The task's backend is activated explicitly (spawn workers do not inherit
-    the parent's in-process activation).
     """
     import repro.experiments  # noqa: F401  (registry side effects in spawn workers)
     from repro.experiments.runner import run_experiment
 
-    experiment_id, seed, override_items, backend = payload
-    set_active_backend(backend)
+    experiment_id, seed, override_items = payload
     result = run_experiment(experiment_id, seed=seed, **dict(override_items))
     return experiment_result_to_dict(result)
 
@@ -421,7 +405,5 @@ def run_campaign(
     )
 
 
-def _payload(
-    task: CampaignTask,
-) -> tuple[str, int, tuple[tuple[str, Any], ...], str]:
-    return (task.experiment_id, task.seed, task.overrides, task.backend)
+def _payload(task: CampaignTask) -> tuple[str, int, tuple[tuple[str, Any], ...]]:
+    return (task.experiment_id, task.seed, task.overrides)

@@ -262,15 +262,12 @@ def experiment_result_to_dict(result: "ExperimentResult") -> dict[str, Any]:
     This is the ``experiment_result`` document type the campaign cache
     stores; campaign workers also ship results to the parent process in this
     form so cached and freshly-computed runs are bit-for-bit interchangeable.
-    The ``backend`` key records which array backend produced the result
-    (informational — deserialization ignores it).
+    Documents written before the kernels were unified also carry a
+    ``backend`` key; deserialization ignores it.
     """
-    from repro.backend.registry import active_backend_name
-
     return {
         "format_version": FORMAT_VERSION,
         "type": "experiment_result",
-        "backend": active_backend_name(),
         "experiment_id": result.experiment_id,
         "reproduced": bool(result.reproduced),
         "summary": list(result.summary),

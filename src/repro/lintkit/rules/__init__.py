@@ -8,25 +8,25 @@ documented in ``docs/invariants.md``:
 * RL003 ``checkpoint-symmetry`` — state_document/restore_state pairing + keys
 * RL004 ``cache-key-completeness`` — overrides materialized into cache keys
 * RL005 ``ordering-hazard`` — no unordered iteration in optimizer hot paths
-* RL006 ``backend-seam-discipline`` — hot-kernel call sites dispatch through
-  the active array backend
+* RL006 ``linalg-confinement`` — ``numpy.linalg`` only in
+  ``repro.utils.linalg``
 * RL007 ``exception-discipline`` — broad except handlers must re-raise, log,
   or use the caught exception
 """
 
-from repro.lintkit.rules.backendseam import BackendSeamRule
 from repro.lintkit.rules.cachekey import CacheKeyCompletenessRule
 from repro.lintkit.rules.checkpoint import CheckpointSymmetryRule
 from repro.lintkit.rules.exceptions import ExceptionDisciplineRule
+from repro.lintkit.rules.linalg import LinalgConfinementRule
 from repro.lintkit.rules.ordering import OrderingHazardRule
 from repro.lintkit.rules.rng import RngDisciplineRule
 from repro.lintkit.rules.wallclock import WallClockRule
 
 __all__ = [
-    "BackendSeamRule",
     "CacheKeyCompletenessRule",
     "CheckpointSymmetryRule",
     "ExceptionDisciplineRule",
+    "LinalgConfinementRule",
     "OrderingHazardRule",
     "RngDisciplineRule",
     "WallClockRule",

@@ -9,10 +9,9 @@ Two evaluation paths are provided:
 
 * :meth:`MatrixEvaluator.evaluate_batch` — the vectorized engine.  A whole
   population enters as one ``(B, n, n)`` stack and every quantity (posterior
-  tensor, adversary accuracy, condition numbers, inverses, Theorem-6 MSE) is
-  computed by the active array backend (:mod:`repro.backend`); the default
-  ``numpy`` backend is the original batched-numpy computation, bit for bit.
-  This is the optimizer hot path.
+  row bounds, adversary accuracy, condition numbers, inverses, Theorem-6
+  MSE) is computed by :func:`evaluate_stack`.  This is the optimizer hot
+  path.
 * :meth:`MatrixEvaluator.evaluate` — the scalar API, kept as a thin wrapper
   that stacks a single matrix and unpacks the batch result, so both paths are
   one implementation.  :meth:`MatrixEvaluator.evaluate_scalar` preserves the
@@ -26,10 +25,10 @@ proportional to ``1/N``, so evaluating a matrix against the subsampled record
 count ``n_eff = max(1, rint(fidelity * N))`` amounts to scaling the full
 utility by ``N / n_eff`` — an exact, monotonically decreasing upper bound on
 the full-fidelity utility that converges to it as ``fidelity -> 1`` (and is
-bit-identical at ``fidelity = 1``).  Privacy is prior-only and stays exact;
-the worst-case posterior is computed through the cheap row-max/row-sum bound,
-which equals the full posterior-tensor maximum bit for bit (division by a
-positive row sum is monotone, so the maximum commutes with it) without
+bit-identical at ``fidelity = 1``).  Privacy is prior-only and stays exact.
+On every path the worst-case posterior is computed through the row-max/row-sum
+bound, which equals the full posterior-tensor maximum bit for bit (division by
+a positive row sum is monotone, so the maximum commutes with it) without
 materialising the ``(B, n, n)`` posterior tensor.
 """
 
@@ -39,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.registry import active_backend
 from repro.data.distribution import CategoricalDistribution
 from repro.exceptions import SingularMatrixError, ValidationError
-from repro.metrics.privacy import BOUND_ATOL, max_posterior, privacy_score
-from repro.metrics.utility import utility_score
+from repro.metrics.privacy import BOUND_ATOL, joint_tensor, max_posterior, privacy_score
+from repro.metrics.utility import utility_score, utility_score_batch
 from repro.rr.matrix import RRMatrix, as_matrix_stack
-from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
+from repro.utils.linalg import batched_safe_inverses
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
 
@@ -71,6 +69,36 @@ def resolve_fidelity_column(
     if not np.all(np.isfinite(column)) or np.any(column <= 0.0) or np.any(column > 1.0):
         raise ValidationError("fidelity values must lie in (0, 1]")
     return column
+
+
+def evaluate_stack(
+    stack: np.ndarray, prior: np.ndarray, n_records: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Full-fidelity evaluation of a C-contiguous ``(B, n, n)`` stack.
+
+    Returns the ``(B,)`` columns ``(privacy, utility, worst_posterior,
+    invertible)``; utility is ``inf`` for rows that are not numerically
+    invertible under :func:`~repro.utils.linalg.batched_safe_inverses`.  One
+    joint tensor serves the adversary accuracy (Eq. 8) and the worst
+    posterior (Eq. 9), taken as ``max_y max_x joint / sum_x joint`` with
+    zero-probability reports contributing 0.  The Theorem-6 closed form runs
+    over the whole stack (batched ``matmul`` contracts each matrix
+    independently, so a row's utility does not depend on its neighbours) and
+    non-invertible rows, which may overflow, are masked out.
+    """
+    joint = joint_tensor(stack, prior)
+    row_max = joint.max(axis=2)
+    row_sum = joint.sum(axis=2)
+    privacy = 1.0 - row_max.sum(axis=1)
+    safe = np.where(row_sum > 0, row_sum, 1.0)
+    worst_posterior = np.where(row_sum > 0, row_max / safe, 0.0).max(axis=1)
+    inverses, invertible = batched_safe_inverses(stack)
+    utility = np.full(stack.shape[0], np.inf)
+    if invertible.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse = utility_score_batch(stack, inverses, prior, n_records)
+        utility[invertible] = mse[invertible]
+    return privacy, utility, worst_posterior, invertible
 
 
 @dataclass(frozen=True)
@@ -227,10 +255,8 @@ class MatrixEvaluator:
             scalar broadcasts over the batch).  Fidelity ``f`` evaluates the
             Theorem-6 utility against ``n_eff = max(1, rint(f * N))`` records
             instead of ``N`` — exactly the subsampled MSE, since the MSE is
-            proportional to ``1/N`` — and computes the worst-case posterior
-            through the cheap row-max/row-sum bound.  ``None`` (and a
-            fidelity of exactly 1) reproduce the full-fidelity evaluation
-            bit for bit.
+            proportional to ``1/N``.  ``None`` (and a fidelity of exactly 1)
+            reproduce the full-fidelity evaluation bit for bit.
 
         Returns
         -------
@@ -246,15 +272,8 @@ class MatrixEvaluator:
             )
         fidelity_column = resolve_fidelity_column(fidelity, stack.shape[0])
         prior_vector = self.prior.probabilities
-        # The (B, n, n) kernels live behind the array-backend seam; the
-        # default backend reproduces the original batched-numpy computation
-        # bit for bit (see repro.backend.base for the exactness contract).
-        privacy, utility, worst_posterior, invertible = active_backend().evaluate_stack(
-            stack,
-            prior_vector,
-            self.n_records,
-            condition_limit=DEFAULT_CONDITION_LIMIT,
-            cheap_posterior_bound=fidelity_column is not None,
+        privacy, utility, worst_posterior, invertible = evaluate_stack(
+            stack, prior_vector, self.n_records
         )
         if fidelity_column is not None:
             # MSE is exactly proportional to 1/N (Theorem 6), so the

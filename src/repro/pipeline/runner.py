@@ -206,14 +206,9 @@ def _execute_cell(payload: tuple) -> dict[str, Any]:
     Must stay a module-level function (pickled by reference) and must return
     plain JSON-compatible data — shipping the canonical document rather than
     live objects keeps fresh and cached results bit-for-bit interchangeable.
-    The cell's backend is activated explicitly (spawn workers do not inherit
-    the parent's in-process activation).
     """
-    from repro.backend.registry import set_active_backend
-
     (data, n_records, n_categories, scheme_name, matrix_rows, seed, miner_name,
-     param_items, backend) = payload
-    set_active_backend(backend)
+     param_items) = payload
     matrix = RRMatrix(np.asarray(matrix_rows, dtype=np.float64))
     workload, disguised = _memoized_disguise(
         data, n_records, n_categories, seed, matrix
@@ -240,7 +235,6 @@ def _cell_payload(task: PipelineCellTask) -> tuple:
         task.seed,
         task.miner,
         task.miner_params,
-        task.backend,
     )
 
 

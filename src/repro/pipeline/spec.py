@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro
-from repro.backend.registry import active_backend_name
 from repro.core.result import OptimizationResult
 from repro.data.workload import resolve_workload_prior
 from repro.exceptions import ValidationError
@@ -31,8 +30,8 @@ from repro.rr.family import scheme_family
 from repro.rr.matrix import RRMatrix
 
 #: Cache-key prefix; bump when the key derivation itself changes.
-#: v2: the array-backend name joined the key (see the campaign cache notes).
-PIPELINE_KEY_SCHEMA = "pipeline-cell-v2"
+#: v3: the array-backend name left the key again (see the campaign cache notes).
+PIPELINE_KEY_SCHEMA = "pipeline-cell-v3"
 
 #: Default number of records in the sampled workload dataset.
 DEFAULT_N_RECORDS = 20_000
@@ -58,8 +57,7 @@ class PipelineScheme:
 
 @dataclass(frozen=True)
 class PipelineCellTask:
-    """One cell of the pipeline grid: a scheme, a seed and a miner, plus the
-    array backend the cell runs under."""
+    """One cell of the pipeline grid: a scheme, a seed and a miner."""
 
     data: str
     n_records: int
@@ -68,7 +66,6 @@ class PipelineCellTask:
     seed: int
     miner: str
     miner_params: tuple[tuple[str, Any], ...]
-    backend: str = "numpy"
 
     def cache_key(self) -> str:
         """Content-addressed key of this cell (includes the package version
@@ -85,7 +82,6 @@ class PipelineCellTask:
                 "seed": self.seed,
                 "miner": self.miner,
                 "miner_params": sorted(self.miner_params),
-                "backend": self.backend,
             },
             sort_keys=True,
         )
@@ -115,10 +111,6 @@ class PipelineSpec:
     miner_params:
         Per-miner effective parameters (defaults merged with overrides),
         stored as sorted items per miner.
-    backend:
-        Array backend the cells run under (materialized by
-        :func:`plan_pipeline` from the active backend; part of every cell's
-        cache key).
     """
 
     data: str
@@ -128,7 +120,6 @@ class PipelineSpec:
     miners: tuple[str, ...]
     seeds: tuple[int, ...]
     miner_params: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...] = ()
-    backend: str = "numpy"
 
     def params_for(self, miner: str) -> dict[str, Any]:
         """Effective parameters of one miner."""
@@ -153,7 +144,6 @@ class PipelineSpec:
                             seed=seed,
                             miner=miner,
                             miner_params=tuple(sorted(self.params_for(miner).items())),
-                            backend=self.backend,
                         )
                     )
         return tuple(cells)
@@ -328,5 +318,4 @@ def plan_pipeline(
         miners=resolved_miners,
         seeds=tuple(int(seed) for seed in seeds),
         miner_params=miner_params,
-        backend=active_backend_name(),
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.registry import active_backend
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError, RRMatrixError
 from repro.rr.matrix import RRMatrix
@@ -42,6 +41,44 @@ def check_codes(codes: np.ndarray, n_categories: int) -> np.ndarray:
     return codes
 
 
+def disguise_codes(
+    probabilities: np.ndarray, codes: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Randomized-response disguise of validated ``(N,)`` int64 codes.
+
+    ``probabilities`` is the ``(n, n)`` column-stochastic RR matrix
+    (``probabilities[j, i]`` = P(report ``j`` | true ``i``)) and
+    ``uniforms`` the caller's pre-drawn ``rng.random(N)`` values, in draw
+    order.  Record ``k`` reports the first row ``j`` with ``cdf[j, c] >=
+    uniforms[k]`` in its column CDF ``c = codes[k]`` (last entry clamped to
+    exactly ``1.0``) — bit-identical to the frozen ``(n, N)`` broadcast in
+    :mod:`repro.rr.reference`.
+
+    Sort-and-group ``searchsorted``: stable-argsort the codes (radix sort for
+    int64, O(N)), gather the uniforms into category order once, then
+    binary-search each category's contiguous slice against its column CDF.
+    ``side="left"`` counts the CDF entries strictly below each uniform, and
+    peak auxiliary memory stays O(N + n^2).
+    """
+    n = probabilities.shape[0]
+    cdf = np.cumsum(probabilities, axis=0)
+    cdf[-1, :] = 1.0
+    order = np.argsort(codes, kind="stable")
+    sorted_uniforms = uniforms[order]
+    boundaries = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=n), out=boundaries[1:])
+    sorted_out = np.empty(codes.size, dtype=np.int64)
+    for category in range(n):
+        begin, end = boundaries[category], boundaries[category + 1]
+        if begin < end:
+            sorted_out[begin:end] = np.searchsorted(
+                cdf[:, category], sorted_uniforms[begin:end], side="left"
+            )
+    disguised = np.empty(codes.size, dtype=np.int64)
+    disguised[order] = sorted_out
+    return disguised
+
+
 @dataclass(frozen=True)
 class RandomizedResponse:
     """Disguise mechanism for a single categorical attribute.
@@ -63,19 +100,15 @@ class RandomizedResponse:
         """Disguise an integer-coded value array.
 
         Each input code ``i`` is replaced by a draw from column ``i`` of the
-        RR matrix via inverse-CDF sampling.  The single ``rng.random(N)``
-        draw happens here, in the pre-seam order, and the deterministic
-        searchsorted kernel runs behind the array-backend seam — so backend
-        choice can never perturb the seeded stream, and the disguised codes
-        are bit-identical to the historical ``(n, N)`` broadcast path while
-        peak memory stays O(N + n^2) and compute O(N log n).
+        RR matrix via inverse-CDF sampling: one ``rng.random(N)`` draw, then
+        the deterministic :func:`disguise_codes` kernel, bit-identical to the
+        historical ``(n, N)`` broadcast path while peak memory stays
+        O(N + n^2) and compute O(N log n).
         """
         codes = check_codes(codes, self.n_categories)
         rng = as_rng(seed)
         uniforms = rng.random(codes.size)
-        return active_backend().disguise_codes(
-            self.matrix.probabilities, codes, uniforms
-        )
+        return disguise_codes(self.matrix.probabilities, codes, uniforms)
 
     def randomize_attribute(
         self,

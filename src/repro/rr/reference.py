@@ -1,11 +1,11 @@
 """Frozen broadcast reference for the ``disguise_codes`` kernel.
 
-This is the pre-seam ``(n, N)`` broadcast implementation of the RR disguise,
+This is the original ``(n, N)`` broadcast implementation of the RR disguise,
 kept verbatim as the executable specification of the kernel's semantics: the
-cross-backend equivalence suite and ``benchmarks/bench_rr_runtime.py`` compare
-every backend's ``disguise_codes`` against it bit for bit.  It must never be
-used on a hot path — it materialises the ``(n, N)`` float intermediate the
-backend kernels exist to avoid — and must never change: any fix that moves
+kernel equivalence suite and ``benchmarks/bench_rr_runtime.py`` compare
+:func:`repro.rr.randomize.disguise_codes` against it bit for bit.  It must
+never be used on a hot path — it materialises the ``(n, N)`` float
+intermediate the kernel exists to avoid — and must never change: any fix that moves
 its output is by definition a change to the disguise contract and would fork
 every fixed-seed trajectory, pipeline document and cache key in the repo.
 """
@@ -21,7 +21,7 @@ def broadcast_disguise_reference(
     """The historical ``(n, N)`` broadcast disguise (frozen specification).
 
     Same signature and semantics as
-    :meth:`repro.backend.base.ArrayBackend.disguise_codes`: for record ``k``
+    :func:`repro.rr.randomize.disguise_codes`: for record ``k``
     with true code ``c``, count the column-CDF entries strictly below
     ``uniforms[k]`` — i.e. the first row ``j`` with ``cdf[j, c] >=
     uniforms[k]``.

@@ -102,9 +102,9 @@ def check_matrix_stack(
 
     The contiguity canonicalisation matters for determinism, not just speed:
     BLAS contractions round differently depending on operand memory layout,
-    so the array-backend kernels (:mod:`repro.backend`) are only bit-exact
-    against each other when every caller hands them the same layout.  For the
-    engine's own stacks this is a no-op (they are already contiguous)."""
+    so the batched kernels only match their frozen oracles bit for bit when
+    every caller hands them the same layout.  For the engine's own stacks
+    this is a no-op (they are already contiguous)."""
     array = np.ascontiguousarray(stack, dtype=np.float64)
     if array.ndim != 3 or array.shape[-1] != array.shape[-2]:
         raise ValidationError(

@@ -2,40 +2,15 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.backend import registry as backend_registry
 from repro.core.config import OptRRConfig
 from repro.data.distribution import CategoricalDistribution
 from repro.data.synthetic import gamma_distribution, normal_distribution, uniform_distribution
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
-
-
-@pytest.fixture(autouse=True)
-def _isolate_backend_state():
-    """Restore the active array backend (and its env var) after every test.
-
-    Backend activation is process-global (``repro.backend.registry``) and
-    ``set_active_backend`` also exports ``REPRO_BACKEND`` for worker
-    processes; without this guard a test selecting ``numpy-fused`` would
-    leak into every later test and silently change what "default backend"
-    means for the determinism suites.
-    """
-    active = backend_registry._ACTIVE
-    env = os.environ.get(backend_registry.ENV_VAR)
-    try:
-        yield
-    finally:
-        backend_registry._ACTIVE = active
-        if env is None:
-            os.environ.pop(backend_registry.ENV_VAR, None)
-        else:
-            os.environ[backend_registry.ENV_VAR] = env
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
-"""RL006 fixture (broken): scipy smuggled past the pairwise-distance kernel."""
+"""RL006 fixture (broken): numpy.linalg imported under other names."""
 
-from scipy.spatial.distance import pdist, squareform
+from numpy import linalg
+from numpy.linalg import norm
 
 
 def pairwise_distances(points):
-    return squareform(pdist(points))
+    return linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+
+
+def lengths(points):
+    return norm(points, axis=1)

@@ -1,14 +1,11 @@
-"""RL006 fixture (broken): private linear-algebra path next to the seam."""
+"""RL006 fixture (broken): a private inversion that skips the condition rule."""
 
 import numpy as np
-
-from repro.utils.linalg import batched_safe_inverses
 
 
 def evaluate_stack(stack, prior, n_records):
     signs, _ = np.linalg.slogdet(stack)
     inverses = np.linalg.inv(stack[signs != 0])
-    _, invertible = batched_safe_inverses(stack, condition_limit=1e12)
     disguised = stack @ prior[None, :, None]
     linear = (inverses @ disguised[signs != 0])[..., 0]
-    return linear / float(n_records), invertible
+    return linear / float(n_records)

@@ -1,15 +1,12 @@
-"""RL006 fixture (fixed): evaluation dispatches through the active backend."""
+"""RL006 fixture (fixed): inversion goes through repro.utils.linalg."""
 
-from repro.backend.registry import active_backend
-from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
+from repro.utils.linalg import DEFAULT_CONDITION_LIMIT, batched_safe_inverses
 
 
 def evaluate_stack(stack, prior, n_records):
-    backend = active_backend()
-    return backend.evaluate_stack(
-        stack,
-        prior,
-        n_records,
-        condition_limit=DEFAULT_CONDITION_LIMIT,
-        cheap_posterior_bound=True,
+    inverses, invertible = batched_safe_inverses(
+        stack, condition_limit=DEFAULT_CONDITION_LIMIT
     )
+    disguised = stack @ prior[None, :, None]
+    linear = (inverses @ disguised)[..., 0]
+    return linear / float(n_records), invertible

@@ -489,6 +489,28 @@ class TestOptimizeCheckpointResume:
         ) == 0
         assert full.read_bytes() == resumed.read_bytes()
 
+    def test_resume_ignores_legacy_backend_field(self, tmp_path, capsys):
+        """Checkpoints written while kernels were selectable carry a
+        ``backend`` key; resume ignores it, whatever it names."""
+        full = tmp_path / "full.json"
+        resumed = tmp_path / "resumed.json"
+        checkpoint = tmp_path / "ck.json"
+        assert main(FAST_OPTIMIZE + ["--generations", "6", "--output", str(full)]) == 0
+        assert main(
+            FAST_OPTIMIZE
+            + ["--generations", "2", "--checkpoint", str(checkpoint),
+               "--checkpoint-every", "1"]
+        ) == 0
+        document = json.loads(checkpoint.read_text())
+        assert "backend" not in document
+        document["backend"] = "numba"
+        checkpoint.write_text(json.dumps(document))
+        assert main(
+            ["optimize", "--resume", str(checkpoint), "--generations", "6",
+             "--output", str(resumed)]
+        ) == 0
+        assert full.read_bytes() == resumed.read_bytes()
+
     def test_resume_of_finished_run_replays_result(self, tmp_path, capsys):
         full = tmp_path / "full.json"
         replay = tmp_path / "replay.json"

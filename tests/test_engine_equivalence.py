@@ -21,13 +21,14 @@ computes — only how fast.  Three layers of evidence:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.registry import backend_names, use_backend
-from repro.core.config import OptRRConfig
+from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.core.reference import (
@@ -186,96 +187,129 @@ class TestTruncationEquivalence:
             assert all(ours is theirs for ours, theirs in zip(fast, slow))
 
 
-#: Every backend that can actually be activated in this environment (numba
-#: joins automatically where the package is importable).
-BACKENDS = backend_names()
+#: Fixed-seed trajectories recorded before the batched kernels were unified
+#: (the reference and fused implementations produced them identically):
+#: sha256 of the front's float64 bytes, the evaluation budget and the final
+#: bit-generator state.  ``optrr-fidelity`` runs with multi-fidelity
+#: scheduling at the CLI's ``--fidelity`` default, which drives the
+#: low-fidelity evaluation path.
+PINNED_TRAJECTORIES = {
+    "optrr": {
+        "front_sha256": "260ac97e766a7fa2b60922d73f5ba204c49548445e5f8cccc6a2437a59003903",
+        "front_shape": (61, 2),
+        "n_evaluations": 277,
+        "rng_state": {
+            "bit_generator": "PCG64",
+            "has_uint32": 0,
+            "state": {
+                "inc": 7937318808080196428804369945471644491,
+                "state": 163882010986462633563647035502043999900,
+            },
+            "uinteger": 3535276771,
+        },
+    },
+    "optrr-fidelity": {
+        "front_sha256": "207d520ee39fc52b09e8893b38559f087dc8a210c0cf5703c708c1dd808e6484",
+        "front_shape": (58, 2),
+        "n_evaluations": 317,
+        "rng_state": {
+            "bit_generator": "PCG64",
+            "has_uint32": 0,
+            "state": {
+                "inc": 7937318808080196428804369945471644491,
+                "state": 163882010986462633563647035502043999900,
+            },
+            "uinteger": 3535276771,
+        },
+    },
+    "spea2": {
+        "front_sha256": "25df48fba98375ca1b370dc03329f259df3803ac7957ce932627e5ebb8a77769",
+        "front_shape": (8, 2),
+        "n_evaluations": 56,
+        "rng_state": {
+            "bit_generator": "PCG64",
+            "has_uint32": 0,
+            "state": {
+                "inc": 222003063171874261427395693950637096479,
+                "state": 90466500372911892585857905088453944965,
+            },
+            "uinteger": 2375740128,
+        },
+    },
+    "nsga2": {
+        "front_sha256": "f52df15eb7b5c939483be6a2543b2b3ea5fee03777e4951d64a1e97f5066c409",
+        "front_shape": (8, 2),
+        "n_evaluations": 56,
+        "rng_state": {
+            "bit_generator": "PCG64",
+            "has_uint32": 1,
+            "state": {
+                "inc": 222003063171874261427395693950637096479,
+                "state": 203712355970150310707797846968676707832,
+            },
+            "uinteger": 3009066713,
+        },
+    },
+}
 
 
-class TestBackendTrajectoryEquivalence:
-    """Backend choice may change kernels, never trajectories.
+def _pinned_run(engine: str):
+    """One short fixed-seed run: ``(front, n_evaluations, rng_state)``."""
+    if engine in ("optrr", "optrr-fidelity"):
+        fidelity = (
+            {"low_fidelity_fraction": DEFAULT_LOW_FIDELITY_FRACTION}
+            if engine == "optrr-fidelity"
+            else {}
+        )
+        optimizer = OptRROptimizer(
+            normal_distribution(8), 5_000, _config(n_generations=10, **fidelity)
+        )
+        driver = optimizer.driver()
+        result = optimizer.run_driver(driver)
+        front = _points(result)
+    else:
+        problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
+        if engine == "spea2":
+            algorithm = SPEA2(
+                problem,
+                SPEA2Settings(population_size=8, archive_size=8),
+                termination=MaxGenerations(6),
+                seed=3,
+            )
+        else:
+            algorithm = NSGA2(
+                problem,
+                NSGA2Settings(population_size=8),
+                termination=MaxGenerations(6),
+                seed=3,
+            )
+        driver = algorithm.driver()
+        for _ in driver.steps():
+            pass
+        result = driver.result()
+        front = np.array(sorted(tuple(m.objectives) for m in result.front))
+    return front, result.n_evaluations, driver.rng.bit_generator.state
 
-    For every registered array backend, a fixed-seed short run of each engine
-    (OptRR, SPEA2, NSGA-II) is compared against the same run on the ``numpy``
-    reference backend:
 
-    * the final RNG bit-generator state must be *identical* — backend kernels
-      are RNG-free by contract, so backend choice can never reorder or add
-      draws;
-    * the evaluation budget must be identical;
-    * the resulting front must match within the equivalence tolerance
-      (``rtol=1e-9``), and bit for bit when the backend only has bit-exact
-      kernels.
+class TestPinnedTrajectories:
+    """Fixed-seed runs of every engine reproduce their recorded trajectory.
+
+    The kernels draw no randomness, so the final RNG state and the
+    evaluation budget pin the control flow; the front's sha256 pins every
+    objective value bit for bit.
     """
 
-    _cache: dict = {}
-
-    @classmethod
-    def _run(cls, engine: str, backend: str):
-        key = (engine, backend)
-        if key not in cls._cache:
-            with use_backend(backend):
-                if engine == "optrr":
-                    optimizer = OptRROptimizer(
-                        normal_distribution(8), 5_000, _config(n_generations=10)
-                    )
-                    driver = optimizer.driver()
-                    result = optimizer.run_driver(driver)
-                    front = _points(result)
-                else:
-                    problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
-                    if engine == "spea2":
-                        algorithm = SPEA2(
-                            problem,
-                            SPEA2Settings(population_size=8, archive_size=8),
-                            termination=MaxGenerations(6),
-                            seed=3,
-                        )
-                    else:
-                        algorithm = NSGA2(
-                            problem,
-                            NSGA2Settings(population_size=8),
-                            termination=MaxGenerations(6),
-                            seed=3,
-                        )
-                    driver = algorithm.driver()
-                    for _ in driver.steps():
-                        pass
-                    result = driver.result()
-                    front = np.array(
-                        sorted(tuple(m.objectives) for m in result.front)
-                    )
-                cls._cache[key] = (
-                    front,
-                    result.n_evaluations,
-                    driver.rng.bit_generator.state,
-                )
-        return cls._cache[key]
-
-    @pytest.mark.parametrize("engine", ["optrr", "spea2", "nsga2"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trajectory_matches_numpy_reference(self, engine, backend):
-        front, evaluations, rng_state = self._run(engine, backend)
-        expected_front, expected_evaluations, expected_rng_state = self._run(
-            engine, "numpy"
-        )
-        assert rng_state == expected_rng_state
-        assert evaluations == expected_evaluations
-        assert front.shape == expected_front.shape
-        np.testing.assert_allclose(front, expected_front, rtol=1e-9, atol=1e-12)
-
-    def test_explicit_numpy_activation_is_bit_exact(self):
-        """Activating ``numpy`` explicitly is the same run as not selecting a
-        backend at all — the seam's default dispatches to the identical
-        kernels, so nothing about the trajectory may move."""
-        implicit = OptRROptimizer(
-            normal_distribution(8), 5_000, _config(n_generations=10)
-        ).run()
-        with use_backend("numpy"):
-            explicit = OptRROptimizer(
-                normal_distribution(8), 5_000, _config(n_generations=10)
-            ).run()
-        assert np.array_equal(_points(implicit), _points(explicit))
-        assert np.array_equal(_omega(implicit), _omega(explicit))
+    @pytest.mark.parametrize("engine", sorted(PINNED_TRAJECTORIES))
+    def test_trajectory_matches_pin(self, engine):
+        front, evaluations, rng_state = _pinned_run(engine)
+        expected = PINNED_TRAJECTORIES[engine]
+        assert rng_state == expected["rng_state"]
+        assert evaluations == expected["n_evaluations"]
+        assert front.shape == expected["front_shape"]
+        digest = hashlib.sha256(
+            np.ascontiguousarray(front, dtype=np.float64).tobytes()
+        ).hexdigest()
+        assert digest == expected["front_sha256"]
 
 
 class TestMatingSelectionEquivalence:

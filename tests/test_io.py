@@ -157,6 +157,14 @@ class TestExperimentResultSerialization:
             dump_canonical_json(document)
         )
 
+    def test_legacy_backend_field_is_ignored(self, result):
+        document = experiment_result_to_dict(result)
+        assert "backend" not in document
+        restored = experiment_result_from_dict(dict(document, backend="numba"))
+        assert dump_canonical_json(experiment_result_to_dict(restored)) == (
+            dump_canonical_json(document)
+        )
+
     def test_rejects_wrong_type(self):
         with pytest.raises(ValidationError):
             experiment_result_from_dict({"type": "rr_matrix", "format_version": 1})
