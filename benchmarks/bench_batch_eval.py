@@ -19,7 +19,9 @@ or through pytest::
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,10 +30,13 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
-from repro.core.operators import enforce_privacy_bound, enforce_privacy_bound_batch
-from repro.data.synthetic import normal_distribution
-from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import random_rr_matrix, stack_matrices
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.core.operators import enforce_privacy_bound_batch  # noqa: E402
+from repro.data.synthetic import normal_distribution  # noqa: E402
+from repro.metrics.evaluation import MatrixEvaluator  # noqa: E402
+from repro.rr.matrix import random_rr_matrix, stack_matrices  # noqa: E402
+from tests.oracles.scalar import enforce_privacy_bound, evaluate_scalar  # noqa: E402
 
 N_CATEGORIES = 16
 POPULATION = 100
@@ -71,7 +76,7 @@ def measure_evaluation_speedup(
     stack = stack_matrices(matrices)
 
     def scalar_path():
-        return [evaluator.evaluate_scalar(matrix) for matrix in matrices]
+        return [evaluate_scalar(evaluator, matrix) for matrix in matrices]
 
     def batch_path():
         return evaluator.evaluate_batch(stack)

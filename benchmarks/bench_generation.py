@@ -9,7 +9,7 @@ re-sort per removal), mating selection reuses the stamped
 environmental-selection fitness, and Ω updates are pre-filtered with one
 vectorized comparison.  This benchmark measures the end-to-end
 ``OptRROptimizer.run()`` speedup over the frozen pre-PR loop
-(:func:`repro.core.reference.reference_optrr_run`) at the default
+(``reference_optrr_run`` in ``tests/oracles/optrr_loop.py``) at the default
 population/generation budget and at P = 200, asserts the >= 2x acceptance
 bar, and verifies the two engines produce bit-for-bit identical fronts when
 the reference applies the same fitness-reuse fix.
@@ -26,7 +26,9 @@ or through pytest::
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -35,10 +37,12 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
-from repro.core.config import OptRRConfig
-from repro.core.optimizer import OptRROptimizer
-from repro.core.reference import reference_optrr_run
-from repro.data.synthetic import normal_distribution
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.core.config import OptRRConfig  # noqa: E402
+from repro.core.optimizer import OptRROptimizer  # noqa: E402
+from repro.data.synthetic import normal_distribution  # noqa: E402
+from tests.oracles.optrr_loop import reference_optrr_run  # noqa: E402
 
 N_CATEGORIES = 10
 N_RECORDS = 10_000

@@ -13,17 +13,17 @@ import pytest
 
 from benchmarks.conftest import record_benchmark_stats
 
-from repro.core.operators import (
-    column_crossover,
-    enforce_privacy_bound,
-    proportional_column_mutation,
-)
 from repro.data.synthetic import normal_distribution
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.estimation import InversionEstimator, IterativeEstimator
 from repro.rr.matrix import random_rr_matrix
 from repro.rr.randomize import RandomizedResponse
 from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import (
+    column_crossover,
+    enforce_privacy_bound,
+    proportional_column_mutation,
+)
 
 N_CATEGORIES = 10
 N_RECORDS = 10_000

@@ -3,7 +3,7 @@
 Three claims are measured and recorded into ``BENCH_rr_runtime.json``:
 
 * **Kernel speedup.**  The searchsorted ``disguise_codes`` kernel vs the
-  frozen ``(n, N)`` broadcast reference (``repro.rr.reference``) at
+  frozen ``(n, N)`` broadcast reference (``tests/oracles/disguise.py``) at
   ``n in {10, 32, 64, 100}``, N = 10^5 — plus the scale point N = 10^6.
   The committed acceptance bar is >= 3x at n = 64, N = 10^5 (gated through
   ``tools/check_perf.py --only rr_runtime``); outputs are checked
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -39,11 +41,13 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
-from repro.rr.randomize import RandomizedResponse, disguise_codes
-from repro.rr.reference import broadcast_disguise_reference
-from repro.rr.schemes import uniform_perturbation_matrix
-from repro.rr.streaming import OnlineEstimator, StreamingDisguiser, iter_chunks
-from repro.rr.matrix import random_rr_matrix
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.rr.randomize import RandomizedResponse, disguise_codes  # noqa: E402
+from repro.rr.schemes import uniform_perturbation_matrix  # noqa: E402
+from repro.rr.streaming import OnlineEstimator, StreamingDisguiser, iter_chunks  # noqa: E402
+from repro.rr.matrix import random_rr_matrix  # noqa: E402
+from tests.oracles.disguise import broadcast_disguise_reference  # noqa: E402
 
 #: Domain sizes of the kernel sweep (the gated acceptance point is n=64).
 DOMAIN_SIZES = (10, 32, 64, 100)

@@ -7,8 +7,9 @@ provides:
   disguise mechanism, distribution estimators) — :mod:`repro.rr`;
 * privacy and utility quantification based on estimation theory —
   :mod:`repro.metrics`;
-* a generic evolutionary multi-objective optimization engine (SPEA2,
-  NSGA-II, weighted-sum baseline) — :mod:`repro.emoo`;
+* the evolutionary multi-objective optimization substrate on genome stacks
+  (the SPEA2 array kernels, the NSGA-II and weighted-sum baselines, the
+  checkpointing driver) — :mod:`repro.emoo`;
 * the OptRR optimizer that searches for Pareto-optimal RR matrices —
   :mod:`repro.core`;
 * data generators matching the paper's workloads — :mod:`repro.data`;

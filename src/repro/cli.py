@@ -593,6 +593,7 @@ def _resumed_optimization(args: argparse.Namespace):
     checkpoint was written after termination.  Further checkpoints keep
     going to the same file unless ``--checkpoint`` redirects them.
     """
+    from repro.emoo.driver import checkpoint_generation
     from repro.io import load_checkpoint_with_fallback
 
     try:
@@ -627,13 +628,17 @@ def _resumed_optimization(args: argparse.Namespace):
     # --deadline fired first continues its remaining generations, while a
     # run that completed its budget replays its result — never overshooting
     # by an extra generation.
-    reopen = (
-        bool(document.get("stopped"))
-        and int(document.get("generation", 0)) + 1 < optimizer.config.n_generations
-    )
     try:
+        reopen = (
+            bool(document.get("stopped"))
+            and checkpoint_generation(document) + 1 < optimizer.config.n_generations
+        )
         driver.restore(document, reopen=reopen)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValidationError(
+            f"unusable checkpoint {args.resume!r}: missing field {exc.args[0]!r}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"unusable checkpoint {args.resume!r}: {exc}") from exc
     return optimizer.run_driver(driver)
 
@@ -817,6 +822,13 @@ def _iter_code_chunks(stream, chunk_size: int):
     ``chunk_size`` batches (bounded memory: one chunk buffered at a time)."""
     import numpy as np
 
+    def codes(buffer: list[int]) -> np.ndarray:
+        try:
+            return np.asarray(buffer, dtype=np.int64)
+        except OverflowError as exc:
+            wide = next(code for code in buffer if not -(2**63) <= code < 2**63)
+            raise ValidationError(f"input code {wide} does not fit in int64") from exc
+
     buffer: list[int] = []
     for line in stream:
         for token in line.split():
@@ -825,10 +837,10 @@ def _iter_code_chunks(stream, chunk_size: int):
             except ValueError as exc:
                 raise DataError(f"input code {token!r} is not an integer") from exc
             if len(buffer) == chunk_size:
-                yield np.asarray(buffer, dtype=np.int64)
+                yield codes(buffer)
                 buffer = []
     if buffer:
-        yield np.asarray(buffer, dtype=np.int64)
+        yield codes(buffer)
 
 
 def _command_disguise(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """OptRR core: the paper's SPEA2-based search for optimal RR matrices.
 
-This package turns the generic EMOO engine (:mod:`repro.emoo`) into the
-paper's algorithm: RR matrices are the genomes, privacy (Eq. 8) and utility
+This package turns the EMOO substrate (:mod:`repro.emoo`) into the paper's
+algorithm: ``(P, n, n)`` stacks of RR matrices are the genomes, privacy (Eq. 8) and utility
 (Theorem 6) are the two objectives, the variation operators respect the
 column-stochastic constraint, a repair step enforces the worst-case bound
 ``delta`` (Eq. 9), and an unbounded-cost *optimal set* Ω keeps every good
@@ -18,17 +18,13 @@ from repro.core.driver import (
     checkpoint_scope,
 )
 from repro.core.operators import (
-    column_crossover,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
-    proportional_column_mutation,
     proportional_column_mutation_batch,
     random_initial_matrices,
 )
 from repro.core.problem import RRMatrixProblem
 from repro.core.optimizer import OptRROptimizer
-from repro.core.reference import reference_optrr_run
 from repro.core.result import OptimizationResult, ParetoPoint
 from repro.core.bruteforce import brute_force_front
 from repro.core.search_space import rr_matrix_combinations
@@ -46,12 +42,8 @@ __all__ = [
     "ParetoPoint",
     "RRMatrixProblem",
     "brute_force_front",
-    "reference_optrr_run",
-    "column_crossover",
     "column_crossover_batch",
-    "enforce_privacy_bound",
     "enforce_privacy_bound_batch",
-    "proportional_column_mutation",
     "proportional_column_mutation_batch",
     "random_initial_matrices",
     "rr_matrix_combinations",

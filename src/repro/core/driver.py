@@ -1,8 +1,8 @@
 """Step-based optimization driving with checkpoint/resume (public surface).
 
-The implementation lives in :mod:`repro.emoo.driver`: the generic SPEA2 and
-NSGA-II engines are refactored onto the same stepwise driver as the OptRR
-optimizer, and the ``emoo`` layer must not depend on ``repro.core``.  This
+The implementation lives in :mod:`repro.emoo.driver`: NSGA-II runs on the
+same stepwise driver as the OptRR optimizer, and the ``emoo`` layer must not
+depend on ``repro.core``.  This
 module is the import surface the RR-matrix layer, the experiment harness and
 user code are documented against::
 

@@ -1,7 +1,7 @@
 """RR-matrix variation operators (Sections V-E, V-F and V-G of the paper).
 
-All operators take and return :class:`~repro.rr.matrix.RRMatrix` instances
-and preserve the column-stochastic constraint:
+The operators move whole populations as ``(B, n, n)`` stacks of
+column-stochastic matrices and preserve that constraint:
 
 * **column crossover** — pick a random boundary between two columns and swap
   everything to its right between the two parents (Figure 3 in the paper);
@@ -13,6 +13,13 @@ and preserve the column-stochastic constraint:
   posteriors above ``delta`` and redistribute the removed mass within the
   same column, iterating until the worst posterior meets the bound (or a
   small iteration budget is exhausted).
+
+Each operator draws all of its randomness up front, as whole arrays in a
+fixed order, and then runs deterministic array code.  Called on a batch of
+one, crossover and mutation consume the RNG exactly like the original
+one-matrix operators.  Those scalar operators are frozen in
+``tests/oracles/scalar.py`` and the batched bodies these must match bit for
+bit in ``tests/oracles/kernels.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import posterior_matrix, posterior_tensor
+from repro.metrics.privacy import posterior_tensor
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import (
@@ -32,188 +39,6 @@ from repro.utils.validation import (
 #: Tiny value used to keep columns strictly positive where renormalisation
 #: would otherwise divide by zero.
 _EPSILON = 1e-12
-
-
-def column_crossover(
-    first: RRMatrix,
-    second: RRMatrix,
-    rng: SeedLike = None,
-) -> tuple[RRMatrix, RRMatrix]:
-    """Swap the columns to the right of a random boundary between two parents.
-
-    Because whole columns are exchanged, both children remain
-    column-stochastic by construction.
-    """
-    if first.n_categories != second.n_categories:
-        raise ValidationError("parents must have the same domain size")
-    n = first.n_categories
-    generator = as_rng(rng)
-    # A boundary after column `cut` (1 .. n-1); swapping after column n would
-    # be a no-op and after column 0 would swap everything (also allowed by the
-    # paper's figure, but it just exchanges the parents), so we restrict to
-    # boundaries that actually mix genetic material.
-    if n < 2:
-        return first, second
-    cut = int(generator.integers(1, n))
-    child_a = first.as_array()
-    child_b = second.as_array()
-    child_a[:, cut:], child_b[:, cut:] = child_b[:, cut:].copy(), child_a[:, cut:].copy()
-    return RRMatrix(child_a), RRMatrix(child_b)
-
-
-def _rebalance_column(column: np.ndarray, changed: int, delta: float) -> np.ndarray:
-    """Apply ``delta`` to ``column[changed]`` and redistribute ``-delta`` over
-    the remaining entries, proportionally to their values when removing mass
-    and proportionally to ``1 - value`` when adding mass.
-
-    This is the paper's mutation rebalancing rule; it keeps every entry in
-    ``[0, 1]`` and the column sum at one.
-    """
-    column = column.astype(np.float64).copy()
-    n = column.size
-    others = np.arange(n) != changed
-    column[changed] = column[changed] + delta
-    if delta > 0:
-        # Mass was added to the changed element: remove `delta` from the other
-        # elements proportionally to their current values.
-        weights = column[others]
-        total = weights.sum()
-        if total <= _EPSILON:
-            # Nothing to take from; undo the change.
-            column[changed] -= delta
-            return column
-        column[others] = weights - delta * (weights / total)
-    else:
-        # Mass was removed from the changed element: add `-delta` to the other
-        # elements proportionally to (1 - value).
-        headroom = 1.0 - column[others]
-        total = headroom.sum()
-        if total <= _EPSILON:
-            column[changed] -= delta
-            return column
-        column[others] = column[others] + (-delta) * (headroom / total)
-    column = np.clip(column, 0.0, 1.0)
-    column_sum = column.sum()
-    if column_sum <= 0:
-        return np.full(n, 1.0 / n)
-    return column / column_sum
-
-
-def proportional_column_mutation(
-    matrix: RRMatrix,
-    rng: SeedLike = None,
-    *,
-    scale: float = 0.3,
-) -> RRMatrix:
-    """Mutate one column of ``matrix`` as described in Section V-F.
-
-    A random element of a random column is perturbed by a random amount in
-    ``(0, scale]`` (added or subtracted, clipped so the element stays in
-    ``[0, 1]``) and the rest of the column is rescaled proportionally.
-    """
-    check_in_unit_interval(scale, "scale", inclusive_low=False)
-    generator = as_rng(rng)
-    n = matrix.n_categories
-    column_index = int(generator.integers(0, n))
-    element_index = int(generator.integers(0, n))
-    column = matrix.column(column_index)
-    magnitude = float(generator.uniform(0.0, scale))
-    add = bool(generator.integers(0, 2))
-    if add:
-        delta = min(magnitude, 1.0 - column[element_index])
-    else:
-        delta = -min(magnitude, column[element_index])
-    if abs(delta) <= _EPSILON:
-        # The element is already saturated in the chosen direction; flip it.
-        delta = -delta if delta != 0 else (
-            min(magnitude, 1.0 - column[element_index])
-            or -min(magnitude, column[element_index])
-        )
-        if abs(delta) <= _EPSILON:
-            return matrix
-    mutated_column = _rebalance_column(column, element_index, delta)
-    return matrix.replace_column(column_index, mutated_column)
-
-
-def enforce_privacy_bound(
-    matrix: RRMatrix,
-    prior: np.ndarray,
-    delta: float,
-    *,
-    max_passes: int = 50,
-    tolerance: float = 1e-9,
-) -> RRMatrix:
-    """Repair ``matrix`` so that ``max P(X | Y) <= delta`` (Section V-G).
-
-    For every posterior ``P(X = c_j | Y = c_i)`` above the bound, the entry
-    ``theta[i, j]`` is reduced towards the value that makes the posterior
-    exactly ``delta`` and the removed mass is redistributed over the other
-    entries of column ``j`` proportionally to ``1 - value``.  Because the
-    posteriors of a column interact (shrinking ``theta[i, j]`` shrinks row
-    ``i``'s normaliser, which *raises* the other posteriors of that report,
-    and the redistributed mass raises posteriors elsewhere in column ``j``),
-    a single pass can overshoot, so the procedure iterates up to
-    ``max_passes`` times and returns the *best state seen* — the visited
-    matrix with the smallest worst-case posterior, which is never worse than
-    the input.  Matrices that cannot be repaired (e.g. when
-    ``delta < max P(X)``, which Theorem 5 proves impossible to satisfy) are
-    returned in their best-effort state and the evaluator marks them
-    infeasible.
-    """
-    check_in_unit_interval(delta, "delta", inclusive_low=False)
-    check_positive_int(max_passes, "max_passes")
-    prior = np.asarray(prior, dtype=np.float64)
-    values = matrix.as_array()
-    n = matrix.n_categories
-    best_values = values
-    best_worst = np.inf
-    for pass_index in range(max_passes + 1):
-        posterior = posterior_matrix(values, prior)
-        worst = float(posterior.max())
-        if worst < best_worst:
-            best_worst = worst
-            best_values = values.copy()
-        if worst <= delta + tolerance or pass_index == max_passes:
-            break
-        # Visit the worst violating (report i, original j) pair.
-        report_index, original_index = np.unravel_index(np.argmax(posterior), posterior.shape)
-        i, j = int(report_index), int(original_index)
-        # Posterior(i, j) = theta[i, j] p_j / sum_l theta[i, l] p_l.
-        # Solving Posterior = delta for theta[i, j] with the other entries of
-        # row i fixed gives the target value below.
-        row_rest = float(values[i, :] @ prior - values[i, j] * prior[j])
-        if prior[j] <= _EPSILON:
-            break
-        target = delta * row_rest / (prior[j] * (1.0 - delta)) if delta < 1.0 else values[i, j]
-        target = float(np.clip(target, 0.0, values[i, j]))
-        removed = values[i, j] - target
-        if removed <= _EPSILON:
-            # Cannot reduce further (the prior alone already violates delta).
-            break
-        column = values[:, j].copy()
-        column[i] = target
-        others = np.arange(n) != i
-        headroom = 1.0 - column[others]
-        total_headroom = headroom.sum()
-        if total_headroom <= _EPSILON:
-            break
-        column[others] = column[others] + removed * (headroom / total_headroom)
-        column = np.clip(column, 0.0, 1.0)
-        column_sum = column.sum()
-        if column_sum <= 0:
-            break
-        values[:, j] = column / column_sum
-    return RRMatrix(best_values)
-
-
-# -- batched variants ---------------------------------------------------------
-#
-# The batch-evaluation engine moves whole populations through the variation
-# pipeline as (B, n, n) stacks.  Each batched operator draws all of its
-# randomness up front, as whole arrays in a fixed order, and then runs
-# deterministic array code; the scalar functions remain the per-matrix
-# reference implementations.  The frozen batched bodies these must match bit
-# for bit live in ``tests/oracles/kernels.py``.
 
 
 def column_crossover_batch(
@@ -245,9 +70,12 @@ def column_crossover_batch(
 def _rebalance_columns_batch(
     columns: np.ndarray, changed: np.ndarray, delta: np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`_rebalance_column`: apply ``delta[b]`` to
-    ``columns[b, changed[b]]`` and redistribute ``-delta[b]`` over the other
-    entries of each column, with the same undo/clip/renormalise rules."""
+    """The paper's mutation rebalancing rule, per column: apply ``delta[b]``
+    to ``columns[b, changed[b]]`` and redistribute ``-delta[b]`` over the
+    other entries of each column — proportionally to their values when mass
+    is removed from them, to ``1 - value`` when mass is added — then clip and
+    renormalise.  A column with nothing to take from (or no headroom to add
+    to) undoes the change; a column clipped to all zeros becomes uniform."""
     batch_size, n = columns.shape
     rows = np.arange(batch_size)
     cols = np.array(columns, dtype=np.float64)
@@ -260,7 +88,7 @@ def _rebalance_columns_batch(
     headroom = np.where(others, 1.0 - cols, 0.0)
     total_headroom = headroom.sum(axis=1)
     # Undo rows: nothing to take from / add to, so the change is reverted
-    # (including the same add-then-subtract rounding as the scalar code).
+    # (with the add-then-subtract rounding of the original operator).
     undo = (positive & (total_weight <= _EPSILON)) | (
         ~positive & (total_headroom <= _EPSILON)
     )
@@ -300,9 +128,10 @@ def proportional_column_mutation_batch(
     """Batched proportional column mutation: one mutation per matrix.
 
     For every matrix in the ``(B, n, n)`` stack a random element of a random
-    column is perturbed and the rest of the column is rescaled, exactly as in
-    :func:`proportional_column_mutation` (including the saturation-flip rule);
-    only the random draws are vectorized.
+    column is perturbed by a random amount in ``(0, scale]`` (added or
+    subtracted, clipped so the element stays in ``[0, 1]``; an element
+    already saturated in the drawn direction is moved the other way) and the
+    rest of the column is rescaled proportionally (Section V-F).
     """
     check_in_unit_interval(scale, "scale", inclusive_low=False)
     stack = check_matrix_stack(stack, "stack")
@@ -322,8 +151,7 @@ def proportional_column_mutation_batch(
         np.minimum(magnitudes, 1.0 - element_values),
         -np.minimum(magnitudes, element_values),
     )
-    # The element is already saturated in the chosen direction; flip it
-    # (same rule as the scalar operator).
+    # The element is already saturated in the chosen direction; flip it.
     saturated = np.abs(delta) <= _EPSILON
     flip_add = np.minimum(magnitudes, 1.0 - element_values)
     flip_sub = -np.minimum(magnitudes, element_values)
@@ -345,14 +173,21 @@ def enforce_privacy_bound_batch(
     max_passes: int = 50,
     tolerance: float = 1e-9,
 ) -> np.ndarray:
-    """Batched :func:`enforce_privacy_bound` over a ``(B, n, n)`` stack.
+    """Repair every matrix of a ``(B, n, n)`` stack so that
+    ``max P(X | Y) <= delta`` (Section V-G).
 
-    Each matrix follows the same trajectory as the scalar repair: per pass
-    the worst violating posterior cell is relaxed towards ``delta`` and the
-    removed mass is redistributed within its column; matrices that meet the
-    bound (or hit one of the scalar early-exit conditions) drop out of the
-    active set, and every matrix returns the best state it visited, so the
-    worst-case posterior never increases.  The repair is fully deterministic.
+    Per pass, the worst violating posterior ``P(X = c_j | Y = c_i)`` of each
+    matrix is relaxed: ``theta[i, j]`` is reduced towards the value that
+    makes that posterior exactly ``delta`` (with the rest of row ``i``
+    fixed), and the removed mass is redistributed over the other entries of
+    column ``j`` proportionally to ``1 - value``.  The posteriors of a column
+    interact, so one pass can overshoot; the procedure iterates up to
+    ``max_passes`` times.  Matrices that meet the bound, or cannot be reduced
+    further, drop out of the active set, and every matrix returns the *best
+    state it visited* — never worse than its input.  Matrices that cannot
+    be repaired (``delta < max P(X)``, impossible by Theorem 5) come back in
+    their best-effort state and the evaluator marks them infeasible.  The
+    repair is fully deterministic.
     """
     check_in_unit_interval(delta, "delta", inclusive_low=False)
     check_positive_int(max_passes, "max_passes")
@@ -416,8 +251,8 @@ def enforce_privacy_bound_batch(
         new_columns = np.clip(columns + spread, 0.0, 1.0)
         column_sums = new_columns.sum(axis=1)
         ok &= column_sums > 0
-        # Matrices that hit a scalar break condition freeze at their
-        # current (already scored) state.
+        # Matrices that cannot be reduced further freeze at their current
+        # (already scored) state.
         active[index[~ok]] = False
         if ok.any():
             apply = np.flatnonzero(ok)

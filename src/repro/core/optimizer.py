@@ -23,8 +23,8 @@ density estimation and archive truncation; mating selection reuses the
 fitness environmental selection just assigned (stamped per generation, so
 staleness is impossible) instead of re-running fitness assignment on the
 archive.  ``Individual`` objects appear only at the result boundary and
-inside Ω.  The pre-PR list-based loop is preserved verbatim in
-:mod:`repro.core.reference` for equivalence tests and benchmarks.
+inside Ω.  The pre-array list-based loop is preserved verbatim in
+``tests/oracles/optrr_loop.py`` for equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -240,7 +240,11 @@ class OptRROptimizer:
             prior = CategoricalDistribution(decode_array(setup["prior"]))
             config = OptRRConfig(**setup["config"])
             n_records = int(setup["n_records"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValidationError(
+                f"unusable optrr checkpoint: missing field {exc.args[0]!r}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"unusable optrr checkpoint: {exc}") from exc
         return cls(prior, n_records, config)
 
@@ -483,7 +487,7 @@ class _OptRRSteppable(SteppableOptimization):
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
             front = self._problem.population_to_individuals(self.archive)
-        return OptimizationResult.from_individuals(
+        return OptimizationResult.from_members(
             front,
             self.optimal_set.members(),
             n_generations=generation + 1,

@@ -1,30 +1,26 @@
 """The RR-matrix optimization problem plugged into the EMOO engine.
 
-Genomes are :class:`~repro.rr.matrix.RRMatrix` objects; the two minimised
-objectives are ``(-privacy, utility)``; the variation operators are the
-paper's column crossover and proportional column mutation; and the repair
+Genomes are ``(B, n, n)`` stacks of column-stochastic RR matrices; the two
+minimised objectives are ``(-privacy, utility)``; the variation operators are
+the paper's column crossover and proportional column mutation; and the repair
 step enforces the worst-case privacy bound ``delta`` when one is configured.
 
-Evaluation and repair run through the batch engine: whole populations are
-stacked into ``(B, n, n)`` arrays and evaluated with
-:meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` /
-:func:`~repro.core.operators.enforce_privacy_bound_batch`.  The scalar
-``evaluate``/``repair`` methods remain as thin wrappers over the same engine.
+Evaluation and repair run through the batch engine:
+:meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
+:func:`~repro.core.operators.enforce_privacy_bound_batch`.  Validated
+:class:`~repro.rr.matrix.RRMatrix` genomes appear only in the ``Individual``
+views built at the result boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.operators import (
-    column_crossover,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
-    proportional_column_mutation,
     proportional_column_mutation_batch,
     random_initial_matrix,
 )
@@ -33,7 +29,7 @@ from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import RRMatrix, stack_matrices, unstack_matrices
+from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
 #: Finite utility penalty substituted for the infinite MSE of non-invertible
@@ -109,8 +105,9 @@ class RRMatrixProblem(Problem):
     def counters_document(self) -> dict[str, int]:
         """The problem's bookkeeping counters for a ``checkpoint`` document.
 
-        ``counter`` drives the random-genome kind cycling, so restoring it
-        keeps any post-resume genome creation on the same cycle; the
+        ``counter`` drives the random-genome kind cycling of
+        :meth:`initial_population_soa`, so restoring it keeps any post-resume
+        genome creation on the same cycle; the
         evaluation counts make resumed results report the true cumulative
         cost (split into full- and low-fidelity work)."""
         return {
@@ -140,72 +137,6 @@ class RRMatrixProblem(Problem):
             "mutation_scale": self.mutation_scale,
             "diagonal_bias": self.diagonal_bias,
         }
-
-    def genome_to_data(self, genome) -> dict:
-        """Checkpoint codec: RR matrices serialize as base64 byte arrays."""
-        if isinstance(genome, RRMatrix):
-            from repro.utils.arrays import encode_array
-
-            return {"kind": "rr_matrix", "array": encode_array(genome.probabilities)}
-        return super().genome_to_data(genome)
-
-    def genome_from_data(self, data) -> RRMatrix:
-        """Rebuild an :class:`RRMatrix` genome from :meth:`genome_to_data`
-        output (through the trusted ``from_validated`` path: the bytes came
-        from a matrix this engine already validated)."""
-        if isinstance(data, dict) and data.get("kind") == "rr_matrix":
-            from repro.utils.arrays import decode_array
-
-            return RRMatrix.from_validated(decode_array(data["array"]))
-        return super().genome_from_data(data)
-
-    def random_genome(self, rng: np.random.Generator) -> RRMatrix:
-        """Create a random RR matrix, cycling through plain random,
-        diagonally-biased and near-uniform draws so the initial front spans
-        the whole privacy/utility trade-off."""
-        self._counter += 1
-        matrix = random_initial_matrix(
-            self.n_categories, rng, kind=self._counter, diagonal_bias=self.diagonal_bias
-        )
-        return self.repair(matrix, rng)
-
-    def initial_population(self, size: int, rng: np.random.Generator) -> list[Individual]:
-        """Create, batch-repair and batch-evaluate ``size`` random genomes.
-
-        The random draws happen sequentially (same stream as generating one
-        genome at a time); repair and evaluation go through the batch engine.
-        """
-        check_positive_int(size, "size")
-        raw = []
-        for _ in range(size):
-            self._counter += 1
-            raw.append(
-                random_initial_matrix(
-                    self.n_categories,
-                    rng,
-                    kind=self._counter,
-                    diagonal_bias=self.diagonal_bias,
-                )
-            )
-        return self.evaluate_genomes(self.repair_genomes(raw, rng))
-
-    def evaluate(self, genome: RRMatrix) -> Individual:
-        """Evaluate a matrix into an individual with objectives
-        ``(-privacy, utility)`` (thin wrapper over the batch engine)."""
-        return self.evaluate_genomes([genome])[0]
-
-    def evaluate_genomes(
-        self,
-        genomes: Sequence[RRMatrix],
-        *,
-        fidelity: float | np.ndarray | None = None,
-    ) -> list[Individual]:
-        """Batch-evaluate a list of matrices into individuals."""
-        if not genomes:
-            return []
-        return self.evaluate_stack(
-            stack_matrices(list(genomes)), genomes=list(genomes), fidelity=fidelity
-        )
 
     def evaluate_population(
         self,
@@ -271,8 +202,10 @@ class RRMatrixProblem(Problem):
         """Create, batch-repair and batch-evaluate ``size`` random genomes
         into a structure-of-arrays population.
 
-        Same random stream as :meth:`initial_population` (the draws happen
-        sequentially); the matrices are stacked once and never unpacked.
+        The random draws happen sequentially, one matrix at a time, cycling
+        through plain random, diagonally-biased and near-uniform kinds so the
+        initial front spans the whole privacy/utility trade-off; the matrices
+        are stacked once and never unpacked.
         """
         check_positive_int(size, "size")
         raw = np.empty((size, self.n_categories, self.n_categories))
@@ -286,80 +219,22 @@ class RRMatrixProblem(Problem):
             ).probabilities
         return self.evaluate_population(self.repair_stack(raw), fidelity=fidelity)
 
-    def evaluate_stack(
-        self,
-        stack: np.ndarray,
-        *,
-        genomes: list[RRMatrix] | None = None,
-        fidelity: float | np.ndarray | None = None,
-    ) -> list[Individual]:
-        """Evaluate a ``(B, n, n)`` stack of matrices into individuals.
-
-        ``Individual``-list boundary over :meth:`evaluate_population`.
-        ``genomes`` can supply pre-built :class:`RRMatrix` objects for the
-        individuals; otherwise the stack is unstacked.
-        """
-        population = self.evaluate_population(stack, fidelity=fidelity)
-        if genomes is None:
-            genomes = unstack_matrices(stack)
-        individuals = []
-        for index in range(population.size):
-            metadata = {
-                "privacy": float(population.metadata["privacy"][index]),
-                "utility": float(population.metadata["utility"][index]),
-                "max_posterior": float(population.metadata["max_posterior"][index]),
-                "invertible": bool(population.metadata["invertible"][index]),
-            }
-            if "fidelity" in population.metadata:
-                metadata["fidelity"] = float(population.metadata["fidelity"][index])
-            individuals.append(
-                Individual(
-                    genome=genomes[index],
-                    objectives=population.objectives[index],
-                    feasible=bool(population.feasible[index]),
-                    metadata=metadata,
-                )
-            )
-        return individuals
-
-    def crossover(
-        self, first: RRMatrix, second: RRMatrix, rng: np.random.Generator
-    ) -> tuple[RRMatrix, RRMatrix]:
-        """The paper's column-boundary crossover."""
-        return column_crossover(first, second, rng)
-
-    def mutate(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
-        """The paper's proportional column mutation."""
-        return proportional_column_mutation(genome, rng, scale=self.mutation_scale)
-
-    def repair(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
-        """Enforce the privacy bound when one is configured (Section V-G)."""
-        if self.delta is None:
-            return genome
-        return enforce_privacy_bound(genome, self.prior.probabilities, self.delta)
-
-    def repair_genomes(
-        self, genomes: Sequence[RRMatrix], rng: np.random.Generator
-    ) -> list[RRMatrix]:
-        """Batch bound-repair for a list of matrices."""
-        genomes = list(genomes)
-        if self.delta is None or not genomes:
-            return genomes
-        return unstack_matrices(self.repair_stack(stack_matrices(genomes)))
-
-    # -- stacked variation (used by the batched offspring pipeline) ------------
+    # -- stacked variation -----------------------------------------------------
     def crossover_stack(
         self, first: np.ndarray, second: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched column crossover over paired parent stacks."""
+        """The paper's column-boundary crossover (Section V-E) over paired
+        parent stacks."""
         return column_crossover_batch(first, second, rng)
 
     def mutate_stack(self, stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Batched proportional column mutation (one mutation per matrix)."""
+        """The paper's proportional column mutation (Section V-F), one
+        mutation per matrix."""
         return proportional_column_mutation_batch(stack, rng, scale=self.mutation_scale)
 
     def repair_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Batched bound repair; identity when no ``delta`` is configured."""
+        """Enforce the privacy bound (Section V-G); identity when no
+        ``delta`` is configured."""
         if self.delta is None:
             return stack
         return enforce_privacy_bound_batch(stack, self.prior.probabilities, self.delta)

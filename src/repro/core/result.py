@@ -122,14 +122,15 @@ class OptimizationResult:
         return max(candidates, key=lambda point: point.privacy)
 
     @staticmethod
-    def from_individuals(
+    def from_members(
         front: Sequence[Individual],
         optimal_set: Sequence[Individual] = (),
         *,
         n_generations: int = 0,
         n_evaluations: int = 0,
     ) -> "OptimizationResult":
-        """Build a result object from optimizer individuals."""
+        """Build a result object from the front's and Ω's member
+        individuals."""
         return OptimizationResult(
             points=tuple(ParetoPoint.from_individual(individual) for individual in front),
             optimal_set_points=tuple(

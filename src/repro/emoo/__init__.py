@@ -1,13 +1,16 @@
 """Evolutionary multi-objective optimization (EMOO) substrate.
 
-A generic implementation of SPEA2 (the algorithm the paper builds on),
-together with the NSGA-II and weighted-sum baselines used by the ablation
-benchmarks, Pareto dominance utilities and front-quality indicators.
+The array kernels of SPEA2 (fitness, density, environmental selection and
+truncation — the algorithm the paper builds on, assembled into OptRR by
+``repro.core``), the NSGA-II and weighted-sum baselines used by the ablation
+benchmarks, the stepwise checkpointing driver, multi-fidelity scheduling,
+Pareto dominance utilities and front-quality indicators.
 
-The package is problem-agnostic: a problem supplies genome creation,
-variation operators and an objective function through the
-:class:`~repro.emoo.problem.Problem` interface, and the algorithms work on
-opaque genomes.  ``repro.core`` instantiates it with RR matrices as genomes.
+Every engine works on genome stacks: a problem supplies stack creation,
+evaluation into a structure-of-arrays
+:class:`~repro.emoo.population.Population`, and batched variation and
+repair through the :class:`~repro.emoo.problem.Problem` interface.
+``repro.core`` instantiates it with ``(P, n, n)`` RR-matrix stacks.
 """
 
 from repro.emoo.individual import Individual
@@ -15,19 +18,14 @@ from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
     dominates,
     non_dominated,
-    pareto_ranks,
     pareto_ranks_from_arrays,
-    pareto_ranks_reference,
 )
-from repro.emoo.fitness import assign_spea2_fitness, spea2_fitness_from_arrays
+from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
 from repro.emoo.population import Population
 from repro.emoo.selection import (
-    binary_tournament,
     binary_tournament_indices,
-    environmental_selection,
     environmental_selection_indices,
-    truncate_archive,
     truncate_indices,
 )
 from repro.emoo.problem import Problem
@@ -39,8 +37,8 @@ from repro.emoo.termination import (
     StagnationTermination,
     TerminationCriterion,
 )
-# The driver must load before the algorithms built on it (spea2/nsga2); the
-# public import surface for it is repro.core.driver.
+# The driver must load before the algorithm built on it (nsga2); the public
+# import surface for it is repro.core.driver.
 from repro.emoo.driver import (
     GenerationSnapshot,
     OptimizationDriver,
@@ -48,7 +46,6 @@ from repro.emoo.driver import (
     checkpoint_scope,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.spea2 import SPEA2, SPEA2Settings
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
 from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
 from repro.emoo.indicators import (
@@ -74,32 +71,24 @@ __all__ = [
     "NSGA2Settings",
     "Population",
     "Problem",
-    "SPEA2",
-    "SPEA2Settings",
     "StagnationTermination",
     "TerminationCriterion",
     "WeightedSumGA",
     "WeightedSumSettings",
-    "assign_spea2_fitness",
-    "binary_tournament",
     "binary_tournament_indices",
     "coverage",
     "crowding_distances_from_objectives",
     "dominance_matrix_from_arrays",
     "dominates",
-    "environmental_selection",
     "environmental_selection_indices",
     "epsilon_indicator",
     "hypervolume_2d",
     "kth_nearest_distances",
     "non_dominated",
     "pairwise_distances",
-    "pareto_ranks",
     "pareto_ranks_from_arrays",
-    "pareto_ranks_reference",
     "spea2_density",
     "spea2_fitness_from_arrays",
     "spread_2d",
-    "truncate_archive",
     "truncate_indices",
 ]

@@ -7,9 +7,11 @@ be driven towards feasibility).
 
 Everything here is array-first: the dominance matrix, non-dominated filtering
 and non-dominated sorting all operate on plain ``(size, n_objectives)``
-objective arrays (plus a feasibility mask) via broadcasting, and the
-``Individual``-based functions are thin wrappers.  A pure-Python front-peeling
-reference (:func:`pareto_ranks_reference`) is kept for the equivalence tests.
+objective arrays (plus a feasibility mask) via broadcasting;
+:func:`dominates` and :func:`non_dominated` are the ``Individual``-level
+entry points for the result boundary.  The pure-Python front-peeling
+reference the vectorized sort is tested against lives in
+``tests/oracles/scalar.py``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ def dominates(first: Individual, second: Individual) -> bool:
         return False
     a, b = first.objectives, second.objectives
     return bool(np.all(a <= b) and np.any(a < b))
-
-
-def feasibility_array(population: list[Individual]) -> np.ndarray:
-    """Boolean feasibility mask of ``population``."""
-    return np.array([individual.feasible for individual in population], dtype=bool)
 
 
 def dominance_matrix_from_arrays(
@@ -60,22 +57,14 @@ def dominance_matrix_from_arrays(
     return matrix
 
 
-def dominance_matrix(population: list[Individual]) -> np.ndarray:
-    """Boolean matrix ``D`` with ``D[i, j] = True`` iff individual ``i``
-    dominates individual ``j``.  Vectorised so fitness assignment over a few
-    hundred individuals stays fast."""
-    if not population:
-        return np.zeros((0, 0), dtype=bool)
-    return dominance_matrix_from_arrays(
-        objectives_array(population), feasibility_array(population)
-    )
-
-
 def non_dominated(population: list[Individual]) -> list[Individual]:
     """Return the non-dominated subset of ``population``."""
     if not population:
         return []
-    matrix = dominance_matrix(population)
+    matrix = dominance_matrix_from_arrays(
+        objectives_array(population),
+        np.array([individual.feasible for individual in population], dtype=bool),
+    )
     dominated = matrix.any(axis=0)
     return [individual for individual, flag in zip(population, dominated) if not flag]
 
@@ -88,8 +77,8 @@ def pareto_ranks_from_arrays(
     Fronts are peeled with boolean matrix reductions instead of per-individual
     queues: at each step the individuals not dominated by any still-alive
     individual form the next front.  Equivalent to the classic fast
-    non-dominated sort (see :func:`pareto_ranks_reference`), but every peel is
-    one ``any``-reduction over the dominance matrix.
+    non-dominated sort (Deb's domination-count loop), but every peel is one
+    ``any``-reduction over the dominance matrix.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     size = objectives.shape[0]
@@ -108,53 +97,6 @@ def pareto_ranks_from_arrays(
         ranks[front] = front_index
         alive &= ~front
         front_index += 1
-    return ranks
-
-
-def pareto_ranks(population: list[Individual]) -> np.ndarray:
-    """Non-dominated sorting ranks (0 = first front), as used by NSGA-II.
-
-    Also writes the rank back onto each individual's ``rank`` attribute.
-    """
-    if not population:
-        return np.full(0, -1, dtype=np.int64)
-    ranks = pareto_ranks_from_arrays(
-        objectives_array(population), feasibility_array(population)
-    )
-    for individual, rank in zip(population, ranks):
-        individual.rank = int(rank)
-    return ranks
-
-
-def pareto_ranks_reference(population: list[Individual]) -> np.ndarray:
-    """Reference loop implementation of non-dominated sorting (Deb's fast
-    non-dominated sort with explicit domination counts).
-
-    Kept as the ground truth the vectorized :func:`pareto_ranks` is tested
-    against; does *not* write ranks back onto the individuals.
-    """
-    size = len(population)
-    ranks = np.full(size, -1, dtype=np.int64)
-    if size == 0:
-        return ranks
-    matrix = dominance_matrix(population)
-    domination_counts = matrix.sum(axis=0).astype(np.int64)
-    dominated_sets = [np.flatnonzero(matrix[index]) for index in range(size)]
-    current_front = list(np.flatnonzero(domination_counts == 0))
-    front_index = 0
-    remaining = size
-    while current_front:
-        next_front: list[int] = []
-        for index in current_front:
-            ranks[index] = front_index
-            remaining -= 1
-            for dominated_index in dominated_sets[index]:
-                domination_counts[dominated_index] -= 1
-                if domination_counts[dominated_index] == 0:
-                    next_front.append(int(dominated_index))
-        current_front = next_front
-        front_index += 1
-    assert remaining == 0, "non-dominated sorting failed to rank every individual"
     return ranks
 
 

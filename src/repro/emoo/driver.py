@@ -1,8 +1,8 @@
 """Step-based optimization driving with checkpoint/resume.
 
 Every optimizer in this code base — :class:`~repro.core.optimizer.
-OptRROptimizer`, :class:`~repro.emoo.spea2.SPEA2` and
-:class:`~repro.emoo.nsga2.NSGA2` — used to own a monolithic ``run()`` loop:
+OptRROptimizer` and :class:`~repro.emoo.nsga2.NSGA2` — used to own a
+monolithic ``run()`` loop:
 a killed process lost all work, and the only practical stopping rule was a
 fixed generation budget.  This module factors the loop out once:
 
@@ -28,9 +28,8 @@ ambient :func:`checkpoint_scope` gives every optimizer run inside a grid
 cell an automatically claimed checkpoint file, resumed transparently when
 the cell re-runs after an interruption.
 
-This module lives in the ``emoo`` layer because the generic SPEA2/NSGA-II
-engines run on the same driver and ``repro.emoo`` must not depend on
-``repro.core``; :mod:`repro.core.driver` is the public import surface and
+This module lives in the ``emoo`` layer because NSGA-II runs on the same
+driver and ``repro.emoo`` must not depend on ``repro.core``; :mod:`repro.core.driver` is the public import surface and
 re-exports everything defined here.
 """
 
@@ -325,7 +324,7 @@ class OptimizationDriver:
         # the optimizers' driver() wrappers: everything that can raise runs
         # before the RNG is overwritten, so any payload error leaves it
         # pristine for a seed-exact fresh start.
-        completed = int(document["generation"])
+        completed = checkpoint_generation(document)
         stopped = bool(document.get("stopped", False))
         elapsed = float(document.get("elapsed_seconds", 0.0))
         self.termination.restore_state(document.get("termination", {}))
@@ -444,85 +443,55 @@ class OptimizationDriver:
 
 
 # -- population serialization --------------------------------------------------
-def population_to_document(population: Population, problem: Any = None) -> dict[str, Any]:
-    """Serialize a :class:`~repro.emoo.population.Population` bit-exactly.
-
-    Array-native populations (the RR path) store their columns as base64
-    byte arrays.  Source-backed populations (the generic SPEA2/NSGA-II path,
-    where genomes are opaque) serialize per-individual through the problem's
-    genome codec (:meth:`repro.emoo.problem.Problem.genome_to_data`);
-    individual metadata must be JSON-compatible scalars.
-    """
-    if population.source is None:
-        return {
-            "layout": "arrays",
-            "genomes": encode_array(population.genomes),
-            "objectives": encode_array(population.objectives),
-            "feasible": encode_array(population.feasible),
-            "metadata": {
-                key: encode_array(column) for key, column in population.metadata.items()
-            },
-            "fitness": encode_array(population.fitness),
-            "fitness_generation": population.fitness_generation,
-        }
-    if problem is None:
-        raise OptimizationError(
-            "serializing a source-backed population needs the problem's genome codec"
-        )
-    individuals = [
-        {
-            "genome": problem.genome_to_data(individual.genome),
-            "objectives": encode_array(individual.objectives),
-            "feasible": bool(individual.feasible),
-            "metadata": {
-                key: (value.item() if isinstance(value, np.generic) else value)
-                for key, value in individual.metadata.items()
-            },
-        }
-        for individual in population.source
-    ]
+def population_to_document(population: Population) -> dict[str, Any]:
+    """Serialize a :class:`~repro.emoo.population.Population` bit-exactly:
+    every column is stored as base64 byte arrays."""
     return {
-        "layout": "individuals",
-        "individuals": individuals,
+        "layout": "arrays",
+        "genomes": encode_array(population.genomes),
+        "objectives": encode_array(population.objectives),
+        "feasible": encode_array(population.feasible),
+        "metadata": {
+            key: encode_array(column) for key, column in population.metadata.items()
+        },
         "fitness": encode_array(population.fitness),
         "fitness_generation": population.fitness_generation,
     }
 
 
-def population_from_document(document: dict[str, Any], problem: Any = None) -> Population:
-    """Rebuild a population from :func:`population_to_document` output."""
+def population_from_document(document: dict[str, Any]) -> Population:
+    """Rebuild a population from :func:`population_to_document` output.
+
+    Any other layout (such as the per-individual one written before every
+    engine worked on genome stacks) raises
+    :class:`~repro.exceptions.ValidationError`.
+    """
     layout = document.get("layout")
-    if layout == "arrays":
-        return Population(
-            genomes=decode_array(document["genomes"]),
-            objectives=decode_array(document["objectives"]),
-            feasible=decode_array(document["feasible"]),
-            metadata={
-                key: decode_array(column)
-                for key, column in document.get("metadata", {}).items()
-            },
-            fitness=decode_array(document["fitness"]),
-            fitness_generation=int(document.get("fitness_generation", -1)),
+    if layout != "arrays":
+        raise ValidationError(f"unknown population layout {layout!r}")
+    return Population(
+        genomes=decode_array(document["genomes"]),
+        objectives=decode_array(document["objectives"]),
+        feasible=decode_array(document["feasible"]),
+        metadata={
+            key: decode_array(column)
+            for key, column in document.get("metadata", {}).items()
+        },
+        fitness=decode_array(document["fitness"]),
+        fitness_generation=int(document.get("fitness_generation", -1)),
+    )
+
+
+def checkpoint_generation(document: dict[str, Any]) -> int:
+    """The last completed generation a checkpoint records, which must be a
+    non-negative integer (:class:`~repro.exceptions.ValidationError` names
+    the field otherwise)."""
+    value = document.get("generation")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(
+            f"checkpoint field 'generation' must be a non-negative integer, got {value!r}"
         )
-    if layout == "individuals":
-        if problem is None:
-            raise OptimizationError(
-                "restoring a source-backed population needs the problem's genome codec"
-            )
-        individuals = [
-            Individual(
-                genome=problem.genome_from_data(entry["genome"]),
-                objectives=decode_array(entry["objectives"]),
-                feasible=bool(entry["feasible"]),
-                metadata=dict(entry.get("metadata", {})),
-            )
-            for entry in document.get("individuals", [])
-        ]
-        population = Population.from_individuals(individuals)
-        population.fitness = decode_array(document["fitness"])
-        population.fitness_generation = int(document.get("fitness_generation", -1))
-        return population
-    raise ValidationError(f"unknown population layout {layout!r}")
+    return value
 
 
 def workload_fingerprint(payload: dict[str, Any]) -> str:

@@ -27,16 +27,14 @@ state_document`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.emoo.dominance import pareto_ranks_from_arrays
-from repro.emoo.individual import Individual, objectives_array
 from repro.exceptions import OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.problem import RRMatrixProblem
     from repro.emoo.population import Population
     from repro.emoo.problem import Problem
 
@@ -136,9 +134,10 @@ class FidelityScheduler:
         return np.sort(order[:count])
 
     # -- evaluation paths ----------------------------------------------------
-    def evaluate_stack(self, problem: "RRMatrixProblem", stack: np.ndarray) -> "Population":
-        """Low-fidelity evaluate a ``(B, n, n)`` matrix stack, promote the
-        top fraction and splice their full-fidelity rows back in.
+    def evaluate_stack(self, problem: "Problem", stack: np.ndarray) -> "Population":
+        """Low-fidelity evaluate a genome stack (``(B, n, n)`` matrices on the
+        RR path), promote the top fraction and splice their full-fidelity rows
+        back in.
 
         Every returned row carries a ``fidelity`` metadata column (promoted
         rows at 1.0), so archive offers can be restricted to full-fidelity
@@ -154,27 +153,6 @@ class FidelityScheduler:
         self.n_low_evaluations += int(population.size)
         self.n_full_evaluations += int(promote.size)
         return population
-
-    def evaluate_individuals(
-        self, problem: "Problem", genomes: Sequence[Any]
-    ) -> list[Individual]:
-        """Genome-list counterpart of :meth:`evaluate_stack` for the generic
-        SPEA2/NSGA-II engines (problems must support the ``fidelity``
-        keyword of :meth:`~repro.emoo.problem.Problem.evaluate_genomes`)."""
-        genomes = list(genomes)
-        individuals = problem.evaluate_genomes(
-            genomes, fidelity=self.current_low_fidelity
-        )
-        feasible = np.array([ind.feasible for ind in individuals], dtype=bool)
-        promote = self.promote_indices(objectives_array(individuals), feasible)
-        promoted = problem.evaluate_genomes(
-            [genomes[int(index)] for index in promote], fidelity=1.0
-        )
-        for slot, individual in zip(promote, promoted):
-            individuals[int(slot)] = individual
-        self.n_low_evaluations += len(individuals)
-        self.n_full_evaluations += int(promote.size)
-        return individuals
 
     # -- deadline adaptation -------------------------------------------------
     def adapt(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:

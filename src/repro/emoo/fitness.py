@@ -11,8 +11,7 @@ Fitness is assigned to the union of the archive and the population:
 
 Lower fitness is better; non-dominated individuals are exactly those with
 ``F(i) < 1``.  The computation is array-level
-(:func:`spea2_fitness_from_arrays`); :func:`assign_spea2_fitness` wraps it
-for ``Individual`` lists and writes the bookkeeping fields back.
+(:func:`spea2_fitness_from_arrays`).
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.emoo.density import spea2_density
-from repro.emoo.dominance import dominance_matrix_from_arrays, feasibility_array
-from repro.emoo.individual import Individual, objectives_array
+from repro.emoo.dominance import dominance_matrix_from_arrays
 
 
 def spea2_fitness_from_arrays(
@@ -48,32 +46,3 @@ def spea2_fitness_from_arrays(
     raw_fitness = (matrix * strengths[:, None]).sum(axis=0).astype(np.float64)
     densities = spea2_density(objectives, k, distances=distances)
     return strengths, densities, raw_fitness + densities
-
-
-def assign_spea2_fitness(population: list[Individual], k: int = 1) -> np.ndarray:
-    """Assign SPEA2 fitness in place to every individual in ``population``.
-
-    ``population`` should be the multiset union of the current archive and
-    the current population (the paper's ``Q_t + V_t``).  Returns the fitness
-    array so callers can keep working on arrays without re-reading the
-    attributes.
-    """
-    if not population:
-        return np.zeros(0)
-    strengths, densities, fitness = spea2_fitness_from_arrays(
-        objectives_array(population), feasibility_array(population), k
-    )
-    for index, individual in enumerate(population):
-        individual.strength = int(strengths[index])
-        individual.density = float(densities[index])
-        individual.fitness = float(fitness[index])
-    return fitness
-
-
-def non_dominated_by_fitness(population: list[Individual]) -> list[Individual]:
-    """Individuals whose SPEA2 fitness marks them as non-dominated (F < 1).
-
-    ``assign_spea2_fitness`` must have been called on the same population
-    first.
-    """
-    return [individual for individual in population if individual.fitness < 1.0]

@@ -25,7 +25,7 @@ from repro.emoo.driver import (
     workload_fingerprint,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.individual import Individual, objectives_array
+from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
@@ -65,8 +65,7 @@ class NSGA2Result:
 def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
     """Crowding distance of every row of a single front's objective array.
 
-    Pure array computation (one stable argsort per objective); callers that
-    work with ``Individual`` lists use :func:`crowding_distances`.
+    Pure array computation (one stable argsort per objective).
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     size = objectives.shape[0]
@@ -86,36 +85,14 @@ def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
     return distances
 
 
-def crowding_distances(front: list[Individual]) -> np.ndarray:
-    """Crowding distance of every individual in a single front.
-
-    Also writes the distance back onto each individual's ``crowding``
-    attribute.
-    """
-    if not front:
-        return np.empty(0)
-    distances = crowding_distances_from_objectives(objectives_array(front))
-    for individual, distance in zip(front, distances):
-        individual.crowding = float(distance)
-    return distances
-
-
-def _crowded_better(first: Individual, second: Individual) -> bool:
-    """NSGA-II crowded-comparison operator: lower rank wins, ties broken by
-    larger crowding distance."""
-    if first.rank != second.rank:
-        return first.rank < second.rank
-    return first.crowding > second.crowding
-
-
 @dataclass
 class NSGA2:
     """The NSGA-II evolutionary multi-objective optimizer.
 
     ``fidelity`` optionally enables multi-fidelity offspring evaluation with
     promotion of the top fraction (see :mod:`repro.emoo.fidelity`); it
-    requires a problem whose ``evaluate_genomes`` supports the ``fidelity``
-    keyword, and ``None`` keeps the exact single-fidelity path.
+    requires a problem whose ``evaluate_population`` supports the
+    ``fidelity`` keyword, and ``None`` keeps the exact single-fidelity path.
     """
 
     problem: Problem
@@ -133,10 +110,9 @@ class NSGA2:
         tournament draws and decides every pair in one vectorized step;
         per-individual attribute writes happen only at the result boundary.
 
-        ``on_generation`` mirrors the SPEA2 callback: it receives the
-        generation index and the surviving population as ``Individual``
-        views (rank and crowding annotated), materialised only when a
-        callback is registered.
+        ``on_generation`` receives the generation index and the surviving
+        population as ``Individual`` views (rank and crowding annotated),
+        materialised only when a callback is registered.
         """
         driver = self.driver()
         algorithm = driver.optimization
@@ -154,8 +130,8 @@ class NSGA2:
         deadline: float | None = None,
     ) -> OptimizationDriver:
         """Build the stepwise driver for this NSGA-II instance (same
-        contract as :meth:`repro.emoo.spea2.SPEA2.driver`, including the
-        ambient checkpoint scope)."""
+        contract as :meth:`repro.core.optimizer.OptRROptimizer.driver`,
+        including the ambient checkpoint scope)."""
         return build_driver(
             _NSGA2Steppable(self),
             termination=self.termination,
@@ -214,38 +190,37 @@ class NSGA2:
         ranks: np.ndarray,
         crowding: np.ndarray,
         rng: np.random.Generator,
-    ) -> list:
-        """Crowded-tournament mating selection + crossover + mutation.
+    ) -> np.ndarray:
+        """Crowded-tournament mating selection + crossover + mutation + repair,
+        producing the offspring as one genome stack.
 
         All tournament pairs and the crossover/mutation decision masks are
         drawn up front in vectorized steps (one ``integers`` call for the
-        parents, one ``random`` call per mask); genome variation stays
-        per-pair because genomes are opaque at this layer.
+        parents, one ``random`` call per mask).  Crossover and mutation then
+        run pair by pair and child by child as batches of one, so the RNG
+        stream interleaves the operators' draws in that order; repair runs
+        once over the whole offspring stack.
         """
         settings = self.settings
+        problem = self.problem
         n_pairs = (settings.population_size + 1) // 2
         contenders = rng.integers(0, population.size, size=(2 * n_pairs, 2))
         winners = self._crowded_winners(contenders, ranks, crowding)
         crossed = rng.random(size=n_pairs) < settings.crossover_rate
-        genomes = []
-        for pair in range(n_pairs):
-            first = population.genome_at(winners[2 * pair])
-            second = population.genome_at(winners[2 * pair + 1])
-            if crossed[pair]:
-                child_a, child_b = self.problem.crossover(first, second, rng)
-            else:
-                child_a, child_b = first, second
-            genomes.extend([child_a, child_b])
-        genomes = genomes[: settings.population_size]
-        mutated_mask = rng.random(size=len(genomes)) < settings.mutation_rate
-        finished = []
-        for index, genome in enumerate(genomes):
-            if mutated_mask[index]:
-                genome = self.problem.mutate(genome, rng)
-            finished.append(genome)
-        # Repair runs over the whole offspring list at once so batch-capable
-        # problems (RR matrices) vectorize it.
-        return self.problem.repair_genomes(finished, rng)
+        children = population.genomes[winners]
+        for pair in np.flatnonzero(crossed):
+            first = slice(2 * pair, 2 * pair + 1)
+            second = slice(2 * pair + 1, 2 * pair + 2)
+            children[first], children[second] = problem.crossover_stack(
+                children[first], children[second], rng
+            )
+        children = children[: settings.population_size]
+        mutated = rng.random(size=children.shape[0]) < settings.mutation_rate
+        for index in np.flatnonzero(mutated):
+            children[index : index + 1] = problem.mutate_stack(
+                children[index : index + 1], rng
+            )
+        return problem.repair_stack(children)
 
     @staticmethod
     def _crowded_winners(
@@ -253,7 +228,7 @@ class NSGA2:
     ) -> np.ndarray:
         """Vectorized crowded-comparison tournaments: lower rank wins, ties
         broken by larger crowding distance, full ties go to the second
-        contestant (as in the sequential :func:`_crowded_better`)."""
+        contestant."""
         first, second = contenders[:, 0], contenders[:, 1]
         first_wins = (ranks[first] < ranks[second]) | (
             (ranks[first] == ranks[second]) & (crowding[first] > crowding[second])
@@ -283,32 +258,33 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def setup(self, rng: np.random.Generator) -> None:
         algorithm = self._algorithm
-        initial = algorithm.problem.initial_population(
-            algorithm.settings.population_size, rng
+        # Fidelity-scheduled offspring carry a ``fidelity`` metadata column,
+        # so the initial population is evaluated (at full fidelity) with one
+        # too: Population.concat requires identical columns.
+        self.population = algorithm.problem.initial_population_soa(
+            algorithm.settings.population_size,
+            rng,
+            fidelity=1.0 if self.fidelity is not None else None,
         )
-        if not initial:
+        if self.population.size == 0:
             raise OptimizationError("the problem produced an empty initial population")
-        self.population = Population.from_individuals(initial)
         self.ranks, self.crowding = algorithm._rank_and_crowd_arrays(self.population)
         self.n_evaluations = self.population.size
 
     def step(self, rng: np.random.Generator, generation: int) -> StepOutcome:
         algorithm = self._algorithm
-        offspring_genomes = algorithm._make_offspring(
+        offspring_stack = algorithm._make_offspring(
             self.population, self.ranks, self.crowding, rng
         )
         if self.fidelity is None:
-            individuals = algorithm.problem.evaluate_genomes(offspring_genomes)
-            self.n_evaluations += len(individuals)
+            offspring = algorithm.problem.evaluate_population(offspring_stack)
+            self.n_evaluations += offspring.size
         else:
             spent = self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations
-            individuals = self.fidelity.evaluate_individuals(
-                algorithm.problem, offspring_genomes
-            )
+            offspring = self.fidelity.evaluate_stack(algorithm.problem, offspring_stack)
             self.n_evaluations += (
                 self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations - spent
             )
-        offspring = Population.from_individuals(individuals)
         union = Population.concat(self.population, offspring)
         self.population, self.ranks, self.crowding = algorithm._select_next_generation(
             union
@@ -338,7 +314,7 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def elite_individuals(self) -> list[Individual]:
         # Result boundary: materialise views with their rank/crowding fields.
-        individuals = self.population.to_individuals()
+        individuals = self._algorithm.problem.population_to_individuals(self.population)
         for index, individual in enumerate(individuals):
             individual.rank = int(self.ranks[index])
             individual.crowding = float(self.crowding[index])
@@ -360,7 +336,7 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def state_document(self) -> dict:
         document = {
-            "population": population_to_document(self.population, self._algorithm.problem),
+            "population": population_to_document(self.population),
             "ranks": encode_array(self.ranks),
             "crowding": encode_array(self.crowding),
             "n_evaluations": self.n_evaluations,
@@ -370,9 +346,7 @@ class _NSGA2Steppable(SteppableOptimization):
         return document
 
     def restore_state(self, document: dict) -> None:
-        self.population = population_from_document(
-            document["population"], self._algorithm.problem
-        )
+        self.population = population_from_document(document["population"])
         self.ranks = decode_array(document["ranks"])
         self.crowding = decode_array(document["crowding"])
         self.n_evaluations = int(document["n_evaluations"])

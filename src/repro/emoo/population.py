@@ -17,11 +17,6 @@ happens inside the loop.  ``Individual`` remains as a thin *view* for the
 result boundary: :meth:`Population.individual` / :meth:`to_individuals`
 materialise per-candidate objects only when a caller asks for them.
 
-Generic problems whose genomes are opaque Python objects are supported too:
-:meth:`Population.from_individuals` keeps the evaluated ``Individual`` views
-in the ``source`` column (and the genomes in an object array), so SPEA2 and
-NSGA-II run the same array-native selection math regardless of genome type.
-
 Fitness freshness is tracked with a generation stamp
 (:attr:`Population.fitness_generation`): environmental selection stamps the
 archive it returns, and mating selection asserts the stamp instead of
@@ -40,7 +35,7 @@ from repro.emoo.individual import Individual
 from repro.exceptions import OptimizationError
 
 #: Builds a genome object from one row of the stacked genome array (used by
-#: the ``Individual`` views of array-backed populations).
+#: the ``Individual`` views).
 GenomeBuilder = Callable[[np.ndarray], Any]
 
 
@@ -63,9 +58,8 @@ class Population:
     Parameters
     ----------
     genomes:
-        Stacked genome array.  Either a numeric ``(P, ...)`` stack (the RR
-        path: ``(P, n, n)`` matrices) or a ``(P,)`` object array of opaque
-        genomes (the generic path).
+        Stacked ``(P, ...)`` genome array (``(P, n, n)`` matrices on the RR
+        path).
     objectives:
         ``(P, m)`` objective matrix (minimisation convention).
     feasible:
@@ -73,10 +67,6 @@ class Population:
     metadata:
         Columnar metadata: each key maps to a ``(P,)`` array (e.g. the RR
         problem's ``privacy`` / ``utility`` / ``max_posterior`` columns).
-    source:
-        Optional per-row ``Individual`` views.  Set by
-        :meth:`from_individuals` so generic problems keep their evaluated
-        objects; ``None`` on the array-native RR path.
     fitness:
         ``(P,)`` SPEA2 fitness; ``NaN`` until :meth:`set_fitness` stamps it.
     fitness_generation:
@@ -89,7 +79,6 @@ class Population:
     objectives: np.ndarray
     feasible: np.ndarray
     metadata: dict[str, np.ndarray] = field(default_factory=dict)
-    source: list[Individual] | None = None
     fitness: np.ndarray = field(default=None)  # type: ignore[assignment]
     fitness_generation: int = -1
 
@@ -114,10 +103,6 @@ class Population:
                 raise OptimizationError(
                     f"metadata column {key!r} has {len(column)} rows for {size} objectives"
                 )
-        if self.source is not None and len(self.source) != size:
-            raise OptimizationError(
-                f"source list has {len(self.source)} rows for {size} objectives"
-            )
         if self.fitness is None:
             self.fitness = np.full(size, np.nan)
         else:
@@ -128,25 +113,6 @@ class Population:
                 )
 
     # -- construction ---------------------------------------------------------
-    @classmethod
-    def from_individuals(cls, individuals: list[Individual]) -> "Population":
-        """Wrap evaluated ``Individual`` objects into a population.
-
-        The objects are kept as the ``source`` column so views returned later
-        are the same objects the problem produced (genomes stay opaque).
-        """
-        if not individuals:
-            raise OptimizationError("cannot build a population from no individuals")
-        genomes = np.empty(len(individuals), dtype=object)
-        for index, individual in enumerate(individuals):
-            genomes[index] = individual.genome
-        return cls(
-            genomes=genomes,
-            objectives=np.vstack([individual.objectives for individual in individuals]),
-            feasible=np.array([individual.feasible for individual in individuals], dtype=bool),
-            source=list(individuals),
-        )
-
     @classmethod
     def concat(cls, first: "Population", second: "Population") -> "Population":
         """Concatenate two populations (the per-generation union ``Q_t + V_t``).
@@ -160,9 +126,6 @@ class Population:
                 "cannot concatenate populations with different metadata columns "
                 f"({sorted(first.metadata)} != {sorted(second.metadata)})"
             )
-        source: list[Individual] | None = None
-        if first.source is not None and second.source is not None:
-            source = first.source + second.source
         return cls(
             genomes=np.concatenate([first.genomes, second.genomes]),
             objectives=np.concatenate([first.objectives, second.objectives]),
@@ -171,7 +134,6 @@ class Population:
                 key: np.concatenate([first.metadata[key], second.metadata[key]])
                 for key in first.metadata
             },
-            source=source,
         )
 
     # -- shape ---------------------------------------------------------------
@@ -191,22 +153,14 @@ class Population:
         archive selected out of a freshly-stamped union keeps its stamp.
         """
         indices = np.asarray(indices, dtype=np.intp)
-        source = None
-        if self.source is not None:
-            source = [self.source[index] for index in indices]
         return Population(
             genomes=self.genomes[indices],
             objectives=self.objectives[indices],
             feasible=self.feasible[indices],
             metadata={key: column[indices] for key, column in self.metadata.items()},
-            source=source,
             fitness=self.fitness[indices],
             fitness_generation=self.fitness_generation,
         )
-
-    def genome_at(self, index: int) -> Any:
-        """The genome of row ``index`` (an array row or an opaque object)."""
-        return self.genomes[index]
 
     def replace_row(
         self,
@@ -216,7 +170,6 @@ class Population:
         objectives: np.ndarray,
         feasible: bool,
         metadata: dict[str, Any],
-        individual: Individual | None = None,
     ) -> None:
         """Overwrite one candidate in place (the Ω back-injection step).
 
@@ -231,12 +184,6 @@ class Population:
         self.feasible[index] = bool(feasible)
         for key, column in self.metadata.items():
             column[index] = metadata[key]
-        if self.source is not None:
-            if individual is None:
-                raise OptimizationError(
-                    "replace_row on a source-backed population needs the Individual view"
-                )
-            self.source[index] = individual
 
     # -- fitness --------------------------------------------------------------
     def set_fitness(self, fitness: np.ndarray, generation: int) -> None:
@@ -267,11 +214,6 @@ class Population:
     # -- views ----------------------------------------------------------------
     def individual(self, index: int, genome_builder: GenomeBuilder | None = None) -> Individual:
         """Materialise one row as an :class:`Individual` view."""
-        if self.source is not None:
-            individual = self.source[index]
-            if not np.isnan(self.fitness[index]):
-                individual.fitness = float(self.fitness[index])
-            return individual
         genome = self.genomes[index]
         if genome_builder is not None:
             genome = genome_builder(genome)

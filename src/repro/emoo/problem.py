@@ -1,88 +1,71 @@
 """The problem interface consumed by the EMOO algorithms.
 
-A problem knows how to create random genomes, evaluate them into objective
-vectors (minimisation convention), and produce offspring via crossover and
-mutation.  Algorithms never look inside genomes, so the same engine optimises
-RR matrices (``repro.core``) and any other representation.
+A problem works on genome *stacks*: one ``(P, ...)`` float array holding a
+genome per row.  It creates and evaluates whole stacks into a
+structure-of-arrays :class:`~repro.emoo.population.Population` (objectives
+minimised, infeasible rows flagged), and crosses, mutates and repairs stacks
+batch-wise.  OptRR, NSGA-II and the weighted-sum GA all drive these same
+hooks; :class:`repro.core.problem.RRMatrixProblem` is the RR-matrix instance,
+with ``(P, n, n)`` stacks.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.emoo.individual import Individual
-from repro.exceptions import OptimizationError
+from repro.emoo.population import Population
 
 
 class Problem(ABC):
-    """A multi-objective optimization problem."""
+    """A multi-objective optimization problem over genome stacks."""
 
     #: Number of objectives (all minimised).
     n_objectives: int = 2
 
     @abstractmethod
-    def random_genome(self, rng: np.random.Generator) -> Any:
-        """Create one random genome."""
-
-    @abstractmethod
-    def evaluate(self, genome: Any) -> Individual:
-        """Evaluate ``genome`` into an :class:`Individual` (objectives are
-        minimised; set ``feasible=False`` for constraint violations)."""
-
-    @abstractmethod
-    def crossover(self, first: Any, second: Any, rng: np.random.Generator) -> tuple[Any, Any]:
-        """Produce two child genomes from two parent genomes."""
-
-    @abstractmethod
-    def mutate(self, genome: Any, rng: np.random.Generator) -> Any:
-        """Return a mutated copy of ``genome``."""
-
-    def repair(self, genome: Any, rng: np.random.Generator) -> Any:
-        """Repair a genome after variation (default: no repair)."""
-        return genome
-
-    # -- convenience --------------------------------------------------------
-    def initial_population(self, size: int, rng: np.random.Generator) -> list[Individual]:
-        """Create and evaluate ``size`` random individuals."""
-        return [self.evaluate(self.random_genome(rng)) for _ in range(size)]
-
-    def evaluate_genomes(
+    def initial_population_soa(
         self,
-        genomes: Sequence[Any],
+        size: int,
+        rng: np.random.Generator,
         *,
         fidelity: float | np.ndarray | None = None,
-    ) -> list[Individual]:
-        """Evaluate a batch of genomes.
+    ) -> Population:
+        """Create, repair and evaluate ``size`` random genomes."""
 
-        The default loops over :meth:`evaluate`; problems with a vectorized
-        evaluation engine (e.g. :class:`repro.core.problem.RRMatrixProblem`)
-        override this with a true batch implementation, which is how the
-        generic SPEA2/NSGA-II engines pick up the batch path without knowing
-        anything about genome internals.
+    @abstractmethod
+    def evaluate_population(
+        self, stack: np.ndarray, *, fidelity: float | np.ndarray | None = None
+    ) -> Population:
+        """Evaluate a genome stack into a population.
 
-        ``fidelity`` requests reduced-fidelity evaluation (a scalar or
-        per-genome column in ``(0, 1]``).  The base class has no cheap
-        approximation to offer, so any non-``None`` value is an error;
-        problems that support a fidelity axis override this method.
+        ``fidelity`` (a scalar or per-row column in ``(0, 1]``) requests
+        reduced-fidelity evaluation; problems without a cheap approximation
+        raise :class:`~repro.exceptions.OptimizationError` for it.
         """
-        if fidelity is not None:
-            raise OptimizationError(
-                f"{type(self).__name__} does not support reduced-fidelity evaluation"
-            )
-        return [self.evaluate(genome) for genome in genomes]
 
-    def repair_genomes(self, genomes: Sequence[Any], rng: np.random.Generator) -> list[Any]:
-        """Repair a batch of genomes after variation.
+    @abstractmethod
+    def crossover_stack(
+        self, first: np.ndarray, second: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cross row ``b`` of ``first`` with row ``b`` of ``second``; returns
+        both child stacks."""
 
-        Like :meth:`evaluate_genomes`, the default loops over :meth:`repair`
-        and batch-capable problems override it.
-        """
-        return [self.repair(genome, rng) for genome in genomes]
+    @abstractmethod
+    def mutate_stack(self, stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Return a mutated copy of every row of ``stack``."""
 
-    # -- checkpoint codec ----------------------------------------------------
+    def repair_stack(self, stack: np.ndarray) -> np.ndarray:
+        """Repair a stack after variation (default: no repair)."""
+        return stack
+
+    def population_to_individuals(self, population: Population) -> list[Individual]:
+        """``Individual`` views of a population (the result boundary)."""
+        return population.to_individuals()
+
     def fingerprint_document(self) -> dict[str, Any]:
         """JSON-compatible identity of this problem, hashed into checkpoint
         workload fingerprints so a checkpoint can never silently resume into
@@ -93,44 +76,3 @@ class Problem(ABC):
         include them, as :class:`repro.core.problem.RRMatrixProblem` does.
         """
         return {"problem": type(self).__name__}
-
-    def genome_to_data(self, genome: Any) -> Any:
-        """Serialize one genome into JSON-compatible data for a checkpoint.
-
-        The default handles the representations the bundled problems use —
-        numpy arrays (stored bit-exactly as base64 bytes), plain scalars,
-        and (nested) lists/tuples of those.  Problems with richer genome
-        objects override this together with :meth:`genome_from_data`.
-        """
-        from repro.utils.arrays import encode_array
-
-        if isinstance(genome, np.ndarray):
-            return {"kind": "array", "array": encode_array(genome)}
-        if genome is None or isinstance(genome, (bool, int, float, str)):
-            return {"kind": "scalar", "value": genome}
-        if isinstance(genome, (np.bool_, np.integer, np.floating)):
-            return {"kind": "scalar", "value": genome.item()}
-        if isinstance(genome, (list, tuple)):
-            kind = "list" if isinstance(genome, list) else "tuple"
-            return {"kind": kind, "items": [self.genome_to_data(item) for item in genome]}
-        raise OptimizationError(
-            f"genomes of type {type(genome).__name__} are not checkpoint-serializable; "
-            "override Problem.genome_to_data/genome_from_data"
-        )
-
-    def genome_from_data(self, data: Any) -> Any:
-        """Rebuild a genome from :meth:`genome_to_data` output."""
-        from repro.utils.arrays import decode_array
-
-        if not isinstance(data, dict) or "kind" not in data:
-            raise OptimizationError(f"malformed genome document: {data!r}")
-        kind = data["kind"]
-        if kind == "array":
-            return decode_array(data["array"])
-        if kind == "scalar":
-            return data["value"]
-        if kind == "list":
-            return [self.genome_from_data(item) for item in data["items"]]
-        if kind == "tuple":
-            return tuple(self.genome_from_data(item) for item in data["items"])
-        raise OptimizationError(f"unknown genome document kind {kind!r}")

@@ -13,15 +13,15 @@ The functions here are *index-native*: they take raw fitness / objective /
 distance arrays and return index arrays, which is how the structure-of-arrays
 generation loop (:mod:`repro.emoo.population`) uses them — the pairwise
 distance matrix is computed once per generation and shared between density
-estimation and truncation.  The ``Individual``-list functions are thin
-wrappers kept for the result boundary and the reference implementations.
+estimation and truncation.
 
 Truncation is incremental: the distance matrix is masked in place per removal
 (the victim's row and column are set to ``+inf``) and the next victim is found
 with one ``min``-reduction — the full ``np.ix_`` copy + row sort + lexsort of
 the reference implementation only runs over the (rare) rows that tie on their
 nearest-neighbour distance.  The removal order is bit-for-bit identical to the
-reference (property-tested in ``tests/test_engine_equivalence.py``).
+reference in ``tests/oracles/optrr_loop.py`` (property-tested in
+``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.emoo.density import pairwise_distances
-from repro.emoo.fitness import assign_spea2_fitness
-from repro.emoo.individual import Individual, objectives_array
 from repro.exceptions import OptimizationError
-from repro.types import SeedLike, as_rng
 from repro.utils.validation import check_positive_int
 
 
-# -- index-native engine ------------------------------------------------------
 def environmental_selection_indices(
     fitness: np.ndarray,
     archive_size: int,
@@ -239,7 +235,7 @@ def binary_tournament_indices(
     """Winner indices of ``n_selections`` binary tournaments on fitness.
 
     Lower fitness wins; all tournament pairs are drawn and decided in one
-    vectorized step (ties go to the first contestant, like the list version).
+    vectorized step (ties go to the first contestant).
     """
     check_positive_int(n_selections, "n_selections")
     fitness = np.asarray(fitness, dtype=np.float64)
@@ -249,74 +245,3 @@ def binary_tournament_indices(
     return np.where(
         fitness[pairs[:, 0]] <= fitness[pairs[:, 1]], pairs[:, 0], pairs[:, 1]
     )
-
-
-# -- Individual-list boundary -------------------------------------------------
-def environmental_selection(
-    union: list[Individual],
-    archive_size: int,
-    *,
-    density_k: int = 1,
-    assign_fitness: bool = True,
-) -> list[Individual]:
-    """Select the next archive of exactly ``archive_size`` individuals.
-
-    ``Individual``-list wrapper over :func:`environmental_selection_indices`,
-    kept for the result boundary and the reference loop.
-
-    Parameters
-    ----------
-    union:
-        The multiset union of the current population and archive.
-    archive_size:
-        Target archive size ``N_V``.
-    density_k:
-        The ``k`` used by the density estimator during fitness assignment.
-    assign_fitness:
-        When True (default) SPEA2 fitness is (re)assigned to ``union`` first.
-    """
-    check_positive_int(archive_size, "archive_size")
-    if not union:
-        raise OptimizationError("environmental selection needs a non-empty union")
-    if assign_fitness:
-        fitness = assign_spea2_fitness(union, density_k)
-    else:
-        fitness = np.array([individual.fitness for individual in union])
-    indices = environmental_selection_indices(
-        fitness, archive_size, objectives=objectives_array(union)
-    )
-    return [union[index] for index in indices]
-
-
-def truncate_archive(archive: list[Individual], target_size: int) -> list[Individual]:
-    """Iteratively remove the most crowded individuals until ``target_size``.
-
-    ``Individual``-list wrapper over :func:`truncate_indices`.
-    """
-    check_positive_int(target_size, "target_size")
-    survivors = list(archive)
-    if len(survivors) <= target_size:
-        return survivors
-    distances = pairwise_distances(objectives_array(survivors))
-    keep = truncate_indices(distances, target_size)
-    return [survivors[index] for index in keep]
-
-
-def binary_tournament(
-    pool: list[Individual],
-    n_selections: int,
-    seed: SeedLike = None,
-) -> list[Individual]:
-    """Binary tournament selection on fitness (lower fitness wins).
-
-    Returns ``n_selections`` individuals (with replacement across
-    tournaments).  Requires that fitness has been assigned.
-    ``Individual``-list wrapper over :func:`binary_tournament_indices`.
-    """
-    check_positive_int(n_selections, "n_selections")
-    if not pool:
-        raise OptimizationError("mating selection needs a non-empty pool")
-    rng = as_rng(seed)
-    fitness = np.array([individual.fitness for individual in pool])
-    winners = binary_tournament_indices(fitness, n_selections, rng)
-    return [pool[index] for index in winners]

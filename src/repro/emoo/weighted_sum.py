@@ -5,7 +5,13 @@ scalar fitness is problematic: a single weighting cannot produce a spread of
 trade-offs, and weighted sums cannot reach concave regions of the Pareto
 front.  This module implements that naive approach — a plain generational GA
 optimising ``w * f1 + (1 - w) * f2`` for a sweep of weights — so the ablation
-benchmark can show how much narrower its front is than SPEA2's.
+benchmark can show how much narrower its front is than OptRR's.
+
+The GA runs on the same stack hooks as the other engines: each generation's
+elite rows are carried over as they are, the children are bred one at a time
+(tournaments, crossover and mutation as batches of one, so the RNG stream
+follows the per-child order), and one ``repair_stack`` call repairs the
+child rows together before the whole stack is evaluated.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from repro.emoo.dominance import non_dominated
 from repro.emoo.individual import Individual
+from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
@@ -52,14 +59,12 @@ class WeightedSumResult:
     n_evaluations: int
 
 
-def _scalar_fitness(individual: Individual, weight: float, scales: np.ndarray) -> float:
-    """Weighted sum of normalised objectives (infeasible solutions are pushed
-    behind every feasible one)."""
-    normalised = individual.objectives / scales
-    value = weight * normalised[0] + (1.0 - weight) * normalised[1]
-    if not individual.feasible:
-        value += 1e6
-    return float(value)
+def _scalar_fitness(population: Population, weight: float, scales: np.ndarray) -> np.ndarray:
+    """Weighted sum of normalised objectives per row (infeasible rows are
+    pushed behind every feasible one)."""
+    normalised = population.objectives / scales
+    values = weight * normalised[:, 0] + (1.0 - weight) * normalised[:, 1]
+    return np.where(population.feasible, values, values + 1e6)
 
 
 @dataclass
@@ -74,49 +79,57 @@ class WeightedSumGA:
         """Run the weight sweep and return the per-weight winners."""
         if self.problem.n_objectives != 2:
             raise OptimizationError("the weighted-sum baseline only supports two objectives")
+        problem = self.problem
         rng = as_rng(self.seed)
         settings = self.settings
         weights = np.linspace(0.0, 1.0, settings.n_weights)
+        n_elite = max(1, int(settings.elite_fraction * settings.population_size))
         best_per_weight: list[Individual] = []
-        n_evaluations = 0
         # A common objective scale, estimated from a random sample, keeps the
         # two objectives comparable inside the scalarisation.
-        sample = self.problem.initial_population(settings.population_size, rng)
-        n_evaluations += len(sample)
-        objective_matrix = np.vstack([np.abs(ind.objectives) for ind in sample])
-        scales = np.maximum(objective_matrix.max(axis=0), 1e-12)
+        sample = problem.initial_population_soa(settings.population_size, rng)
+        n_evaluations = sample.size
+        scales = np.maximum(np.abs(sample.objectives).max(axis=0), 1e-12)
         for weight in weights:
-            population = [individual.copy() for individual in sample]
+            population = sample
             for _ in range(settings.n_generations):
-                population.sort(key=lambda ind, _w=weight: _scalar_fitness(ind, _w, scales))
-                n_elite = max(1, int(settings.elite_fraction * settings.population_size))
-                next_genomes = [ind.genome for ind in population[:n_elite]]
-                while len(next_genomes) < settings.population_size:
-                    parent_a = self._tournament(population, weight, scales, rng)
-                    parent_b = self._tournament(population, weight, scales, rng)
+                # A stable argsort keeps equal-fitness rows in their order.
+                fitness = _scalar_fitness(population, weight, scales)
+                order = np.argsort(fitness, kind="stable")
+                population, fitness = population.take(order), fitness[order]
+                children = np.empty(
+                    (settings.population_size - n_elite, *population.genomes.shape[1:])
+                )
+                for index in range(children.shape[0]):
+                    parent_a = self._tournament(population, fitness, rng)
+                    parent_b = self._tournament(population, fitness, rng)
                     if rng.random() < settings.crossover_rate:
-                        child, _ = self.problem.crossover(parent_a.genome, parent_b.genome, rng)
+                        child, _ = problem.crossover_stack(parent_a, parent_b, rng)
                     else:
-                        child = parent_a.genome
+                        child = parent_a
                     if rng.random() < settings.mutation_rate:
-                        child = self.problem.mutate(child, rng)
-                    next_genomes.append(self.problem.repair(child, rng))
-                population = self.problem.evaluate_genomes(next_genomes)
-                n_evaluations += len(population)
-            population.sort(key=lambda ind, _w=weight: _scalar_fitness(ind, _w, scales))
-            best_per_weight.append(population[0])
+                        child = problem.mutate_stack(child, rng)
+                    children[index] = child[0]
+                stack = np.concatenate(
+                    [population.genomes[:n_elite], problem.repair_stack(children)]
+                )
+                population = problem.evaluate_population(stack)
+                n_evaluations += population.size
+            best = np.argsort(_scalar_fitness(population, weight, scales), kind="stable")[0]
+            best_per_weight.append(
+                problem.population_to_individuals(population.take([best]))[0]
+            )
         front = non_dominated(best_per_weight)
         return WeightedSumResult(
             best_per_weight=best_per_weight, front=front, n_evaluations=n_evaluations
         )
 
+    @staticmethod
     def _tournament(
-        self,
-        population: list[Individual],
-        weight: float,
-        scales: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Individual:
-        first, second = rng.integers(0, len(population), size=2)
-        a, b = population[first], population[second]
-        return a if _scalar_fitness(a, weight, scales) <= _scalar_fitness(b, weight, scales) else b
+        population: Population, fitness: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Binary tournament on the scalar fitness; the winner's genome as a
+        batch of one (ties go to the first contestant)."""
+        first, second = rng.integers(0, population.size, size=2)
+        winner = first if fitness[first] <= fitness[second] else second
+        return population.genomes[winner : winner + 1]

@@ -231,28 +231,41 @@ def comparison_to_dict(comparison: "FrontComparison") -> dict[str, Any]:
 
 def comparison_from_dict(document: dict[str, Any]) -> "FrontComparison":
     """Deserialize a front comparison from :func:`comparison_to_dict` output."""
+    from dataclasses import fields
+
     from repro.analysis.compare import FrontComparison
+
+    if not isinstance(document, dict):
+        raise ValidationError(
+            f"a front comparison must be a JSON object, got {type(document).__name__}"
+        )
+    missing = [field.name for field in fields(FrontComparison) if field.name not in document]
+    if missing:
+        raise ValidationError(f"front comparison has no {', '.join(map(repr, missing))}")
+
+    def number(kind: type, key: str) -> Any:
+        return _number(kind, document[key], key)
+
+    def privacy_range(key: str) -> tuple[float, ...]:
+        values = document[key]
+        if not isinstance(values, list):
+            raise ValidationError(f"{key} must be a list of numbers, got {values!r}")
+        return tuple(_number(float, value, key) for value in values)
 
     return FrontComparison(
         candidate_name=str(document["candidate_name"]),
         baseline_name=str(document["baseline_name"]),
-        candidate_privacy_range=tuple(
-            float(v) for v in document["candidate_privacy_range"]
-        ),
-        baseline_privacy_range=tuple(
-            float(v) for v in document["baseline_privacy_range"]
-        ),
-        extra_privacy_range=float(document["extra_privacy_range"]),
-        mean_utility_ratio=float(document["mean_utility_ratio"]),
-        candidate_wins=int(document["candidate_wins"]),
-        baseline_wins=int(document["baseline_wins"]),
-        ties=int(document["ties"]),
-        hypervolume_candidate=float(document["hypervolume_candidate"]),
-        hypervolume_baseline=float(document["hypervolume_baseline"]),
-        coverage_candidate_over_baseline=float(
-            document["coverage_candidate_over_baseline"]
-        ),
-        additive_epsilon=float(document["additive_epsilon"]),
+        candidate_privacy_range=privacy_range("candidate_privacy_range"),
+        baseline_privacy_range=privacy_range("baseline_privacy_range"),
+        extra_privacy_range=number(float, "extra_privacy_range"),
+        mean_utility_ratio=number(float, "mean_utility_ratio"),
+        candidate_wins=number(int, "candidate_wins"),
+        baseline_wins=number(int, "baseline_wins"),
+        ties=number(int, "ties"),
+        hypervolume_candidate=number(float, "hypervolume_candidate"),
+        hypervolume_baseline=number(float, "hypervolume_baseline"),
+        coverage_candidate_over_baseline=number(float, "coverage_candidate_over_baseline"),
+        additive_epsilon=number(float, "additive_epsilon"),
     )
 
 

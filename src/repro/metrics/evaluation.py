@@ -14,9 +14,8 @@ Two evaluation paths are provided:
   path.
 * :meth:`MatrixEvaluator.evaluate` — the scalar API, kept as a thin wrapper
   that stacks a single matrix and unpacks the batch result, so both paths are
-  one implementation.  :meth:`MatrixEvaluator.evaluate_scalar` preserves the
-  original per-matrix reference implementation for equivalence tests and
-  benchmarks.
+  one implementation.  The original per-matrix implementation is frozen in
+  ``tests/oracles/scalar.py`` for equivalence tests and benchmarks.
 
 The batch path additionally supports a *fidelity* axis (multi-fidelity
 optimization): ``evaluate_batch`` accepts a per-individual fidelity column in
@@ -39,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.distribution import CategoricalDistribution
-from repro.exceptions import SingularMatrixError, ValidationError
-from repro.metrics.privacy import BOUND_ATOL, joint_tensor, max_posterior, privacy_score
-from repro.metrics.utility import utility_score, utility_score_batch
+from repro.exceptions import ValidationError
+from repro.metrics.privacy import BOUND_ATOL, joint_tensor
+from repro.metrics.utility import utility_score_batch
 from repro.rr.matrix import RRMatrix, as_matrix_stack
 from repro.utils.linalg import batched_safe_inverses
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -305,38 +304,6 @@ class MatrixEvaluator:
                 f"domain {self.n_categories}"
             )
         return self.evaluate_batch(matrix.probabilities[None, :, :])[0]
-
-    def evaluate_scalar(self, matrix: RRMatrix) -> MatrixEvaluation:
-        """Reference per-matrix implementation (the pre-batch hot path).
-
-        Kept verbatim so the equivalence property tests and
-        ``benchmarks/bench_batch_eval.py`` can compare the vectorized engine
-        against the original scalar computation.
-        """
-        if matrix.n_categories != self.n_categories:
-            raise ValidationError(
-                f"matrix domain {matrix.n_categories} does not match the prior "
-                f"domain {self.n_categories}"
-            )
-        prior_vector = self.prior.probabilities
-        privacy = privacy_score(matrix, prior_vector)
-        worst_posterior = max_posterior(matrix, prior_vector)
-        try:
-            utility = utility_score(matrix, prior_vector, self.n_records)
-            invertible = True
-        except SingularMatrixError:
-            utility = float("inf")
-            invertible = False
-        feasible = invertible
-        if self.delta is not None and worst_posterior > self.delta + 1e-9:
-            feasible = False
-        return MatrixEvaluation(
-            privacy=privacy,
-            utility=utility,
-            max_posterior=worst_posterior,
-            feasible=feasible,
-            invertible=invertible,
-        )
 
     def evaluate_many(self, matrices: list[RRMatrix]) -> list[MatrixEvaluation]:
         """Evaluate a batch of matrices (vectorized, scalar results)."""

@@ -52,7 +52,7 @@ def disguise_codes(
     order.  Record ``k`` reports the first row ``j`` with ``cdf[j, c] >=
     uniforms[k]`` in its column CDF ``c = codes[k]`` (last entry clamped to
     exactly ``1.0``) — bit-identical to the frozen ``(n, N)`` broadcast in
-    :mod:`repro.rr.reference`.
+    ``tests/oracles/disguise.py``.
 
     Sort-and-group ``searchsorted``: stable-argsort the codes (radix sort for
     int64, O(N)), gather the uniforms into category order once, then

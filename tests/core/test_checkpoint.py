@@ -21,7 +21,6 @@ from repro.core.archive import OptimalSet
 from repro.core.driver import population_from_document, population_to_document
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError, ValidationError
 from repro.rr.matrix import RRMatrix
@@ -141,43 +140,25 @@ class TestPopulationRoundTrip:
         assert restored.fitness.tobytes() == population.fitness.tobytes()
         assert restored.fitness_generation == population.fitness_generation
 
-    @given(
-        st.lists(
-            st.floats(
-                allow_nan=False,
-                allow_infinity=False,
-                width=64,
-                min_value=-1e100,
-                max_value=1e100,
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_source_backed_population_round_trips(self, xs):
-        problem = _scalar_problem()
-        individuals = [
-            Individual(
-                genome=float(x),
-                objectives=np.array([x * x, (x - 1.0) ** 2]),
-                metadata={"x": float(x)},
-            )
-            for x in xs
-        ]
-        population = Population.from_individuals(individuals)
-        document = json_round_trip(population_to_document(population, problem))
-        restored = population_from_document(document, problem)
-        assert restored.objectives.tobytes() == population.objectives.tobytes()
-        for restored_member, member in zip(restored.source, population.source):
-            assert repr(restored_member.genome) == repr(member.genome)
-            assert restored_member.metadata == member.metadata
-
-
-def _scalar_problem():
-    from tests.emoo.conftest import SphereTradeoffProblem
-
-    return SphereTradeoffProblem()
+    def test_individuals_layout_is_rejected(self):
+        """The per-individual population layout (opaque genomes through a
+        problem codec) is no longer written or read: loading one raises a
+        typed error instead of reviving a half-supported state."""
+        document = {
+            "layout": "individuals",
+            "individuals": [
+                {
+                    "genome": {"kind": "scalar", "value": 0.5},
+                    "objectives": encode_array(np.array([0.25, 0.25])),
+                    "feasible": True,
+                    "metadata": {"x": 0.5},
+                }
+            ],
+            "fitness": encode_array(np.array([np.nan])),
+            "fitness_generation": -1,
+        }
+        with pytest.raises(ValidationError, match="population layout 'individuals'"):
+            population_from_document(json_round_trip(document))
 
 
 class TestOptimalSetRoundTrip:

@@ -2,8 +2,8 @@
 
 The hard invariant under test: a run killed after any generation ``k`` and
 resumed from its checkpoint produces the final front, Ω spectrum, matrices
-and RNG stream bit-for-bit identical to the uninterrupted run — for OptRR,
-SPEA2 and NSGA-II alike.
+and RNG stream bit-for-bit identical to the uninterrupted run — for OptRR and
+NSGA-II alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.spea2 import SPEA2, SPEA2Settings
 from repro.emoo.termination import Deadline, MaxGenerations
 from repro.exceptions import OptimizationError, ValidationError
 from repro.io import load_checkpoint, result_to_dict
@@ -48,21 +47,21 @@ def make_optrr() -> OptRROptimizer:
     )
 
 
-def make_spea2() -> SPEA2:
-    return SPEA2(
-        SphereTradeoffProblem(),
-        SPEA2Settings(population_size=10, archive_size=8),
-        termination=MaxGenerations(N_GENERATIONS),
-        seed=7,
-    )
-
-
 def make_nsga2() -> NSGA2:
     return NSGA2(
         SphereTradeoffProblem(),
         NSGA2Settings(population_size=10),
         termination=MaxGenerations(N_GENERATIONS),
         seed=7,
+    )
+
+
+def make_rr_nsga2(delta: float = 0.85) -> NSGA2:
+    return NSGA2(
+        RRMatrixProblem(normal_distribution(6), 4000, delta=delta),
+        NSGA2Settings(population_size=8),
+        termination=MaxGenerations(N_GENERATIONS),
+        seed=3,
     )
 
 
@@ -73,6 +72,14 @@ def optrr_result_key(result) -> str:
 def generic_result_key(result) -> list:
     return sorted(
         (tuple(member.objectives.tolist()), repr(member.genome))
+        for member in result.front
+    )
+
+
+def rr_result_key(result) -> list:
+    return sorted(
+        tuple(member.objectives.tolist())
+        + tuple(member.genome.probabilities.ravel().tolist())
         for member in result.front
     )
 
@@ -102,13 +109,15 @@ class TestResumeEquivalence:
         assert optrr_result_key(optimizer.run_driver(driver)) == reference
 
     @pytest.mark.parametrize("kill_after", range(N_GENERATIONS))
-    def test_spea2_resume_bit_for_bit(self, tmp_path, kill_after):
-        reference = make_spea2().run()
-        document = run_interrupted(make_spea2, kill_after, tmp_path / "ck.json")
-        driver = make_spea2().driver()
+    def test_nsga2_rr_resume_bit_for_bit(self, tmp_path, kill_after):
+        """NSGA-II on RR matrices: the (P, n, n) genome stack, ranks and
+        crowding round-trip through the checkpoint bit for bit."""
+        reference = make_rr_nsga2().run()
+        document = run_interrupted(make_rr_nsga2, kill_after, tmp_path / "ck.json")
+        driver = make_rr_nsga2().driver()
         driver.restore(document)
         resumed = driver.run()
-        assert generic_result_key(resumed) == generic_result_key(reference)
+        assert rr_result_key(resumed) == rr_result_key(reference)
         assert resumed.n_generations == reference.n_generations
         assert resumed.n_evaluations == reference.n_evaluations
 
@@ -139,32 +148,24 @@ class TestResumeEquivalence:
         resumed.restore(document)
         np.testing.assert_array_equal(resumed.rng.random(64), expected)
 
-    def test_spea2_on_rr_matrix_problem_round_trips(self, tmp_path):
-        """The generic engine checkpoints RRMatrix genomes via the codec."""
-        def make() -> SPEA2:
-            return SPEA2(
-                RRMatrixProblem(normal_distribution(6), 4000, delta=0.85),
-                SPEA2Settings(population_size=8, archive_size=8),
-                termination=MaxGenerations(4),
-                seed=3,
-            )
-
-        def key(result):
-            return sorted(
-                tuple(member.objectives.tolist())
-                + tuple(member.genome.probabilities.ravel().tolist())
-                for member in result.front
-            )
-
-        reference = make().run()
+    def test_checkpoints_use_the_array_layout_only(self, tmp_path):
+        """Every engine checkpoints genome stacks as arrays; a population in
+        the per-individual layout older NSGA-II checkpoints used is rejected
+        with a typed error and the driver stays unstarted."""
         path = tmp_path / "ck.json"
-        driver = make().driver(checkpoint_path=str(path), checkpoint_every=1)
-        steps = driver.steps()
-        next(steps)
-        next(steps)
-        resumed = make().driver()
-        resumed.restore(load_checkpoint(path))
-        assert key(resumed.run()) == key(reference)
+        driver = make_rr_nsga2().driver(checkpoint_path=str(path), checkpoint_every=1)
+        next(driver.steps())
+        document = load_checkpoint(path)
+        assert document["state"]["population"]["layout"] == "arrays"
+        document["state"]["population"] = {
+            "layout": "individuals",
+            "individuals": [],
+            "fitness": document["state"]["population"]["fitness"],
+        }
+        fresh = make_rr_nsga2().driver()
+        with pytest.raises(ValidationError, match="population layout 'individuals'"):
+            fresh.restore(document)
+        assert fresh.generation == 0
 
 
 class TestDriverBehaviour:
@@ -209,30 +210,22 @@ class TestDriverBehaviour:
 
     def test_restore_rejects_other_algorithm(self, tmp_path):
         path = tmp_path / "ck.json"
-        driver = make_spea2().driver(checkpoint_path=str(path), checkpoint_every=1)
+        driver = make_nsga2().driver(checkpoint_path=str(path), checkpoint_every=1)
         next(driver.steps())
         document = load_checkpoint(path)
         with pytest.raises(ValidationError, match="algorithm"):
             make_optrr().driver().restore(document)
 
     def test_generic_engine_fingerprint_covers_problem_workload(self, tmp_path):
-        """A SPEA2 checkpoint must not resume into the same problem *class*
-        with a different workload (prior/bound) — the fingerprint hashes the
-        problem's identity document, not just its name."""
+        """An NSGA-II checkpoint must not resume into the same problem
+        *class* with a different workload (prior/bound) — the fingerprint
+        hashes the problem's identity document, not just its name."""
         path = tmp_path / "ck.json"
-
-        def make(delta):
-            return SPEA2(
-                RRMatrixProblem(normal_distribution(6), 4000, delta=delta),
-                SPEA2Settings(population_size=8, archive_size=8),
-                termination=MaxGenerations(4),
-                seed=3,
-            )
-
-        next(make(0.85).driver(checkpoint_path=str(path), checkpoint_every=1).steps())
+        driver = make_rr_nsga2(0.85).driver(checkpoint_path=str(path), checkpoint_every=1)
+        next(driver.steps())
         document = load_checkpoint(path)
         with pytest.raises(ValidationError, match="fingerprint"):
-            make(0.6).driver().restore(document)
+            make_rr_nsga2(0.6).driver().restore(document)
 
     def test_restore_rejects_other_workload(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -294,7 +287,7 @@ class TestDriverBehaviour:
         assert [written for _, written in writes][-3:] == [1, 3, 4]
 
     def test_nsga2_on_generation_callback(self):
-        """Satellite: NSGA2.run accepts the same callback shape as SPEA2."""
+        """NSGA2.run reports every generation's survivors, ranked."""
         seen = []
 
         def callback(generation, individuals):
@@ -325,7 +318,7 @@ class TestCheckpointScope:
 
     def test_scope_ignores_mismatched_checkpoint(self, tmp_path):
         with checkpoint_scope(tmp_path, token="cell", every=1):
-            next(make_spea2().driver().steps())
+            next(make_nsga2().driver().steps())
         with checkpoint_scope(tmp_path, token="cell", every=1):
             driver = make_optrr().driver()
             assert driver.generation == 0  # fresh start, not a broken resume

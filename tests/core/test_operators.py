@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.operators import (
-    column_crossover,
-    enforce_privacy_bound,
-    proportional_column_mutation,
+    column_crossover_batch,
+    enforce_privacy_bound_batch,
+    proportional_column_mutation_batch,
     random_initial_matrices,
 )
 from repro.exceptions import ValidationError
@@ -23,6 +23,24 @@ def assert_is_rr_matrix(matrix: RRMatrix) -> None:
     assert np.all(probabilities >= -1e-12)
     assert np.all(probabilities <= 1.0 + 1e-12)
     np.testing.assert_allclose(probabilities.sum(axis=0), 1.0, atol=1e-9)
+
+
+# The operators work on (B, n, n) stacks; these wrap one matrix as a batch of
+# one, which is how NSGA-II and the weighted-sum GA call them.
+def column_crossover(first: RRMatrix, second: RRMatrix, rng) -> tuple[RRMatrix, RRMatrix]:
+    child_a, child_b = column_crossover_batch(
+        first.probabilities[None], second.probabilities[None], rng
+    )
+    return RRMatrix(child_a[0]), RRMatrix(child_b[0])
+
+
+def proportional_column_mutation(matrix: RRMatrix, rng, *, scale: float = 0.3) -> RRMatrix:
+    mutated = proportional_column_mutation_batch(matrix.probabilities[None], rng, scale=scale)
+    return RRMatrix(mutated[0])
+
+
+def enforce_privacy_bound(matrix: RRMatrix, prior: np.ndarray, delta: float) -> RRMatrix:
+    return RRMatrix(enforce_privacy_bound_batch(matrix.probabilities[None], prior, delta)[0])
 
 
 class TestColumnCrossover:

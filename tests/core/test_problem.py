@@ -11,30 +11,36 @@ from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
 
 
+def evaluate(problem: RRMatrixProblem, matrix: RRMatrix):
+    """The ``Individual`` view of one evaluated matrix."""
+    population = problem.evaluate_population(matrix.probabilities[None, :, :])
+    return problem.population_to_individuals(population)[0]
+
+
 class TestEvaluation:
     def test_objectives_are_minimisation_form(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        individual = problem.evaluate(warner_matrix(4, 0.6))
+        individual = evaluate(problem, warner_matrix(4, 0.6))
         assert individual.objectives[0] == pytest.approx(-individual.metadata["privacy"])
         assert individual.objectives[1] == pytest.approx(individual.metadata["utility"])
         assert individual.feasible
 
     def test_singular_matrix_gets_finite_penalty_objective(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        individual = problem.evaluate(RRMatrix.uniform(4))
+        individual = evaluate(problem, RRMatrix.uniform(4))
         assert np.isfinite(individual.objectives).all()
         assert not individual.feasible
         assert individual.metadata["utility"] == np.inf
 
     def test_bound_violations_marked_infeasible(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000, delta=0.6)
-        individual = problem.evaluate(RRMatrix.identity(4))
+        individual = evaluate(problem, RRMatrix.identity(4))
         assert not individual.feasible
 
     def test_evaluation_counter(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        for p in (0.4, 0.6, 0.8):
-            problem.evaluate(warner_matrix(4, p))
+        stack = np.stack([warner_matrix(4, p).probabilities for p in (0.4, 0.6, 0.8)])
+        problem.evaluate_population(stack)
         assert problem.n_evaluations == 3
 
     def test_accepts_raw_probability_vector(self):
@@ -45,37 +51,35 @@ class TestEvaluation:
 class TestGenomeGeneration:
     def test_random_genomes_are_valid_and_respect_bound(self, small_prior, rng):
         problem = RRMatrixProblem(small_prior, n_records=1000, delta=0.7)
-        for _ in range(10):
-            genome = problem.random_genome(rng)
-            np.testing.assert_allclose(genome.probabilities.sum(axis=0), 1.0, atol=1e-9)
-            assert max_posterior(genome, small_prior.probabilities) <= 0.7 + 1e-6
+        for genome in problem.initial_population_soa(10, rng).genomes:
+            np.testing.assert_allclose(genome.sum(axis=0), 1.0, atol=1e-9)
+            assert max_posterior(RRMatrix(genome), small_prior.probabilities) <= 0.7 + 1e-6
 
     def test_initial_population_spans_privacy(self, small_prior, rng):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        population = problem.initial_population(30, rng)
-        privacies = [individual.metadata["privacy"] for individual in population]
-        assert max(privacies) - min(privacies) > 0.1
+        privacies = problem.initial_population_soa(30, rng).metadata["privacy"]
+        assert privacies.max() - privacies.min() > 0.1
 
 
 class TestVariation:
     def test_crossover_produces_valid_children(self, small_prior, rng):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        a, b = problem.random_genome(rng), problem.random_genome(rng)
-        child_a, child_b = problem.crossover(a, b, rng)
-        for child in (child_a, child_b):
-            np.testing.assert_allclose(child.probabilities.sum(axis=0), 1.0, atol=1e-9)
+        parents = problem.initial_population_soa(2, rng).genomes
+        children = problem.crossover_stack(parents[:1], parents[1:], rng)
+        for child in children:
+            np.testing.assert_allclose(child.sum(axis=1), 1.0, atol=1e-9)
 
     def test_mutation_produces_valid_genome(self, small_prior, rng):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        mutated = problem.mutate(problem.random_genome(rng), rng)
-        np.testing.assert_allclose(mutated.probabilities.sum(axis=0), 1.0, atol=1e-9)
+        mutated = problem.mutate_stack(problem.initial_population_soa(1, rng).genomes, rng)
+        np.testing.assert_allclose(mutated.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_repair_without_delta_is_identity(self, small_prior, rng):
+    def test_repair_without_delta_is_identity(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        matrix = warner_matrix(4, 0.9)
-        assert problem.repair(matrix, rng) is matrix
+        stack = warner_matrix(4, 0.9).probabilities[None, :, :]
+        assert problem.repair_stack(stack) is stack
 
-    def test_repair_with_delta_enforces_bound(self, small_prior, rng):
+    def test_repair_with_delta_enforces_bound(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000, delta=0.65)
-        repaired = problem.repair(RRMatrix.identity(4), rng)
-        assert max_posterior(repaired, small_prior.probabilities) <= 0.65 + 1e-6
+        repaired = problem.repair_stack(np.eye(4)[None, :, :])
+        assert max_posterior(RRMatrix(repaired[0]), small_prior.probabilities) <= 0.65 + 1e-6

@@ -77,7 +77,7 @@ class TestOptimizationResult:
         with pytest.raises(OptimizationError):
             result.best_matrix_for_utility(1e-7)
 
-    def test_from_individuals(self):
+    def test_from_members(self):
         individuals = [
             Individual(
                 genome=warner_matrix(3, 0.6),
@@ -85,7 +85,7 @@ class TestOptimizationResult:
                 metadata={"privacy": 0.2, "utility": 1e-3, "max_posterior": 0.8},
             )
         ]
-        result = OptimizationResult.from_individuals(individuals, n_generations=3, n_evaluations=30)
+        result = OptimizationResult.from_members(individuals, n_generations=3, n_evaluations=30)
         assert len(result) == 1
         assert result.n_generations == 3
         assert result.n_evaluations == 30

@@ -6,42 +6,47 @@ import numpy as np
 import pytest
 
 from repro.emoo.individual import Individual
+from repro.emoo.population import Population
 from repro.emoo.problem import Problem
+from repro.exceptions import OptimizationError
 
 
 class SphereTradeoffProblem(Problem):
     """A simple bi-objective problem with a known Pareto front.
 
-    Genomes are scalars ``x`` in [0, 1]; the objectives are
-    ``f1(x) = x^2`` and ``f2(x) = (x - 1)^2``.  The Pareto front is the whole
-    interval ``x in [0, 1]`` with ``sqrt(f1) + sqrt(f2) = 1``.
+    Genomes are scalars ``x``, stacked as ``(P, 1)`` arrays; the objectives
+    are ``f1(x) = x^2`` and ``f2(x) = (x - 1)^2``.  The Pareto front is the
+    whole interval ``x in [0, 1]`` with ``sqrt(f1) + sqrt(f2) = 1``.
     """
 
     n_objectives = 2
 
-    def random_genome(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-0.5, 1.5))
+    def initial_population_soa(self, size, rng, *, fidelity=None) -> Population:
+        stack = rng.uniform(-0.5, 1.5, size=(size, 1))
+        return self.evaluate_population(self.repair_stack(stack), fidelity=fidelity)
 
-    def evaluate(self, genome: float) -> Individual:
-        x = float(genome)
-        return Individual(
-            genome=x,
-            objectives=np.array([x**2, (x - 1.0) ** 2]),
-            feasible=True,
-            metadata={"x": x},
+    def evaluate_population(self, stack, *, fidelity=None) -> Population:
+        if fidelity is not None:
+            raise OptimizationError(
+                f"{type(self).__name__} does not support reduced-fidelity evaluation"
+            )
+        x = np.asarray(stack, dtype=np.float64)[:, 0]
+        return Population(
+            genomes=np.asarray(stack, dtype=np.float64),
+            objectives=np.stack([x**2, (x - 1.0) ** 2], axis=1),
+            feasible=np.ones(x.size, dtype=bool),
+            metadata={"x": x.copy()},
         )
 
-    def crossover(self, first: float, second: float, rng: np.random.Generator):
-        alpha = float(rng.uniform(0.0, 1.0))
-        child_a = alpha * first + (1 - alpha) * second
-        child_b = (1 - alpha) * first + alpha * second
-        return child_a, child_b
+    def crossover_stack(self, first, second, rng):
+        alpha = rng.uniform(0.0, 1.0, size=(first.shape[0], 1))
+        return alpha * first + (1 - alpha) * second, (1 - alpha) * first + alpha * second
 
-    def mutate(self, genome: float, rng: np.random.Generator) -> float:
-        return float(genome + rng.normal(0.0, 0.1))
+    def mutate_stack(self, stack, rng):
+        return stack + rng.normal(0.0, 0.1, size=stack.shape)
 
-    def repair(self, genome: float, rng: np.random.Generator) -> float:
-        return float(np.clip(genome, -2.0, 3.0))
+    def repair_stack(self, stack):
+        return np.clip(stack, -2.0, 3.0)
 
 
 @pytest.fixture

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
-from repro.emoo.fitness import assign_spea2_fitness, non_dominated_by_fitness
+from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.exceptions import OptimizationError
-from tests.emoo.conftest import make_individual
 
 
 class TestPairwiseDistances:
@@ -58,49 +57,56 @@ class TestSpea2Density:
         assert densities[1] > densities[2]
 
 
+def objectives_of(population) -> np.ndarray:
+    return np.vstack([individual.objectives for individual in population])
+
+
 class TestSpea2Fitness:
     def test_nondominated_have_fitness_below_one(self, square_population):
-        assign_spea2_fitness(square_population)
-        best = square_population[2]  # (0, 0) dominates everything
-        assert best.fitness < 1.0
-        front = non_dominated_by_fitness(square_population)
-        assert front == [best]
+        _, _, fitness = spea2_fitness_from_arrays(objectives_of(square_population))
+        # (0, 0), row 2, dominates everything and is the only row with F < 1.
+        np.testing.assert_array_equal(np.flatnonzero(fitness < 1.0), [2])
 
     def test_strength_counts_dominated(self, square_population):
-        assign_spea2_fitness(square_population)
+        strengths, _, _ = spea2_fitness_from_arrays(objectives_of(square_population))
         # (0, 0) dominates the other four individuals.
-        assert square_population[2].strength == 4
+        assert strengths[2] == 4
         # (1, 1) dominates nothing.
-        assert square_population[3].strength == 0
+        assert strengths[3] == 0
 
     def test_raw_fitness_sums_dominator_strengths(self):
-        population = [
-            make_individual([0.0, 0.0]),  # dominates both others -> strength 2
-            make_individual([1.0, 1.0]),  # dominated by first, dominates third
-            make_individual([2.0, 2.0]),  # dominated by both
-        ]
-        assign_spea2_fitness(population)
-        assert population[0].fitness < 1.0
+        objectives = np.array(
+            [
+                [0.0, 0.0],  # dominates both others -> strength 2
+                [1.0, 1.0],  # dominated by first, dominates third
+                [2.0, 2.0],  # dominated by both
+            ]
+        )
+        _, _, fitness = spea2_fitness_from_arrays(objectives)
+        assert fitness[0] < 1.0
         # Raw fitness of the middle: strength of its single dominator (2).
-        assert int(population[1].fitness) == 2
+        assert int(fitness[1]) == 2
         # Raw fitness of the worst: strengths of both dominators (2 + 1 = 3).
-        assert int(population[2].fitness) == 3
+        assert int(fitness[2]) == 3
 
     def test_more_dominated_individual_has_worse_fitness(self, square_population):
-        assign_spea2_fitness(square_population)
-        interior = square_population[4]   # (0.6, 0.6), dominated by (0,0) only
-        corner = square_population[3]     # (1, 1), dominated by three points
-        assert corner.fitness > interior.fitness
+        _, _, fitness = spea2_fitness_from_arrays(objectives_of(square_population))
+        # (1, 1), row 3, is dominated by three points; (0.6, 0.6), row 4, by
+        # (0, 0) only.
+        assert fitness[3] > fitness[4]
 
     def test_density_breaks_ties_between_nondominated(self):
-        population = [
-            make_individual([0.0, 1.0]),
-            make_individual([0.02, 0.98]),  # crowded near the first
-            make_individual([1.0, 0.0]),    # isolated
-        ]
-        assign_spea2_fitness(population)
-        assert all(ind.fitness < 1.0 for ind in population)
-        assert population[2].fitness < population[1].fitness
+        objectives = np.array(
+            [
+                [0.0, 1.0],
+                [0.02, 0.98],  # crowded near the first
+                [1.0, 0.0],  # isolated
+            ]
+        )
+        _, _, fitness = spea2_fitness_from_arrays(objectives)
+        assert np.all(fitness < 1.0)
+        assert fitness[2] < fitness[1]
 
     def test_empty_population_is_noop(self):
-        assign_spea2_fitness([])
+        strengths, densities, fitness = spea2_fitness_from_arrays(np.empty((0, 2)))
+        assert strengths.size == densities.size == fitness.size == 0

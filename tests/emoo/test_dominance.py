@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from repro.emoo.dominance import (
-    dominance_matrix,
+    dominance_matrix_from_arrays,
     dominates,
     non_dominated,
     non_dominated_objectives,
-    pareto_ranks,
+    pareto_ranks_from_arrays,
 )
 from tests.emoo.conftest import make_individual
+
+
+def dominance_matrix(population) -> np.ndarray:
+    """Constrained-dominance matrix of an ``Individual`` list."""
+    if not population:
+        return dominance_matrix_from_arrays(np.empty((0, 2)))
+    return dominance_matrix_from_arrays(
+        np.vstack([individual.objectives for individual in population]),
+        np.array([individual.feasible for individual in population]),
+    )
 
 
 class TestDominates:
@@ -84,24 +94,22 @@ class TestNonDominated:
 
 class TestParetoRanks:
     def test_three_layer_ranking(self):
-        population = [
-            make_individual([0.0, 0.0]),   # rank 0
-            make_individual([1.0, 1.0]),   # rank 1
-            make_individual([2.0, 2.0]),   # rank 2
-            make_individual([0.5, 1.5]),   # rank 1 (only dominated by rank 0)
-        ]
-        ranks = pareto_ranks(population)
-        np.testing.assert_array_equal(ranks, [0, 1, 2, 1])
-        assert [ind.rank for ind in population] == [0, 1, 2, 1]
+        objectives = np.array(
+            [
+                [0.0, 0.0],  # rank 0
+                [1.0, 1.0],  # rank 1
+                [2.0, 2.0],  # rank 2
+                [0.5, 1.5],  # rank 1 (only dominated by rank 0)
+            ]
+        )
+        np.testing.assert_array_equal(pareto_ranks_from_arrays(objectives), [0, 1, 2, 1])
 
     def test_all_nondominated_get_rank_zero(self):
-        population = [make_individual([float(i), float(-i)]) for i in range(5)]
-        ranks = pareto_ranks(population)
-        np.testing.assert_array_equal(ranks, 0)
+        objectives = np.array([[float(i), float(-i)] for i in range(5)])
+        np.testing.assert_array_equal(pareto_ranks_from_arrays(objectives), 0)
 
     def test_every_individual_is_ranked(self, rng):
-        population = [make_individual(rng.normal(size=2)) for _ in range(30)]
-        ranks = pareto_ranks(population)
+        ranks = pareto_ranks_from_arrays(rng.normal(size=(30, 2)))
         assert np.all(ranks >= 0)
 
 

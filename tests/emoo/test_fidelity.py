@@ -13,10 +13,9 @@ from repro.emoo.fidelity import (
     FidelitySchedule,
     FidelityScheduler,
 )
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
+from tests.emoo.conftest import SphereTradeoffProblem
 
 
 def make_scheduler(low=0.2, promotion=0.25, floor=0.05) -> FidelityScheduler:
@@ -166,6 +165,13 @@ class TestStateRoundTrip:
         assert scheduler.n_low_evaluations == 0
 
 
+def random_stack(problem: RRMatrixProblem, size: int, rng) -> np.ndarray:
+    """Random bound-repaired matrices, drawn on a twin problem so the tested
+    problem's evaluation counters stay untouched."""
+    twin = RRMatrixProblem(problem.prior, problem.n_records, delta=problem.delta)
+    return twin.initial_population_soa(size, rng).genomes
+
+
 class TestEvaluateStack:
     @pytest.fixture
     def problem(self) -> RRMatrixProblem:
@@ -173,9 +179,7 @@ class TestEvaluateStack:
 
     def test_promoted_rows_match_full_fidelity_evaluation(self, problem):
         rng = np.random.default_rng(2)
-        stack = np.stack(
-            [problem.random_genome(rng).probabilities for _ in range(12)]
-        )
+        stack = random_stack(problem, 12, rng)
         scheduler = make_scheduler(low=0.25, promotion=0.25)
         population = scheduler.evaluate_stack(problem, stack)
         reference = problem.evaluate_population(stack, fidelity=1.0)
@@ -198,9 +202,7 @@ class TestEvaluateStack:
 
     def test_counters_track_both_passes(self, problem):
         rng = np.random.default_rng(3)
-        stack = np.stack(
-            [problem.random_genome(rng).probabilities for _ in range(8)]
-        )
+        stack = random_stack(problem, 8, rng)
         scheduler = make_scheduler(low=0.5, promotion=0.25)
         scheduler.evaluate_stack(problem, stack)
         assert scheduler.n_low_evaluations == 8
@@ -209,65 +211,39 @@ class TestEvaluateStack:
         assert problem.n_full_evaluations == 2
 
 
-class FidelitySphereProblem(Problem):
+class FidelitySphereProblem(SphereTradeoffProblem):
     """Generic-problem fidelity stub: objective noise shrinks as f -> 1."""
 
-    n_objectives = 2
-
-    def random_genome(self, rng):
-        return float(rng.uniform(0.0, 1.0))
-
-    def evaluate(self, genome):
-        x = float(genome)
-        return Individual(
-            genome=x, objectives=np.array([x**2, (x - 1.0) ** 2]), feasible=True
-        )
-
-    def evaluate_genomes(self, genomes, *, fidelity=None):
-        scale = 1.0 if fidelity is None else 1.0 / float(fidelity)
-        individuals = []
-        for genome in genomes:
-            individual = self.evaluate(genome)
-            individuals.append(
-                Individual(
-                    genome=individual.genome,
-                    objectives=individual.objectives * scale,
-                    feasible=True,
-                )
-            )
-        return individuals
-
-    def crossover(self, first, second, rng):
-        return first, second
-
-    def mutate(self, genome, rng):
-        return genome
-
-    def repair(self, genome, rng):
-        return genome
+    def evaluate_population(self, stack, *, fidelity=None) -> Population:
+        population = super().evaluate_population(stack)
+        if fidelity is not None:
+            population.objectives /= np.broadcast_to(fidelity, (population.size,))[:, None]
+            population.metadata["fidelity"] = np.broadcast_to(
+                np.asarray(fidelity, dtype=float), (population.size,)
+            ).copy()
+        return population
 
 
-class TestEvaluateIndividuals:
+class TestGenericEvaluateStack:
     def test_promoted_slots_carry_full_fidelity_objectives(self):
         problem = FidelitySphereProblem()
-        genomes = [0.1, 0.5, 0.9, 0.3]
+        stack = np.array([[0.1], [0.5], [0.9], [0.3]])
         scheduler = make_scheduler(low=0.5, promotion=0.5)
-        individuals = scheduler.evaluate_individuals(problem, genomes)
-        assert len(individuals) == 4
-        exact = {g: problem.evaluate(g).objectives for g in genomes}
-        n_exact = sum(
-            1
-            for individual in individuals
-            if np.array_equal(individual.objectives, exact[individual.genome])
+        population = scheduler.evaluate_stack(problem, stack)
+        assert population.size == 4
+        exact = problem.evaluate_population(stack).objectives
+        exact_rows = np.all(population.objectives == exact, axis=1)
+        assert np.count_nonzero(exact_rows) == scheduler.promotion_count(4)
+        np.testing.assert_array_equal(
+            exact_rows, population.metadata["fidelity"] == 1.0
         )
-        assert n_exact == scheduler.promotion_count(4)
         assert scheduler.n_low_evaluations == 4
         assert scheduler.n_full_evaluations == 2
 
     def test_generic_problem_without_fidelity_support_raises(self, sphere_problem):
         scheduler = make_scheduler()
         with pytest.raises(OptimizationError, match="reduced-fidelity"):
-            scheduler.evaluate_individuals(sphere_problem, [0.2, 0.8])
+            scheduler.evaluate_stack(sphere_problem, np.array([[0.2], [0.8]]))
 
 
 class TestFullFidelityRowFilter:

@@ -5,36 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances
+from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
 from repro.emoo.termination import MaxGenerations
-from tests.emoo.conftest import make_individual
 
 
 class TestCrowdingDistance:
     def test_extremes_get_infinity(self):
-        front = [
-            make_individual([0.0, 1.0]),
-            make_individual([0.5, 0.5]),
-            make_individual([1.0, 0.0]),
-        ]
-        distances = crowding_distances(front)
+        front = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+        distances = crowding_distances_from_objectives(front)
         assert distances[0] == np.inf and distances[2] == np.inf
         assert np.isfinite(distances[1])
 
     def test_isolated_point_has_larger_distance(self):
-        front = [
-            make_individual([0.0, 1.0]),
-            make_individual([0.05, 0.9]),
-            make_individual([0.1, 0.85]),
-            make_individual([1.0, 0.0]),
-        ]
-        distances = crowding_distances(front)
+        front = np.array([[0.0, 1.0], [0.05, 0.9], [0.1, 0.85], [1.0, 0.0]])
+        distances = crowding_distances_from_objectives(front)
         # The interior point next to the isolated extreme is less crowded than
         # the interior point in the dense cluster.
         assert distances[2] > distances[1]
 
     def test_empty_front(self):
-        assert crowding_distances([]).size == 0
+        assert crowding_distances_from_objectives(np.empty((0, 2))).size == 0
 
 
 class TestNSGA2Run:
@@ -64,3 +54,22 @@ class TestNSGA2Run:
         assert sorted(tuple(i.objectives) for i in first.front) == sorted(
             tuple(i.objectives) for i in second.front
         )
+
+    def test_front_spreads_over_the_tradeoff(self, sphere_problem):
+        result = NSGA2(
+            sphere_problem,
+            NSGA2Settings(population_size=30),
+            termination=MaxGenerations(40),
+            seed=5,
+        ).run()
+        xs = sorted(individual.metadata["x"] for individual in result.front)
+        assert xs[0] < 0.2
+        assert xs[-1] > 0.8
+
+    def test_evaluation_count_accounting(self, sphere_problem):
+        result = NSGA2(
+            sphere_problem, NSGA2Settings(population_size=10), termination=MaxGenerations(6), seed=2
+        ).run()
+        # Initial population + one offspring population per generation.
+        assert result.n_evaluations == 10 + 6 * 10
+        assert result.n_generations == 6

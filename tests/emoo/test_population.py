@@ -8,7 +8,6 @@ import pytest
 from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
-from tests.emoo.conftest import make_individual
 
 
 def make_population(size: int = 4, with_metadata: bool = True) -> Population:
@@ -67,30 +66,6 @@ class TestConstruction:
             )
 
 
-class TestFromIndividuals:
-    def test_round_trip_preserves_objects(self):
-        individuals = [make_individual([float(i), 1.0 - i]) for i in range(3)]
-        population = Population.from_individuals(individuals)
-        assert population.size == 3
-        assert np.array_equal(
-            population.objectives, np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]])
-        )
-        views = population.to_individuals()
-        assert all(view is individual for view, individual in zip(views, individuals))
-
-    def test_fitness_written_back_to_views(self):
-        individuals = [make_individual([0.0, 1.0]), make_individual([1.0, 0.0])]
-        population = Population.from_individuals(individuals)
-        population.set_fitness(np.array([0.25, 0.75]), generation=3)
-        views = population.to_individuals()
-        assert views[0].fitness == 0.25
-        assert views[1].fitness == 0.75
-
-    def test_empty_list_raises(self):
-        with pytest.raises(OptimizationError):
-            Population.from_individuals([])
-
-
 class TestTakeConcat:
     def test_take_slices_every_column(self):
         population = make_population(5)
@@ -125,16 +100,6 @@ class TestTakeConcat:
         second = make_population(2, with_metadata=False)
         with pytest.raises(OptimizationError):
             Population.concat(first, second)
-
-    def test_concat_keeps_source_only_when_both_have_it(self):
-        backed = Population.from_individuals([make_individual([0.0, 1.0])])
-        array_only = Population(
-            genomes=np.empty(1, dtype=object),
-            objectives=np.array([[1.0, 0.0]]),
-            feasible=np.ones(1, dtype=bool),
-        )
-        assert Population.concat(backed, backed).source is not None
-        assert Population.concat(backed, array_only).source is None
 
 
 class TestFitnessStamp:
@@ -192,16 +157,3 @@ class TestViews:
         assert population.metadata["privacy"][1] == 0.42
         assert population.fitness[1] == 0.2  # selection fitness survives
         assert population.fitness_generation == 1
-
-    def test_replace_row_on_source_population_needs_view(self):
-        population = Population.from_individuals(
-            [make_individual([0.0, 1.0]), make_individual([1.0, 0.0])]
-        )
-        with pytest.raises(OptimizationError):
-            population.replace_row(
-                0,
-                genome=None,
-                objectives=np.array([0.5, 0.5]),
-                feasible=True,
-                metadata={},
-            )

@@ -2,12 +2,13 @@
 
 This is the original ``(n, N)`` broadcast implementation of the RR disguise,
 kept verbatim as the executable specification of the kernel's semantics: the
-kernel equivalence suite and ``benchmarks/bench_rr_runtime.py`` compare
-:func:`repro.rr.randomize.disguise_codes` against it bit for bit.  It must
-never be used on a hot path — it materialises the ``(n, N)`` float
-intermediate the kernel exists to avoid — and must never change: any fix that moves
-its output is by definition a change to the disguise contract and would fork
-every fixed-seed trajectory, pipeline document and cache key in the repo.
+kernel equivalence suite, the streaming tests and
+``benchmarks/bench_rr_runtime.py`` compare
+:func:`repro.rr.randomize.disguise_codes` against it bit for bit.  Nothing in
+``src/`` imports it.  It materialises the ``(n, N)`` float intermediate the
+kernel exists to avoid, and must never change: any fix that moves its output
+is by definition a change to the disguise contract and would fork every
+fixed-seed trajectory, pipeline document and cache key in the repo.
 """
 
 from __future__ import annotations

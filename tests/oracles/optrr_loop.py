@@ -2,8 +2,10 @@
 
 This module preserves, verbatim in behaviour, the ``Individual``-list
 generation loop that :class:`~repro.core.optimizer.OptRROptimizer` used
-before the structure-of-arrays population engine.  It exists for two
-purposes:
+before the structure-of-arrays population engine.  Candidates enter it as
+``Individual`` lists materialised from the problem's stack hooks (the same
+draws, repair and evaluation the list-returning problem methods performed).
+Nothing in ``src/`` imports it.  It exists for two purposes:
 
 * **Equivalence** — ``tests/test_engine_equivalence.py`` asserts that the
   array-native loop reproduces this loop's trajectory bit-for-bit when the
@@ -29,9 +31,7 @@ from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.fitness import assign_spea2_fitness
 from repro.emoo.individual import Individual, objectives_array
-from repro.emoo.selection import binary_tournament
 from repro.emoo.termination import (
     GenerationState,
     MaxGenerations,
@@ -41,6 +41,7 @@ from repro.emoo.termination import (
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import stack_matrices
 from repro.types import SeedLike, as_rng
+from tests.oracles.scalar import assign_spea2_fitness, binary_tournament
 
 
 def reference_truncate_archive(
@@ -101,6 +102,11 @@ def _termination(config: OptRRConfig) -> TerminationCriterion:
     return criterion
 
 
+def _evaluate_individuals(problem: RRMatrixProblem, stack: np.ndarray) -> list[Individual]:
+    """Evaluate a ``(B, n, n)`` stack into an ``Individual`` list."""
+    return problem.population_to_individuals(problem.evaluate_population(stack))
+
+
 def _baseline_seed_individuals(
     problem: RRMatrixProblem, config: OptRRConfig, rng: np.random.Generator
 ) -> list[Individual]:
@@ -111,8 +117,7 @@ def _baseline_seed_individuals(
     n = problem.n_categories
     retention_values = np.linspace(0.0, 1.0, config.baseline_seeds)
     matrices = [warner_matrix(n, float(retention)) for retention in retention_values]
-    matrices = problem.repair_genomes(matrices, rng)
-    return problem.evaluate_genomes(matrices)
+    return _evaluate_individuals(problem, problem.repair_stack(stack_matrices(matrices)))
 
 
 def _make_offspring(
@@ -203,7 +208,9 @@ def reference_optrr_run(
     termination = _termination(config)
     termination.reset()
 
-    population = problem.initial_population(config.population_size, rng)
+    population = problem.population_to_individuals(
+        problem.initial_population_soa(config.population_size, rng)
+    )
     baseline_seeds = _baseline_seed_individuals(problem, config, rng)
     if not population:
         raise OptimizationError("initial population is empty")
@@ -224,7 +231,7 @@ def reference_optrr_run(
         offspring_stack = _make_offspring(
             problem, config, archive, rng, reuse_archive_fitness=reuse_archive_fitness
         )
-        population = problem.evaluate_stack(offspring_stack)
+        population = _evaluate_individuals(problem, offspring_stack)
         updates = optimal_set.offer_many(population)
         updates += optimal_set.offer_many(archive)
         _refresh_from_optimal_set(
@@ -241,7 +248,7 @@ def reference_optrr_run(
     front = optimal_set.pareto_members()
     if not front:
         front = archive
-    return OptimizationResult.from_individuals(
+    return OptimizationResult.from_members(
         front,
         optimal_set.members(),
         n_generations=generation + 1,

@@ -5,7 +5,7 @@ The load-bearing invariants:
 * chunked disguise output is **bit-identical** to one-shot
   ``randomize_codes`` for every chunk size, ragged tails included;
 * the searchsorted disguise path equals the frozen broadcast reference
-  (``repro.rr.reference``) on whatever the mechanism actually draws;
+  (``tests/oracles/disguise.py``) on whatever the mechanism actually draws;
 * accumulator/disguiser/estimator state survives a kill/restore round-trip
   through plain JSON with bit-identical continuations;
 * warm-started online estimates converge to the batch estimate.
@@ -24,7 +24,6 @@ from repro.exceptions import DataError, EstimationError, ValidationError
 from repro.rr.estimation import IterativeEstimator, estimate_distribution
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.rr.randomize import RandomizedResponse
-from repro.rr.reference import broadcast_disguise_reference
 from repro.rr.schemes import uniform_perturbation_matrix, warner_matrix
 from repro.rr.streaming import (
     CountAccumulator,
@@ -32,6 +31,7 @@ from repro.rr.streaming import (
     StreamingDisguiser,
     iter_chunks,
 )
+from tests.oracles.disguise import broadcast_disguise_reference
 
 SETTINGS = settings(
     max_examples=25,

@@ -2,7 +2,8 @@
 
 The batch engine (`MatrixEvaluator.evaluate_batch`, the batched variation
 operators and the array-level EMOO primitives) must agree with the scalar
-reference implementations to 1e-12 across random, diagonally-biased and
+reference implementations (``tests/oracles/scalar.py``) to 1e-12 across
+random, diagonally-biased and
 singular matrices — these properties are what lets the optimizer switch to
 the vectorized hot path without changing results.
 """
@@ -16,15 +17,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.operators import (
-    _rebalance_column,
     _rebalance_columns_batch,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
     proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import pareto_ranks, pareto_ranks_reference
+from repro.emoo.dominance import pareto_ranks_from_arrays
 from repro.emoo.individual import Individual
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import (
@@ -38,6 +37,12 @@ from repro.metrics.privacy import (
     privacy_score_batch,
 )
 from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_matrices
+from tests.oracles.scalar import (
+    _rebalance_column,
+    enforce_privacy_bound,
+    evaluate_scalar,
+    pareto_ranks_reference,
+)
 
 TOLERANCE = 1e-12
 
@@ -120,7 +125,7 @@ class TestBatchEvaluationEquivalence:
         batch = evaluator.evaluate_batch(matrices)
         assert len(batch) == len(matrices)
         for index, matrix in enumerate(matrices):
-            scalar = evaluator.evaluate_scalar(matrix)
+            scalar = evaluate_scalar(evaluator, matrix)
             result = batch[index]
             assert result.invertible == scalar.invertible
             assert result.feasible == scalar.feasible
@@ -143,7 +148,7 @@ class TestBatchEvaluationEquivalence:
         evaluator = MatrixEvaluator(prior, 1000, delta=delta)
         batch = evaluator.evaluate_batch(matrices)
         for index, matrix in enumerate(matrices):
-            assert batch[index].feasible == evaluator.evaluate_scalar(matrix).feasible
+            assert batch[index].feasible == evaluate_scalar(evaluator, matrix).feasible
 
     @SETTINGS
     @given(case=priors_and_batches())
@@ -205,7 +210,7 @@ class TestBatchEvaluationEquivalence:
         evaluator = MatrixEvaluator(prior, 1000, delta=None)
         batch = evaluator.evaluate_batch([matrix])
         assert evaluator.evaluate(matrix).invertible == batch[0].invertible
-        assert evaluator.evaluate_scalar(matrix).invertible == batch[0].invertible
+        assert evaluate_scalar(evaluator, matrix).invertible == batch[0].invertible
         assert matrix.is_invertible == batch[0].invertible
 
 
@@ -312,11 +317,12 @@ class TestParetoRankEquivalence:
     def test_vectorized_ranks_match_reference_loop(self, seed, size):
         population = _random_population(np.random.default_rng(seed), size)
         reference = pareto_ranks_reference(population)
-        vectorized = pareto_ranks(population)
+        vectorized = pareto_ranks_from_arrays(
+            np.vstack([individual.objectives for individual in population]),
+            np.array([individual.feasible for individual in population]),
+        )
         np.testing.assert_array_equal(vectorized, reference)
-        for individual, rank in zip(population, vectorized):
-            assert individual.rank == int(rank)
 
     def test_empty_population(self):
-        assert pareto_ranks([]).size == 0
+        assert pareto_ranks_from_arrays(np.empty((0, 2))).size == 0
         assert pareto_ranks_reference([]).size == 0

@@ -561,6 +561,75 @@ class TestOptimizeCheckpointResume:
         assert main(["optimize", "--resume", str(bogus)]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def _broken_checkpoint(self, tmp_path, capsys, breaker) -> str:
+        checkpoint = tmp_path / "ck.json"
+        assert main(
+            FAST_OPTIMIZE
+            + ["--generations", "2", "--checkpoint", str(checkpoint),
+               "--checkpoint-every", "1"]
+        ) == 0
+        document = json.loads(checkpoint.read_text())
+        breaker(document)
+        checkpoint.write_text(json.dumps(document))
+        capsys.readouterr()
+        return str(checkpoint)
+
+    def _assert_one_line_error(self, capsys, exit_code, *fragments):
+        assert exit_code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("optrr: error:")
+        for fragment in fragments:
+            assert fragment in err_lines[0]
+
+    @pytest.mark.parametrize("stopped", [False, True])
+    def test_resume_malformed_generation_names_the_field(self, tmp_path, capsys, stopped):
+        def breaker(document):
+            document["generation"] = "five"
+            document["stopped"] = stopped
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "'generation'", "'five'")
+
+    def test_resume_missing_field_names_the_field(self, tmp_path, capsys):
+        def breaker(document):
+            del document["state"]["population"]["genomes"]
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "missing field 'genomes'")
+
+    def test_resume_missing_setup_names_the_field(self, tmp_path, capsys):
+        def breaker(document):
+            del document["state"]["setup"]
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint])
+        self._assert_one_line_error(capsys, exit_code, "missing field 'setup'")
+
+
+class TestDisguiseCodes:
+    def test_disguises_a_code_file(self, tmp_path, capsys):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0 1 2 3\n3 2\n", encoding="utf-8")
+        output = tmp_path / "out.txt"
+        assert main([
+            "disguise", str(codes), "--matrix", "warner:0.8", "--categories", "4",
+            "--output", str(output),
+        ]) == 0
+        disguised = [int(token) for token in output.read_text().split()]
+        assert len(disguised) == 6 and all(0 <= code < 4 for code in disguised)
+
+    @pytest.mark.parametrize("code", ["99999999999999999999999", "-9223372036854775809"])
+    def test_code_beyond_int64_exits_2(self, tmp_path, capsys, code):
+        codes = tmp_path / "codes.txt"
+        codes.write_text(f"1\n{code}\n", encoding="utf-8")
+        exit_code = main(["disguise", str(codes), "--matrix", "warner:0.8", "--categories", "4"])
+        assert exit_code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [f"optrr: error: input code {code} does not fit in int64"]
+
 
 class TestRunCheckpointFlags:
     FAST_RUN = ["run", "fig4a", "--generations", "4", "--population", "8"]

@@ -5,7 +5,7 @@ computes — only how fast.  Three layers of evidence:
 
 * **Trajectory** — fixed-seed end-to-end runs of the array-native
   :class:`~repro.core.optimizer.OptRROptimizer` reproduce the frozen
-  list-based loop (:mod:`repro.core.reference`) bit-for-bit, fronts, Ω and
+  list-based loop (``tests/oracles/optrr_loop.py``) bit-for-bit, fronts, Ω and
   matrices included, when the reference applies the same fitness-reuse fix
   (``reuse_archive_fitness=True``).  The RNG stream is untouched by the
   refactor, so this holds exactly, not approximately.
@@ -31,22 +31,24 @@ from hypothesis import strategies as st
 from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
-from repro.core.reference import (
+from repro.data.synthetic import normal_distribution
+from repro.emoo.density import pairwise_distances
+from repro.emoo.fitness import spea2_fitness_from_arrays
+from repro.emoo.nsga2 import NSGA2, NSGA2Settings
+from repro.emoo.selection import (
+    binary_tournament_indices,
+    environmental_selection_indices,
+    truncate_indices,
+)
+from repro.emoo.termination import MaxGenerations
+from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
+from tests.emoo.conftest import make_individual
+from tests.oracles.optrr_loop import (
     reference_environmental_selection,
     reference_optrr_run,
     reference_truncate_archive,
 )
-from repro.data.synthetic import normal_distribution
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.spea2 import SPEA2, SPEA2Settings
-from repro.emoo.termination import MaxGenerations
-from repro.emoo.selection import (
-    binary_tournament,
-    binary_tournament_indices,
-    environmental_selection,
-    truncate_archive,
-)
-from tests.emoo.conftest import make_individual
+from tests.oracles.scalar import binary_tournament
 
 SETTINGS = settings(
     max_examples=60,
@@ -136,6 +138,17 @@ class TestTrajectoryEquivalence:
         assert len(array_result.points) > 0 and len(pre_pr.points) > 0
 
 
+def truncated_positions(archive, target: int) -> list[int]:
+    """Survivors of the incremental truncation, as positions in ``archive``."""
+    objectives = np.vstack([individual.objectives for individual in archive])
+    return truncate_indices(pairwise_distances(objectives), target).tolist()
+
+
+def reference_positions(population, chosen) -> list[int]:
+    """Positions in ``population`` of the (identical) objects in ``chosen``."""
+    return [next(k for k, u in enumerate(population) if u is member) for member in chosen]
+
+
 class TestTruncationEquivalence:
     @SETTINGS
     @given(points=point_sets, data=st.data())
@@ -145,10 +158,9 @@ class TestTruncationEquivalence:
         same implicit order as the per-removal full re-sort."""
         target = data.draw(st.integers(min_value=1, max_value=len(points)))
         archive = [make_individual(list(p)) for p in points]
-        fast = truncate_archive(archive, target)
-        slow = reference_truncate_archive(archive, target)
-        assert len(fast) == len(slow)
-        assert all(ours is theirs for ours, theirs in zip(fast, slow))
+        assert truncated_positions(archive, target) == reference_positions(
+            archive, reference_truncate_archive(archive, target)
+        )
 
     @SETTINGS
     @given(points=point_sets, data=st.data())
@@ -157,21 +169,16 @@ class TestTruncationEquivalence:
         truncation included) selects the same individuals in the same order
         as the pre-PR list implementation."""
         archive_size = data.draw(st.integers(min_value=1, max_value=len(points) + 2))
-        union_fast = [make_individual(list(p)) for p in points]
-        union_slow = [make_individual(list(p)) for p in points]
-        fast = environmental_selection(union_fast, archive_size)
-        slow = reference_environmental_selection(union_slow, archive_size)
-        fast_positions = [
-            next(k for k, u in enumerate(union_fast) if u is chosen) for chosen in fast
-        ]
-        slow_positions = [
-            next(k for k, u in enumerate(union_slow) if u is chosen) for chosen in slow
-        ]
-        assert fast_positions == slow_positions
-        # The wrapper writes the same fitness values back.
-        assert np.allclose(
-            [i.fitness for i in union_fast], [i.fitness for i in union_slow]
+        objectives = np.array(points, dtype=float)
+        _, _, fitness = spea2_fitness_from_arrays(objectives)
+        fast = environmental_selection_indices(
+            fitness, archive_size, objectives=objectives
         )
+        union = [make_individual(list(p)) for p in points]
+        slow = reference_environmental_selection(union, archive_size)
+        assert fast.tolist() == reference_positions(union, slow)
+        # The reference writes the same fitness values onto the individuals.
+        assert np.array_equal([i.fitness for i in union], fitness)
 
     def test_duplicate_heavy_truncation_keeps_exact_reference_order(self):
         """Regression: a population dominated by duplicate clusters (the Ω
@@ -182,9 +189,9 @@ class TestTruncationEquivalence:
         points = np.vstack([base[rng.integers(0, 6)] for _ in range(40)])
         archive = [make_individual(list(p)) for p in points]
         for target in (1, 3, 5, 7, 12, 30):
-            fast = truncate_archive(archive, target)
-            slow = reference_truncate_archive(archive, target)
-            assert all(ours is theirs for ours, theirs in zip(fast, slow))
+            assert truncated_positions(archive, target) == reference_positions(
+                archive, reference_truncate_archive(archive, target)
+            )
 
 
 #: Fixed-seed trajectories recorded before the batched kernels were unified
@@ -192,7 +199,13 @@ class TestTruncationEquivalence:
 #: sha256 of the front's float64 bytes, the evaluation budget and the final
 #: bit-generator state.  ``optrr-fidelity`` runs with multi-fidelity
 #: scheduling at the CLI's ``--fidelity`` default, which drives the
-#: low-fidelity evaluation path.
+#: low-fidelity evaluation path.  ``nsga2`` was recorded while NSGA-II still
+#: varied one ``RRMatrix`` at a time and reproduces exactly on the genome
+#: stacks.  ``weighted-sum`` was recorded after the GA moved onto the stack
+#: hooks: its batched bound repair differs bitwise from the per-matrix repair
+#: it ran before, which moved this front (the per-matrix GA gave sha256
+#: ``a35bf242...``), while the RNG state and evaluation count are the ones
+#: the per-matrix GA ended with.
 PINNED_TRAJECTORIES = {
     "optrr": {
         "front_sha256": "260ac97e766a7fa2b60922d73f5ba204c49548445e5f8cccc6a2437a59003903",
@@ -222,20 +235,6 @@ PINNED_TRAJECTORIES = {
             "uinteger": 3535276771,
         },
     },
-    "spea2": {
-        "front_sha256": "25df48fba98375ca1b370dc03329f259df3803ac7957ce932627e5ebb8a77769",
-        "front_shape": (8, 2),
-        "n_evaluations": 56,
-        "rng_state": {
-            "bit_generator": "PCG64",
-            "has_uint32": 0,
-            "state": {
-                "inc": 222003063171874261427395693950637096479,
-                "state": 90466500372911892585857905088453944965,
-            },
-            "uinteger": 2375740128,
-        },
-    },
     "nsga2": {
         "front_sha256": "f52df15eb7b5c939483be6a2543b2b3ea5fee03777e4951d64a1e97f5066c409",
         "front_shape": (8, 2),
@@ -248,6 +247,20 @@ PINNED_TRAJECTORIES = {
                 "state": 203712355970150310707797846968676707832,
             },
             "uinteger": 3009066713,
+        },
+    },
+    "weighted-sum": {
+        "front_sha256": "42cc9b525cd9a51d425a8d03b8e55f35f36cbf545ecdd3af12ceb34b36ea7a16",
+        "front_shape": (4, 2),
+        "n_evaluations": 248,
+        "rng_state": {
+            "bit_generator": "PCG64",
+            "has_uint32": 0,
+            "state": {
+                "inc": 222003063171874261427395693950637096479,
+                "state": 327446976029385060386968460367537182638,
+            },
+            "uinteger": 759974530,
         },
     },
 }
@@ -266,29 +279,27 @@ def _pinned_run(engine: str):
         )
         driver = optimizer.driver()
         result = optimizer.run_driver(driver)
-        front = _points(result)
-    else:
-        problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
-        if engine == "spea2":
-            algorithm = SPEA2(
-                problem,
-                SPEA2Settings(population_size=8, archive_size=8),
-                termination=MaxGenerations(6),
-                seed=3,
-            )
-        else:
-            algorithm = NSGA2(
-                problem,
-                NSGA2Settings(population_size=8),
-                termination=MaxGenerations(6),
-                seed=3,
-            )
-        driver = algorithm.driver()
+        return _points(result), result.n_evaluations, driver.rng.bit_generator.state
+    problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
+    if engine == "nsga2":
+        driver = NSGA2(
+            problem,
+            NSGA2Settings(population_size=8),
+            termination=MaxGenerations(6),
+            seed=3,
+        ).driver()
         for _ in driver.steps():
             pass
-        result = driver.result()
-        front = np.array(sorted(tuple(m.objectives) for m in result.front))
-    return front, result.n_evaluations, driver.rng.bit_generator.state
+        result, rng = driver.result(), driver.rng
+    else:
+        rng = np.random.default_rng(3)
+        result = WeightedSumGA(
+            problem,
+            WeightedSumSettings(population_size=8, n_generations=6, n_weights=5),
+            seed=rng,
+        ).run()
+    front = np.array(sorted(tuple(m.objectives) for m in result.front))
+    return front, result.n_evaluations, rng.bit_generator.state
 
 
 class TestPinnedTrajectories:

@@ -3,7 +3,7 @@
 Two invariants make fidelity scheduling safe to adopt:
 
 1. **Exact-path equivalence** — a run with fidelity scheduling disabled
-   (OptRR at ``low_fidelity_fraction=1.0``, SPEA2/NSGA-II with no schedule)
+   (OptRR at ``low_fidelity_fraction=1.0``, NSGA-II with no schedule)
    is bit-for-bit the run this repo produced before the scheduler existed:
    same RNG stream, same fronts, same Ω spectrum, same serialized result.
 2. **Resume equivalence** — a fidelity-*enabled* run killed after any
@@ -24,7 +24,6 @@ from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.fidelity import FidelitySchedule
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.spea2 import SPEA2, SPEA2Settings
 from repro.emoo.termination import MaxGenerations
 from repro.io import load_checkpoint, result_to_dict
 
@@ -47,16 +46,6 @@ def make_optrr(**config_updates) -> OptRROptimizer:
 
 def make_fidelity_optrr() -> OptRROptimizer:
     return make_optrr(low_fidelity_fraction=0.25, promotion_fraction=0.4)
-
-
-def make_spea2(fidelity: FidelitySchedule | None) -> SPEA2:
-    return SPEA2(
-        RRMatrixProblem(normal_distribution(6), 4000, delta=0.85),
-        SPEA2Settings(population_size=8, archive_size=8),
-        termination=MaxGenerations(N_GENERATIONS),
-        seed=3,
-        fidelity=fidelity,
-    )
 
 
 def make_nsga2(fidelity: FidelitySchedule | None) -> NSGA2:
@@ -116,11 +105,6 @@ class TestExactPathEquivalence:
             explicit_doc, sort_keys=True, default=str
         )
 
-    def test_spea2_without_schedule_is_deterministic(self):
-        assert generic_result_key(make_spea2(None).run()) == generic_result_key(
-            make_spea2(None).run()
-        )
-
     def test_nsga2_without_schedule_is_deterministic(self):
         assert generic_result_key(make_nsga2(None).run()) == generic_result_key(
             make_nsga2(None).run()
@@ -169,18 +153,6 @@ class TestFidelityResumeEquivalence:
         assert optrr_result_key(optimizer.run_driver(driver)) == reference
 
     @pytest.mark.parametrize("kill_after", range(N_GENERATIONS))
-    def test_spea2_fidelity_resume_bit_for_bit(self, tmp_path, kill_after):
-        reference = make_spea2(SCHEDULE).run()
-        document = run_interrupted(
-            lambda: make_spea2(SCHEDULE), kill_after, tmp_path / "ck.json"
-        )
-        driver = make_spea2(SCHEDULE).driver()
-        driver.restore(document)
-        resumed = driver.run()
-        assert generic_result_key(resumed) == generic_result_key(reference)
-        assert resumed.n_evaluations == reference.n_evaluations
-
-    @pytest.mark.parametrize("kill_after", range(N_GENERATIONS))
     def test_nsga2_fidelity_resume_bit_for_bit(self, tmp_path, kill_after):
         reference = make_nsga2(SCHEDULE).run()
         document = run_interrupted(
@@ -201,12 +173,12 @@ class TestFidelityResumeEquivalence:
 
     def test_mismatched_fidelity_schedule_rejects_resume(self, tmp_path):
         """The setup fingerprint pins the schedule: resuming a scheduled
-        SPEA2 checkpoint on a driver without the schedule must fail."""
+        NSGA-II checkpoint on a driver without the schedule must fail."""
         from repro.exceptions import ValidationError
 
         document = run_interrupted(
-            lambda: make_spea2(SCHEDULE), 1, tmp_path / "ck.json"
+            lambda: make_nsga2(SCHEDULE), 1, tmp_path / "ck.json"
         )
-        driver = make_spea2(None).driver()
+        driver = make_nsga2(None).driver()
         with pytest.raises(ValidationError, match="fingerprint"):
             driver.restore(document)

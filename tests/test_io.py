@@ -11,6 +11,8 @@ from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.exceptions import RRMatrixError, ValidationError
 from repro.io import (
+    comparison_from_dict,
+    comparison_to_dict,
     dump_canonical_json,
     experiment_result_from_dict,
     experiment_result_to_dict,
@@ -168,6 +170,24 @@ class TestExperimentResultSerialization:
     def test_rejects_wrong_type(self):
         with pytest.raises(ValidationError):
             experiment_result_from_dict({"type": "rr_matrix", "format_version": 1})
+
+    def test_comparison_round_trips(self, result):
+        document = comparison_to_dict(result.comparison)
+        assert comparison_from_dict(json.loads(json.dumps(document))) == result.comparison
+
+    @pytest.mark.parametrize("document", [{}, [], "comparison", None])
+    def test_comparison_rejects_non_documents(self, document):
+        with pytest.raises(ValidationError):
+            comparison_from_dict(document)
+
+    def test_comparison_errors_name_the_field(self, result):
+        document = comparison_to_dict(result.comparison)
+        with pytest.raises(ValidationError, match="'ties'"):
+            comparison_from_dict({k: v for k, v in document.items() if k != "ties"})
+        with pytest.raises(ValidationError, match="candidate_wins"):
+            comparison_from_dict(dict(document, candidate_wins="many"))
+        with pytest.raises(ValidationError, match="baseline_privacy_range"):
+            comparison_from_dict(dict(document, baseline_privacy_range=0.5))
 
 
 class TestCheckpointDocuments:

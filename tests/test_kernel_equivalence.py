@@ -30,9 +30,9 @@ from repro.core.operators import (
 from repro.emoo.density import pairwise_distances
 from repro.metrics.evaluation import MatrixEvaluator, evaluate_stack
 from repro.rr.randomize import disguise_codes
-from repro.rr.reference import broadcast_disguise_reference
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT, batched_safe_inverses
 from tests.oracles import kernels as oracle
+from tests.oracles.disguise import broadcast_disguise_reference
 
 SETTINGS = settings(
     max_examples=20,

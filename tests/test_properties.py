@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.operators import (
-    column_crossover,
-    enforce_privacy_bound,
-    proportional_column_mutation,
+    column_crossover_batch,
+    enforce_privacy_bound_batch,
+    proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import dominates
@@ -105,22 +105,28 @@ class TestOperatorInvariants:
                 np.ones(matrix.n_categories), size=matrix.n_categories
             ).T
         )
-        child_a, child_b = column_crossover(matrix, other, rng)
-        assert_column_stochastic(child_a)
-        assert_column_stochastic(child_b)
+        children = column_crossover_batch(
+            matrix.probabilities[None], other.probabilities[None], rng
+        )
+        for child in children:
+            assert_column_stochastic(RRMatrix.from_validated(child[0]))
 
     @SETTINGS
     @given(matrix=rr_matrices(), seed=st.integers(0, 2**31 - 1), scale=st.floats(0.01, 1.0))
     def test_mutation_preserves_stochasticity(self, matrix, seed, scale):
-        mutated = proportional_column_mutation(matrix, np.random.default_rng(seed), scale=scale)
-        assert_column_stochastic(mutated)
+        mutated = proportional_column_mutation_batch(
+            matrix.probabilities[None], np.random.default_rng(seed), scale=scale
+        )
+        assert_column_stochastic(RRMatrix.from_validated(mutated[0]))
 
     @SETTINGS
     @given(pair=priors_and_matrices(), delta_offset=st.floats(0.01, 0.3))
     def test_bound_repair_preserves_stochasticity_and_never_worsens(self, pair, delta_offset):
         prior, matrix = pair
         delta = min(0.999, prior.max_probability + delta_offset)
-        repaired = enforce_privacy_bound(matrix, prior.probabilities, delta)
+        repaired = RRMatrix.from_validated(
+            enforce_privacy_bound_batch(matrix.probabilities[None], prior.probabilities, delta)[0]
+        )
         assert_column_stochastic(repaired)
         assert (
             max_posterior(repaired, prior.probabilities)

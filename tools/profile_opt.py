@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
 import time
+from pathlib import Path
 
 
 def main() -> int:
@@ -46,8 +48,10 @@ def main() -> int:
 
     from repro.core.config import OptRRConfig
     from repro.core.optimizer import OptRROptimizer
-    from repro.core.reference import reference_optrr_run
     from repro.data.synthetic import normal_distribution
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles.optrr_loop import reference_optrr_run
 
     prior = normal_distribution(arguments.categories)
     config = OptRRConfig(
