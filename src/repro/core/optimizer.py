@@ -22,9 +22,11 @@ objective-distance matrix is computed once per generation and shared between
 density estimation and archive truncation; mating selection reuses the
 fitness environmental selection just assigned (stamped per generation, so
 staleness is impossible) instead of re-running fitness assignment on the
-archive.  ``Individual`` objects appear only at the result boundary and
-inside Ω.  The pre-array list-based loop is preserved verbatim in
-``tests/oracles/optrr_loop.py`` for equivalence tests and benchmarks.
+archive.  Ω itself is slot-indexed columns (:mod:`repro.core.archive`), so
+offers and the reverse refresh are whole-column operations, and
+``Individual`` objects appear only at the result boundary.  The pre-array
+list-based loop is preserved verbatim in ``tests/oracles/optrr_loop.py`` for
+equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.core.problem import SINGULAR_UTILITY_PENALTY, RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
+from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.emoo.individual import Individual
@@ -64,9 +67,9 @@ from repro.emoo.termination import (
 )
 from repro.exceptions import ValidationError
 from repro.metrics.privacy import check_bound_feasible
-from repro.rr.matrix import RRMatrix
 from repro.types import SeedLike, as_rng
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_stochastic_stack
 
 logger = get_logger(__name__)
 
@@ -249,14 +252,6 @@ class OptRROptimizer:
         return cls(prior, n_records, config)
 
     # -- internals -----------------------------------------------------------
-    def _offer_population(self, optimal_set: OptimalSet, population: Population) -> int:
-        """Offer every row of ``population`` to Ω (vectorized pre-filter;
-        ``Individual`` views are built only for accepted updates)."""
-        problem = self._problem
-        return optimal_set.offer_population(
-            population, lambda index: problem.population_individual(population, index)
-        )
-
     def _baseline_seed_population(
         self, rng: np.random.Generator, *, fidelity: float | None = None
     ) -> Population | None:
@@ -321,35 +316,6 @@ class OptRROptimizer:
             children[mutated] = problem.mutate_stack(children[mutated], rng)
         return problem.repair_stack(children)
 
-    def _refresh_from_optimal_set(
-        self, population: Population, optimal_set: OptimalSet
-    ) -> None:
-        """Replace evolving candidates with strictly better Ω occupants of the
-        same privacy slot (the reverse direction of the Ω update).
-
-        One vectorized comparison against Ω's slot-utility array finds the
-        rows with a better occupant; only those rows are rewritten.  The
-        replaced row keeps its selection fitness (see
-        :meth:`Population.replace_row`).
-        """
-        feasible_rows = np.flatnonzero(population.feasible)
-        if feasible_rows.size == 0:
-            return
-        slots = optimal_set.slots_of(population.metadata["privacy"][feasible_rows])
-        occupant_utility = optimal_set.slot_utilities()[slots]
-        better = occupant_utility < population.metadata["utility"][feasible_rows]
-        for row, slot in zip(feasible_rows[better], slots[better]):
-            occupant = optimal_set.best_for_slot(int(slot))
-            if occupant is None:  # pragma: no cover - slot utility implies occupancy
-                continue
-            population.replace_row(
-                int(row),
-                genome=occupant.genome.probabilities,
-                objectives=occupant.objectives,
-                feasible=occupant.feasible,
-                metadata=occupant.metadata,
-            )
-
 
 class _OptRRSteppable(SteppableOptimization):
     """The OptRR generation loop decomposed for the stepwise driver.
@@ -398,12 +364,12 @@ class _OptRRSteppable(SteppableOptimization):
         )
         baseline = optimizer._baseline_seed_population(rng, fidelity=setup_fidelity)
         optimal_set = OptimalSet(config.optimal_set_size)
-        optimizer._offer_population(optimal_set, population)
+        optimal_set.offer_population(population)
         # The full baseline sweep goes straight into Ω (O(1) per matrix); only
         # a thin, evenly spaced subset joins the evolving population so the
         # per-generation selection cost stays bounded.
         if baseline is not None:
-            optimizer._offer_population(optimal_set, baseline)
+            optimal_set.offer_population(baseline)
             stride = max(1, baseline.size // 25)
             population = Population.concat(
                 population, baseline.take(np.arange(0, baseline.size, stride))
@@ -446,14 +412,10 @@ class _OptRRSteppable(SteppableOptimization):
         # privacy levels they already occupy.  Low-fidelity rows carry
         # *upper-bound* utilities and are never offered to Ω — only
         # full-fidelity evaluations may enter the long-term store.
-        updates = optimizer._offer_population(
-            optimal_set, self._full_fidelity_rows(population)
-        )
-        updates += optimizer._offer_population(
-            optimal_set, self._full_fidelity_rows(archive)
-        )
-        optimizer._refresh_from_optimal_set(population, optimal_set)
-        optimizer._refresh_from_optimal_set(archive, optimal_set)
+        updates = optimal_set.offer_population(self._full_fidelity_rows(population))
+        updates += optimal_set.offer_population(self._full_fidelity_rows(archive))
+        optimal_set.refresh(population)
+        optimal_set.refresh(archive)
         self.population = population
         self.archive = archive
         front = archive.objectives[archive.feasible]
@@ -481,21 +443,26 @@ class _OptRRSteppable(SteppableOptimization):
             self.fidelity.adapt(elapsed_seconds, deadline_seconds)
 
     def finish(self, generation: int) -> OptimizationResult:
-        front = self.optimal_set.pareto_members()
-        if not front:
+        members = self.optimal_set.members()
+        if members is None:
             # No feasible matrix was ever found (possible only with an
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
             front = self._problem.population_to_individuals(self.archive)
+            spectrum = []
+        else:
+            # Each occupied slot row is wrapped straight from Ω's columns; the
+            # front is picked by dominance over the member objectives.
+            slots = np.flatnonzero(members.feasible)
+            spectrum = [self._problem.population_individual(members, slot) for slot in slots]
+            dominated = dominance_matrix_from_arrays(members.objectives[slots]).any(axis=0)
+            front = [member for member, flag in zip(spectrum, dominated) if not flag]
         return OptimizationResult.from_members(
             front,
-            self.optimal_set.members(),
+            spectrum,
             n_generations=generation + 1,
             n_evaluations=self._problem.n_evaluations,
         )
-
-    def elite_individuals(self) -> list[Individual]:
-        return self._problem.population_to_individuals(self.archive)
 
     def hypervolume_reference(self) -> tuple[float, float]:
         # Objectives are (-privacy, utility-with-singular-penalty): privacy
@@ -553,13 +520,27 @@ class _OptRRSteppable(SteppableOptimization):
         fidelity_state = document.get("fidelity")
         if self.fidelity is not None and fidelity_state is not None:
             self.fidelity.restore_state(fidelity_state)
-        self.population = population_from_document(document["population"])
+        population = population_from_document(document["population"])
+        self._check_genomes(population.genomes, "population")
         archive_document = document.get("archive")
-        self.archive = (
-            population_from_document(archive_document)
-            if archive_document is not None
-            else None
-        )
-        optimal_set = OptimalSet(int(document["optimal_set"]["size"]))
-        optimal_set.restore_state(document["optimal_set"], RRMatrix.from_validated)
-        self.optimal_set = optimal_set
+        archive = None
+        if archive_document is not None:
+            archive = population_from_document(archive_document)
+            self._check_genomes(archive.genomes, "archive")
+        optimal_set = OptimalSet(self._config.optimal_set_size)
+        optimal_set.restore_state(document["optimal_set"])
+        members = optimal_set.members()
+        if members is not None:
+            self._check_genomes(members.genomes[members.feasible], "optimal set")
+            if members.metadata.keys() != population.metadata.keys():
+                raise ValidationError(
+                    "checkpointed optimal set metadata columns differ from the population's"
+                )
+        self.population, self.archive, self.optimal_set = population, archive, optimal_set
+
+    def _check_genomes(self, genomes: np.ndarray, name: str) -> None:
+        """Checkpointed genomes must be finite column-stochastic ``n x n``
+        matrices for this problem's ``n``."""
+        n = self._problem.n_categories
+        if check_stochastic_stack(genomes, f"checkpointed {name} genomes").shape[1:] != (n, n):
+            raise ValidationError(f"checkpointed {name} genomes must be {n} x {n} matrices")

@@ -189,8 +189,9 @@ class RRMatrixProblem(Problem):
         return population.individual(index, genome_builder=RRMatrix.from_validated)
 
     def population_to_individuals(self, population: Population) -> list[Individual]:
-        """Materialise a whole population as ``Individual`` views."""
-        return population.to_individuals(genome_builder=RRMatrix.from_validated)
+        """Materialise a whole population as ``Individual`` views, one
+        :meth:`population_individual` call per row."""
+        return [self.population_individual(population, index) for index in range(population.size)]
 
     def initial_population_soa(
         self,

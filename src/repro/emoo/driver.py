@@ -46,7 +46,6 @@ from typing import Any, Callable, ClassVar, Iterator
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.termination import GenerationState, TerminationCriterion
 from repro.exceptions import OptimizationError, ReproError, ValidationError
@@ -164,10 +163,6 @@ class SteppableOptimization(ABC):
     @abstractmethod
     def restore_state(self, document: dict[str, Any]) -> None:
         """Restore the state captured by :meth:`state_document`."""
-
-    def elite_individuals(self) -> list[Individual]:
-        """The current elite set as ``Individual`` views (for callbacks)."""
-        return []
 
     def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
         """Called by the driver before every :meth:`step` with the wall time

@@ -14,8 +14,8 @@ Genomes are stacked once, at the boundary where candidates enter the engine
 ``(P, n, n)`` stack directly from the batch evaluator), and only sliced by
 index thereafter; no per-generation re-packing, validation or unpacking
 happens inside the loop.  ``Individual`` remains as a thin *view* for the
-result boundary: :meth:`Population.individual` / :meth:`to_individuals`
-materialise per-candidate objects only when a caller asks for them.
+result boundary: :meth:`Population.individual` materialises one
+per-candidate object only when a caller asks for it.
 
 Fitness freshness is tracked with a generation stamp
 (:attr:`Population.fitness_generation`): environmental selection stamps the
@@ -162,29 +162,6 @@ class Population:
             fitness_generation=self.fitness_generation,
         )
 
-    def replace_row(
-        self,
-        index: int,
-        *,
-        genome: Any,
-        objectives: np.ndarray,
-        feasible: bool,
-        metadata: dict[str, Any],
-    ) -> None:
-        """Overwrite one candidate in place (the Ω back-injection step).
-
-        The row's fitness value is deliberately *kept*: the injected candidate
-        inherits the selection fitness of the member it replaces, so the
-        archive's generation stamp stays truthful for mating selection.  (The
-        list-based loop reset the fitness to NaN and papered over it with a
-        redundant re-assignment; see ``docs/architecture.md``.)
-        """
-        self.genomes[index] = genome
-        self.objectives[index] = np.asarray(objectives, dtype=np.float64)
-        self.feasible[index] = bool(feasible)
-        for key, column in self.metadata.items():
-            column[index] = metadata[key]
-
     # -- fitness --------------------------------------------------------------
     def set_fitness(self, fitness: np.ndarray, generation: int) -> None:
         """Store the fitness column and stamp the generation it belongs to."""
@@ -229,7 +206,3 @@ class Population:
         if not np.isnan(self.fitness[index]):
             individual.fitness = float(self.fitness[index])
         return individual
-
-    def to_individuals(self, genome_builder: GenomeBuilder | None = None) -> list[Individual]:
-        """Materialise the whole population as ``Individual`` views."""
-        return [self.individual(index, genome_builder) for index in range(self.size)]

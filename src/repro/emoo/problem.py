@@ -64,7 +64,7 @@ class Problem(ABC):
 
     def population_to_individuals(self, population: Population) -> list[Individual]:
         """``Individual`` views of a population (the result boundary)."""
-        return population.to_individuals()
+        return [population.individual(index) for index in range(population.size)]
 
     def fingerprint_document(self) -> dict[str, Any]:
         """JSON-compatible identity of this problem, hashed into checkpoint

@@ -113,6 +113,19 @@ def check_matrix_stack(
     return array
 
 
+def check_stochastic_stack(stack: np.ndarray, name: str = "stack") -> np.ndarray:
+    """:func:`check_matrix_stack` plus :func:`check_stochastic_columns`'
+    rules, for every matrix of the stack at once."""
+    array = check_matrix_stack(stack, name)
+    if not np.all(np.isfinite(array)):
+        raise RRMatrixError(f"{name} must contain only finite values")
+    if np.any(array < -PROBABILITY_ATOL) or np.any(array > 1.0 + PROBABILITY_ATOL):
+        raise RRMatrixError(f"{name} entries must lie in [0, 1]")
+    if not np.allclose(array.sum(axis=1), 1.0, atol=max(PROBABILITY_ATOL, 1e-6), rtol=0.0):
+        raise RRMatrixError(f"{name} columns must each sum to 1")
+    return array
+
+
 def check_square_matrix(
     matrix: Sequence[Sequence[float]] | np.ndarray,
     name: str = "matrix",

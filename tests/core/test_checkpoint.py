@@ -22,8 +22,7 @@ from repro.core.driver import population_from_document, population_to_document
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.population import Population
-from repro.exceptions import OptimizationError, ValidationError
-from repro.rr.matrix import RRMatrix
+from repro.exceptions import ValidationError
 from repro.utils.arrays import decode_array, encode_array
 
 
@@ -168,29 +167,117 @@ class TestOptimalSetRoundTrip:
         """Fill Ω with real evaluated matrices, round-trip, compare slots."""
         problem = RRMatrixProblem(normal_distribution(n), 4000)
         rng = np.random.default_rng(seed)
-        population = problem.initial_population_soa(12, rng)
         optimal_set = OptimalSet(size=64)
-        optimal_set.offer_population(
-            population, lambda index: problem.population_individual(population, index)
-        )
+        optimal_set.offer_population(problem.initial_population_soa(12, rng))
         document = json_round_trip(optimal_set.state_document())
         restored = OptimalSet(size=64)
-        restored.restore_state(document, RRMatrix.from_validated)
+        restored.restore_state(document)
         assert restored.n_updates == optimal_set.n_updates
         assert restored.n_occupied == optimal_set.n_occupied
         assert restored.slot_utilities().tobytes() == optimal_set.slot_utilities().tobytes()
-        for original, rebuilt in zip(optimal_set.members(), restored.members()):
-            assert rebuilt.genome.probabilities.tobytes() == (
-                original.genome.probabilities.tobytes()
-            )
-            assert rebuilt.objectives.tobytes() == original.objectives.tobytes()
-            assert rebuilt.metadata == original.metadata
-            assert rebuilt.feasible == original.feasible
+        original, rebuilt = optimal_set.members(), restored.members()
+        slots = np.flatnonzero(original.feasible)
+        assert np.array_equal(rebuilt.feasible, original.feasible)
+        assert rebuilt.genomes[slots].tobytes() == original.genomes[slots].tobytes()
+        assert rebuilt.objectives[slots].tobytes() == original.objectives[slots].tobytes()
+        assert list(rebuilt.metadata) == list(original.metadata)
+        for key, column in original.metadata.items():
+            assert rebuilt.metadata[key].dtype == column.dtype
+            assert rebuilt.metadata[key][slots].tobytes() == column[slots].tobytes()
+        assert json.dumps(restored.state_document()) == json.dumps(document)
 
     def test_size_mismatch_is_rejected(self):
         document = OptimalSet(size=8).state_document()
-        with pytest.raises(OptimizationError, match="slots"):
-            OptimalSet(size=16).restore_state(document, RRMatrix.from_validated)
+        with pytest.raises(ValidationError, match="slots"):
+            OptimalSet(size=16).restore_state(document)
+
+
+def _omega_document():
+    """A real, JSON round-tripped Ω document with several occupied slots."""
+    problem = RRMatrixProblem(normal_distribution(4), 4000, delta=0.8)
+    optimal_set = OptimalSet(size=50)
+    optimal_set.offer_population(problem.initial_population_soa(20, np.random.default_rng(1)))
+    assert optimal_set.n_occupied >= 3
+    return json_round_trip(optimal_set.state_document())
+
+
+def _scaled_genomes(factor):
+    def tamper(document):
+        genomes = decode_array(document["genomes"])
+        document["genomes"] = encode_array(genomes * factor)
+
+    return tamper
+
+
+def _set(field, value):
+    def tamper(document):
+        document[field] = value(document) if callable(value) else value
+
+    return tamper
+
+
+def _nan_utility(document):
+    utility = decode_array(document["metadata"]["utility"]["column"])
+    utility[1] = np.nan
+    document["metadata"]["utility"]["column"] = encode_array(utility)
+
+
+def _infeasible_member(document):
+    feasible = decode_array(document["feasible"])
+    feasible[0] = False
+    document["feasible"] = encode_array(feasible)
+
+
+def _shifted_privacy(document):
+    privacy = decode_array(document["metadata"]["privacy"]["column"])
+    document["metadata"]["privacy"]["column"] = encode_array(privacy + 0.2)
+
+
+def _swapped_objectives(document):
+    objectives = decode_array(document["objectives"])
+    document["objectives"] = encode_array(objectives[:, ::-1].copy())
+
+
+#: One tampered Ω checkpoint per restore rule.
+OMEGA_TAMPERS = {
+    "nan-genomes": _scaled_genomes(np.nan),
+    "negated-genomes": _scaled_genomes(-1.0),
+    "tripled-genomes": _scaled_genomes(3.0),
+    "halved-genomes": _scaled_genomes(0.5),
+    "slot-out-of-range": _set("slots", lambda d: d["slots"][:-1] + [5000]),
+    "negative-slot": _set("slots", lambda d: [-3] + d["slots"][1:]),
+    "duplicate-slots": _set("slots", lambda d: [d["slots"][0]] + d["slots"][:-1]),
+    "unsorted-slots": _set("slots", lambda d: d["slots"][::-1]),
+    "short-slot-list": _set("slots", lambda d: d["slots"][:-1]),
+    "non-int-slot": _set("slots", lambda d: [float(d["slots"][0])] + d["slots"][1:]),
+    "negative-n-updates": _set("n_updates", -5),
+    "n-updates-below-occupancy": _set("n_updates", 1),
+    "bool-n-updates": _set("n_updates", True),
+    "nan-utility": _nan_utility,
+    "infeasible-member": _infeasible_member,
+    "member-outside-its-slot": _shifted_privacy,
+    "objectives-not-privacy-utility": _swapped_objectives,
+    "missing-genomes": lambda document: document.pop("genomes"),
+    "malformed-metadata": _set("metadata", [1, 2]),
+}
+
+
+class TestOptimalSetRestoreValidation:
+    @pytest.mark.parametrize("defect", sorted(OMEGA_TAMPERS))
+    def test_tampered_document_is_rejected(self, defect):
+        document = _omega_document()
+        OMEGA_TAMPERS[defect](document)
+        restored = OptimalSet(size=50)
+        with pytest.raises(ValidationError, match="checkpointed optimal set"):
+            restored.restore_state(document)
+        # Nothing was touched before the document was rejected.
+        assert restored.n_updates == 0 and restored.members() is None
+
+    def test_untampered_document_is_accepted(self):
+        document = _omega_document()
+        restored = OptimalSet(size=50)
+        restored.restore_state(document)
+        assert restored.n_occupied == len(document["slots"])
 
 
 class TestRngStateRoundTrip:

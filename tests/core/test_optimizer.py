@@ -45,6 +45,21 @@ class TestBasicRun:
                 )
                 assert not dominates
 
+    def test_front_is_the_non_dominated_part_of_omega(self, small_prior, fast_config):
+        """The front is exactly the Ω members no other member dominates."""
+        result = OptRROptimizer(small_prior, 10_000, fast_config).run()
+        spectrum = [(point.privacy, point.utility) for point in result.optimal_set_points]
+
+        def dominated(p):
+            return any(
+                q[0] >= p[0] and q[1] <= p[1] and (q[0] > p[0] or q[1] < p[1])
+                for q in spectrum
+            )
+
+        front = [(point.privacy, point.utility) for point in result]
+        assert front == sorted(p for p in spectrum if not dominated(p))
+        assert len(front) < len(spectrum)
+
     def test_reproducible_with_seed(self, small_prior, fast_config):
         first = OptRROptimizer(small_prior, 10_000, fast_config).run()
         second = OptRROptimizer(small_prior, 10_000, fast_config).run()

@@ -141,19 +141,3 @@ class TestViews:
         population = make_population(2)
         population.set_fitness(np.array([0.5, 1.5]), generation=0)
         assert population.individual(1).fitness == 1.5
-
-    def test_replace_row_overwrites_data_but_keeps_fitness(self):
-        population = make_population(3)
-        population.set_fitness(np.array([0.1, 0.2, 0.3]), generation=1)
-        population.replace_row(
-            1,
-            genome=np.full((3, 3), 0.5),
-            objectives=np.array([9.0, 9.0]),
-            feasible=False,
-            metadata={"privacy": 0.42, "flag": True},
-        )
-        assert np.array_equal(population.objectives[1], [9.0, 9.0])
-        assert not population.feasible[1]
-        assert population.metadata["privacy"][1] == 0.42
-        assert population.fitness[1] == 0.2  # selection fitness survives
-        assert population.fitness_generation == 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.archive import OptimalSet
 from repro.core.config import OptRRConfig
 from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
@@ -41,6 +40,7 @@ from repro.emoo.termination import (
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import stack_matrices
 from repro.types import SeedLike, as_rng
+from tests.oracles.omega import OptimalSet
 from tests.oracles.scalar import assign_spea2_fitness, binary_tournament
 
 

@@ -600,6 +600,46 @@ class TestOptimizeCheckpointResume:
         exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
         self._assert_one_line_error(capsys, exit_code, "missing field 'genomes'")
 
+    @pytest.mark.parametrize(
+        ("part", "factor", "fragment"),
+        [
+            ("optimal_set", -1.0, "optimal set genomes entries must lie in [0, 1]"),
+            ("population", float("nan"), "population genomes must contain only finite"),
+            ("population", -1.0, "population genomes entries must lie in [0, 1]"),
+            ("population", 3.0, "population genomes entries must lie in [0, 1]"),
+            ("archive", float("nan"), "archive genomes must contain only finite"),
+            ("archive", -1.0, "archive genomes entries must lie in [0, 1]"),
+            ("archive", 3.0, "archive genomes entries must lie in [0, 1]"),
+        ],
+    )
+    def test_resume_rejects_non_stochastic_genomes(self, tmp_path, capsys, part, factor, fragment):
+        from repro.utils.arrays import decode_array, encode_array
+
+        def breaker(document):
+            section = document["state"][part]
+            section["genomes"] = encode_array(decode_array(section["genomes"]) * factor)
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, fragment)
+
+    def test_resume_rejects_an_out_of_range_omega_slot(self, tmp_path, capsys):
+        def breaker(document):
+            omega = document["state"]["optimal_set"]
+            omega["slots"] = omega["slots"][:-1] + [5000]
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "optimal set slots")
+
+    def test_resume_rejects_omega_metadata_columns_unlike_the_population(self, tmp_path, capsys):
+        def breaker(document):
+            del document["state"]["optimal_set"]["metadata"]["max_posterior"]
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "optimal set metadata columns")
+
     def test_resume_missing_setup_names_the_field(self, tmp_path, capsys):
         def breaker(document):
             del document["state"]["setup"]

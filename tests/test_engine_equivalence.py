@@ -22,6 +22,7 @@ computes — only how fast.  Three layers of evidence:
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -266,19 +267,35 @@ PINNED_TRAJECTORIES = {
 }
 
 
+#: sha256 of ``json.dumps(checkpoint["state"], sort_keys=True)`` at the end
+#: of the pinned ``optrr`` and ``optrr-fidelity`` runs, recorded while Ω still
+#: stored one ``Individual`` per slot.  It pins the population, archive, Ω
+#: and counter payload of a checkpoint bit for bit (``elapsed_seconds``, the
+#: only run-to-run variable field, sits outside ``state``).
+PINNED_CHECKPOINT_STATES = {
+    "optrr": "2c3139a03aeec59c600f16654218e73a9943df712c00426b06fe54c429762875",
+    "optrr-fidelity": "90a2be6b9665fad6b5fbe5069c16effbc1a6995a6e27ebb51b1d1507c3e26549",
+}
+
+
+def _pinned_optrr_run(engine: str):
+    """The pinned ``optrr``/``optrr-fidelity`` run: ``(driver, result)``."""
+    fidelity = (
+        {"low_fidelity_fraction": DEFAULT_LOW_FIDELITY_FRACTION}
+        if engine == "optrr-fidelity"
+        else {}
+    )
+    optimizer = OptRROptimizer(
+        normal_distribution(8), 5_000, _config(n_generations=10, **fidelity)
+    )
+    driver = optimizer.driver()
+    return driver, optimizer.run_driver(driver)
+
+
 def _pinned_run(engine: str):
     """One short fixed-seed run: ``(front, n_evaluations, rng_state)``."""
     if engine in ("optrr", "optrr-fidelity"):
-        fidelity = (
-            {"low_fidelity_fraction": DEFAULT_LOW_FIDELITY_FRACTION}
-            if engine == "optrr-fidelity"
-            else {}
-        )
-        optimizer = OptRROptimizer(
-            normal_distribution(8), 5_000, _config(n_generations=10, **fidelity)
-        )
-        driver = optimizer.driver()
-        result = optimizer.run_driver(driver)
+        driver, result = _pinned_optrr_run(engine)
         return _points(result), result.n_evaluations, driver.rng.bit_generator.state
     problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
     if engine == "nsga2":
@@ -321,6 +338,13 @@ class TestPinnedTrajectories:
             np.ascontiguousarray(front, dtype=np.float64).tobytes()
         ).hexdigest()
         assert digest == expected["front_sha256"]
+
+    @pytest.mark.parametrize("engine", sorted(PINNED_CHECKPOINT_STATES))
+    def test_checkpoint_state_matches_pin(self, engine):
+        driver, _ = _pinned_optrr_run(engine)
+        state = json.dumps(driver.checkpoint_document()["state"], sort_keys=True)
+        digest = hashlib.sha256(state.encode("utf-8")).hexdigest()
+        assert digest == PINNED_CHECKPOINT_STATES[engine]
 
 
 class TestMatingSelectionEquivalence:
