@@ -128,7 +128,7 @@ def _gamma_cdf(x: float, alpha: float, beta: float) -> float:
 
     Uses the series expansion for small arguments and the continued fraction
     for large ones (Numerical Recipes style), which is accurate to ~1e-12 and
-    avoids a scipy dependency in the core library.
+    avoids a SciPy dependency in the core library.
     """
     if x <= 0:
         return 0.0

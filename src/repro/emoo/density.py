@@ -16,19 +16,24 @@ from repro.exceptions import OptimizationError
 def pairwise_distances(objectives: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between objective vectors.
 
-    Uses :func:`scipy.spatial.distance.pdist` (condensed upper triangle, half
-    the work and memory of the naive broadcast).  SciPy is imported here, not
-    at module level, so commands that never rank a front do not pay for it.
+    Squared differences are summed one objective column at a time, in the
+    column order of SciPy's ``pdist``, so the matrix equals
+    ``squareform(pdist(...))`` bit for bit (NaN where two rows share an
+    infinite coordinate, inf on overflow; see ``docs/invariants.md``).  The
+    diagonal is zeroed explicitly, since ``inf - inf`` is NaN.
     """
     points = np.asarray(objectives, dtype=np.float64)
     if points.ndim != 2:
         raise OptimizationError(f"objectives must be 2-D, got shape {points.shape}")
-    count, dimensions = points.shape
-    if count < 2 or dimensions == 0:
-        return np.zeros((count, count))
-    from scipy.spatial.distance import pdist, squareform
-
-    return squareform(pdist(points, metric="euclidean"))
+    count = points.shape[0]
+    distances = np.zeros((count, count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in points.T:
+            difference = column[:, None] - column
+            distances += difference * difference
+    np.sqrt(distances, out=distances)
+    np.fill_diagonal(distances, 0.0)
+    return distances
 
 
 def kth_nearest_distances(
@@ -41,6 +46,9 @@ def kth_nearest_distances(
     precomputed pairwise ``distances`` matrix can be passed so the generation
     loop computes it once and shares it between density estimation and archive
     truncation (the matrix is not modified).
+
+    NaN distances rank after every number, as in a full row sort:
+    ``np.partition`` skips them where ``np.min`` would return them.
     """
     if k < 1:
         raise OptimizationError(f"k must be at least 1, got {k}")
@@ -54,9 +62,9 @@ def kth_nearest_distances(
     if size == 1:
         return np.array([np.inf])
     np.fill_diagonal(distances, np.inf)
-    sorted_distances = np.sort(distances, axis=1)
-    effective_k = min(k, size - 1)
-    return sorted_distances[:, effective_k - 1]
+    kth = min(k, size - 1) - 1
+    distances.partition(kth, axis=1)
+    return distances[:, kth]
 
 
 def spea2_density(

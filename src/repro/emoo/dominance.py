@@ -7,7 +7,7 @@ be driven towards feasibility).
 
 Everything here is array-first: the dominance matrix, non-dominated filtering
 and non-dominated sorting all operate on plain ``(size, n_objectives)``
-objective arrays (plus a feasibility mask) via broadcasting;
+objective arrays (plus a feasibility mask) via whole-matrix operations;
 :func:`dominates` and :func:`non_dominated` are the ``Individual``-level
 entry points for the result boundary.  The pure-Python front-peeling
 reference the vectorized sort is tested against lives in
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.emoo.individual import Individual, objectives_array
+from repro.exceptions import ValidationError
 
 
 def dominates(first: Individual, second: Individual) -> bool:
@@ -40,13 +41,15 @@ def dominance_matrix_from_arrays(
 ) -> np.ndarray:
     """Boolean matrix ``D`` with ``D[i, j] = True`` iff row ``i`` of
     ``objectives`` dominates row ``j``, under constrained dominance when a
-    ``feasible`` mask is given.  Fully broadcasted — no Python loops."""
+    ``feasible`` mask is given.  Built one objective column at a time, with
+    no ``(size, size, n_objectives)`` temporary."""
     objectives = np.asarray(objectives, dtype=np.float64)
     size = objectives.shape[0]
-    if size == 0:
-        return np.zeros((0, 0), dtype=bool)
-    less_equal = np.all(objectives[:, None, :] <= objectives[None, :, :], axis=2)
-    strictly_less = np.any(objectives[:, None, :] < objectives[None, :, :], axis=2)
+    less_equal = np.ones((size, size), dtype=bool)
+    strictly_less = np.zeros((size, size), dtype=bool)
+    for column in objectives.T:
+        less_equal &= column[:, None] <= column
+        strictly_less |= column[:, None] < column
     matrix = less_equal & strictly_less
     if feasible is not None:
         feasible = np.asarray(feasible, dtype=bool)
@@ -108,8 +111,6 @@ def non_dominated_objectives(objectives: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(objectives, dtype=np.float64)
     if points.ndim != 2:
-        raise ValueError(f"objectives must be 2-D, got shape {points.shape}")
-    if points.shape[0] == 0:
-        return points
+        raise ValidationError(f"objectives must be 2-D, got shape {points.shape}")
     matrix = dominance_matrix_from_arrays(points)
     return points[~matrix.any(axis=0)]

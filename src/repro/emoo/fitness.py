@@ -38,11 +38,9 @@ def spea2_fitness_from_arrays(
     generation loop computes it once and shares it with archive truncation.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
-    size = objectives.shape[0]
-    if size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
     matrix = dominance_matrix_from_arrays(objectives, feasible)
     strengths = matrix.sum(axis=1)
-    raw_fitness = (matrix * strengths[:, None]).sum(axis=0).astype(np.float64)
+    # Integer matmul: an exact reduction, whatever the summation order.
+    raw_fitness = (strengths @ matrix).astype(np.float64)
     densities = spea2_density(objectives, k, distances=distances)
     return strengths, densities, raw_fitness + densities

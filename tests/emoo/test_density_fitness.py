@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.exceptions import OptimizationError
+from tests.oracles import kernels as oracle
 
 
 class TestPairwiseDistances:
@@ -40,6 +45,68 @@ class TestKthNearestDistances:
     def test_rejects_k_zero(self):
         with pytest.raises(OptimizationError):
             kth_nearest_distances(np.array([[0.0]]), k=0)
+
+
+@st.composite
+def shared_infinity_points(draw):
+    """2-D points where at least two rows are infinite, with the same sign,
+    in the same objective, so at least one off-diagonal distance is NaN."""
+    count = draw(st.integers(2, 40))
+    dimensions = draw(st.integers(1, 4))
+    values = st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf]),
+    )
+    points = np.array(
+        draw(st.lists(st.lists(values, min_size=dimensions, max_size=dimensions),
+                      min_size=count, max_size=count)),
+        dtype=np.float64,
+    )
+    rows = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=count, unique=True))
+    points[rows, draw(st.integers(0, dimensions - 1))] = draw(st.sampled_from([np.inf, -np.inf]))
+    return points
+
+
+class TestNonFiniteObjectives:
+    """The numerical contract of ``docs/invariants.md`` for ±inf objectives."""
+
+    @given(points=shared_infinity_points(), k=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_kth_nearest_skips_nan_like_a_row_sort(self, points, k):
+        distances = pairwise_distances(points)
+        off_diagonal = ~np.eye(len(points), dtype=bool)
+        assert np.isnan(distances[off_diagonal]).any()
+        np.testing.assert_array_equal(
+            kth_nearest_distances(points, k), oracle.kth_nearest_distances(distances, k)
+        )
+
+    def test_nan_neighbour_is_not_the_nearest(self):
+        # Rows 0 and 1 share +inf in the first objective (NaN apart), so a
+        # row min would return NaN; row 2 is their real, infinitely distant
+        # nearest neighbour.
+        points = np.array([[np.inf, 0.0], [np.inf, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(kth_nearest_distances(points, 1), [np.inf, np.inf, np.inf])
+
+    @given(points=shared_infinity_points())
+    @settings(max_examples=30, deadline=None)
+    def test_distances_have_a_zero_diagonal_and_raise_no_warning(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            distances = pairwise_distances(points)
+        np.testing.assert_array_equal(np.diag(distances), np.zeros(len(points)))
+        assert not np.signbit(distances[~np.isnan(distances)]).any()
+        np.testing.assert_array_equal(distances, distances.T)
+
+    def test_overflowing_squares_give_inf(self):
+        distances = pairwise_distances(np.array([[1e200], [-1e200]]))
+        np.testing.assert_array_equal(distances, [[0.0, np.inf], [np.inf, 0.0]])
+
+    @given(points=shared_infinity_points())
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_sigma_maps_to_a_finite_density(self, points):
+        densities = spea2_density(points)
+        assert np.isfinite(densities).all()
+        assert ((densities > 0.0) & (densities <= 0.5)).all()
 
 
 class TestSpea2Density:

@@ -148,7 +148,7 @@ def test_linalg_confinement_findings(bad_tree: Path) -> None:
 
 def test_linalg_confinement_silent_without_numpy_linalg(good_tree: Path) -> None:
     # The good-tree modules invert through repro.utils.linalg and compute
-    # distances with scipy; only the home module touches numpy.linalg.
+    # distances without numpy.linalg; only the home module touches it.
     assert lint_tree(good_tree, {"RL006"}) == []
 
 

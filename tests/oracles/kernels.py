@@ -1,12 +1,16 @@
 """Frozen reference bodies of the (B, n, n) hot kernels.
 
-These are the original batched-numpy implementations of the seven kernels the
+These are the original batched-numpy implementations of the ten kernels the
 optimizer loop and the RR runtime run on, kept verbatim as executable
 specifications.  The production kernels live next to their callers:
 
 * :func:`repro.metrics.evaluation.evaluate_stack`
 * :func:`repro.utils.linalg.batched_safe_inverses`
-* :func:`repro.emoo.density.pairwise_distances`
+* :func:`repro.emoo.density.pairwise_distances` and
+  :func:`~repro.emoo.density.kth_nearest_distances`
+* :func:`repro.emoo.dominance.dominance_matrix_from_arrays`
+* the raw-fitness reduction of
+  :func:`repro.emoo.fitness.spea2_fitness_from_arrays`
 * :func:`repro.core.operators.column_crossover_batch`,
   :func:`~repro.core.operators.proportional_column_mutation_batch` and
   :func:`~repro.core.operators.enforce_privacy_bound_batch`
@@ -109,6 +113,49 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         return squareform(pdist(points, metric="euclidean"))
     deltas = points[:, None, :] - points[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
+
+
+def kth_nearest_distances(distances: np.ndarray, k: int) -> np.ndarray:
+    """Distance to the ``k``-th nearest other point: full row sort (NaN
+    last) with an infinite diagonal; ``k`` clamped to the other points."""
+    distances = np.array(distances, dtype=np.float64)
+    size = distances.shape[0]
+    if size == 0:
+        return np.empty(0)
+    if size == 1:
+        return np.array([np.inf])
+    np.fill_diagonal(distances, np.inf)
+    sorted_distances = np.sort(distances, axis=1)
+    effective_k = min(k, size - 1)
+    return sorted_distances[:, effective_k - 1]
+
+
+def dominance_matrix(
+    objectives: np.ndarray, feasible: np.ndarray | None = None
+) -> np.ndarray:
+    """Constrained-dominance matrix by ``(size, size, n_objectives)``
+    broadcasting, reduced with ``all``/``any`` over the objective axis."""
+    objectives = np.asarray(objectives, dtype=np.float64)
+    size = objectives.shape[0]
+    if size == 0:
+        return np.zeros((0, 0), dtype=bool)
+    less_equal = np.all(objectives[:, None, :] <= objectives[None, :, :], axis=2)
+    strictly_less = np.any(objectives[:, None, :] < objectives[None, :, :], axis=2)
+    matrix = less_equal & strictly_less
+    if feasible is not None:
+        feasible = np.asarray(feasible, dtype=bool)
+        feasibility_dominance = feasible[:, None] & ~feasible[None, :]
+        same_feasibility = feasible[:, None] == feasible[None, :]
+        matrix = feasibility_dominance | (same_feasibility & matrix)
+    np.fill_diagonal(matrix, False)
+    return matrix
+
+
+def raw_fitness(matrix: np.ndarray) -> np.ndarray:
+    """SPEA2 raw fitness: the strengths of each column's dominators, summed
+    as a masked broadcast."""
+    strengths = matrix.sum(axis=1)
+    return (matrix * strengths[:, None]).sum(axis=0).astype(np.float64)
 
 
 def crossover_columns(

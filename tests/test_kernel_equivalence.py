@@ -12,7 +12,11 @@ Inputs are generated from hypothesis-drawn seeds/shapes, including exactly
 singular and duplicated-column stack members (which make one-call inversion
 raise and take the ``slogdet``-screened path), zero-probability prior
 categories, empty stacks, saturated mutation targets, and the near-singular
-1-norm classification band from ``tests/utils/test_linalg.py``.
+1-norm classification band from ``tests/utils/test_linalg.py``.  The SPEA2
+selection kernels (distances, k-th nearest distance, dominance, raw
+fitness) run on hostile objective sets: up to 200 rows and 12 objectives,
+±inf, -0.0, scales up to 1e155, duplicate rows and feasibility masks,
+compared with ``np.array_equal(..., equal_nan=True)`` plus the sign bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from repro.core.operators import (
     enforce_privacy_bound_batch,
     proportional_column_mutation_batch,
 )
-from repro.emoo.density import pairwise_distances
+from repro.emoo.density import kth_nearest_distances, pairwise_distances
+from repro.emoo.dominance import dominance_matrix_from_arrays
+from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.metrics.evaluation import MatrixEvaluator, evaluate_stack
 from repro.rr.randomize import disguise_codes
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT, batched_safe_inverses
@@ -288,6 +294,61 @@ class TestBatchedSafeInverses:
         assert invertible.size == 0
 
 
+def _hostile_objectives(seed: int, count: int, dimensions: int) -> np.ndarray:
+    """Objective rows built to break a selection kernel that is not bit-exact.
+
+    Scales run from 1e-3 to 1e155 (squares past the float range overflow to
+    inf), half the sets sit on a small integer grid (tied coordinates and
+    exactly equal rows), and sets of two or more rows get duplicate rows,
+    -0.0/+0.0 and ±inf coordinates, with two rows sharing one infinite
+    coordinate so some off-diagonal distances are NaN.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** float(rng.integers(-3, 156))
+    if rng.random() < 0.5:
+        points = rng.integers(-2, 3, size=(count, dimensions)) * scale
+    else:
+        points = rng.normal(size=(count, dimensions)) * scale
+    if count < 2 or dimensions == 0:
+        return points
+    points[rng.integers(count)] = points[rng.integers(count)]
+    cells = rng.integers(0, count * dimensions // 20 + 2)
+    points[rng.integers(0, count, cells), rng.integers(0, dimensions, cells)] = (
+        rng.choice([np.inf, -np.inf, -0.0, 0.0], size=cells)
+    )
+    shared = rng.choice(count, size=2, replace=False)
+    points[shared, rng.integers(dimensions)] = rng.choice([np.inf, -np.inf])
+    return points
+
+
+def _feasibility(seed: int, count: int) -> np.ndarray | None:
+    """No mask, an all-feasible mask, or a random mixed mask."""
+    rng = np.random.default_rng(seed)
+    choice = rng.integers(3)
+    if choice == 0:
+        return None
+    if choice == 1:
+        return np.ones(count, dtype=bool)
+    return rng.random(count) < 0.6
+
+
+def _assert_floats_identical(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same shape and dtype, equal values with NaN where NaN is, and the same
+    sign on every non-NaN entry (so -0.0 against +0.0 is a mismatch)."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(actual[numbers]), np.signbit(expected[numbers]))
+
+
+hostile_shapes = {
+    "seed": seeds,
+    "count": st.integers(0, 200),
+    "dimensions": st.integers(0, 12),
+}
+
+
 class TestPairwiseDistances:
     @given(seed=seeds, count=st.integers(0, 12), dimensions=st.integers(0, 5))
     @SETTINGS
@@ -299,6 +360,65 @@ class TestPairwiseDistances:
         expected = oracle.pairwise_distances(points)
         assert actual.shape == expected.shape == (count, count)
         np.testing.assert_array_equal(actual, expected)
+
+    @given(**hostile_shapes)
+    @SETTINGS
+    def test_matches_oracle_on_hostile_sets(self, seed, count, dimensions):
+        points = _hostile_objectives(seed, count, dimensions)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = oracle.pairwise_distances(points)
+        _assert_floats_identical(pairwise_distances(points), expected)
+
+    def test_single_point_has_zero_distance_even_when_infinite(self):
+        # The oracle's one-point fallback broadcasts inf - inf = nan onto the
+        # diagonal; the kernel (like the pdist path before it) returns zero.
+        np.testing.assert_array_equal(
+            pairwise_distances(np.array([[np.inf, 1.0]])), np.zeros((1, 1))
+        )
+
+
+class TestKthNearestDistances:
+    @given(**hostile_shapes, k=st.integers(1, 6))
+    @SETTINGS
+    def test_matches_oracle_on_hostile_sets(self, seed, count, dimensions, k):
+        distances = pairwise_distances(_hostile_objectives(seed, count, dimensions))
+        expected = oracle.kth_nearest_distances(distances, k)
+        actual = kth_nearest_distances(None, k, distances=distances)
+        _assert_floats_identical(actual, expected)
+        # Computing the distances inside gives the same bits.
+        points = _hostile_objectives(seed, count, dimensions)
+        _assert_floats_identical(kth_nearest_distances(points, k), expected)
+
+
+class TestDominanceMatrix:
+    @given(**hostile_shapes)
+    @SETTINGS
+    def test_matches_oracle_on_hostile_sets(self, seed, count, dimensions):
+        points = _hostile_objectives(seed, count, dimensions)
+        feasible = _feasibility(seed + 1, count)
+        actual = dominance_matrix_from_arrays(points, feasible)
+        expected = oracle.dominance_matrix(points, feasible)
+        assert actual.dtype == expected.dtype == np.dtype(bool)
+        assert np.array_equal(actual, expected)
+
+
+class TestSpea2Fitness:
+    @given(**hostile_shapes, k=st.integers(1, 3))
+    @SETTINGS
+    def test_matches_oracle_on_hostile_sets(self, seed, count, dimensions, k):
+        points = _hostile_objectives(seed, count, dimensions)
+        feasible = _feasibility(seed + 1, count)
+        distances = pairwise_distances(points)
+        strengths, densities, fitness = spea2_fitness_from_arrays(
+            points, feasible, k, distances=distances
+        )
+        matrix = oracle.dominance_matrix(points, feasible)
+        sigma = oracle.kth_nearest_distances(distances, k)
+        finite_sigma = np.where(np.isfinite(sigma), sigma, np.finfo(np.float64).max / 4)
+        expected_densities = 1.0 / (finite_sigma + 2.0)
+        assert np.array_equal(strengths, matrix.sum(axis=1))
+        _assert_floats_identical(densities, expected_densities)
+        _assert_floats_identical(fitness, oracle.raw_fitness(matrix) + expected_densities)
 
 
 class TestCrossoverColumns:
