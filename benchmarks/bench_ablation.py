@@ -37,6 +37,13 @@ def _workload():
     return normal_distribution(10)
 
 
+def _feasible_points(population) -> list[tuple[float, float]]:
+    """(privacy, utility) of the feasible, invertible rows of a population."""
+    privacy, utility = population.metadata["privacy"], population.metadata["utility"]
+    keep = population.feasible & np.isfinite(utility)
+    return list(zip(privacy[keep], utility[keep]))
+
+
 def _reference_point(fronts: list[np.ndarray]) -> tuple[float, float]:
     stacked = np.vstack(fronts)
     return (float(stacked[:, 0].max()) + 1e-6, float(stacked[:, 1].max()) * 1.1 + 1e-12)
@@ -66,14 +73,7 @@ def test_emoo_algorithm_ablation(run_once):
             termination=MaxGenerations(generations),
             seed=0,
         ).run()
-        nsga_front = ParetoFront.from_points(
-            "nsga2",
-            [
-                (ind.metadata["privacy"], ind.metadata["utility"])
-                for ind in nsga_result.front
-                if ind.feasible and np.isfinite(ind.metadata["utility"])
-            ],
-        )
+        nsga_front = ParetoFront.from_points("nsga2", _feasible_points(nsga_result.front))
 
         ws_problem = RRMatrixProblem(prior, N_RECORDS, delta=DELTA)
         ws_result = WeightedSumGA(
@@ -86,12 +86,7 @@ def test_emoo_algorithm_ablation(run_once):
             seed=0,
         ).run()
         ws_front = ParetoFront.from_points(
-            "weighted-sum",
-            [
-                (ind.metadata["privacy"], ind.metadata["utility"])
-                for ind in ws_result.best_per_weight
-                if ind.feasible and np.isfinite(ind.metadata["utility"])
-            ],
+            "weighted-sum", _feasible_points(ws_result.best_per_weight)
         )
         return optrr_front, nsga_front, ws_front
 

@@ -17,8 +17,7 @@ import numpy as np
 from repro.core.result import OptimizationResult, ParetoPoint
 from repro.core.search_space import brute_force_is_feasible, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
+from repro.emoo.dominance import non_dominated_indices
 from repro.exceptions import OptimizationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
@@ -101,33 +100,32 @@ def brute_force_front(
         )
     evaluator = MatrixEvaluator(prior, n_records, delta)
     columns = _grid_columns(n, d)
-    individuals: list[Individual] = []
+    matrices: list[RRMatrix] = []
+    values: list[tuple[float, float, float]] = []
     n_enumerated = 0
-    n_feasible = 0
     for selection in product(range(len(columns)), repeat=n):
         n_enumerated += 1
         matrix_array = np.column_stack([columns[index] for index in selection])
         matrix = RRMatrix(matrix_array)
         evaluation = evaluator.evaluate(matrix)
-        if not evaluation.feasible:
-            continue
-        n_feasible += 1
-        individuals.append(
-            Individual(
-                genome=matrix,
-                objectives=np.array([-evaluation.privacy, evaluation.utility]),
-                feasible=True,
-                metadata={
-                    "privacy": evaluation.privacy,
-                    "utility": evaluation.utility,
-                    "max_posterior": evaluation.max_posterior,
-                },
-            )
-        )
-    front = non_dominated(individuals)
+        if evaluation.feasible:
+            matrices.append(matrix)
+            values.append((evaluation.privacy, evaluation.utility, evaluation.max_posterior))
+    # Feasible rows as (privacy, utility, max_posterior) columns; the front is
+    # picked by dominance over (-privacy, utility).
+    feasible = np.array(values, dtype=np.float64).reshape(-1, 3)
+    front = non_dominated_indices(np.column_stack([-feasible[:, 0], feasible[:, 1]]))
     result = OptimizationResult(
-        points=tuple(ParetoPoint.from_individual(individual) for individual in front),
+        points=tuple(
+            ParetoPoint(
+                matrix=matrices[row],
+                privacy=float(feasible[row, 0]),
+                utility=float(feasible[row, 1]),
+                max_posterior=float(feasible[row, 2]),
+            )
+            for row in front
+        ),
         n_generations=0,
         n_evaluations=n_enumerated,
     )
-    return BruteForceReport(result=result, n_enumerated=n_enumerated, n_feasible=n_feasible)
+    return BruteForceReport(result=result, n_enumerated=n_enumerated, n_feasible=len(matrices))

@@ -23,10 +23,11 @@ density estimation and archive truncation; mating selection reuses the
 fitness environmental selection just assigned (stamped per generation, so
 staleness is impossible) instead of re-running fitness assignment on the
 archive.  Ω itself is slot-indexed columns (:mod:`repro.core.archive`), so
-offers and the reverse refresh are whole-column operations, and
-``Individual`` objects appear only at the result boundary.  The pre-array
-list-based loop is preserved verbatim in ``tests/oracles/optrr_loop.py`` for
-equivalence tests and benchmarks.
+offers and the reverse refresh are whole-column operations; a candidate is
+only ever a population row, and Ω's rows become
+:class:`~repro.core.result.ParetoPoint` results only in ``finish()``.  The
+pre-array list-based loop is preserved verbatim in
+``tests/oracles/optrr_loop.py`` for equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from repro.core.problem import SINGULAR_UTILITY_PENALTY, RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.dominance import dominance_matrix_from_arrays
+from repro.emoo.dominance import non_dominated_indices
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.selection import (
     binary_tournament_indices,
@@ -75,7 +75,7 @@ logger = get_logger(__name__)
 
 #: Progress callback invoked after each generation with
 #: (generation index, archive, optimal set).
-ProgressCallback = Callable[[int, list[Individual], OptimalSet], None]
+ProgressCallback = Callable[[int, Population, OptimalSet], None]
 
 
 @dataclass
@@ -152,9 +152,8 @@ class OptRROptimizer:
         seed:
             Overrides ``config.seed`` when provided.
         on_generation:
-            Optional callback invoked after every generation.  The archive is
-            materialised as ``Individual`` views only when a callback is
-            registered.
+            Optional callback invoked after every generation with the
+            generation index, the archive population and Ω.
         checkpoint_path:
             Write resumable ``checkpoint`` documents to this file (see
             :meth:`driver`); resuming goes through
@@ -184,11 +183,7 @@ class OptRROptimizer:
         algorithm = driver.optimization
         for snapshot in driver.steps():
             if on_generation is not None:
-                on_generation(
-                    snapshot.generation,
-                    self._problem.population_to_individuals(algorithm.archive),
-                    algorithm.optimal_set,
-                )
+                on_generation(snapshot.generation, algorithm.archive, algorithm.optimal_set)
         result = driver.result()
         logger.debug(
             "OptRR finished: %d generations, %d evaluations, front size %d, "
@@ -443,25 +438,26 @@ class _OptRRSteppable(SteppableOptimization):
             self.fidelity.adapt(elapsed_seconds, deadline_seconds)
 
     def finish(self, generation: int) -> OptimizationResult:
+        problem = self._problem
         members = self.optimal_set.members()
         if members is None:
             # No feasible matrix was ever found (possible only with an
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
-            front = self._problem.population_to_individuals(self.archive)
+            archive = self.archive
+            front = [problem.population_individual(archive, row) for row in range(archive.size)]
             spectrum = []
         else:
-            # Each occupied slot row is wrapped straight from Ω's columns; the
-            # front is picked by dominance over the member objectives.
+            # Each occupied slot row becomes a point straight from Ω's
+            # columns; the front is picked by dominance over their objectives.
             slots = np.flatnonzero(members.feasible)
-            spectrum = [self._problem.population_individual(members, slot) for slot in slots]
-            dominated = dominance_matrix_from_arrays(members.objectives[slots]).any(axis=0)
-            front = [member for member, flag in zip(spectrum, dominated) if not flag]
-        return OptimizationResult.from_members(
-            front,
-            spectrum,
+            spectrum = [problem.population_individual(members, slot) for slot in slots]
+            front = [spectrum[row] for row in non_dominated_indices(members.objectives[slots])]
+        return OptimizationResult(
+            points=tuple(front),
+            optimal_set_points=tuple(spectrum),
             n_generations=generation + 1,
-            n_evaluations=self._problem.n_evaluations,
+            n_evaluations=problem.n_evaluations,
         )
 
     def hypervolume_reference(self) -> tuple[float, float]:

@@ -7,9 +7,11 @@ step enforces the worst-case privacy bound ``delta`` when one is configured.
 
 Evaluation and repair run through the batch engine:
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
-:func:`~repro.core.operators.enforce_privacy_bound_batch`.  Validated
-:class:`~repro.rr.matrix.RRMatrix` genomes appear only in the ``Individual``
-views built at the result boundary.
+:func:`~repro.core.operators.enforce_privacy_bound_batch`.  A candidate is a
+row of a :class:`~repro.emoo.population.Population`;
+:class:`~repro.rr.matrix.RRMatrix` objects appear only in the
+:class:`~repro.core.result.ParetoPoint` results
+:meth:`RRMatrixProblem.population_individual` builds from those rows.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from repro.core.operators import (
     proportional_column_mutation_batch,
     random_initial_matrix,
 )
+from repro.core.result import ParetoPoint
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
-from repro.utils.validation import check_in_unit_interval, check_positive_int
+from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
 
 #: Finite utility penalty substituted for the infinite MSE of non-invertible
 #: matrices so objective arrays stay finite for the front-quality indicators.
@@ -117,10 +119,22 @@ class RRMatrixProblem(Problem):
         }
 
     def restore_counters(self, document: dict[str, int]) -> None:
-        """Restore the counters captured by :meth:`counters_document`."""
-        self._n_evaluations = int(document.get("n_evaluations", 0))
-        self._n_low_evaluations = int(document.get("n_low_evaluations", 0))
-        self._counter = int(document.get("counter", 0))
+        """Restore the counters captured by :meth:`counters_document`; each
+        must be a non-negative int, with no more low-fidelity evaluations
+        than evaluations (:class:`~repro.exceptions.ValidationError`
+        otherwise, before any counter is written)."""
+        n_evaluations = check_counter(
+            document.get("n_evaluations", 0), "checkpointed n_evaluations"
+        )
+        n_low_evaluations = check_counter(
+            document.get("n_low_evaluations", 0),
+            "checkpointed n_low_evaluations",
+            at_most=n_evaluations,
+        )
+        counter = check_counter(document.get("counter", 0), "checkpointed counter")
+        self._n_evaluations = n_evaluations
+        self._n_low_evaluations = n_low_evaluations
+        self._counter = counter
 
     # -- Problem interface -------------------------------------------------------
     def fingerprint_document(self) -> dict:
@@ -150,9 +164,9 @@ class RRMatrixProblem(Problem):
         worst posterior and feasibility for the whole stack with batched
         linear algebra, and the stack itself becomes the population's genome
         array — no per-matrix ``RRMatrix`` construction or re-validation
-        happens inside the generation loop.  ``Individual`` views (with
-        validated :class:`RRMatrix` genomes) are materialised only at the
-        result boundary via :meth:`population_individual`.
+        happens inside the generation loop.  Result points (with
+        :class:`RRMatrix` genomes) are built only at the result boundary via
+        :meth:`population_individual`.
 
         ``fidelity`` (a scalar or per-row column in ``(0, 1]``) evaluates the
         stack at reduced fidelity (see :meth:`MatrixEvaluator.evaluate_batch`)
@@ -181,17 +195,19 @@ class RRMatrixProblem(Problem):
             metadata=metadata,
         )
 
-    def population_individual(self, population: Population, index: int) -> Individual:
-        """``Individual`` view of one population row (the array-to-object
-        boundary).  The genome row was produced by the engine's own operators,
+    def population_individual(self, population: Population, index: int) -> ParetoPoint:
+        """The :class:`ParetoPoint` of one population row (the array-to-result
+        boundary): privacy, utility and worst posterior from the metadata
+        columns.  The genome row was produced by the engine's own operators,
         so it wraps through the trusted :meth:`RRMatrix.from_validated` path
         instead of re-validating per matrix."""
-        return population.individual(index, genome_builder=RRMatrix.from_validated)
-
-    def population_to_individuals(self, population: Population) -> list[Individual]:
-        """Materialise a whole population as ``Individual`` views, one
-        :meth:`population_individual` call per row."""
-        return [self.population_individual(population, index) for index in range(population.size)]
+        metadata = population.metadata
+        return ParetoPoint(
+            matrix=RRMatrix.from_validated(population.genomes[index]),
+            privacy=float(metadata["privacy"][index]),
+            utility=float(metadata["utility"][index]),
+            max_posterior=float(metadata["max_posterior"][index]),
+        )
 
     def initial_population_soa(
         self,

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import RRMatrix
 
@@ -32,17 +31,6 @@ class ParetoPoint:
     privacy: float
     utility: float
     max_posterior: float
-
-    @classmethod
-    def from_individual(cls, individual: Individual) -> "ParetoPoint":
-        """Convert an optimizer individual into a Pareto point."""
-        metadata = individual.metadata
-        return cls(
-            matrix=individual.genome,
-            privacy=float(metadata["privacy"]),
-            utility=float(metadata["utility"]),
-            max_posterior=float(metadata.get("max_posterior", float("nan"))),
-        )
 
 
 @dataclass(frozen=True)
@@ -120,22 +108,3 @@ class OptimizationResult:
                 f"no optimized matrix achieves utility <= {max_utility}"
             )
         return max(candidates, key=lambda point: point.privacy)
-
-    @staticmethod
-    def from_members(
-        front: Sequence[Individual],
-        optimal_set: Sequence[Individual] = (),
-        *,
-        n_generations: int = 0,
-        n_evaluations: int = 0,
-    ) -> "OptimizationResult":
-        """Build a result object from the front's and Ω's member
-        individuals."""
-        return OptimizationResult(
-            points=tuple(ParetoPoint.from_individual(individual) for individual in front),
-            optimal_set_points=tuple(
-                ParetoPoint.from_individual(individual) for individual in optimal_set
-            ),
-            n_generations=n_generations,
-            n_evaluations=n_evaluations,
-        )

@@ -6,18 +6,17 @@ truncation — the algorithm the paper builds on, assembled into OptRR by
 benchmarks, the stepwise checkpointing driver, multi-fidelity scheduling,
 Pareto dominance utilities and front-quality indicators.
 
-Every engine works on genome stacks: a problem supplies stack creation,
+Every engine works on genome stacks — a problem supplies stack creation,
 evaluation into a structure-of-arrays
 :class:`~repro.emoo.population.Population`, and batched variation and
-repair through the :class:`~repro.emoo.problem.Problem` interface.
-``repro.core`` instantiates it with ``(P, n, n)`` RR-matrix stacks.
+repair through the :class:`~repro.emoo.problem.Problem` interface — and
+returns its survivors and front as populations.  ``repro.core``
+instantiates it with ``(P, n, n)`` RR-matrix stacks.
 """
 
-from repro.emoo.individual import Individual
 from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
-    dominates,
-    non_dominated,
+    non_dominated_indices,
     pareto_ranks_from_arrays,
 )
 from repro.emoo.fitness import spea2_fitness_from_arrays
@@ -62,7 +61,6 @@ __all__ = [
     "GenerationSnapshot",
     "GenerationState",
     "HypervolumeStagnation",
-    "Individual",
     "MaxGenerations",
     "OptimizationDriver",
     "SteppableOptimization",
@@ -79,12 +77,11 @@ __all__ = [
     "coverage",
     "crowding_distances_from_objectives",
     "dominance_matrix_from_arrays",
-    "dominates",
     "environmental_selection_indices",
     "epsilon_indicator",
     "hypervolume_2d",
     "kth_nearest_distances",
-    "non_dominated",
+    "non_dominated_indices",
     "pairwise_distances",
     "pareto_ranks_from_arrays",
     "spea2_density",

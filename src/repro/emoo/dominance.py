@@ -1,39 +1,23 @@
 """Pareto dominance relations (Definition 5.1 in the paper).
 
 All objectives are minimised.  Constrained dominance is used: a feasible
-individual dominates any infeasible one; two infeasible individuals are
+candidate dominates any infeasible one; two infeasible candidates are
 compared on their objectives like feasible ones (so the population can still
 be driven towards feasibility).
 
-Everything here is array-first: the dominance matrix, non-dominated filtering
-and non-dominated sorting all operate on plain ``(size, n_objectives)``
-objective arrays (plus a feasibility mask) via whole-matrix operations;
-:func:`dominates` and :func:`non_dominated` are the ``Individual``-level
-entry points for the result boundary.  The pure-Python front-peeling
-reference the vectorized sort is tested against lives in
-``tests/oracles/scalar.py``.
+Everything here works on plain ``(size, n_objectives)`` objective arrays
+(plus a feasibility mask) via whole-matrix operations: the dominance matrix,
+non-dominated filtering (:func:`non_dominated_indices`, which picks every
+engine's front out of its population rows) and non-dominated sorting.  The
+pure-Python front-peeling reference the vectorized sort is tested against
+lives in ``tests/oracles/scalar.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.emoo.individual import Individual, objectives_array
 from repro.exceptions import ValidationError
-
-
-def dominates(first: Individual, second: Individual) -> bool:
-    """Whether ``first`` Pareto-dominates ``second``.
-
-    ``first`` dominates ``second`` when it is no worse in every objective and
-    strictly better in at least one, with feasibility taking precedence.
-    """
-    if first.feasible and not second.feasible:
-        return True
-    if second.feasible and not first.feasible:
-        return False
-    a, b = first.objectives, second.objectives
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def dominance_matrix_from_arrays(
@@ -60,16 +44,12 @@ def dominance_matrix_from_arrays(
     return matrix
 
 
-def non_dominated(population: list[Individual]) -> list[Individual]:
-    """Return the non-dominated subset of ``population``."""
-    if not population:
-        return []
-    matrix = dominance_matrix_from_arrays(
-        objectives_array(population),
-        np.array([individual.feasible for individual in population], dtype=bool),
-    )
-    dominated = matrix.any(axis=0)
-    return [individual for individual, flag in zip(population, dominated) if not flag]
+def non_dominated_indices(
+    objectives: np.ndarray, feasible: np.ndarray | None = None
+) -> np.ndarray:
+    """Ascending indices of the rows no other row dominates (under
+    constrained dominance when a ``feasible`` mask is given)."""
+    return np.flatnonzero(~dominance_matrix_from_arrays(objectives, feasible).any(axis=0))
 
 
 def pareto_ranks_from_arrays(
@@ -107,10 +87,9 @@ def non_dominated_objectives(objectives: np.ndarray) -> np.ndarray:
     """Filter a raw objective array down to its non-dominated rows.
 
     A convenience for working with plain ``(n_points, n_objectives)`` arrays
-    (e.g. baseline scheme sweeps) without wrapping them in individuals.
+    (e.g. baseline scheme sweeps).
     """
     points = np.asarray(objectives, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError(f"objectives must be 2-D, got shape {points.shape}")
-    matrix = dominance_matrix_from_arrays(points)
-    return points[~matrix.any(axis=0)]
+    return points[non_dominated_indices(points)]

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.emoo.dominance import pareto_ranks_from_arrays
 from repro.exceptions import OptimizationError
+from repro.utils.validation import check_counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.emoo.population import Population
@@ -188,5 +189,9 @@ class FidelityScheduler:
         self.current_low_fidelity = float(
             document.get("current_low_fidelity", self.schedule.low_fidelity)
         )
-        self.n_low_evaluations = int(document.get("n_low_evaluations", 0))
-        self.n_full_evaluations = int(document.get("n_full_evaluations", 0))
+        self.n_low_evaluations = check_counter(
+            document.get("n_low_evaluations", 0), "checkpointed n_low_evaluations"
+        )
+        self.n_full_evaluations = check_counter(
+            document.get("n_full_evaluations", 0), "checkpointed n_full_evaluations"
+        )

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.emoo.dominance import non_dominated, pareto_ranks_from_arrays
+from repro.emoo.dominance import non_dominated_indices, pareto_ranks_from_arrays
 from repro.emoo.driver import (
     OptimizationDriver,
     StepOutcome,
@@ -25,17 +25,17 @@ from repro.emoo.driver import (
     workload_fingerprint,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
-from repro.utils.validation import check_in_unit_interval, check_positive_int
+from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
 
-#: Callback invoked after each generation with (generation index, population).
-GenerationCallback = Callable[[int, list[Individual]], None]
+#: Callback invoked after each generation with (generation index, survivors,
+#: their Pareto ranks).
+GenerationCallback = Callable[[int, Population, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,14 @@ class NSGA2Settings:
 
 @dataclass
 class NSGA2Result:
-    """Outcome of an NSGA-II run."""
+    """Outcome of an NSGA-II run: the final survivors with their Pareto
+    ranks and crowding distances (aligned to the population rows), and the
+    survivors' non-dominated rows as a ``front`` population, in row order."""
 
-    population: list[Individual]
-    front: list[Individual]
+    population: Population
+    ranks: np.ndarray
+    crowding: np.ndarray
+    front: Population
     n_generations: int
     n_evaluations: int
 
@@ -106,19 +110,17 @@ class NSGA2:
 
         Thin wrapper over the stepwise driver (:meth:`driver`).  Array-native:
         rank and crowding live as arrays alongside a structure-of-arrays
-        :class:`~repro.emoo.population.Population`; the crowded binary
-        tournament draws and decides every pair in one vectorized step;
-        per-individual attribute writes happen only at the result boundary.
+        :class:`~repro.emoo.population.Population`, and the crowded binary
+        tournament draws and decides every pair in one vectorized step.
 
-        ``on_generation`` receives the generation index and the surviving
-        population as ``Individual`` views (rank and crowding annotated),
-        materialised only when a callback is registered.
+        ``on_generation`` receives the generation index, the surviving
+        population and its Pareto ranks.
         """
         driver = self.driver()
         algorithm = driver.optimization
         for snapshot in driver.steps():
             if on_generation is not None:
-                on_generation(snapshot.generation, algorithm.elite_individuals())
+                on_generation(snapshot.generation, algorithm.population, algorithm.ranks)
         return driver.result()
 
     def driver(
@@ -303,22 +305,17 @@ class _NSGA2Steppable(SteppableOptimization):
             self.fidelity.adapt(elapsed_seconds, deadline_seconds)
 
     def finish(self, generation: int) -> NSGA2Result:
-        individuals = self.elite_individuals()
-        front = non_dominated(individuals)
+        population = self.population
         return NSGA2Result(
-            population=individuals,
-            front=front,
+            population=population,
+            ranks=self.ranks,
+            crowding=self.crowding,
+            front=population.take(
+                non_dominated_indices(population.objectives, population.feasible)
+            ),
             n_generations=generation + 1,
             n_evaluations=self.n_evaluations,
         )
-
-    def elite_individuals(self) -> list[Individual]:
-        # Result boundary: materialise views with their rank/crowding fields.
-        individuals = self._algorithm.problem.population_to_individuals(self.population)
-        for index, individual in enumerate(individuals):
-            individual.rank = int(self.ranks[index])
-            individual.crowding = float(self.crowding[index])
-        return individuals
 
     def setup_fingerprint(self) -> str:
         from dataclasses import asdict
@@ -349,7 +346,9 @@ class _NSGA2Steppable(SteppableOptimization):
         self.population = population_from_document(document["population"])
         self.ranks = decode_array(document["ranks"])
         self.crowding = decode_array(document["crowding"])
-        self.n_evaluations = int(document["n_evaluations"])
+        self.n_evaluations = check_counter(
+            document["n_evaluations"], "checkpointed n_evaluations"
+        )
         fidelity_state = document.get("fidelity")
         if self.fidelity is not None and fidelity_state is not None:
             self.fidelity.restore_state(fidelity_state)

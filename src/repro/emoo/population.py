@@ -1,21 +1,20 @@
-"""Structure-of-arrays population state for the EMOO generation loop.
+"""Structure-of-arrays population state for every EMOO engine.
 
 The generation loop of every algorithm in this package is dominated by
 population-level math: dominance matrices, pairwise distances, fitness
-reductions, index-based selection.  Shuttling per-candidate ``Individual``
-objects through Python lists puts object construction and attribute access on
-that hot path.  :class:`Population` removes it: one object holds the whole
+reductions, index-based selection.  :class:`Population` holds a whole
 population as parallel arrays — a stacked genome array, an ``(P, m)``
 objective matrix, a feasibility mask, columnar metadata and a fitness
 vector — and every algorithm step works on index arrays over those columns.
+A candidate is only ever a row of these columns: the engines return their
+survivors and fronts as populations, and OptRR turns rows straight into
+:class:`~repro.core.result.ParetoPoint` results.
 
 Genomes are stacked once, at the boundary where candidates enter the engine
 (:meth:`repro.core.problem.RRMatrixProblem.evaluate_population` produces the
 ``(P, n, n)`` stack directly from the batch evaluator), and only sliced by
 index thereafter; no per-generation re-packing, validation or unpacking
-happens inside the loop.  ``Individual`` remains as a thin *view* for the
-result boundary: :meth:`Population.individual` materialises one
-per-candidate object only when a caller asks for it.
+happens inside the loop.
 
 Fitness freshness is tracked with a generation stamp
 (:attr:`Population.fitness_generation`): environmental selection stamps the
@@ -27,28 +26,10 @@ re-assignment the list-based loop performed cannot silently reappear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.exceptions import OptimizationError
-
-#: Builds a genome object from one row of the stacked genome array (used by
-#: the ``Individual`` views).
-GenomeBuilder = Callable[[np.ndarray], Any]
-
-
-def _metadata_scalar(value: Any) -> Any:
-    """Convert a numpy scalar metadata entry to the plain Python value the
-    list-based engine stored (floats stay floats, bools stay bools)."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 @dataclass
@@ -114,24 +95,27 @@ class Population:
 
     # -- construction ---------------------------------------------------------
     @classmethod
-    def concat(cls, first: "Population", second: "Population") -> "Population":
-        """Concatenate two populations (the per-generation union ``Q_t + V_t``).
+    def concat(cls, first: "Population", *rest: "Population") -> "Population":
+        """Concatenate populations row-wise (e.g. the per-generation union
+        ``Q_t + V_t``).
 
         Fitness is *not* carried over: the union is about to go through a
         fresh fitness assignment, and a stale stamp must not survive the
         concatenation.
         """
-        if set(first.metadata) != set(second.metadata):
-            raise OptimizationError(
-                "cannot concatenate populations with different metadata columns "
-                f"({sorted(first.metadata)} != {sorted(second.metadata)})"
-            )
+        parts = (first, *rest)
+        for part in rest:
+            if set(part.metadata) != set(first.metadata):
+                raise OptimizationError(
+                    "cannot concatenate populations with different metadata columns "
+                    f"({sorted(first.metadata)} != {sorted(part.metadata)})"
+                )
         return cls(
-            genomes=np.concatenate([first.genomes, second.genomes]),
-            objectives=np.concatenate([first.objectives, second.objectives]),
-            feasible=np.concatenate([first.feasible, second.feasible]),
+            genomes=np.concatenate([part.genomes for part in parts]),
+            objectives=np.concatenate([part.objectives for part in parts]),
+            feasible=np.concatenate([part.feasible for part in parts]),
             metadata={
-                key: np.concatenate([first.metadata[key], second.metadata[key]])
+                key: np.concatenate([part.metadata[key] for part in parts])
                 for key in first.metadata
             },
         )
@@ -187,22 +171,3 @@ class Population:
                 f"mating selection runs at generation {generation}"
             )
         return self.fitness
-
-    # -- views ----------------------------------------------------------------
-    def individual(self, index: int, genome_builder: GenomeBuilder | None = None) -> Individual:
-        """Materialise one row as an :class:`Individual` view."""
-        genome = self.genomes[index]
-        if genome_builder is not None:
-            genome = genome_builder(genome)
-        individual = Individual(
-            genome=genome,
-            objectives=self.objectives[index].copy(),
-            feasible=bool(self.feasible[index]),
-            metadata={
-                key: _metadata_scalar(column[index])
-                for key, column in self.metadata.items()
-            },
-        )
-        if not np.isnan(self.fitness[index]):
-            individual.fitness = float(self.fitness[index])
-        return individual

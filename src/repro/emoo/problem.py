@@ -6,7 +6,8 @@ structure-of-arrays :class:`~repro.emoo.population.Population` (objectives
 minimised, infeasible rows flagged), and crosses, mutates and repairs stacks
 batch-wise.  OptRR, NSGA-II and the weighted-sum GA all drive these same
 hooks; :class:`repro.core.problem.RRMatrixProblem` is the RR-matrix instance,
-with ``(P, n, n)`` stacks.
+with ``(P, n, n)`` stacks.  Candidates never leave the columns: the engines
+return populations, and only OptRR turns rows into result points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 
 
@@ -61,10 +61,6 @@ class Problem(ABC):
     def repair_stack(self, stack: np.ndarray) -> np.ndarray:
         """Repair a stack after variation (default: no repair)."""
         return stack
-
-    def population_to_individuals(self, population: Population) -> list[Individual]:
-        """``Individual`` views of a population (the result boundary)."""
-        return [population.individual(index) for index in range(population.size)]
 
     def fingerprint_document(self) -> dict[str, Any]:
         """JSON-compatible identity of this problem, hashed into checkpoint

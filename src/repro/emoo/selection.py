@@ -17,7 +17,7 @@ estimation and truncation.
 
 Truncation is incremental: the distance matrix is masked in place per removal
 (the victim's row and column are set to ``+inf``) and the next victim is found
-with one ``min``-reduction — the full ``np.ix_`` copy + row sort + lexsort of
+with one NaN-skipping ``fmin``-reduction — the full ``np.ix_`` copy + row sort + lexsort of
 the reference implementation only runs over the (rare) rows that tie on their
 nearest-neighbour distance.  The removal order is bit-for-bit identical to the
 reference in ``tests/oracles/optrr_loop.py`` (property-tested in
@@ -98,7 +98,8 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
     the victim's row and column) and each pass reduces to one row-``min``;
     the full lexicographic comparison only runs over rows tied on that
     nearest distance.  Survivors are returned in ascending index order —
-    bit-for-bit the reference semantics.
+    bit-for-bit the reference semantics, non-finite distances included (see
+    the non-finite contract in ``docs/invariants.md``).
     """
     check_positive_int(target_size, "target_size")
     distances = np.asarray(distances, dtype=np.float64)
@@ -116,13 +117,17 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
         return np.flatnonzero(alive)
     # Main phase (no zero distances left).  Nearest-neighbour distance (and
     # where it is achieved) per row, maintained incrementally: a removal only
-    # invalidates the rows whose nearest neighbour was the victim.
-    nearest = masked.min(axis=1)
+    # invalidates the rows whose nearest neighbour was the victim.  ``fmin``
+    # skips NaN distances like the reference row sort, which puts them last;
+    # a row is never all-NaN (its diagonal is +inf), so ``nearest`` is never
+    # NaN.
+    nearest = np.fmin.reduce(masked, axis=1)
     nearest[~alive] = np.inf
-    nearest_at = masked.argmin(axis=1)
+    nearest_at = (masked == nearest[:, None]).argmax(axis=1)
     while n_alive > target_size:
-        victim = int(np.argmin(nearest))
-        tied = np.flatnonzero(nearest == nearest[victim])
+        # Removed rows carry +inf too, so ties are taken over alive rows only.
+        tied = np.flatnonzero(alive & (nearest == nearest.min()))
+        victim = int(tied[0])
         if tied.size > 1:
             # Rare path: break the tie on the full sorted neighbour-distance
             # vectors.  lexsort treats the LAST key as primary, so feed the
@@ -140,8 +145,8 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
             stale = np.flatnonzero(alive & (nearest_at == victim))
             if stale.size:
                 rows = masked[stale]
-                nearest[stale] = rows.min(axis=1)
-                nearest_at[stale] = rows.argmin(axis=1)
+                nearest[stale] = np.fmin.reduce(rows, axis=1)
+                nearest_at[stale] = (rows == nearest[stale, None]).argmax(axis=1)
     return np.flatnonzero(alive)
 
 

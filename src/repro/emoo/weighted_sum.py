@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
+from repro.emoo.dominance import non_dominated_indices
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
@@ -51,11 +50,12 @@ class WeightedSumSettings:
 
 @dataclass
 class WeightedSumResult:
-    """Outcome of the weighted-sum sweep: the best individual found per
-    weight, plus the non-dominated subset of those."""
+    """Outcome of the weighted-sum sweep: the best row found per weight (one
+    row per weight, in sweep order), plus the non-dominated subset of those
+    rows."""
 
-    best_per_weight: list[Individual]
-    front: list[Individual]
+    best_per_weight: Population
+    front: Population
     n_evaluations: int
 
 
@@ -84,7 +84,7 @@ class WeightedSumGA:
         settings = self.settings
         weights = np.linspace(0.0, 1.0, settings.n_weights)
         n_elite = max(1, int(settings.elite_fraction * settings.population_size))
-        best_per_weight: list[Individual] = []
+        winners: list[Population] = []
         # A common objective scale, estimated from a random sample, keeps the
         # two objectives comparable inside the scalarisation.
         sample = problem.initial_population_soa(settings.population_size, rng)
@@ -116,10 +116,11 @@ class WeightedSumGA:
                 population = problem.evaluate_population(stack)
                 n_evaluations += population.size
             best = np.argsort(_scalar_fitness(population, weight, scales), kind="stable")[0]
-            best_per_weight.append(
-                problem.population_to_individuals(population.take([best]))[0]
-            )
-        front = non_dominated(best_per_weight)
+            winners.append(population.take([best]))
+        best_per_weight = Population.concat(*winners)
+        front = best_per_weight.take(
+            non_dominated_indices(best_per_weight.objectives, best_per_weight.feasible)
+        )
         return WeightedSumResult(
             best_per_weight=best_per_weight, front=front, n_evaluations=n_evaluations
         )

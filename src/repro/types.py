@@ -1,8 +1,8 @@
-"""Shared type aliases and protocols used across the library."""
+"""Shared type aliases used across the library."""
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -15,14 +15,6 @@ MatrixLike = Union[NDArray[np.float64], Sequence[Sequence[float]]]
 
 #: Anything accepted where a random generator is needed.
 SeedLike = Union[None, int, np.random.Generator]
-
-
-class SupportsObjectives(Protocol):
-    """Anything exposing a 2-element objective vector (privacy, utility)."""
-
-    @property
-    def objectives(self) -> NDArray[np.float64]:  # pragma: no cover - protocol
-        ...
 
 
 def as_rng(seed: SeedLike) -> np.random.Generator:

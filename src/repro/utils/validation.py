@@ -27,6 +27,16 @@ def check_positive_int(value: int, name: str) -> int:
     return int(value)
 
 
+def check_counter(value: object, name: str, *, at_most: int | None = None) -> int:
+    """Validate a restored bookkeeping counter: a non-negative ``int`` (not a
+    ``bool``), no larger than ``at_most`` when given; returns it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    if at_most is not None and value > at_most:
+        raise ValidationError(f"{name} {value} exceeds {at_most}")
+    return value
+
+
 def check_in_unit_interval(
     value: float,
     name: str,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.archive import OptimalSet
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
-from repro.rr.matrix import RRMatrix
+from tests.oracles.individual import row_individuals
 from tests.oracles.omega import OptimalSet as OracleOptimalSet
 from tests.oracles.optrr_loop import _refresh_from_optimal_set
 
@@ -45,13 +45,6 @@ def occupied(omega: OptimalSet) -> Population:
     """The occupied slots of ``omega`` as a compact population."""
     members = omega.members()
     return members.take(np.flatnonzero(members.feasible))
-
-
-def oracle_views(population: Population):
-    return [
-        population.individual(index, genome_builder=RRMatrix.from_validated)
-        for index in range(population.size)
-    ]
 
 
 class TestSlotting:
@@ -189,7 +182,7 @@ class TestOfferPopulation:
                     feasible=rng.random(size) > 0.2,
                     seed=trial * 10 + batch,
                 )
-                expected = oracle.offer_many(oracle_views(population))
+                expected = oracle.offer_many(row_individuals(population))
                 assert ours.offer_population(population) == expected
             assert ours.n_updates == oracle.n_updates
             assert ours.slot_utilities().tobytes() == oracle.slot_utilities().tobytes()
@@ -252,7 +245,7 @@ class TestOracleEquivalence:
         for seed, rows in enumerate(batches):
             population = batch_population(rows, seed)
             assert ours.offer_population(population) == oracle.offer_many(
-                oracle_views(population)
+                row_individuals(population)
             )
             assert ours.n_updates == oracle.n_updates
             assert ours.n_occupied == oracle.n_occupied
@@ -270,13 +263,13 @@ class TestOracleEquivalence:
         for seed, rows in enumerate(batches):
             population = batch_population(rows, seed)
             ours.offer_population(population)
-            oracle.offer_many(oracle_views(population))
+            oracle.offer_many(row_individuals(population))
         population = batch_population(targets, seed=99)
         population.set_fitness(np.arange(population.size, dtype=np.float64), generation=4)
-        individuals = oracle_views(population)
+        individuals = row_individuals(population)
         _refresh_from_optimal_set(individuals, oracle, reuse_archive_fitness=True)
         ours.refresh(population)
-        refreshed = oracle_views(population)
+        refreshed = row_individuals(population)
         for row, (theirs, mine) in enumerate(zip(individuals, refreshed)):
             assert mine.genome.probabilities.tobytes() == theirs.genome.probabilities.tobytes()
             assert mine.objectives.tobytes() == theirs.objectives.tobytes()

@@ -70,17 +70,18 @@ def optrr_result_key(result) -> str:
 
 
 def generic_result_key(result) -> list:
+    front = result.front
     return sorted(
-        (tuple(member.objectives.tolist()), repr(member.genome))
-        for member in result.front
+        (tuple(objectives.tolist()), repr(genome))
+        for objectives, genome in zip(front.objectives, front.genomes)
     )
 
 
 def rr_result_key(result) -> list:
+    front = result.front
     return sorted(
-        tuple(member.objectives.tolist())
-        + tuple(member.genome.probabilities.ravel().tolist())
-        for member in result.front
+        tuple(objectives.tolist()) + tuple(genome.ravel().tolist())
+        for objectives, genome in zip(front.objectives, front.genomes)
     )
 
 
@@ -227,6 +228,16 @@ class TestDriverBehaviour:
         with pytest.raises(ValidationError, match="fingerprint"):
             make_rr_nsga2(0.6).driver().restore(document)
 
+    @pytest.mark.parametrize("n_evaluations", [-500, True, 3.0])
+    def test_nsga2_restore_rejects_tampered_evaluation_count(self, tmp_path, n_evaluations):
+        path = tmp_path / "ck.json"
+        driver = make_nsga2().driver(checkpoint_path=str(path), checkpoint_every=1)
+        next(driver.steps())
+        document = load_checkpoint(path)
+        document["state"]["n_evaluations"] = n_evaluations
+        with pytest.raises(ValidationError, match="checkpointed n_evaluations"):
+            make_nsga2().driver().restore(document)
+
     def test_restore_rejects_other_workload(self, tmp_path):
         path = tmp_path / "ck.json"
         driver = make_optrr().driver(checkpoint_path=str(path), checkpoint_every=1)
@@ -290,9 +301,9 @@ class TestDriverBehaviour:
         """NSGA2.run reports every generation's survivors, ranked."""
         seen = []
 
-        def callback(generation, individuals):
-            seen.append((generation, len(individuals)))
-            assert all(member.rank >= 0 for member in individuals)
+        def callback(generation, population, ranks):
+            seen.append((generation, len(population)))
+            assert ranks.shape == (len(population),) and np.all(ranks >= 0)
 
         result = make_nsga2().run(on_generation=callback)
         assert [generation for generation, _ in seen] == list(range(N_GENERATIONS))

@@ -7,7 +7,9 @@ import pytest
 
 from repro.analysis.front import ParetoFront
 from repro.core.config import OptRRConfig
+from repro.core.archive import OptimalSet
 from repro.core.optimizer import OptRROptimizer
+from repro.emoo.population import Population
 from repro.exceptions import InfeasibleBoundError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import max_posterior
@@ -80,9 +82,13 @@ class TestBasicRun:
 
     def test_progress_callback(self, small_prior, fast_config):
         generations = []
-        OptRROptimizer(small_prior, 10_000, fast_config).run(
-            on_generation=lambda gen, archive, omega: generations.append(gen)
-        )
+
+        def callback(generation, archive, omega):
+            assert isinstance(archive, Population) and len(archive) == fast_config.archive_size
+            assert isinstance(omega, OptimalSet)
+            generations.append(generation)
+
+        OptRROptimizer(small_prior, 10_000, fast_config).run(on_generation=callback)
         assert generations == list(range(fast_config.n_generations))
 
     def test_stagnation_termination_can_stop_early(self, small_prior):

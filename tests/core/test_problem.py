@@ -6,36 +6,36 @@ import numpy as np
 import pytest
 
 from repro.core.problem import RRMatrixProblem
+from repro.exceptions import ValidationError
 from repro.metrics.privacy import max_posterior
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
 
 
 def evaluate(problem: RRMatrixProblem, matrix: RRMatrix):
-    """The ``Individual`` view of one evaluated matrix."""
-    population = problem.evaluate_population(matrix.probabilities[None, :, :])
-    return problem.population_to_individuals(population)[0]
+    """One evaluated matrix as a one-row population."""
+    return problem.evaluate_population(matrix.probabilities[None, :, :])
 
 
 class TestEvaluation:
     def test_objectives_are_minimisation_form(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        individual = evaluate(problem, warner_matrix(4, 0.6))
-        assert individual.objectives[0] == pytest.approx(-individual.metadata["privacy"])
-        assert individual.objectives[1] == pytest.approx(individual.metadata["utility"])
-        assert individual.feasible
+        row = evaluate(problem, warner_matrix(4, 0.6))
+        assert row.objectives[0, 0] == pytest.approx(-row.metadata["privacy"][0])
+        assert row.objectives[0, 1] == pytest.approx(row.metadata["utility"][0])
+        assert row.feasible[0]
 
     def test_singular_matrix_gets_finite_penalty_objective(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        individual = evaluate(problem, RRMatrix.uniform(4))
-        assert np.isfinite(individual.objectives).all()
-        assert not individual.feasible
-        assert individual.metadata["utility"] == np.inf
+        row = evaluate(problem, RRMatrix.uniform(4))
+        assert np.isfinite(row.objectives).all()
+        assert not row.feasible[0]
+        assert row.metadata["utility"][0] == np.inf
 
     def test_bound_violations_marked_infeasible(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000, delta=0.6)
-        individual = evaluate(problem, RRMatrix.identity(4))
-        assert not individual.feasible
+        row = evaluate(problem, RRMatrix.identity(4))
+        assert not row.feasible[0]
 
     def test_evaluation_counter(self, small_prior):
         problem = RRMatrixProblem(small_prior, n_records=1000)
@@ -83,3 +83,25 @@ class TestVariation:
         problem = RRMatrixProblem(small_prior, n_records=1000, delta=0.65)
         repaired = problem.repair_stack(np.eye(4)[None, :, :])
         assert max_posterior(RRMatrix(repaired[0]), small_prior.probabilities) <= 0.65 + 1e-6
+
+
+class TestCounters:
+    @pytest.mark.parametrize(
+        "counters",
+        [
+            {"n_evaluations": -500},
+            {"counter": -3},
+            {"n_low_evaluations": -1},
+            {"n_evaluations": True},
+            {"counter": 2.0},
+            {"n_evaluations": "7"},
+            {"n_evaluations": 4, "n_low_evaluations": 5},
+        ],
+    )
+    def test_tampered_counters_are_rejected_untouched(self, small_prior, counters):
+        problem = RRMatrixProblem(small_prior, n_records=1000)
+        document = {"n_evaluations": 10, "n_low_evaluations": 2, "counter": 3}
+        problem.restore_counters(document)
+        with pytest.raises(ValidationError, match="checkpointed"):
+            problem.restore_counters({**document, **counters})
+        assert problem.counters_document() == document

@@ -5,10 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import OptRRConfig
+from repro.core.optimizer import OptRROptimizer
+from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult, ParetoPoint
-from repro.emoo.individual import Individual
+from repro.data.synthetic import normal_distribution
 from repro.exceptions import OptimizationError
+from repro.io import result_to_dict
 from repro.rr.schemes import warner_matrix
+from tests.oracles.individual import (
+    non_dominated,
+    result_from_members,
+    row_individual,
+    row_individuals,
+)
 
 
 def make_point(privacy: float, utility: float) -> ParetoPoint:
@@ -31,15 +41,18 @@ def result() -> OptimizationResult:
 
 class TestParetoPoint:
     def test_from_individual(self):
-        individual = Individual(
-            genome=warner_matrix(3, 0.7),
-            objectives=np.array([-0.4, 1e-3]),
-            metadata={"privacy": 0.4, "utility": 1e-3, "max_posterior": 0.77},
-        )
-        point = ParetoPoint.from_individual(individual)
-        assert point.privacy == pytest.approx(0.4)
-        assert point.utility == pytest.approx(1e-3)
-        assert point.max_posterior == pytest.approx(0.77)
+        """``population_individual`` turns a row straight into the point the
+        frozen ``Individual`` route built from the same row."""
+        problem = RRMatrixProblem(normal_distribution(3), n_records=1000, delta=0.9)
+        population = problem.initial_population_soa(6, np.random.default_rng(4))
+        for row in range(population.size):
+            point = problem.population_individual(population, row)
+            (expected,) = result_from_members([row_individual(population, row)]).points
+            assert point.matrix.probabilities.tobytes() == expected.matrix.probabilities.tobytes()
+            assert not point.matrix.probabilities.flags.writeable
+            for field in ("privacy", "utility", "max_posterior"):
+                assert type(getattr(point, field)) is float
+                assert getattr(point, field) == getattr(expected, field)
 
 
 class TestOptimizationResult:
@@ -78,14 +91,21 @@ class TestOptimizationResult:
             result.best_matrix_for_utility(1e-7)
 
     def test_from_members(self):
-        individuals = [
-            Individual(
-                genome=warner_matrix(3, 0.6),
-                objectives=np.array([-0.2, 1e-3]),
-                metadata={"privacy": 0.2, "utility": 1e-3, "max_posterior": 0.8},
-            )
-        ]
-        result = OptimizationResult.from_members(individuals, n_generations=3, n_evaluations=30)
-        assert len(result) == 1
-        assert result.n_generations == 3
-        assert result.n_evaluations == 30
+        """A finished run's result is built from Ω's member rows: the same
+        points, in the same order, as the frozen ``Individual`` route."""
+        config = OptRRConfig(population_size=8, archive_size=8, n_generations=3, seed=2)
+        optimizer = OptRROptimizer(normal_distribution(4), 2000, config)
+        driver = optimizer.driver()
+        result = optimizer.run_driver(driver)
+        members = driver.optimization.optimal_set.members()
+        spectrum = row_individuals(members.take(np.flatnonzero(members.feasible)))
+        expected = result_from_members(
+            non_dominated(spectrum),
+            spectrum,
+            n_generations=result.n_generations,
+            n_evaluations=result.n_evaluations,
+        )
+        assert result_to_dict(result, include_optimal_set=True) == result_to_dict(
+            expected, include_optimal_set=True
+        )
+        assert len(result.optimal_set_points) == len(spectrum)

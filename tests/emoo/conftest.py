@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
@@ -54,18 +53,15 @@ def sphere_problem() -> SphereTradeoffProblem:
     return SphereTradeoffProblem()
 
 
-def make_individual(objectives, feasible=True) -> Individual:
-    """Helper to build an individual with given objectives."""
-    return Individual(genome=None, objectives=np.asarray(objectives, dtype=float), feasible=feasible)
-
-
 @pytest.fixture
-def square_population() -> list[Individual]:
-    """Four individuals forming a square plus one dominated interior point."""
-    return [
-        make_individual([0.0, 1.0]),
-        make_individual([1.0, 0.0]),
-        make_individual([0.0, 0.0]),   # dominates everything
-        make_individual([1.0, 1.0]),   # dominated by everything except itself
-        make_individual([0.6, 0.6]),   # dominated by (0, 0)
-    ]
+def square_objectives() -> np.ndarray:
+    """Four points forming a square plus one dominated interior point."""
+    return np.array(
+        [
+            [0.0, 1.0],
+            [1.0, 0.0],
+            [0.0, 0.0],  # dominates everything
+            [1.0, 1.0],  # dominated by everything except itself
+            [0.6, 0.6],  # dominated by (0, 0)
+        ]
+    )

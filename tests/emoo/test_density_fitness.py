@@ -124,18 +124,14 @@ class TestSpea2Density:
         assert densities[1] > densities[2]
 
 
-def objectives_of(population) -> np.ndarray:
-    return np.vstack([individual.objectives for individual in population])
-
-
 class TestSpea2Fitness:
-    def test_nondominated_have_fitness_below_one(self, square_population):
-        _, _, fitness = spea2_fitness_from_arrays(objectives_of(square_population))
+    def test_nondominated_have_fitness_below_one(self, square_objectives):
+        _, _, fitness = spea2_fitness_from_arrays(square_objectives)
         # (0, 0), row 2, dominates everything and is the only row with F < 1.
         np.testing.assert_array_equal(np.flatnonzero(fitness < 1.0), [2])
 
-    def test_strength_counts_dominated(self, square_population):
-        strengths, _, _ = spea2_fitness_from_arrays(objectives_of(square_population))
+    def test_strength_counts_dominated(self, square_objectives):
+        strengths, _, _ = spea2_fitness_from_arrays(square_objectives)
         # (0, 0) dominates the other four individuals.
         assert strengths[2] == 4
         # (1, 1) dominates nothing.
@@ -156,8 +152,8 @@ class TestSpea2Fitness:
         # Raw fitness of the worst: strengths of both dominators (2 + 1 = 3).
         assert int(fitness[2]) == 3
 
-    def test_more_dominated_individual_has_worse_fitness(self, square_population):
-        _, _, fitness = spea2_fitness_from_arrays(objectives_of(square_population))
+    def test_more_dominated_individual_has_worse_fitness(self, square_objectives):
+        _, _, fitness = spea2_fitness_from_arrays(square_objectives)
         # (1, 1), row 3, is dominated by three points; (0.6, 0.6), row 4, by
         # (0, 0) only.
         assert fitness[3] > fitness[4]

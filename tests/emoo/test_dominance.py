@@ -7,89 +7,84 @@ import pytest
 
 from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
-    dominates,
-    non_dominated,
+    non_dominated_indices,
     non_dominated_objectives,
     pareto_ranks_from_arrays,
 )
-from tests.emoo.conftest import make_individual
 
 
-def dominance_matrix(population) -> np.ndarray:
-    """Constrained-dominance matrix of an ``Individual`` list."""
-    if not population:
-        return dominance_matrix_from_arrays(np.empty((0, 2)))
-    return dominance_matrix_from_arrays(
-        np.vstack([individual.objectives for individual in population]),
-        np.array([individual.feasible for individual in population]),
+def dominates(first, second, feasible=(True, True)) -> bool:
+    """Whether ``first`` dominates ``second``, read off their two-row
+    constrained-dominance matrix."""
+    matrix = dominance_matrix_from_arrays(
+        np.array([first, second], dtype=float), np.array(feasible)
     )
+    return bool(matrix[0, 1])
+
+
+def dominates_by_definition(a, b, feasible_a=True, feasible_b=True) -> bool:
+    """Definition 5.1 with feasibility first, one pair at a time."""
+    if feasible_a != feasible_b:
+        return feasible_a
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 class TestDominates:
     def test_strictly_better_dominates(self):
-        assert dominates(make_individual([0.0, 0.0]), make_individual([1.0, 1.0]))
+        assert dominates([0.0, 0.0], [1.0, 1.0])
 
     def test_equal_does_not_dominate(self):
-        a = make_individual([1.0, 1.0])
-        b = make_individual([1.0, 1.0])
-        assert not dominates(a, b)
-        assert not dominates(b, a)
+        assert not dominates([1.0, 1.0], [1.0, 1.0])
 
     def test_partial_improvement_dominates(self):
-        assert dominates(make_individual([0.0, 1.0]), make_individual([0.5, 1.0]))
+        assert dominates([0.0, 1.0], [0.5, 1.0])
 
     def test_tradeoff_is_incomparable(self):
-        a = make_individual([0.0, 1.0])
-        b = make_individual([1.0, 0.0])
-        assert not dominates(a, b)
-        assert not dominates(b, a)
+        assert not dominates([0.0, 1.0], [1.0, 0.0])
+        assert not dominates([1.0, 0.0], [0.0, 1.0])
 
     def test_feasible_dominates_infeasible(self):
-        feasible = make_individual([5.0, 5.0], feasible=True)
-        infeasible = make_individual([0.0, 0.0], feasible=False)
-        assert dominates(feasible, infeasible)
-        assert not dominates(infeasible, feasible)
+        assert dominates([5.0, 5.0], [0.0, 0.0], feasible=(True, False))
+        assert not dominates([0.0, 0.0], [5.0, 5.0], feasible=(False, True))
 
     def test_antisymmetry(self, rng):
         for _ in range(50):
-            a = make_individual(rng.normal(size=2))
-            b = make_individual(rng.normal(size=2))
+            a, b = rng.normal(size=(2, 2))
             assert not (dominates(a, b) and dominates(b, a))
 
 
 class TestDominanceMatrix:
-    def test_matches_pairwise_calls(self, square_population):
-        matrix = dominance_matrix(square_population)
-        for i, a in enumerate(square_population):
-            for j, b in enumerate(square_population):
-                assert matrix[i, j] == dominates(a, b)
+    def test_matches_pairwise_calls(self, square_objectives, rng):
+        feasible = rng.random(len(square_objectives)) < 0.6
+        matrix = dominance_matrix_from_arrays(square_objectives, feasible)
+        for i, a in enumerate(square_objectives):
+            for j, b in enumerate(square_objectives):
+                expected = i != j and dominates_by_definition(a, b, feasible[i], feasible[j])
+                assert matrix[i, j] == expected
 
-    def test_diagonal_is_false(self, square_population):
-        matrix = dominance_matrix(square_population)
+    def test_diagonal_is_false(self, square_objectives):
+        matrix = dominance_matrix_from_arrays(square_objectives)
         assert not matrix.diagonal().any()
 
     def test_empty_population(self):
-        assert dominance_matrix([]).shape == (0, 0)
+        assert dominance_matrix_from_arrays(np.empty((0, 2))).shape == (0, 0)
 
 
 class TestNonDominated:
-    def test_square_population(self, square_population):
-        front = non_dominated(square_population)
-        assert len(front) == 1
-        np.testing.assert_allclose(front[0].objectives, [0.0, 0.0])
+    def test_square_population(self, square_objectives):
+        assert non_dominated_indices(square_objectives).tolist() == [2]
 
     def test_tradeoff_front_is_kept(self):
-        population = [
-            make_individual([0.0, 1.0]),
-            make_individual([0.5, 0.5]),
-            make_individual([1.0, 0.0]),
-            make_individual([0.9, 0.9]),
-        ]
-        front = non_dominated(population)
-        assert len(front) == 3
+        objectives = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.9, 0.9]])
+        assert non_dominated_indices(objectives).tolist() == [0, 1, 2]
+
+    def test_infeasible_rows_leave_the_front(self):
+        objectives = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        feasible = np.array([False, True, True])
+        assert non_dominated_indices(objectives, feasible).tolist() == [1]
 
     def test_empty(self):
-        assert non_dominated([]) == []
+        assert non_dominated_indices(np.empty((0, 2))).size == 0
 
 
 class TestParetoRanks:

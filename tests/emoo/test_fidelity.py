@@ -14,7 +14,7 @@ from repro.emoo.fidelity import (
     FidelityScheduler,
 )
 from repro.emoo.population import Population
-from repro.exceptions import OptimizationError
+from repro.exceptions import OptimizationError, ValidationError
 from tests.emoo.conftest import SphereTradeoffProblem
 
 
@@ -157,6 +157,14 @@ class TestStateRoundTrip:
 
         document = make_scheduler().state_document()
         assert json.loads(json.dumps(document)) == document
+
+    @pytest.mark.parametrize(
+        "counters",
+        [{"n_low_evaluations": -1}, {"n_full_evaluations": True}, {"n_low_evaluations": 2.5}],
+    )
+    def test_restore_rejects_tampered_counters(self, counters):
+        with pytest.raises(ValidationError, match="checkpointed n_"):
+            make_scheduler().restore_state(counters)
 
     def test_restore_tolerates_missing_keys(self):
         scheduler = make_scheduler(low=0.3)

@@ -37,8 +37,7 @@ class TestNSGA2Run:
         )
         result = algorithm.run()
         assert len(result.front) > 5
-        for individual in result.front:
-            f1, f2 = individual.objectives
+        for f1, f2 in result.front.objectives:
             assert np.sqrt(f1) + np.sqrt(f2) == pytest.approx(1.0, abs=0.05)
 
     def test_population_size_is_maintained(self, sphere_problem):
@@ -46,14 +45,13 @@ class TestNSGA2Run:
             sphere_problem, NSGA2Settings(population_size=16), termination=MaxGenerations(10), seed=0
         ).run()
         assert len(result.population) == 16
+        assert result.ranks.shape == result.crowding.shape == (16,)
 
     def test_reproducible_with_seed(self, sphere_problem):
         settings = NSGA2Settings(population_size=12)
         first = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
         second = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
-        assert sorted(tuple(i.objectives) for i in first.front) == sorted(
-            tuple(i.objectives) for i in second.front
-        )
+        assert first.front.objectives.tobytes() == second.front.objectives.tobytes()
 
     def test_front_spreads_over_the_tradeoff(self, sphere_problem):
         result = NSGA2(
@@ -62,7 +60,7 @@ class TestNSGA2Run:
             termination=MaxGenerations(40),
             seed=5,
         ).run()
-        xs = sorted(individual.metadata["x"] for individual in result.front)
+        xs = np.sort(result.front.metadata["x"])
         assert xs[0] < 0.2
         assert xs[-1] > 0.8
 
@@ -73,3 +71,10 @@ class TestNSGA2Run:
         # Initial population + one offspring population per generation.
         assert result.n_evaluations == 10 + 6 * 10
         assert result.n_generations == 6
+
+    def test_front_is_the_rank_zero_rows(self, sphere_problem):
+        result = NSGA2(
+            sphere_problem, NSGA2Settings(population_size=12), termination=MaxGenerations(5), seed=3
+        ).run()
+        front = result.population.objectives[result.ranks == 0]
+        assert result.front.objectives.tobytes() == front.tobytes()

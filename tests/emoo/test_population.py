@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.individual import Individual
+from repro.core.problem import RRMatrixProblem
+from repro.data.synthetic import normal_distribution
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
+from repro.rr.matrix import RRMatrix
 
 
 def make_population(size: int = 4, with_metadata: bool = True) -> Population:
@@ -95,6 +97,16 @@ class TestTakeConcat:
         assert np.array_equal(joined.objectives[:3], first.objectives)
         assert np.array_equal(joined.objectives[3:], second.objectives)
 
+    def test_concat_joins_any_number_of_populations(self):
+        parts = [make_population(size) for size in (1, 3, 2)]
+        joined = Population.concat(*parts)
+        assert joined.size == 6
+        assert np.array_equal(joined.genomes, np.concatenate([p.genomes for p in parts]))
+        assert np.array_equal(
+            joined.metadata["flag"], np.concatenate([p.metadata["flag"] for p in parts])
+        )
+        assert Population.concat(parts[1]).objectives.tobytes() == parts[1].objectives.tobytes()
+
     def test_concat_rejects_mismatched_metadata(self):
         first = make_population(2, with_metadata=True)
         second = make_population(2, with_metadata=False)
@@ -128,16 +140,24 @@ class TestFitnessStamp:
 
 
 class TestViews:
+    """A candidate is a row: ``take`` gives a one-row population, and the RR
+    problem's ``population_individual`` turns a row into a result point."""
+
     def test_individual_view_builds_genome_and_metadata(self):
-        population = make_population(3)
-        view = population.individual(1, genome_builder=lambda row: row.sum())
-        assert isinstance(view, Individual)
-        assert view.genome == pytest.approx(population.genomes[1].sum())
-        # Columnar metadata comes back as plain Python scalars.
-        assert isinstance(view.metadata["privacy"], float)
-        assert isinstance(view.metadata["flag"], bool)
+        problem = RRMatrixProblem(normal_distribution(3), n_records=500)
+        population = problem.initial_population_soa(3, np.random.default_rng(0))
+        point = problem.population_individual(population, 1)
+        assert isinstance(point.matrix, RRMatrix)
+        assert point.matrix.probabilities.tobytes() == population.genomes[1].tobytes()
+        # Metadata columns come back as plain Python floats.
+        assert isinstance(point.privacy, float)
+        assert point.privacy == population.metadata["privacy"][1]
+        assert point.max_posterior == population.metadata["max_posterior"][1]
 
     def test_individual_view_carries_stamped_fitness(self):
         population = make_population(2)
         population.set_fitness(np.array([0.5, 1.5]), generation=0)
-        assert population.individual(1).fitness == 1.5
+        row = population.take([1])
+        assert row.fitness.tolist() == [1.5]
+        assert row.fitness_generation == 0
+        assert row.metadata["flag"].dtype == bool

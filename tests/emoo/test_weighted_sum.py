@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
@@ -16,13 +17,13 @@ class TestWeightedSumGA:
         result = WeightedSumGA(sphere_problem, settings, seed=2).run()
         assert len(result.best_per_weight) == 5
         # Every winner should be near the Pareto set (x in [0, 1]).
-        for individual in result.best_per_weight:
-            assert -0.15 <= individual.metadata["x"] <= 1.15
+        xs = result.best_per_weight.metadata["x"]
+        assert np.all((-0.15 <= xs) & (xs <= 1.15))
 
     def test_extreme_weights_find_extreme_solutions(self, sphere_problem):
         settings = WeightedSumSettings(population_size=24, n_generations=25, n_weights=3)
         result = WeightedSumGA(sphere_problem, settings, seed=7).run()
-        xs = [individual.metadata["x"] for individual in result.best_per_weight]
+        xs = result.best_per_weight.metadata["x"]
         # weight 1 minimises f1 = x^2 -> x near 0; weight 0 minimises f2 -> x near 1.
         assert min(xs) < 0.2
         assert max(xs) > 0.8
@@ -30,8 +31,17 @@ class TestWeightedSumGA:
     def test_front_is_subset_of_winners(self, sphere_problem):
         settings = WeightedSumSettings(population_size=16, n_generations=10, n_weights=4)
         result = WeightedSumGA(sphere_problem, settings, seed=1).run()
-        winner_ids = {id(individual) for individual in result.best_per_weight}
-        assert all(id(individual) in winner_ids for individual in result.front)
+        winners = result.best_per_weight
+        # The front is the winner rows no other winner dominates, in row order
+        # (every sphere row is feasible).
+        objectives = winners.objectives
+        kept = [
+            row
+            for row, point in enumerate(objectives)
+            if not any(np.all(other <= point) and np.any(other < point) for other in objectives)
+        ]
+        assert result.front.genomes.tobytes() == winners.genomes[kept].tobytes()
+        assert result.front.objectives.tobytes() == winners.objectives[kept].tobytes()
 
     def test_front_is_much_sparser_than_weight_count(self, sphere_problem):
         """The weighted-sum approach yields at most one point per weight —

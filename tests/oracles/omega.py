@@ -18,12 +18,11 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
-from repro.emoo.population import Population, _metadata_scalar
+from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_positive_int
+from tests.oracles.individual import Individual, metadata_scalar, non_dominated
 
 
 def _columnar_metadata(members: list[Individual]) -> dict[str, Any]:
@@ -63,7 +62,7 @@ def _metadata_rows(document: dict[str, Any], count: int) -> list[dict[str, Any]]
     columns: dict[str, list[Any]] = {}
     for key, entry in document.items():
         if "column" in entry:
-            columns[key] = [_metadata_scalar(value) for value in decode_array(entry["column"])]
+            columns[key] = [metadata_scalar(value) for value in decode_array(entry["column"])]
         else:
             columns[key] = list(entry["values"])
     return [{key: columns[key][row] for key in columns} for row in range(count)]

@@ -30,7 +30,6 @@ from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.individual import Individual, objectives_array
 from repro.emoo.termination import (
     GenerationState,
     MaxGenerations,
@@ -40,6 +39,12 @@ from repro.emoo.termination import (
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import stack_matrices
 from repro.types import SeedLike, as_rng
+from tests.oracles.individual import (
+    Individual,
+    objectives_array,
+    result_from_members,
+    row_individuals,
+)
 from tests.oracles.omega import OptimalSet
 from tests.oracles.scalar import assign_spea2_fitness, binary_tournament
 
@@ -104,7 +109,7 @@ def _termination(config: OptRRConfig) -> TerminationCriterion:
 
 def _evaluate_individuals(problem: RRMatrixProblem, stack: np.ndarray) -> list[Individual]:
     """Evaluate a ``(B, n, n)`` stack into an ``Individual`` list."""
-    return problem.population_to_individuals(problem.evaluate_population(stack))
+    return row_individuals(problem.evaluate_population(stack))
 
 
 def _baseline_seed_individuals(
@@ -208,9 +213,7 @@ def reference_optrr_run(
     termination = _termination(config)
     termination.reset()
 
-    population = problem.population_to_individuals(
-        problem.initial_population_soa(config.population_size, rng)
-    )
+    population = row_individuals(problem.initial_population_soa(config.population_size, rng))
     baseline_seeds = _baseline_seed_individuals(problem, config, rng)
     if not population:
         raise OptimizationError("initial population is empty")
@@ -248,7 +251,7 @@ def reference_optrr_run(
     front = optimal_set.pareto_members()
     if not front:
         front = archive
-    return OptimizationResult.from_members(
+    return result_from_members(
         front,
         optimal_set.members(),
         n_generations=generation + 1,

@@ -32,7 +32,6 @@ import numpy as np
 from repro.emoo.density import pairwise_distances
 from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.individual import Individual, objectives_array
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
@@ -45,6 +44,7 @@ from repro.metrics.utility import utility_score
 from repro.rr.matrix import RRMatrix
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import check_in_unit_interval, check_positive_int
+from tests.oracles.individual import Individual, objectives_array
 
 #: Must stay equal to ``repro.core.operators._EPSILON``.
 _EPSILON = 1e-12

@@ -24,7 +24,6 @@ from repro.core.operators import (
 )
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import pareto_ranks_from_arrays
-from repro.emoo.individual import Individual
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import (
     adversary_accuracy,
@@ -37,6 +36,7 @@ from repro.metrics.privacy import (
     privacy_score_batch,
 )
 from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_matrices
+from tests.oracles.individual import Individual
 from tests.oracles.scalar import (
     _rebalance_column,
     enforce_privacy_bound,

@@ -648,6 +648,26 @@ class TestOptimizeCheckpointResume:
         exit_code = main(["optimize", "--resume", checkpoint])
         self._assert_one_line_error(capsys, exit_code, "missing field 'setup'")
 
+    @pytest.mark.parametrize(
+        ("counters", "fragment"),
+        [
+            ({"n_evaluations": -500, "counter": -3}, "n_evaluations must be a non-negative"),
+            ({"counter": -3}, "counter must be a non-negative"),
+            ({"n_evaluations": True}, "n_evaluations must be a non-negative"),
+            ({"n_evaluations": 12.0}, "n_evaluations must be a non-negative"),
+            ({"n_low_evaluations": 10**9}, "n_low_evaluations 1000000000 exceeds"),
+        ],
+    )
+    def test_resume_rejects_tampered_problem_counters(
+        self, tmp_path, capsys, counters, fragment
+    ):
+        def breaker(document):
+            document["state"]["problem"].update(counters)
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, fragment)
+
 
 class TestDisguiseCodes:
     def test_disguises_a_code_file(self, tmp_path, capsys):

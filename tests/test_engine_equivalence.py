@@ -43,7 +43,7 @@ from repro.emoo.selection import (
 )
 from repro.emoo.termination import MaxGenerations
 from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
-from tests.emoo.conftest import make_individual
+from tests.oracles.individual import Individual
 from tests.oracles.optrr_loop import (
     reference_environmental_selection,
     reference_optrr_run,
@@ -62,6 +62,13 @@ SETTINGS = settings(
 coordinate = st.integers(min_value=0, max_value=4).map(lambda v: v / 4.0)
 point = st.tuples(coordinate, coordinate)
 point_sets = st.lists(point, min_size=2, max_size=24)
+#: Hostile objective sets: a tiny grid plus ±inf coordinates, so rows share
+#: infinite coordinates (NaN distances), sit infinitely far from everything
+#: (all-inf distance rows) or duplicate each other.
+hostile_coordinate = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf])
+hostile_point_sets = st.lists(
+    st.tuples(hostile_coordinate, hostile_coordinate), min_size=3, max_size=13
+)
 
 
 def _config(**overrides) -> OptRRConfig:
@@ -139,6 +146,11 @@ class TestTrajectoryEquivalence:
         assert len(array_result.points) > 0 and len(pre_pr.points) > 0
 
 
+def make_individual(objectives) -> Individual:
+    """A feasible oracle individual with the given objectives."""
+    return Individual(genome=None, objectives=np.asarray(objectives, dtype=float))
+
+
 def truncated_positions(archive, target: int) -> list[int]:
     """Survivors of the incremental truncation, as positions in ``archive``."""
     objectives = np.vstack([individual.objectives for individual in archive])
@@ -180,6 +192,27 @@ class TestTruncationEquivalence:
         assert fast.tolist() == reference_positions(union, slow)
         # The reference writes the same fitness values onto the individuals.
         assert np.array_equal([i.fitness for i in union], fitness)
+
+    @SETTINGS
+    @given(points=hostile_point_sets, data=st.data())
+    def test_truncation_matches_reference_on_hostile_sets(self, points, data):
+        """With ±inf objectives (NaN and +inf distances) the incremental
+        truncation still removes the reference's rows and keeps exactly
+        ``target`` of them."""
+        target = data.draw(st.integers(min_value=1, max_value=len(points)))
+        archive = [make_individual(list(p)) for p in points]
+        survivors = truncated_positions(archive, target)
+        assert len(survivors) == target
+        assert survivors == reference_positions(
+            archive, reference_truncate_archive(archive, target)
+        )
+
+    def test_all_infinite_distances_truncate_to_target(self):
+        """Regression: every pairwise distance is +inf, so every nearest
+        distance ties with the removed rows' +inf; the victim must still be
+        an alive row."""
+        points = np.array([[np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf]])
+        assert truncate_indices(pairwise_distances(points), 1).tolist() == [2]
 
     def test_duplicate_heavy_truncation_keeps_exact_reference_order(self):
         """Regression: a population dominated by duplicate clusters (the Ω
@@ -315,7 +348,7 @@ def _pinned_run(engine: str):
             WeightedSumSettings(population_size=8, n_generations=6, n_weights=5),
             seed=rng,
         ).run()
-    front = np.array(sorted(tuple(m.objectives) for m in result.front))
+    front = np.array(sorted(map(tuple, result.front.objectives)))
     return front, result.n_evaluations, rng.bit_generator.state
 
 

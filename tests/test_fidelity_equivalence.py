@@ -64,9 +64,10 @@ def optrr_result_key(result) -> str:
 
 
 def generic_result_key(result) -> list:
+    front = result.front
     return sorted(
-        (tuple(member.objectives.tolist()), repr(member.genome))
-        for member in result.front
+        (tuple(objectives.tolist()), repr(genome))
+        for objectives, genome in zip(front.objectives, front.genomes)
     )
 
 
