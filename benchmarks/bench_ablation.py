@@ -25,7 +25,6 @@ from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.indicators import hypervolume_2d
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.termination import MaxGenerations
 from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
 from repro.experiments.base import default_generations, default_population
 
@@ -70,7 +69,7 @@ def test_emoo_algorithm_ablation(run_once):
         nsga_result = NSGA2(
             nsga_problem,
             NSGA2Settings(population_size=population),
-            termination=MaxGenerations(generations),
+            n_generations=generations,
             seed=0,
         ).run()
         nsga_front = ParetoFront.from_points("nsga2", _feasible_points(nsga_result.front))

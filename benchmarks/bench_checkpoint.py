@@ -1,12 +1,12 @@
 """Benchmark: end-to-end overhead of driver checkpointing.
 
-The stepwise driver (:mod:`repro.core.driver`) serializes the complete run
-state — population/archive arrays, the optimal set Ω, termination counters
-and the RNG bit-generator state — as base64 byte arrays inside a compact
-JSON document, written atomically between generations.  This benchmark
+The stepwise driver (:mod:`repro.emoo.driver`) serializes the complete run
+state — population/archive arrays, the optimal set Ω, the stagnation
+counter and the RNG bit-generator state — as base64 byte arrays inside a
+compact JSON document, written atomically between generations.  This benchmark
 measures the *end-to-end* cost of that: the same seeded OptRR run with and
 without checkpointing, at the default cadence
-(:data:`repro.core.driver.DEFAULT_CHECKPOINT_EVERY` = 50 generations) and at
+(:data:`repro.emoo.driver.DEFAULT_CHECKPOINT_EVERY` = 50 generations) and at
 the worst-case every-generation cadence, plus the raw cost of one
 serialize + write + load + restore round-trip.
 
@@ -43,7 +43,7 @@ except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
 from repro.core.config import OptRRConfig
-from repro.core.driver import DEFAULT_CHECKPOINT_EVERY
+from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY
 from repro.core.optimizer import OptRROptimizer
 from repro.data.synthetic import normal_distribution
 from repro.io import load_checkpoint, result_to_dict

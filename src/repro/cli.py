@@ -36,7 +36,7 @@ from repro.analysis.front import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_front_table, format_pipeline_table
 from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
-from repro.core.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
+from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
 from repro.core.optimizer import OptRROptimizer
 from repro.core.search_space import log10_rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution

@@ -10,7 +10,7 @@ matrix evicted from the bounded archive.
 
 from repro.core.config import OptRRConfig
 from repro.core.archive import OptimalSet
-from repro.core.driver import (
+from repro.emoo.driver import (
     DEFAULT_CHECKPOINT_EVERY,
     GenerationSnapshot,
     OptimizationDriver,

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.archive import OptimalSet
 from repro.core.config import OptRRConfig
-from repro.core.driver import (
+from repro.emoo.driver import (
     OptimizationDriver,
     StepOutcome,
     SteppableOptimization,
@@ -48,7 +48,7 @@ from repro.core.driver import (
     population_to_document,
     workload_fingerprint,
 )
-from repro.core.problem import SINGULAR_UTILITY_PENALTY, RRMatrixProblem
+from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
@@ -59,11 +59,6 @@ from repro.emoo.population import Population
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
-)
-from repro.emoo.termination import (
-    MaxGenerations,
-    StagnationTermination,
-    TerminationCriterion,
 )
 from repro.exceptions import ValidationError
 from repro.metrics.privacy import check_bound_feasible
@@ -127,12 +122,6 @@ class OptRROptimizer:
         """The underlying EMOO problem (exposed for ablations and tests)."""
         return self._problem
 
-    def _termination(self) -> TerminationCriterion:
-        criterion: TerminationCriterion = MaxGenerations(self.config.n_generations)
-        if self.config.stagnation_patience is not None:
-            criterion = criterion | StagnationTermination(self.config.stagnation_patience)
-        return criterion
-
     def run(
         self,
         *,
@@ -145,7 +134,7 @@ class OptRROptimizer:
         """Run the optimization and return the resulting Pareto front.
 
         Thin wrapper over the stepwise :meth:`driver`; the loop itself lives
-        in :class:`~repro.core.driver.OptimizationDriver`.
+        in :class:`~repro.emoo.driver.OptimizationDriver`.
 
         Parameters
         ----------
@@ -160,10 +149,10 @@ class OptRROptimizer:
             :meth:`from_checkpoint` + :meth:`OptimizationDriver.restore`.
         checkpoint_every:
             Checkpoint cadence in generations (default
-            :data:`~repro.core.driver.DEFAULT_CHECKPOINT_EVERY`).
+            :data:`~repro.emoo.driver.DEFAULT_CHECKPOINT_EVERY`).
         deadline:
-            Optional wall-clock budget in seconds, combined with the
-            configured termination via ``|``.
+            Optional wall-clock budget in seconds; the run also stops on the
+            configured generation budget and stagnation patience.
         """
         driver = self.driver(
             seed=seed,
@@ -199,15 +188,15 @@ class OptRROptimizer:
         self,
         *,
         seed: SeedLike = None,
-        termination: TerminationCriterion | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int | None = None,
         deadline: float | None = None,
     ) -> OptimizationDriver:
         """Build the stepwise driver for this optimizer.
 
-        When neither ``checkpoint_path`` nor an explicit termination is
-        given, the ambient :func:`~repro.core.driver.checkpoint_scope` (set
+        The stopping rule is the configured generation budget and
+        stagnation patience plus ``deadline``.  When no ``checkpoint_path``
+        is given, the ambient :func:`~repro.emoo.driver.checkpoint_scope` (set
         by the cached-grid executor around every campaign cell) is consulted:
         the run claims a checkpoint file in the scope's directory, resumes
         automatically from a matching previous checkpoint, and honours the
@@ -215,7 +204,8 @@ class OptRROptimizer:
         """
         return build_driver(
             _OptRRSteppable(self),
-            termination=termination if termination is not None else self._termination(),
+            max_generations=self.config.n_generations,
+            patience=self.config.stagnation_patience,
             rng=as_rng(seed if seed is not None else self.config.seed),
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
@@ -413,12 +403,8 @@ class _OptRRSteppable(SteppableOptimization):
         optimal_set.refresh(archive)
         self.population = population
         self.archive = archive
-        front = archive.objectives[archive.feasible]
-        if front.shape[0] == 0:
-            front = archive.objectives
         return StepOutcome(
             archive_updates=updates,
-            front_objectives=front,
             n_evaluations=problem.n_evaluations,
             n_full_evaluations=problem.n_full_evaluations,
             n_low_evaluations=problem.n_low_evaluations,
@@ -459,11 +445,6 @@ class _OptRRSteppable(SteppableOptimization):
             n_generations=generation + 1,
             n_evaluations=problem.n_evaluations,
         )
-
-    def hypervolume_reference(self) -> tuple[float, float]:
-        # Objectives are (-privacy, utility-with-singular-penalty): privacy
-        # cannot exceed 1 and the penalty bounds the utility axis.
-        return (0.0, SINGULAR_UTILITY_PENALTY)
 
     def setup_fingerprint(self) -> str:
         if self._fingerprint is not None:

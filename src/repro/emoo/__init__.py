@@ -3,8 +3,9 @@
 The array kernels of SPEA2 (fitness, density, environmental selection and
 truncation — the algorithm the paper builds on, assembled into OptRR by
 ``repro.core``), the NSGA-II and weighted-sum baselines used by the ablation
-benchmarks, the stepwise checkpointing driver, multi-fidelity scheduling,
-Pareto dominance utilities and front-quality indicators.
+benchmarks, the stepwise checkpointing driver with its stopping rule,
+multi-fidelity scheduling, Pareto dominance utilities and front-quality
+indicators.
 
 Every engine works on genome stacks — a problem supplies stack creation,
 evaluation into a structure-of-arrays
@@ -28,20 +29,12 @@ from repro.emoo.selection import (
     truncate_indices,
 )
 from repro.emoo.problem import Problem
-from repro.emoo.termination import (
-    Deadline,
-    GenerationState,
-    HypervolumeStagnation,
-    MaxGenerations,
-    StagnationTermination,
-    TerminationCriterion,
-)
-# The driver must load before the algorithm built on it (nsga2); the public
-# import surface for it is repro.core.driver.
+# The driver must load before the algorithm built on it (nsga2).
 from repro.emoo.driver import (
     GenerationSnapshot,
     OptimizationDriver,
     SteppableOptimization,
+    StoppingRule,
     checkpoint_scope,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
@@ -55,22 +48,17 @@ from repro.emoo.indicators import (
 )
 
 __all__ = [
-    "Deadline",
     "FidelitySchedule",
     "FidelityScheduler",
     "GenerationSnapshot",
-    "GenerationState",
-    "HypervolumeStagnation",
-    "MaxGenerations",
     "OptimizationDriver",
     "SteppableOptimization",
+    "StoppingRule",
     "checkpoint_scope",
     "NSGA2",
     "NSGA2Settings",
     "Population",
     "Problem",
-    "StagnationTermination",
-    "TerminationCriterion",
     "WeightedSumGA",
     "WeightedSumSettings",
     "binary_tournament_indices",

@@ -10,15 +10,16 @@ fixed generation budget.  This module factors the loop out once:
   advance one generation, produce the final result, and (de)serialize its
   state as a JSON-compatible document.
 * :class:`OptimizationDriver` owns everything around the algorithm: the RNG,
-  the generation counter, cumulative wall time, the termination criterion,
-  and the checkpoint cadence.  :meth:`OptimizationDriver.steps` is a
-  generator yielding one enriched :class:`GenerationSnapshot` per generation;
-  ``run()`` methods on the optimizers are thin wrappers over it.
+  the generation counter, cumulative wall time, the :class:`StoppingRule`
+  with its one piece of state (generations since Ω last changed), and the
+  checkpoint cadence.  :meth:`OptimizationDriver.steps` is a generator
+  yielding one :class:`GenerationSnapshot` per generation; ``run()`` methods
+  on the optimizers are thin wrappers over it.
 
 Checkpoints are versioned ``checkpoint`` io documents (:mod:`repro.io`)
 holding the complete run state: population/archive arrays (bit-exact, see
-:mod:`repro.utils.arrays`), the optimal-set state, termination-criterion
-counters, and the NumPy bit-generator state.  The hard invariant: a run
+:mod:`repro.utils.arrays`), the optimal-set state, the stagnation counter,
+and the NumPy bit-generator state.  The hard invariant: a run
 killed after any generation ``k`` and resumed from its checkpoint retraces
 the uninterrupted run bit for bit — same front, same Ω spectrum, same
 matrices, same RNG stream.
@@ -29,8 +30,8 @@ cell an automatically claimed checkpoint file, resumed transparently when
 the cell re-runs after an interruption.
 
 This module lives in the ``emoo`` layer because NSGA-II runs on the same
-driver and ``repro.emoo`` must not depend on ``repro.core``; :mod:`repro.core.driver` is the public import surface and
-re-exports everything defined here.
+driver and ``repro.emoo`` must not depend on ``repro.core``.  It is the only
+place an optimizer run reads the wall clock.
 """
 
 from __future__ import annotations
@@ -47,22 +48,52 @@ from typing import Any, Callable, ClassVar, Iterator
 import numpy as np
 
 from repro.emoo.population import Population
-from repro.emoo.termination import GenerationState, TerminationCriterion
 from repro.exceptions import OptimizationError, ReproError, ValidationError
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_counter, check_positive_int
 
 logger = get_logger(__name__)
 
 #: Version of the ``checkpoint`` document layout (bumped independently of the
 #: io-wide ``format_version`` when the state payload changes shape).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Default checkpoint cadence (generations between checkpoint writes).  At 50
 #: the measured end-to-end overhead stays under 5% even with a well-filled Ω
 #: (see ``benchmarks/bench_checkpoint.py``).
 DEFAULT_CHECKPOINT_EVERY = 50
+
+
+@dataclass(frozen=True)
+class StoppingRule:
+    """When a driven run stops (Section V-I), checked after every generation.
+
+    The run stops once ``max_generations`` generations completed, once
+    ``patience`` (when set) consecutive generations made no update to the
+    algorithm's long-term store (Ω for OptRR), or once the wall time of the
+    current run segment reaches ``deadline`` seconds (when set) — measured
+    from the start of this invocation, so a resumed run's deadline budgets
+    only its new work.
+
+    A deadline is inherently wall-clock-dependent: two runs with the same
+    seed may stop at different generations.  The bit-for-bit resume
+    guarantee therefore applies to *state*, not to where a deadline fires.
+    """
+
+    max_generations: int
+    patience: int | None = None
+    deadline: float | None = None
+
+    def __post_init__(self) -> None:
+        check_positive_int(self.max_generations, "max_generations")
+        if self.patience is not None:
+            check_positive_int(self.patience, "patience")
+        if self.deadline is not None and not (
+            np.isfinite(self.deadline) and self.deadline > 0
+        ):
+            raise OptimizationError(f"deadline seconds must be positive, got {self.deadline}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +106,6 @@ class StepOutcome:
         Number of improvements to the algorithm's long-term store during this
         generation (the Ω update count for OptRR; algorithms without such a
         store report 1 so update-based stagnation never fires spuriously).
-    front_objectives:
-        ``(n_points, n_objectives)`` objective array of the current elite
-        front (minimisation convention).
     n_evaluations:
         Cumulative objective evaluations since the start of the run
         (including any resumed-from segments).
@@ -88,7 +116,6 @@ class StepOutcome:
     """
 
     archive_updates: int
-    front_objectives: np.ndarray
     n_evaluations: int
     n_full_evaluations: int | None = None
     n_low_evaluations: int | None = None
@@ -96,7 +123,7 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class GenerationSnapshot:
-    """Enriched per-generation state yielded by :meth:`OptimizationDriver.steps`.
+    """Per-generation state yielded by :meth:`OptimizationDriver.steps`.
 
     Attributes
     ----------
@@ -104,22 +131,14 @@ class GenerationSnapshot:
         Zero-based index of the generation that just completed.
     archive_updates:
         See :attr:`StepOutcome.archive_updates`.
-    front_objectives:
-        Objective array of the current elite front.
-    front_size:
-        Number of points on that front.
-    hypervolume:
-        2-D hypervolume of the front against the algorithm's reference point
-        (``nan`` when the algorithm declares no reference or the front is not
-        two-objective).
     n_evaluations:
         Cumulative objective evaluations so far.
     elapsed_seconds:
         Cumulative wall time of the run, including segments before a
         checkpoint/resume cycle.
     stopped:
-        Whether the termination criterion fired after this generation (this
-        is the last snapshot of the run when True).
+        Whether the stopping rule fired after this generation (this is the
+        last snapshot of the run when True).
     n_full_evaluations / n_low_evaluations:
         Cumulative full- and reduced-fidelity split of ``n_evaluations``
         (``n_low_evaluations`` stays 0 for runs without a fidelity axis).
@@ -127,9 +146,6 @@ class GenerationSnapshot:
 
     generation: int
     archive_updates: int
-    front_objectives: np.ndarray
-    front_size: int
-    hypervolume: float
     n_evaluations: int
     elapsed_seconds: float
     stopped: bool
@@ -166,13 +182,9 @@ class SteppableOptimization(ABC):
 
     def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
         """Called by the driver before every :meth:`step` with the wall time
-        consumed by the *current* segment and the smallest active wall-clock
-        deadline budget (None without one).  Fidelity-scheduling algorithms
-        adapt their low-fidelity budget here (default: nothing)."""
-
-    def hypervolume_reference(self) -> tuple[float, float] | None:
-        """Reference point for snapshot hypervolumes (None disables them)."""
-        return None
+        consumed by the *current* segment and the stopping rule's deadline
+        (None without one).  Fidelity-scheduling algorithms adapt their
+        low-fidelity budget here (default: nothing)."""
 
     def setup_fingerprint(self) -> str:
         """Hash identifying the workload (not the stopping rule or seed).
@@ -191,10 +203,8 @@ class OptimizationDriver:
     ----------
     optimization:
         The algorithm to drive.
-    termination:
-        Stopping rule, consulted after every generation with the enriched
-        :class:`~repro.emoo.termination.GenerationState` (front snapshot and
-        cumulative wall time included).
+    rule:
+        When to stop; checked after every generation.
     rng:
         Seed or generator for the whole run.  On resume, the generator's
         bit-generator state is overwritten with the checkpointed state.
@@ -210,7 +220,7 @@ class OptimizationDriver:
         self,
         optimization: SteppableOptimization,
         *,
-        termination: TerminationCriterion,
+        rule: StoppingRule,
         rng: SeedLike = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -220,7 +230,7 @@ class OptimizationDriver:
                 f"checkpoint_every must be at least 1, got {checkpoint_every}"
             )
         self.optimization = optimization
-        self.termination = termination
+        self.rule = rule
         self.rng = as_rng(rng)
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path is not None else None
         self.checkpoint_every = int(checkpoint_every)
@@ -228,15 +238,12 @@ class OptimizationDriver:
         self._started = False
         self._finished = False
         self._elapsed = 0.0
-        # Smallest wall-clock deadline inside the termination composition,
-        # surfaced to the algorithm via notify_progress(); the anchor marks
-        # where the current segment started (non-zero after a resume), so
-        # the budget always applies to this invocation's new work — the
-        # same semantics as Deadline itself.
-        from repro.emoo.termination import termination_deadline_seconds
-
-        self._deadline_seconds = termination_deadline_seconds(termination)
+        # Where the current segment started (non-zero after a resume): the
+        # deadline always budgets this invocation's new work.
         self._elapsed_anchor = 0.0
+        #: Consecutive generations without an update to the algorithm's
+        #: long-term store (the stopping rule's patience counter).
+        self.stale = 0
 
     # -- checkpointing --------------------------------------------------------
     @property
@@ -258,7 +265,7 @@ class OptimizationDriver:
             "stopped": bool(stopped),
             "elapsed_seconds": float(self._elapsed),
             "rng_state": _rng_state_document(self.rng),
-            "termination": self.termination.state_document(),
+            "termination": {"stale": self.stale},
             "state": self.optimization.state_document(),
         }
 
@@ -276,7 +283,7 @@ class OptimizationDriver:
         """Restore a checkpoint into this (not-yet-started) driver.
 
         ``reopen`` controls what happens when the checkpoint was written
-        *after* the termination criterion fired: by default the driver comes
+        *after* the stopping rule fired: by default the driver comes
         back already finished (``steps()`` yields nothing and ``result()`` is
         immediately available, reproducing the original run's result without
         recomputation); with ``reopen=True`` the run continues — used when
@@ -284,12 +291,12 @@ class OptimizationDriver:
         ``--generations``.
 
         Validation failures (wrong document type, another algorithm, another
-        workload fingerprint) raise before any state is touched.  Payload
-        errors raised later may leave algorithm/termination state partially
-        written, but always *before* the RNG is overwritten — and a
-        subsequent fresh start runs ``reset()`` + ``setup()``, which rebuild
-        both completely, so a caught restore failure still yields an exact
-        seed-deterministic fresh run.
+        workload fingerprint, a malformed ``generation`` or stagnation
+        counter) raise before any state is touched.  Payload errors raised
+        later may leave algorithm state partially written, but always
+        *before* the RNG is overwritten — and a subsequent fresh start runs
+        ``setup()``, which rebuilds it completely, so a caught restore
+        failure still yields an exact seed-deterministic fresh run.
         """
         if self._started:
             raise OptimizationError("cannot restore into a driver that already started")
@@ -320,16 +327,19 @@ class OptimizationDriver:
         # before the RNG is overwritten, so any payload error leaves it
         # pristine for a seed-exact fresh start.
         completed = checkpoint_generation(document)
+        termination = document.get("termination")
+        stale = check_counter(
+            termination.get("stale") if isinstance(termination, dict) else termination,
+            "checkpoint field 'termination.stale'",
+            at_most=completed + 1,
+        )
         stopped = bool(document.get("stopped", False))
         elapsed = float(document.get("elapsed_seconds", 0.0))
-        self.termination.restore_state(document.get("termination", {}))
         self.optimization.restore_state(document["state"])
         _restore_rng_state(self.rng, document["rng_state"])
+        self.stale = stale
         self._elapsed = elapsed
         self._elapsed_anchor = elapsed
-        # Wall-clock criteria anchor on the already-consumed time so a
-        # deadline budgets this invocation's new work.
-        self.termination.notify_resumed(elapsed)
         if stopped and not reopen:
             self.generation = completed
             self._finished = True
@@ -340,33 +350,35 @@ class OptimizationDriver:
     # -- driving --------------------------------------------------------------
     def steps(self) -> Iterator[GenerationSnapshot]:
         """Yield one :class:`GenerationSnapshot` per generation until the
-        termination criterion fires.
+        stopping rule fires.
 
         Checkpoints (when configured) are written between generations —
-        after the termination criterion consumed the generation's state, so
-        stateful stopping counters resume exactly.  A driver restored from a
-        post-termination checkpoint yields nothing.
+        after the generation's outcome updated the stagnation counter, so it
+        resumes exactly.  A driver restored from a post-termination
+        checkpoint yields nothing.
         """
         if self._finished:
             return
         if not self._started:
-            self.termination.reset()
             self.optimization.setup(self.rng)
             self._started = True
+        rule = self.rule
         mark = time.perf_counter()
         while True:
             self.optimization.notify_progress(
-                self._elapsed - self._elapsed_anchor, self._deadline_seconds
+                self._elapsed - self._elapsed_anchor, rule.deadline
             )
             outcome = self.optimization.step(self.rng, self.generation)
             mark = self._accumulate(mark)
-            state = GenerationState(
-                generation=self.generation,
-                archive_updates=outcome.archive_updates,
-                front=outcome.front_objectives,
-                elapsed_seconds=self._elapsed,
+            self.stale = 0 if outcome.archive_updates > 0 else self.stale + 1
+            stop = (
+                self.generation + 1 >= rule.max_generations
+                or (rule.patience is not None and self.stale >= rule.patience)
+                or (
+                    rule.deadline is not None
+                    and self._elapsed - self._elapsed_anchor >= rule.deadline
+                )
             )
-            stop = self.termination.should_stop(state)
             if self.checkpoint_path is not None and (
                 stop or (self.generation + 1) % self.checkpoint_every == 0
             ):
@@ -375,9 +387,6 @@ class OptimizationDriver:
             yield GenerationSnapshot(
                 generation=self.generation,
                 archive_updates=outcome.archive_updates,
-                front_objectives=outcome.front_objectives,
-                front_size=int(np.asarray(outcome.front_objectives).shape[0]),
-                hypervolume=self._hypervolume(outcome.front_objectives),
                 n_evaluations=outcome.n_evaluations,
                 elapsed_seconds=self._elapsed,
                 stopped=stop,
@@ -417,7 +426,7 @@ class OptimizationDriver:
 
     @property
     def finished(self) -> bool:
-        """Whether the termination criterion has fired."""
+        """Whether the stopping rule has fired."""
         return self._finished
 
     # -- internals ------------------------------------------------------------
@@ -425,16 +434,6 @@ class OptimizationDriver:
         now = time.perf_counter()
         self._elapsed += now - mark
         return now
-
-    def _hypervolume(self, front: np.ndarray) -> float:
-        reference = self.optimization.hypervolume_reference()
-        front = np.asarray(front, dtype=np.float64)
-        if reference is None or front.ndim != 2 or front.shape[1] != 2:
-            return float("nan")
-        from repro.emoo.indicators import finite_front_hypervolume_2d
-
-        volume = finite_front_hypervolume_2d(front, reference)
-        return float("nan") if volume is None else volume
 
 
 # -- population serialization --------------------------------------------------
@@ -641,7 +640,8 @@ def claim_scoped_checkpoint() -> tuple[Path | None, int, float | None, dict[str,
 def build_driver(
     optimization: SteppableOptimization,
     *,
-    termination: TerminationCriterion,
+    max_generations: int,
+    patience: int | None = None,
     rng: SeedLike = None,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int | None = None,
@@ -650,29 +650,25 @@ def build_driver(
     """The shared driver-construction policy behind every optimizer's
     ``driver()`` method.
 
-    Composes an explicit ``deadline`` into the termination via ``|``; when no
-    explicit ``checkpoint_path`` is given, claims one from the ambient
-    :func:`checkpoint_scope` (inheriting the scope's cadence and remaining
-    wall-clock budget) and auto-resumes from a matching previous checkpoint.
-    A scoped checkpoint that does not match this optimization (another
-    algorithm or workload, an unreadable payload) is logged and ignored —
-    the run starts fresh and overwrites it.
+    When no explicit ``checkpoint_path`` is given, claims one from the
+    ambient :func:`checkpoint_scope` (inheriting the scope's cadence and
+    remaining wall-clock budget) and auto-resumes from a matching previous
+    checkpoint; the rule's deadline is the tighter of an explicit
+    ``deadline`` and that remaining budget (both count from this segment's
+    start).  A scoped checkpoint that does not match this optimization
+    (another algorithm or workload, an unreadable payload) is logged and
+    ignored — the run starts fresh and overwrites it.
     """
-    from repro.emoo.termination import Deadline
-
-    criterion = termination
-    if deadline is not None:
-        criterion = criterion | Deadline(deadline)
     resume_document = None
     if checkpoint_path is None:
         checkpoint_path, scoped_every, remaining, resume_document = claim_scoped_checkpoint()
         if checkpoint_every is None:
             checkpoint_every = scoped_every
         if remaining is not None:
-            criterion = criterion | Deadline(remaining)
+            deadline = remaining if deadline is None else min(deadline, remaining)
     driver = OptimizationDriver(
         optimization,
-        termination=criterion,
+        rule=StoppingRule(max_generations, patience, deadline),
         rng=rng,
         checkpoint_path=checkpoint_path,
         checkpoint_every=(

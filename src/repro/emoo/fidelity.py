@@ -14,11 +14,11 @@ errs on the side of discarding, never on the side of letting an optimistic
 estimate into the archive: only full-fidelity evaluations are ever offered
 to the optimal set.
 
-When a wall-clock :class:`~repro.emoo.termination.Deadline` is active the
-scheduler adapts its budget: as the deadline approaches, the low fidelity is
-ratcheted *down* (never up, so the schedule is monotone within a run and its
-state round-trips through checkpoints) to squeeze more generations out of
-the remaining time.  Like the deadline itself, where adaptation fires is
+When the run's :class:`~repro.emoo.driver.StoppingRule` has a wall-clock
+deadline the scheduler adapts its budget: as the deadline approaches, the
+low fidelity is ratcheted *down* (never up, so the schedule is monotone
+within a run and its state round-trips through checkpoints) to squeeze more
+generations out of the remaining time.  Like the deadline itself, where adaptation fires is
 wall-clock dependent; the bit-for-bit resume guarantee applies to the
 scheduler *state*, which is checkpointed via :meth:`FidelityScheduler.
 state_document`.
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.emoo.dominance import pareto_ranks_from_arrays
-from repro.exceptions import OptimizationError
+from repro.exceptions import OptimizationError, ValidationError
 from repro.utils.validation import check_counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -185,10 +185,26 @@ class FidelityScheduler:
         }
 
     def restore_state(self, document: dict[str, Any]) -> None:
-        """Restore the counters captured by :meth:`state_document`."""
-        self.current_low_fidelity = float(
-            document.get("current_low_fidelity", self.schedule.low_fidelity)
-        )
+        """Restore the counters captured by :meth:`state_document`.
+
+        ``current_low_fidelity`` must be a finite number in
+        ``[min_fidelity, low_fidelity]`` — the only values the monotone
+        ratchet can reach (just ``low_fidelity`` when the floor lies above
+        it) — or :class:`~repro.exceptions.ValidationError` is raised.
+        """
+        fidelity = document.get("current_low_fidelity", self.schedule.low_fidelity)
+        high = self.schedule.low_fidelity
+        low = min(self.schedule.min_fidelity, high)
+        if (
+            isinstance(fidelity, bool)
+            or not isinstance(fidelity, (int, float))
+            or not low <= fidelity <= high
+        ):
+            raise ValidationError(
+                f"checkpointed current_low_fidelity must be a number in "
+                f"[{low}, {high}], got {fidelity!r}"
+            )
+        self.current_low_fidelity = float(fidelity)
         self.n_low_evaluations = check_counter(
             document.get("n_low_evaluations", 0), "checkpointed n_low_evaluations"
         )

@@ -71,10 +71,9 @@ def finite_front_hypervolume_2d(
 ) -> float | None:
     """:func:`hypervolume_2d` over the finite rows of a possibly-unclean front.
 
-    The stepwise driver and the hypervolume-stagnation termination criterion
-    both measure live optimizer fronts, which may contain sentinel values
-    (e.g. the singular-utility penalty is finite, but generic problems may
-    emit ``inf``); rows with non-finite entries are dropped first.  Returns
+    Live optimizer fronts may contain sentinel values (e.g. the
+    singular-utility penalty is finite, but generic problems may emit
+    ``inf``); rows with non-finite entries are dropped first.  Returns
     ``None`` when no finite points remain — callers decide whether that
     means "unknown" or "no progress".
     """

@@ -27,7 +27,6 @@ from repro.emoo.driver import (
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
-from repro.emoo.termination import MaxGenerations, TerminationCriterion
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
@@ -97,11 +96,12 @@ class NSGA2:
     promotion of the top fraction (see :mod:`repro.emoo.fidelity`); it
     requires a problem whose ``evaluate_population`` supports the
     ``fidelity`` keyword, and ``None`` keeps the exact single-fidelity path.
+    ``n_generations`` is the generation budget.
     """
 
     problem: Problem
     settings: NSGA2Settings = field(default_factory=NSGA2Settings)
-    termination: TerminationCriterion = field(default_factory=lambda: MaxGenerations(100))
+    n_generations: int = 100
     seed: SeedLike = None
     fidelity: FidelitySchedule | None = None
 
@@ -136,7 +136,7 @@ class NSGA2:
         including the ambient checkpoint scope)."""
         return build_driver(
             _NSGA2Steppable(self),
-            termination=self.termination,
+            max_generations=self.n_generations,
             rng=as_rng(seed if seed is not None else self.seed),
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
@@ -294,7 +294,6 @@ class _NSGA2Steppable(SteppableOptimization):
         n_low = self.fidelity.n_low_evaluations if self.fidelity is not None else 0
         return StepOutcome(
             archive_updates=1,
-            front_objectives=self.population.objectives[self.ranks == 0],
             n_evaluations=self.n_evaluations,
             n_full_evaluations=self.n_evaluations - n_low,
             n_low_evaluations=n_low,

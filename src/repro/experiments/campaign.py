@@ -41,7 +41,7 @@ from repro.analysis.aggregate import (
     aggregate_campaign_runs,
     aggregate_to_document,
 )
-from repro.core.driver import DEFAULT_CHECKPOINT_EVERY
+from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY
 from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.base import ExperimentResult, environment_override_defaults
 from repro.experiments.grid import DocumentCache, RetryPolicy, run_grid

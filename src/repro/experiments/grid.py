@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.driver import DEFAULT_CHECKPOINT_EVERY, CheckpointScope, checkpoint_scope
+from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, CheckpointScope, checkpoint_scope
 from repro.exceptions import GridCellError, ValidationError
 from repro.experiments.procpool import AttemptOutcome, ProcessCellRunner
 from repro.faults.injector import corrupt_stored_document, fire_cell_faults
@@ -404,7 +404,7 @@ def run_grid(
         Human-readable workload name used in log lines.
     checkpoint_dir:
         Directory for per-cell partial checkpoints.  Each cell attempt runs
-        inside a :func:`~repro.core.driver.checkpoint_scope` keyed by its
+        inside a :func:`~repro.emoo.driver.checkpoint_scope` keyed by its
         cache key (or grid index), so optimizer runs inside an interrupted
         cell — killed grid, crashed worker, or timed-out attempt — resume
         from their last checkpoint on the next attempt instead of

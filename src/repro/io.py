@@ -21,7 +21,7 @@ documents with :class:`~repro.exceptions.ValidationError`.
 
 The ``checkpoint`` document type (:func:`save_checkpoint` /
 :func:`load_checkpoint`) stores a whole optimization run's resumable state;
-its payload is produced and consumed by :mod:`repro.core.driver`, and its
+its payload is produced and consumed by :mod:`repro.emoo.driver`, and its
 schema is documented in ``docs/cli.md``.
 """
 
@@ -463,9 +463,9 @@ def checkpoint_quarantine_path(path: str | Path) -> Path:
 def save_checkpoint(document: dict[str, Any], path: str | Path) -> Path:
     """Atomically write a ``checkpoint`` document and return its path.
 
-    Checkpoints are produced by :meth:`repro.core.driver.OptimizationDriver.
+    Checkpoints are produced by :meth:`repro.emoo.driver.OptimizationDriver.
     checkpoint_document`: a versioned snapshot of a whole optimization run
-    (population/archive/Ω arrays as base64 bytes, termination counters, the
+    (population/archive/Ω arrays as base64 bytes, the stagnation counter, the
     NumPy bit-generator state).  The write goes through a temporary file in
     the destination directory plus :func:`os.replace`, so a run killed
     mid-checkpoint never leaves a partial document — the previous checkpoint
@@ -532,7 +532,7 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
 
     Only the document envelope is validated here (type and format version);
     the algorithm-specific payload is validated by
-    :meth:`repro.core.driver.OptimizationDriver.restore`.
+    :meth:`repro.emoo.driver.OptimizationDriver.restore`.
 
     A *missing* checkpoint raises :class:`FileNotFoundError`; a file that
     exists but does not decode or validate raises

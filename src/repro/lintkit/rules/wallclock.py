@@ -2,12 +2,12 @@
 
 A reproducible run may not observe the environment: wall-clock reads,
 OS-entropy draws and UUIDs all make two identical invocations diverge.  The
-only sanctioned timing sites are the stepwise driver (which *measures*
-elapsed wall time so it can ride the checkpoint as data) and the
-``Deadline`` termination criterion that consumes it — both allowlisted by
-path below.  Everywhere else under ``src/repro``, timing belongs in the
-benchmark harness and entropy belongs to the seeded Generator channel
-(RL001).
+only sanctioned optimizer timing site is the stepwise driver, which
+*measures* elapsed wall time (it rides the checkpoint as data) and checks
+the stopping rule's deadline against it — allowlisted by path below, next
+to the process pool's cell timeouts.  Everywhere else under ``src/repro``,
+timing belongs in the benchmark harness and entropy belongs to the seeded
+Generator channel (RL001).
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from repro.lintkit.registry import Rule, register
 from repro.lintkit.rules.rng import _dotted
 
 #: Files allowed to read the wall clock: the driver measures elapsed time
-#: (checkpointed as data), Deadline consumes it, and the kill-and-replace
-#: process runner needs monotonic deadlines for cell timeouts and backoff
-#: scheduling (none of which can reach a result document).
+#: (checkpointed as data) and enforces the deadline with it, and the
+#: kill-and-replace process runner needs monotonic deadlines for cell
+#: timeouts and backoff scheduling (none of which can reach a result
+#: document).
 ALLOWED_TIMING_FILES = frozenset(
     {
         "src/repro/emoo/driver.py",
-        "src/repro/emoo/termination.py",
         "src/repro/experiments/procpool.py",
     }
 )
@@ -70,7 +70,7 @@ class WallClockRule(Rule):
     name = "wall-clock"
     description = (
         "wall-clock reads, OS entropy and UUIDs are banned outside the "
-        "allowlisted Deadline/driver timing sites"
+        "allowlisted driver/process-pool timing sites"
     )
     scopes = ("src/repro",)
 
@@ -80,8 +80,7 @@ class WallClockRule(Rule):
         if source.relpath in ALLOWED_TIMING_FILES:
             return ()
         suffix = (
-            "; timing belongs to the driver/Deadline sites "
-            "(src/repro/emoo/driver.py, src/repro/emoo/termination.py), "
+            "; timing belongs to the driver (src/repro/emoo/driver.py), "
             "entropy to the seeded Generator channel"
         )
         violations: list[Violation] = []

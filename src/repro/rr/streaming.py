@@ -40,7 +40,7 @@ from repro.rr.matrix import RRMatrix
 from repro.rr.randomize import RandomizedResponse, check_codes
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_counter, check_positive_int
 
 #: Schema tags of the streaming state documents (bumped on layout changes).
 DISGUISER_STATE_SCHEMA = "streaming-disguiser-v1"
@@ -135,7 +135,9 @@ class StreamingDisguiser:
             self._rng.bit_generator.state = document["rng_state"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"cannot restore RNG state: {exc}") from exc
-        self._records_seen = int(document["records_seen"])
+        self._records_seen = check_counter(
+            document["records_seen"], "StreamingDisguiser records_seen"
+        )
 
 
 class CountAccumulator:
@@ -180,16 +182,38 @@ class CountAccumulator:
         }
 
     def restore_state(self, document: dict[str, Any]) -> None:
-        """Restore a :meth:`state_document` snapshot (bit-exact resume)."""
+        """Restore a :meth:`state_document` snapshot (bit-exact resume).
+
+        ``n_records`` must be a non-negative integer and ``counts`` one
+        non-negative integer per category summing to it.
+        """
         _check_schema(document.get("schema"), ACCUMULATOR_STATE_SCHEMA, "CountAccumulator")
+        n_records = check_counter(document["n_records"], "CountAccumulator n_records")
         counts = decode_array(document["counts"])
         if counts.shape != (self._n_categories,):
             raise ValidationError(
                 f"cannot restore CountAccumulator state: counts shape "
                 f"{counts.shape} != ({self._n_categories},)"
             )
-        self._counts = counts.astype(np.int64, copy=False)
-        self._n_records = int(document["n_records"])
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValidationError(
+                f"cannot restore CountAccumulator state: counts dtype {counts.dtype} "
+                f"is not an integer type"
+            )
+        # Negative after the int64 cast also catches uint64 counts that wrap.
+        counts = counts.astype(np.int64, copy=False)
+        if np.any(counts < 0):
+            raise ValidationError(
+                "cannot restore CountAccumulator state: counts must be non-negative"
+            )
+        total = int(counts.sum(dtype=object))
+        if total != n_records:
+            raise ValidationError(
+                f"cannot restore CountAccumulator state: counts sum to {total}, "
+                f"not n_records {n_records}"
+            )
+        self._counts = counts
+        self._n_records = n_records
 
 
 #: Estimation methods the online estimator understands.
@@ -305,5 +329,14 @@ class OnlineEstimator:
             )
         self._accumulator.restore_state(document["accumulator"])
         warm_start = document["warm_start"]
-        self._warm_start = None if warm_start is None else decode_array(warm_start)
+        if warm_start is not None:
+            warm_start = decode_array(warm_start)
+            if warm_start.shape != (self._matrix.n_categories,) or not np.all(
+                np.isfinite(warm_start)
+            ):
+                raise ValidationError(
+                    "cannot restore OnlineEstimator state: warm_start must be "
+                    f"{self._matrix.n_categories} finite values"
+                )
+        self._warm_start = warm_start
         self._diagnostics = [dict(entry) for entry in document["diagnostics"]]

@@ -1,6 +1,6 @@
 """Bit-exact JSON serialization of numpy arrays.
 
-Checkpoint documents (:mod:`repro.core.driver`, :mod:`repro.io`) must restore
+Checkpoint documents (:mod:`repro.emoo.driver`, :mod:`repro.io`) must restore
 optimizer state *bit-for-bit*: a resumed run has to retrace the uninterrupted
 run's floating-point trajectory exactly.  Encoding arrays as decimal text is
 both lossy-looking (it round-trips, but only via shortest-repr float parsing)

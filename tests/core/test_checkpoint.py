@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.core.archive import OptimalSet
-from repro.core.driver import population_from_document, population_to_document
+from repro.emoo.driver import population_from_document, population_to_document
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.population import Population

@@ -166,6 +166,32 @@ class TestStateRoundTrip:
         with pytest.raises(ValidationError, match="checkpointed n_"):
             make_scheduler().restore_state(counters)
 
+    @pytest.mark.parametrize(
+        "fidelity", [1.0, 0.5, 0.01, -5.0, float("nan"), float("inf"), True, "0.1", None]
+    )
+    def test_restore_rejects_an_unreachable_low_fidelity(self, fidelity):
+        """The ratchet only moves down from ``low_fidelity`` to the floor, so
+        anything outside [0.05, 0.2] here (or not a number) is tampering."""
+        with pytest.raises(ValidationError, match="current_low_fidelity"):
+            make_scheduler(low=0.2, floor=0.05).restore_state(
+                {"current_low_fidelity": fidelity}
+            )
+
+    @pytest.mark.parametrize("fidelity", [0.2, 0.1, 0.05])
+    def test_restore_accepts_every_reachable_low_fidelity(self, fidelity):
+        scheduler = make_scheduler(low=0.2, floor=0.05)
+        scheduler.restore_state({"current_low_fidelity": fidelity})
+        assert scheduler.current_low_fidelity == fidelity
+
+    def test_restore_accepts_the_low_fidelity_under_a_higher_floor(self):
+        """With the floor above ``low_fidelity`` the ratchet never moves, and
+        the checkpoint holds ``low_fidelity`` itself."""
+        scheduler = make_scheduler(low=0.2, floor=0.5)
+        scheduler.adapt(99.0, 100.0)
+        restored = make_scheduler(low=0.2, floor=0.5)
+        restored.restore_state(scheduler.state_document())
+        assert restored.current_low_fidelity == 0.2
+
     def test_restore_tolerates_missing_keys(self):
         scheduler = make_scheduler(low=0.3)
         scheduler.restore_state({})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
-from repro.emoo.termination import MaxGenerations
 
 
 class TestCrowdingDistance:
@@ -32,7 +31,7 @@ class TestNSGA2Run:
         algorithm = NSGA2(
             sphere_problem,
             NSGA2Settings(population_size=24),
-            termination=MaxGenerations(40),
+            n_generations=40,
             seed=4,
         )
         result = algorithm.run()
@@ -42,22 +41,22 @@ class TestNSGA2Run:
 
     def test_population_size_is_maintained(self, sphere_problem):
         result = NSGA2(
-            sphere_problem, NSGA2Settings(population_size=16), termination=MaxGenerations(10), seed=0
+            sphere_problem, NSGA2Settings(population_size=16), n_generations=10, seed=0
         ).run()
         assert len(result.population) == 16
         assert result.ranks.shape == result.crowding.shape == (16,)
 
     def test_reproducible_with_seed(self, sphere_problem):
         settings = NSGA2Settings(population_size=12)
-        first = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
-        second = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
+        first = NSGA2(sphere_problem, settings, n_generations=6, seed=9).run()
+        second = NSGA2(sphere_problem, settings, n_generations=6, seed=9).run()
         assert first.front.objectives.tobytes() == second.front.objectives.tobytes()
 
     def test_front_spreads_over_the_tradeoff(self, sphere_problem):
         result = NSGA2(
             sphere_problem,
             NSGA2Settings(population_size=30),
-            termination=MaxGenerations(40),
+            n_generations=40,
             seed=5,
         ).run()
         xs = np.sort(result.front.metadata["x"])
@@ -66,7 +65,7 @@ class TestNSGA2Run:
 
     def test_evaluation_count_accounting(self, sphere_problem):
         result = NSGA2(
-            sphere_problem, NSGA2Settings(population_size=10), termination=MaxGenerations(6), seed=2
+            sphere_problem, NSGA2Settings(population_size=10), n_generations=6, seed=2
         ).run()
         # Initial population + one offspring population per generation.
         assert result.n_evaluations == 10 + 6 * 10
@@ -74,7 +73,7 @@ class TestNSGA2Run:
 
     def test_front_is_the_rank_zero_rows(self, sphere_problem):
         result = NSGA2(
-            sphere_problem, NSGA2Settings(population_size=12), termination=MaxGenerations(5), seed=3
+            sphere_problem, NSGA2Settings(population_size=12), n_generations=5, seed=3
         ).run()
         front = result.population.objectives[result.ranks == 0]
         assert result.front.objectives.tobytes() == front.tobytes()

@@ -81,7 +81,7 @@ def test_wall_clock_findings(bad_tree: Path) -> None:
 
 
 def test_wall_clock_allows_the_deadline_sites(good_tree: Path) -> None:
-    # tree_good/src/repro/emoo/termination.py calls time.perf_counter — the
+    # tree_good/src/repro/emoo/driver.py calls time.perf_counter — the
     # allowlisted timing site must not fire.
     assert lint_tree(good_tree, {"RL002"}) == []
 

@@ -30,12 +30,6 @@ from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.termination import (
-    GenerationState,
-    MaxGenerations,
-    StagnationTermination,
-    TerminationCriterion,
-)
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import stack_matrices
 from repro.types import SeedLike, as_rng
@@ -98,13 +92,6 @@ def reference_environmental_selection(
         return chosen
     non_dominated = [union[index] for index in np.flatnonzero(non_dominated_mask)]
     return reference_truncate_archive(non_dominated, archive_size)
-
-
-def _termination(config: OptRRConfig) -> TerminationCriterion:
-    criterion: TerminationCriterion = MaxGenerations(config.n_generations)
-    if config.stagnation_patience is not None:
-        criterion = criterion | StagnationTermination(config.stagnation_patience)
-    return criterion
 
 
 def _evaluate_individuals(problem: RRMatrixProblem, stack: np.ndarray) -> list[Individual]:
@@ -210,8 +197,10 @@ def reference_optrr_run(
         diagonal_bias=config.diagonal_bias,
     )
     rng = as_rng(seed if seed is not None else config.seed)
-    termination = _termination(config)
-    termination.reset()
+    # The stopping rule: the generation budget, or ``stagnation_patience``
+    # consecutive generations without an update to Ω.
+    patience = config.stagnation_patience
+    stale = 0
 
     population = row_individuals(problem.initial_population_soa(config.population_size, rng))
     baseline_seeds = _baseline_seed_individuals(problem, config, rng)
@@ -243,8 +232,10 @@ def reference_optrr_run(
         _refresh_from_optimal_set(
             archive, optimal_set, reuse_archive_fitness=reuse_archive_fitness
         )
-        state = GenerationState(generation=generation, archive_updates=updates)
-        if termination.should_stop(state):
+        stale = 0 if updates > 0 else stale + 1
+        if generation + 1 >= config.n_generations or (
+            patience is not None and stale >= patience
+        ):
             break
         generation += 1
 

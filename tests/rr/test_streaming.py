@@ -31,6 +31,7 @@ from repro.rr.streaming import (
     StreamingDisguiser,
     iter_chunks,
 )
+from repro.utils.arrays import encode_array
 from tests.oracles.disguise import broadcast_disguise_reference
 
 SETTINGS = settings(
@@ -111,6 +112,14 @@ class TestStreamingDisguiser:
         with pytest.raises(ValidationError, match="schema"):
             disguiser.restore_state({"schema": "bogus-v9"})
 
+    @pytest.mark.parametrize("records_seen", [-7, True, 2.0, "3"])
+    def test_restore_rejects_a_tampered_record_count(self, records_seen):
+        disguiser = StreamingDisguiser(warner_matrix(3, 0.5), seed=0)
+        document = disguiser.state_document()
+        document["records_seen"] = records_seen
+        with pytest.raises(ValidationError, match="records_seen"):
+            StreamingDisguiser(warner_matrix(3, 0.5), seed=0).restore_state(document)
+
     def test_rejects_out_of_domain_chunk(self):
         disguiser = StreamingDisguiser(RRMatrix.identity(3), seed=0)
         with pytest.raises(DataError):
@@ -150,6 +159,35 @@ class TestCountAccumulator:
         document = accumulator.state_document()
         with pytest.raises(ValidationError, match="shape"):
             CountAccumulator(5).restore_state(document)
+
+    @pytest.mark.parametrize(
+        ("counts", "n_records", "fragment"),
+        [
+            ([-5, 2, 1], -7, "n_records must be a non-negative integer"),
+            ([1, 2, 1], True, "n_records must be a non-negative integer"),
+            ([1, 2, 1], 4.0, "n_records must be a non-negative integer"),
+            ([-5, 8, 1], 4, "non-negative"),
+            ([1.0, 2.0, 1.0], 4, "not an integer type"),
+            ([1, 2, 1], 5, "counts sum to 4, not n_records 5"),
+        ],
+    )
+    def test_restore_rejects_tampered_counters(self, counts, n_records, fragment):
+        document = {
+            "schema": "count-accumulator-v1",
+            "counts": encode_array(np.asarray(counts)),
+            "n_records": n_records,
+        }
+        with pytest.raises(ValidationError, match=fragment):
+            CountAccumulator(3).restore_state(document)
+
+    def test_restore_rejects_counts_that_wrap_in_int64(self):
+        document = {
+            "schema": "count-accumulator-v1",
+            "counts": encode_array(np.array([2**63, 0, 0], dtype=np.uint64)),
+            "n_records": 2**63,
+        }
+        with pytest.raises(ValidationError, match="non-negative"):
+            CountAccumulator(3).restore_state(document)
 
     def test_rejects_out_of_domain_codes(self):
         with pytest.raises(DataError):
@@ -265,6 +303,18 @@ class TestOnlineEstimator:
         online.update(np.array([0, 1, 2]))
         document = online.state_document()
         with pytest.raises(ValidationError, match="method"):
+            OnlineEstimator(matrix, method="iterative").restore_state(document)
+
+    @pytest.mark.parametrize(
+        "warm_start", [[0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, 0.5]]
+    )
+    def test_restore_rejects_a_bad_warm_start(self, warm_start):
+        matrix = warner_matrix(3, 0.6)
+        online = OnlineEstimator(matrix, method="iterative")
+        online.update(np.array([0, 1, 2]))
+        document = online.state_document()
+        document["warm_start"] = encode_array(np.asarray(warm_start, dtype=np.float64))
+        with pytest.raises(ValidationError, match="warm_start"):
             OnlineEstimator(matrix, method="iterative").restore_state(document)
 
     def test_estimator_options_are_forwarded(self):

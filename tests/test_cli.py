@@ -561,12 +561,12 @@ class TestOptimizeCheckpointResume:
         assert main(["optimize", "--resume", str(bogus)]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-    def _broken_checkpoint(self, tmp_path, capsys, breaker) -> str:
+    def _broken_checkpoint(self, tmp_path, capsys, breaker, extra=()) -> str:
         checkpoint = tmp_path / "ck.json"
         assert main(
             FAST_OPTIMIZE
             + ["--generations", "2", "--checkpoint", str(checkpoint),
-               "--checkpoint-every", "1"]
+               "--checkpoint-every", "1", *extra]
         ) == 0
         document = json.loads(checkpoint.read_text())
         breaker(document)
@@ -639,6 +639,35 @@ class TestOptimizeCheckpointResume:
         checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
         exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
         self._assert_one_line_error(capsys, exit_code, "optimal set metadata columns")
+
+    @pytest.mark.parametrize("stale", [-1, True, "3"])
+    def test_resume_rejects_a_tampered_stagnation_counter(self, tmp_path, capsys, stale):
+
+        def breaker(document):
+            document["termination"] = {"stale": stale}
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "'termination.stale'")
+
+    def test_resume_rejects_a_version_1_checkpoint(self, tmp_path, capsys):
+        def breaker(document):
+            document["checkpoint_version"] = 1
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "unsupported checkpoint version 1")
+
+    @pytest.mark.parametrize("fidelity", [1.0, -5.0, "0.1"])
+    def test_resume_rejects_an_unreachable_low_fidelity(self, tmp_path, capsys, fidelity):
+        """The fidelity ratchet only moves down from 0.2 to its 0.05 floor."""
+
+        def breaker(document):
+            document["state"]["fidelity"]["current_low_fidelity"] = fidelity
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker, ["--fidelity"])
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, "current_low_fidelity")
 
     def test_resume_missing_setup_names_the_field(self, tmp_path, capsys):
         def breaker(document):

@@ -41,7 +41,6 @@ from repro.emoo.selection import (
     environmental_selection_indices,
     truncate_indices,
 )
-from repro.emoo.termination import MaxGenerations
 from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
 from tests.oracles.individual import Individual
 from tests.oracles.optrr_loop import (
@@ -335,7 +334,7 @@ def _pinned_run(engine: str):
         driver = NSGA2(
             problem,
             NSGA2Settings(population_size=8),
-            termination=MaxGenerations(6),
+            n_generations=6,
             seed=3,
         ).driver()
         for _ in driver.steps():

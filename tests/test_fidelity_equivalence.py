@@ -25,7 +25,6 @@ from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.fidelity import FidelitySchedule
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.termination import MaxGenerations
 from repro.io import load_checkpoint, result_to_dict
 
 N_GENERATIONS = 5
@@ -53,7 +52,7 @@ def make_nsga2(fidelity: FidelitySchedule | None) -> NSGA2:
     return NSGA2(
         RRMatrixProblem(normal_distribution(6), 4000, delta=0.85),
         NSGA2Settings(population_size=8),
-        termination=MaxGenerations(N_GENERATIONS),
+        n_generations=N_GENERATIONS,
         seed=3,
         fidelity=fidelity,
     )

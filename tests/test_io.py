@@ -212,7 +212,8 @@ class TestCheckpointDocuments:
         document = load_checkpoint(path)
         assert document["type"] == "checkpoint"
         assert document["algorithm"] == "optrr"
-        assert document["checkpoint_version"] == 1
+        assert document["checkpoint_version"] == 2
+        assert list(document["termination"]) == ["stale"]
         copy_path = save_checkpoint(document, tmp_path / "copy.json")
         assert load_checkpoint(copy_path) == document
 

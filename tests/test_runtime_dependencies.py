@@ -56,11 +56,10 @@ NSGA2_RUN = """
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.termination import MaxGenerations
 
 problem = RRMatrixProblem(normal_distribution(6), 2000, delta=0.85)
 result = NSGA2(
-    problem, NSGA2Settings(population_size=8), termination=MaxGenerations(3), seed=1
+    problem, NSGA2Settings(population_size=8), n_generations=3, seed=1
 ).run()
 assert result.n_generations == 3 and result.front, result
 """
