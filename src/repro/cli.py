@@ -57,6 +57,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.registry import available_experiments, get_experiment
 from repro.experiments.runner import run_experiment
+from repro.faults import active_fault_plan
 from repro.pipeline import (
     PipelineCache,
     parse_seed_argument,
@@ -443,7 +444,7 @@ def _command_run(args: argparse.Namespace) -> int:
             scope.clear()
         else:
             result = run_experiment(args.experiment, seed=args.seed, **overrides)
-    except ExperimentError as exc:
+    except (ExperimentError, ValidationError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"checkpoint i/o failed: {exc}")
@@ -469,8 +470,10 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if args.population is not None:
         overrides["population_size"] = args.population
     try:
+        # A malformed REPRO_FAULTS plan fails here, not once in every cell.
+        active_fault_plan()
         spec = plan_campaign(args.experiments, range(args.seeds), overrides or None)
-    except ExperimentError as exc:
+    except (ExperimentError, ValidationError) as exc:
         return _fail(str(exc))
     # The plan is valid; now fail on bad destinations, still before the
     # (potentially long) grid runs.
@@ -687,6 +690,7 @@ def _command_pipeline(args: argparse.Namespace) -> int:
             return _fail(str(exc))
     miners = [part.strip() for part in args.miners.split(",") if part.strip()]
     try:
+        active_fault_plan()
         seeds = parse_seed_argument(args.seeds)
         miner_options = _parse_miner_param_arguments(args.miner_param)
         spec = plan_pipeline(
@@ -817,36 +821,15 @@ def _resolve_disguise_matrix(args: argparse.Namespace):
     return name, matrix
 
 
-def _iter_code_chunks(stream, chunk_size: int):
-    """Parse whitespace-separated integer codes from a text stream in
-    ``chunk_size`` batches (bounded memory: one chunk buffered at a time)."""
-    import numpy as np
-
-    def codes(buffer: list[int]) -> np.ndarray:
-        try:
-            return np.asarray(buffer, dtype=np.int64)
-        except OverflowError as exc:
-            wide = next(code for code in buffer if not -(2**63) <= code < 2**63)
-            raise ValidationError(f"input code {wide} does not fit in int64") from exc
-
-    buffer: list[int] = []
-    for line in stream:
-        for token in line.split():
-            try:
-                buffer.append(int(token))
-            except ValueError as exc:
-                raise DataError(f"input code {token!r} is not an integer") from exc
-            if len(buffer) == chunk_size:
-                yield codes(buffer)
-                buffer = []
-    if buffer:
-        yield codes(buffer)
-
-
 def _command_disguise(args: argparse.Namespace) -> int:
     from repro.io import dump_canonical_json
     from repro.pipeline.spec import matrix_digest
-    from repro.rr.streaming import OnlineEstimator, StreamingDisguiser
+    from repro.rr.streaming import (
+        CodeLineWriter,
+        OnlineEstimator,
+        StreamingDisguiser,
+        read_code_chunks,
+    )
 
     if args.chunk_size < 1:
         return _fail("--chunk-size must be at least 1")
@@ -867,28 +850,27 @@ def _command_disguise(args: argparse.Namespace) -> int:
     summary_stream = sys.stdout if output_path is not None else sys.stderr
     try:
         if args.input == "-":
-            input_stream = sys.stdin
+            input_stream = sys.stdin.buffer
             close_input = False
         else:
-            input_stream = open(args.input, "r", encoding="utf-8")
+            input_stream = open(args.input, "rb")
             close_input = True
     except OSError as exc:
         return _fail(f"cannot read input {args.input!r}: {exc}")
     try:
         output_stream = (
-            open(output_path, "w", encoding="utf-8")
-            if output_path is not None
-            else sys.stdout
+            open(output_path, "wb") if output_path is not None else sys.stdout.buffer
         )
     except OSError as exc:
         if close_input:
             input_stream.close()
         return _fail(f"could not open --output: {exc}")
+    writer = CodeLineWriter(output_stream, matrix.n_categories)
     try:
-        for chunk in _iter_code_chunks(input_stream, args.chunk_size):
+        for chunk in read_code_chunks(input_stream, args.chunk_size):
             disguised = disguiser.disguise_chunk(chunk)
             estimate = estimator.update(disguised)
-            output_stream.write("\n".join(map(str, disguised.tolist())) + "\n")
+            writer.write(disguised)
     except (DataError, ValidationError, EstimationError) as exc:
         return _fail(str(exc))
     except OSError as exc:

@@ -333,8 +333,24 @@ class OptimizationDriver:
             "checkpoint field 'termination.stale'",
             at_most=completed + 1,
         )
-        stopped = bool(document.get("stopped", False))
-        elapsed = float(document.get("elapsed_seconds", 0.0))
+        stopped = document.get("stopped", False)
+        if not isinstance(stopped, bool):
+            raise ValidationError(
+                f"checkpoint field 'stopped' must be a bool, got {stopped!r}"
+            )
+        # The elapsed time anchors the deadline: NaN, negative or infinite
+        # values would skew it.
+        elapsed = document.get("elapsed_seconds", 0.0)
+        if (
+            not isinstance(elapsed, (int, float))
+            or isinstance(elapsed, bool)
+            or not 0.0 <= elapsed < float("inf")
+        ):
+            raise ValidationError(
+                f"checkpoint field 'elapsed_seconds' must be a finite "
+                f"non-negative number, got {elapsed!r}"
+            )
+        elapsed = float(elapsed)
         self.optimization.restore_state(document["state"])
         _restore_rng_state(self.rng, document["rng_state"])
         self.stale = stale

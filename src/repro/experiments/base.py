@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from repro.analysis.compare import FrontComparison
 from repro.analysis.front import ParetoFront
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ValidationError
 
 #: Override keys accepted by the front-comparison experiments (the common
 #: case); specs with a different workload declare their own tuple.
@@ -50,35 +50,37 @@ LOW_FIDELITY_ENV_VAR = "REPRO_LOW_FIDELITY"
 
 def default_generations(fallback: int = 400) -> int:
     """Number of generations to run, honouring the environment override."""
-    raw = os.environ.get(GENERATIONS_ENV_VAR)
-    if raw is None:
-        return fallback
-    value = int(raw)
+    value = _environment_number(GENERATIONS_ENV_VAR, int, fallback)
     if value <= 0:
-        raise ValueError(f"{GENERATIONS_ENV_VAR} must be positive, got {value}")
+        raise ValidationError(f"{GENERATIONS_ENV_VAR} must be positive, got {value}")
     return value
 
 
 def default_population(fallback: int = 40) -> int:
     """Population/archive size to use, honouring the environment override."""
-    raw = os.environ.get(POPULATION_ENV_VAR)
-    if raw is None:
-        return fallback
-    value = int(raw)
+    value = _environment_number(POPULATION_ENV_VAR, int, fallback)
     if value <= 1:
-        raise ValueError(f"{POPULATION_ENV_VAR} must be at least 2, got {value}")
+        raise ValidationError(f"{POPULATION_ENV_VAR} must be at least 2, got {value}")
     return value
 
 
 def default_low_fidelity_fraction(fallback: float = 1.0) -> float:
     """Low-fidelity fraction to use, honouring the environment override."""
-    raw = os.environ.get(LOW_FIDELITY_ENV_VAR)
+    value = _environment_number(LOW_FIDELITY_ENV_VAR, float, fallback)
+    if not 0.0 < value <= 1.0:
+        raise ValidationError(f"{LOW_FIDELITY_ENV_VAR} must lie in (0, 1], got {value}")
+    return value
+
+
+def _environment_number(name: str, kind: type, fallback):
+    """The variable parsed with ``kind``, or ``fallback`` when it is unset."""
+    raw = os.environ.get(name)
     if raw is None:
         return fallback
-    value = float(raw)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{LOW_FIDELITY_ENV_VAR} must lie in (0, 1], got {value}")
-    return value
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not a valid {kind.__name__}: {raw!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,39 @@ class TestRun:
         assert "does not accept" in error
         assert "n_categories" in error
 
+    @pytest.mark.parametrize(
+        ("variable", "value"),
+        [("REPRO_POPULATION", "0"), ("REPRO_LOW_FIDELITY", "nan"), ("REPRO_GENERATIONS", "abc")],
+    )
+    def test_malformed_environment_default_exits_2(self, capsys, monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        assert main(["run", "fig4a"]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"optrr: error: {variable} ")
+
+
+class TestMalformedFaultPlan:
+    """A malformed REPRO_FAULTS plan is a usage error before any cell runs,
+    not one quarantined failure per cell."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "fact1", "--seeds", "2"],
+            ["pipeline", "--data", "normal", "--schemes", "warner:0.8", "--seeds", "0",
+             "--records", "400", "--categories", "4", "--miners", "distribution"],
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_FAULTS", "garbage!!")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("optrr: error: fault clause 'garbage!!'")
+        assert captured.out == ""
+
 
 class TestCampaign:
     def test_campaign_runs_and_writes_aggregate(self, capsys, tmp_path):
@@ -650,6 +683,24 @@ class TestOptimizeCheckpointResume:
         exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
         self._assert_one_line_error(capsys, exit_code, "'termination.stale'")
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("elapsed_seconds", float("nan")),
+            ("elapsed_seconds", -1),
+            ("elapsed_seconds", "3"),
+            ("elapsed_seconds", True),
+            ("stopped", 1),
+        ],
+    )
+    def test_resume_rejects_a_tampered_envelope_field(self, tmp_path, capsys, field, value):
+        def breaker(document):
+            document[field] = value
+
+        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
+        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
+        self._assert_one_line_error(capsys, exit_code, f"'{field}'")
+
     def test_resume_rejects_a_version_1_checkpoint(self, tmp_path, capsys):
         def breaker(document):
             document["checkpoint_version"] = 1
@@ -718,6 +769,57 @@ class TestDisguiseCodes:
         assert exit_code == 2
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert err_lines == [f"optrr: error: input code {code} does not fit in int64"]
+
+    @pytest.mark.parametrize(
+        ("content", "named"),
+        [
+            (b"1\n\xff\xfe\n", r"'\\xff\\xfe'"),
+            (b"1_0\n", "'1_0'"),
+            ("٣\n".encode(), "'٣'"),
+            (b"1 + 2\n", "'+'"),
+            (b"--5\n", "'--5'"),
+        ],
+    )
+    def test_token_outside_the_grammar_exits_2(self, tmp_path, capsys, content, named):
+        codes = tmp_path / "codes.txt"
+        codes.write_bytes(content)
+        exit_code = main(["disguise", str(codes), "--matrix", "warner:0.8", "--categories", "4"])
+        assert exit_code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [f"optrr: error: input code {named} is not an integer"]
+
+    def test_nineteen_digit_code_that_fits_is_read(self, tmp_path, capsys):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0000000000000000007\n", encoding="utf-8")
+        exit_code = main(["disguise", str(codes), "--matrix", "warner:0.8", "--categories", "8"])
+        assert exit_code == 0
+        assert "1 record(s) in 1 chunk(s)" in capsys.readouterr().err
+
+    #: sha256 of the disguised codes and the report for the 50 000-code input
+    #: below (chunk size 4096), from file and from stdin.
+    PINNED_CODES = "541d37f2427701504d5ddc4b6c1a8d8722ea3ab9ceb4e79f4b61d0c22d81bf29"
+    PINNED_REPORT = "22a7bc073ae907447f5207b0052becb12a2d13db1da1138bb68bcc0631c83ed2"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_pinned_disguise_digests(self, tmp_path, capsysbinary, monkeypatch, source):
+        import io
+
+        import numpy as np
+
+        codes = np.random.default_rng(5).integers(0, 8, size=50_000)
+        content = ("\n".join(map(str, codes.tolist())) + "\n").encode()
+        report = tmp_path / "report.json"
+        argv = ["disguise", "--matrix", "warner:0.75", "--categories", "8", "--seed", "11",
+                "--chunk-size", "4096", "--report", str(report)]
+        if source == "file":
+            (tmp_path / "codes.txt").write_bytes(content)
+            argv.append(str(tmp_path / "codes.txt"))
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(content)))
+        assert main(argv) == 0
+        disguised = capsysbinary.readouterr().out
+        assert hashlib.sha256(disguised).hexdigest() == self.PINNED_CODES
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.PINNED_REPORT
 
 
 class TestRunCheckpointFlags:
