@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import non_dominated_objectives
+from repro.emoo.dominance import non_dominated_indices
 from repro.exceptions import ValidationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.family import SchemeFamily
@@ -219,15 +219,4 @@ def _filter_dominated(points: list[FrontPoint]) -> list[FrontPoint]:
     if not points:
         return []
     array = np.array([[-point.privacy, point.utility] for point in points])
-    keep_array = non_dominated_objectives(array)
-    kept: list[FrontPoint] = []
-    used = np.zeros(len(points), dtype=bool)
-    for row in keep_array:
-        for index, point in enumerate(points):
-            if used[index]:
-                continue
-            if np.isclose(-point.privacy, row[0]) and np.isclose(point.utility, row[1]):
-                kept.append(point)
-                used[index] = True
-                break
-    return kept
+    return [points[index] for index in non_dominated_indices(array)]

@@ -251,15 +251,13 @@ class OptRROptimizer:
         config = self.config
         if config.baseline_seeds <= 0:
             return None
-        from repro.rr.schemes import warner_matrix
+        from repro.rr.schemes import warner_stack
 
-        n = self.prior.n_categories
         # Sweep the full Warner family, p in [0, 1] (the same grid as the
         # baseline comparison); p below 1/n produces the "anti-diagonal"
         # branch that matters at the high-privacy end of the front.
-        retention_values = np.linspace(0.0, 1.0, config.baseline_seeds)
-        stack = np.stack(
-            [warner_matrix(n, float(retention)).probabilities for retention in retention_values]
+        stack = warner_stack(
+            self.prior.n_categories, np.linspace(0.0, 1.0, config.baseline_seeds)
         )
         return self._problem.evaluate_population(
             self._problem.repair_stack(stack), fidelity=fidelity

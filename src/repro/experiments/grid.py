@@ -46,6 +46,7 @@ from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, CheckpointScope, checkpo
 from repro.exceptions import GridCellError, ValidationError
 from repro.experiments.procpool import AttemptOutcome, ProcessCellRunner
 from repro.faults.injector import corrupt_stored_document, fire_cell_faults
+from repro.metrics.evaluation import evaluate_on_one_thread
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -76,6 +77,16 @@ def _run_cell(
         return worker(payload)
     with checkpoint_scope(directory, token=token, every=every):
         return worker(payload)
+
+
+def _run_cell_on_one_thread(
+    bundle: tuple[Callable[[Any], dict[str, Any]], Any, str | None, str, int, int, int],
+) -> dict[str, Any]:
+    """:func:`_run_cell` in an attempt process that runs beside sibling
+    attempts: its batch evaluation stays on one thread, so the grid's worker
+    count is the only parallelism."""
+    evaluate_on_one_thread()
+    return _run_cell(bundle)
 
 
 class DocumentCache:
@@ -621,10 +632,11 @@ def _run_isolated(
             failure=CellFailure(index, token_for(index), tuple(record)),
         )
 
+    max_workers = min(max(1, n_jobs), len(pending))
     runner = ProcessCellRunner(
-        _run_cell,
+        _run_cell if max_workers == 1 else _run_cell_on_one_thread,
         bundle,
-        max_workers=min(max(1, n_jobs), len(pending)),
+        max_workers=max_workers,
         cell_timeout=policy.cell_timeout,
     )
     runner.drive(pending, on_outcome)

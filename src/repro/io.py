@@ -673,14 +673,22 @@ def save_result(
 _PROBABILITIES_PLACEHOLDER = "<probabilities>"
 
 
+#: Matrix values per distinct-value table of :func:`_write_result`: points
+#: are written in groups of about this many values (at least one point), so
+#: the table's temporaries stay bounded however large the front is.
+RESULT_GROUP_VALUES = 1 << 16
+
+
 def _write_result(handle: TextIO, skeleton: str, points: list[ParetoPoint]) -> None:
     """Stream ``skeleton`` with each point's probabilities spliced in.
 
     ``json`` only uses its C encoder without ``indent``, and formatting
     every float separately dominates a large front, yet crossover copies
-    whole columns so a front holds few distinct values.  Each distinct bit
-    pattern (so ``-0.0`` and ``0.0`` stay apart) is therefore formatted once
-    by ``json`` itself, and a matrix is written as lookups into that table.
+    whole columns so a front holds few distinct values.  Points are written
+    in groups of about :data:`RESULT_GROUP_VALUES` values; within a group
+    each distinct bit pattern (so ``-0.0`` and ``0.0`` stay apart) is
+    formatted once by ``json`` itself, and a matrix is written as lookups
+    into that table.
     """
     parts = skeleton.split(json.dumps(_PROBABILITIES_PLACEHOLDER))
     handle.write(parts[0])
@@ -691,23 +699,38 @@ def _write_result(handle: TextIO, skeleton: str, points: list[ParetoPoint]) -> N
     key_line = parts[0][parts[0].rindex("\n") + 1:]
     key_indent = "\n" + " " * (len(key_line) - len(key_line.lstrip(" ")))
     row_indent, value_indent = key_indent + "  ", key_indent + "    "
-    flat = np.concatenate([point.matrix.probabilities.ravel() for point in points])
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    row_start = np.array([row_indent + "[" + value_indent + text for text in texts], dtype=object)
-    row_next = np.array(["," + value_indent + text for text in texts], dtype=object)
-    offset = 0
+
+    def write_group(group: list[tuple[ParetoPoint, str]]) -> None:
+        flat = np.concatenate([point.matrix.probabilities.ravel() for point, _ in group])
+        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        row_start = np.array(
+            [row_indent + "[" + value_indent + text for text in texts], dtype=object
+        )
+        row_next = np.array(["," + value_indent + text for text in texts], dtype=object)
+        offset = 0
+        for point, after in group:
+            n = point.matrix.n_categories
+            codes = inverse[offset:offset + n * n].reshape(n, n)
+            offset += n * n
+            cells = np.empty((n, n + 1), dtype=object)
+            cells[:, 0] = row_start[codes[:, 0]]
+            cells[:, 1:n] = row_next[codes[:, 1:]]
+            cells[:, n] = row_indent + "],"
+            cells[n - 1, n] = row_indent + "]"
+            handle.write("[" + "".join(cells.ravel().tolist()) + key_indent + "]")
+            handle.write(after)
+
+    group: list[tuple[ParetoPoint, str]] = []
+    group_values = 0
     for point, after in zip(points, parts[1:]):
-        n = point.matrix.n_categories
-        codes = inverse[offset:offset + n * n].reshape(n, n)
-        offset += n * n
-        cells = np.empty((n, n + 1), dtype=object)
-        cells[:, 0] = row_start[codes[:, 0]]
-        cells[:, 1:n] = row_next[codes[:, 1:]]
-        cells[:, n] = row_indent + "],"
-        cells[n - 1, n] = row_indent + "]"
-        handle.write("[" + "".join(cells.ravel().tolist()) + key_indent + "]")
-        handle.write(after)
+        group.append((point, after))
+        group_values += point.matrix.probabilities.size
+        if group_values >= RESULT_GROUP_VALUES:
+            write_group(group)
+            group, group_values = [], 0
+    if group:
+        write_group(group)
 
 
 def load_result(path: str | Path) -> OptimizationResult:

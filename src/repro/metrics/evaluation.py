@@ -29,11 +29,19 @@ On every path the worst-case posterior is computed through the row-max/row-sum
 bound, which equals the full posterior-tensor maximum bit for bit (division by
 a positive row sum is monotone, so the maximum commutes with it) without
 materialising the ``(B, n, n)`` posterior tensor.
+
+Every matrix is scored on its own, so :func:`evaluate_stack` may cut a large
+batch into row blocks and run them on a thread pool (NumPy releases the GIL
+in the batched LAPACK and elementwise loops); the columns are the same bits
+for any cut and any CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +52,64 @@ from repro.metrics.utility import utility_score_batch
 from repro.rr.matrix import RRMatrix, as_matrix_stack
 from repro.utils.linalg import batched_safe_inverses
 from repro.utils.validation import check_in_unit_interval, check_positive_int
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+#: Work budget of one row block of :func:`evaluate_stack`, in units of
+#: ``rows * n**3`` (the batched LU inverse dominates).  A block holds
+#: ``max(1, BLOCK_WORK // n**3)`` rows: every n <= 16 batch the optimizer
+#: makes (up to the 1 001-point Warner sweep) is a single block, an n = 64
+#: block is at most 16 rows.  A block's temporaries (joint tensor, inverses
+#: and their powers) stay near ``6 * rows * n**2 * 8`` bytes, ~3 MB at n = 64.
+BLOCK_WORK = 1 << 22
+
+#: Threads that evaluate row blocks; ``None`` until the first split batch
+#: reads the CPU affinity mask.
+_threads: int | None = None
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: drop the pool
+    (and a lock another thread may have held at the fork) so the child's
+    first split batch creates its own."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def evaluate_on_one_thread() -> None:
+    """Evaluate every later batch on the calling thread, block by block.
+
+    For processes that already share the CPUs with sibling processes (the
+    grid's parallel attempt workers), so process-level parallelism stays
+    the only kind."""
+    global _threads
+    _threads = 1
+
+
+def _thread_count() -> int:
+    global _threads
+    if _threads is None:
+        _threads = len(os.sched_getaffinity(0))
+    return _threads
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=_thread_count(), thread_name_prefix="evaluate"
+            )
+        return _pool
 
 
 def resolve_fidelity_column(
@@ -76,18 +142,58 @@ def evaluate_stack(
     """Full-fidelity evaluation of a C-contiguous ``(B, n, n)`` stack.
 
     Returns the ``(B,)`` columns ``(privacy, utility, worst_posterior,
-    invertible)``; utility is ``inf`` for rows that are not numerically
-    invertible under :func:`~repro.utils.linalg.batched_safe_inverses`.  One
-    joint tensor serves the adversary accuracy (Eq. 8) and the worst
-    posterior (Eq. 9), taken as ``max_y max_x joint / sum_x joint`` with
-    zero-probability reports contributing 0.  The Theorem-6 closed form runs
-    over the whole stack (batched ``matmul`` contracts each matrix
-    independently, so a row's utility does not depend on its neighbours) and
-    non-invertible rows, which may overflow, are masked out.
+    invertible)`` (see :func:`_evaluate_block`).  Rows are independent, so
+    the stack is evaluated in contiguous blocks of ``max(1, BLOCK_WORK //
+    n**3)`` rows: on the calling thread when it is one block or only one CPU
+    is usable, otherwise on the shared thread pool, one task per block.  The
+    columns are concatenated in block order and equal a one-block
+    evaluation bit for bit.
+    """
+    size = stack.shape[0]
+    rows = max(1, BLOCK_WORK // stack.shape[-1] ** 3)
+    if size <= rows:
+        return _evaluate_block(stack, prior, n_records)
+    threads = _thread_count()
+    # The fewest blocks within the work bound, rounded up to a whole number
+    # per thread so the last round leaves no thread idle.
+    count = -(-size // rows)
+    blocks = np.array_split(stack, min(size, count + (-count % threads)))
+    if threads == 1:
+        results = [_evaluate_block(block, prior, n_records) for block in blocks]
+    else:
+        # Pool threads start with NumPy's default error state; carry the
+        # caller's over so a block warns or raises exactly as it would here.
+        errors = np.geterr()
+
+        def evaluate(block: np.ndarray) -> tuple[np.ndarray, ...]:
+            with np.errstate(**errors):
+                return _evaluate_block(block, prior, n_records)
+
+        results = list(_executor().map(evaluate, blocks))
+    privacy, utility, worst_posterior, invertible = (
+        np.concatenate(column) for column in zip(*results)
+    )
+    return privacy, utility, worst_posterior, invertible
+
+
+def _evaluate_block(
+    stack: np.ndarray, prior: np.ndarray, n_records: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One block of :func:`evaluate_stack`.
+
+    Utility is ``inf`` for rows that are not numerically invertible under
+    :func:`~repro.utils.linalg.batched_safe_inverses`.  One joint tensor
+    serves the adversary accuracy (Eq. 8) and the worst posterior (Eq. 9),
+    taken as ``max_y max_x joint / sum_x joint`` with zero-probability
+    reports contributing 0.  The Theorem-6 closed form runs over the whole
+    block (batched ``matmul`` contracts each matrix independently, so a
+    row's utility does not depend on its neighbours) and non-invertible
+    rows, which may overflow, are masked out.
     """
     joint = joint_tensor(stack, prior)
     row_max = joint.max(axis=2)
     row_sum = joint.sum(axis=2)
+    del joint
     privacy = 1.0 - row_max.sum(axis=1)
     safe = np.where(row_sum > 0, row_sum, 1.0)
     worst_posterior = np.where(row_sum > 0, row_max / safe, 0.0).max(axis=1)

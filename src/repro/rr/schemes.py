@@ -15,11 +15,17 @@ Theorem 2 states that the three families generate the identical solution set;
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.exceptions import RRMatrixError
+from repro.exceptions import RRMatrixError, ValidationError
 from repro.rr.matrix import RRMatrix
-from repro.utils.validation import check_in_unit_interval, check_positive_int
+from repro.utils.validation import (
+    check_in_unit_interval,
+    check_positive_int,
+    check_stochastic_stack,
+)
 
 
 def identity_matrix(n_categories: int) -> RRMatrix:
@@ -40,12 +46,35 @@ def warner_matrix(n_categories: int, p: float) -> RRMatrix:
     """
     check_positive_int(n_categories, "n_categories")
     check_in_unit_interval(p, "p")
+    return RRMatrix.from_validated(warner_stack(n_categories, [p])[0])
+
+
+def warner_stack(n_categories: int, retention_values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``(S, n, n)`` stack of Warner matrices, one per retention value.
+
+    Built as one array (off-diagonal ``(1 - p) / (n - 1)``, diagonal ``p``)
+    and validated once with the bounds, column-sum check and clip that
+    :class:`RRMatrix` applies to each matrix, so ``warner_stack(n, ps)[i]``
+    equals ``warner_matrix(n, ps[i]).probabilities`` bit for bit.
+    """
+    check_positive_int(n_categories, "n_categories")
+    retention = np.asarray(retention_values, dtype=np.float64)
+    if retention.ndim != 1:
+        raise ValidationError(
+            f"retention values must be one-dimensional, got shape {retention.shape}"
+        )
+    if not np.all(np.isfinite(retention)) or np.any((retention < 0.0) | (retention > 1.0)):
+        raise ValidationError("retention values must lie in [0, 1]")
     if n_categories == 1:
         raise RRMatrixError("Warner scheme needs at least two categories")
-    off_diagonal = (1.0 - p) / (n_categories - 1)
-    matrix = np.full((n_categories, n_categories), off_diagonal)
-    np.fill_diagonal(matrix, p)
-    return RRMatrix(matrix)
+    off_diagonal = (1.0 - retention) / (n_categories - 1)
+    stack = np.repeat(off_diagonal, n_categories * n_categories).reshape(
+        retention.size, n_categories, n_categories
+    )
+    diagonal = np.arange(n_categories)
+    stack[:, diagonal, diagonal] = retention[:, None]
+    stack = check_stochastic_stack(stack, "Warner stack")
+    return np.clip(stack, 0.0, 1.0, out=stack)
 
 
 def uniform_perturbation_matrix(n_categories: int, q: float) -> RRMatrix:

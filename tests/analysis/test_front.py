@@ -46,6 +46,12 @@ class TestFromPoints:
         assert len(front) == 1
         assert front.privacy_values()[0] == pytest.approx(0.6)
 
+    def test_dominated_point_within_isclose_tolerance_is_removed(self):
+        # The dominated point differs from the dominating one by less than
+        # np.isclose's default atol in both objectives.
+        front = ParetoFront.from_points("x", [(0.5 - 1e-9, 1.005e-6), (0.5, 1.0e-6)])
+        assert [(point.privacy, point.utility) for point in front] == [(0.5, 1.0e-6)]
+
     def test_keep_dominated_flag(self):
         front = ParetoFront.from_points(
             "test", [(0.5, 1e-4), (0.6, 5e-5)], keep_dominated=True

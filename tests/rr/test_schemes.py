@@ -13,7 +13,9 @@ from repro.rr.schemes import (
     uniform_perturbation_matrix,
     warner_equivalent_p,
     warner_matrix,
+    warner_stack,
 )
+from repro.rr.matrix import RRMatrix
 
 
 class TestWarner:
@@ -39,6 +41,40 @@ class TestWarner:
     def test_rejects_single_category(self):
         with pytest.raises(RRMatrixError):
             warner_matrix(1, 0.5)
+
+
+def _warner_one_by_one(n: int, p: float) -> np.ndarray:
+    """The per-matrix construction: a full off-diagonal matrix, its diagonal
+    filled in, validated by the :class:`RRMatrix` constructor."""
+    matrix = np.full((n, n), (1.0 - p) / (n - 1))
+    np.fill_diagonal(matrix, p)
+    return RRMatrix(matrix).probabilities
+
+
+class TestWarnerStack:
+    @pytest.mark.parametrize("n", [2, 3, 10, 64])
+    @pytest.mark.parametrize("count", [1, 2, 1001])
+    def test_equals_the_per_matrix_stack_bitwise(self, n, count):
+        retention = np.linspace(0.0, 1.0, count)
+        stack = warner_stack(n, retention)
+        expected = np.stack([_warner_one_by_one(n, float(p)) for p in retention])
+        assert stack.shape == (count, n, n) and stack.dtype == np.float64
+        assert stack.tobytes() == expected.tobytes()
+        middle = count // 2
+        single = warner_matrix(n, float(retention[middle])).probabilities
+        assert stack[middle].tobytes() == single.tobytes()
+
+    def test_rejects_single_category(self):
+        with pytest.raises(RRMatrixError):
+            warner_stack(1, [0.5])
+
+    @pytest.mark.parametrize("values", [[0.5, 1.5], [-0.1], [np.nan], [[0.5]]])
+    def test_rejects_bad_retention_values(self, values):
+        with pytest.raises(ValidationError):
+            warner_stack(4, values)
+
+    def test_empty_sweep(self):
+        assert warner_stack(3, []).shape == (0, 3, 3)
 
 
 class TestUniformPerturbation:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.io
 from repro.cli import main
 from repro.core.result import OptimizationResult, ParetoPoint
 from repro.exceptions import ValidationError
@@ -74,8 +75,15 @@ def results(draw) -> OptimizationResult:
 
 class TestByteIdentity:
     @SETTINGS
-    @given(result=results(), include_optimal_set=st.booleans())
-    def test_matches_the_reference_encoder(self, tmp_path, result, include_optimal_set):
+    @given(
+        result=results(),
+        include_optimal_set=st.booleans(),
+        group_values=st.sampled_from([1, 5, 1 << 16]),
+    )
+    def test_matches_the_reference_encoder(
+        self, tmp_path, monkeypatch, result, include_optimal_set, group_values
+    ):
+        monkeypatch.setattr(repro.io, "RESULT_GROUP_VALUES", group_values)
         path = save_result(
             result, tmp_path / "result.json", include_optimal_set=include_optimal_set
         )
@@ -93,6 +101,26 @@ class TestByteIdentity:
         for flag in (False, True):
             path = save_result(result, tmp_path / "empty.json", include_optimal_set=flag)
             assert path.read_bytes() == reference_bytes(result, flag)
+
+    @pytest.mark.parametrize("group_values", [1, 4, 9, 10, 1 << 16])
+    def test_fronts_larger_than_one_group(self, tmp_path, monkeypatch, group_values):
+        # Points are written in groups of about RESULT_GROUP_VALUES values,
+        # each with its own distinct-value table; values shared across
+        # groups, signed zeros and a ragged last group must not matter.
+        monkeypatch.setattr(repro.io, "RESULT_GROUP_VALUES", group_values)
+        rng = np.random.default_rng(5)
+        pool = np.array([-0.0, 0.0, 0.25, 0.5, 1 / 3, 5e-324, 0.1])
+        points = tuple(
+            ParetoPoint(RRMatrix.from_validated(rng.choice(pool, size=(3, 3))), 0.1 * i, 1e-3, 0.5)
+            for i in range(7)
+        )
+        result = OptimizationResult(points=points[:5], optimal_set_points=points[5:])
+        for flag in (False, True):
+            path = save_result(result, tmp_path / "grouped.json", include_optimal_set=flag)
+            assert path.read_bytes() == reference_bytes(result, flag)
+        assert "-0.0" in path.read_text()
+        empty = save_result(OptimizationResult(points=()), tmp_path / "empty.json")
+        assert empty.read_bytes() == reference_bytes(OptimizationResult(points=()), False)
 
     def test_cli_output_matches_the_pre_streaming_bytes(self, tmp_path, capsys):
         # sha256 of this document as written by the json.dumps(indent=2)
