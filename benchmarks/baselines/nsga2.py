@@ -5,15 +5,21 @@ make that design choice checkable in this reproduction, the benchmark harness
 runs the same RR-matrix problem through NSGA-II (non-dominated sorting plus
 crowding distance) and compares the resulting fronts with the
 front-quality indicators in :mod:`repro.emoo.indicators`.
+
+NSGA-II runs on the package's public pieces: the problem's stack hooks, the
+stepwise driver (it is a :class:`~repro.emoo.driver.SteppableOptimization`,
+so it checkpoints and resumes like OptRR), the fidelity scheduler and the
+dominance and crowding kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.emoo.density import crowding_distances_from_objectives
 from repro.emoo.dominance import non_dominated_indices, pareto_ranks_from_arrays
 from repro.emoo.driver import (
     OptimizationDriver,
@@ -26,7 +32,6 @@ from repro.emoo.driver import (
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
@@ -65,32 +70,15 @@ class NSGA2Result:
     n_evaluations: int
 
 
-def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
-    """Crowding distance of every row of a single front's objective array.
-
-    Pure array computation (one stable argsort per objective).
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    size = objectives.shape[0]
-    if size == 0:
-        return np.empty(0)
-    distances = np.zeros(size, dtype=np.float64)
-    for objective_index in range(objectives.shape[1]):
-        order = np.argsort(objectives[:, objective_index], kind="stable")
-        values = objectives[order, objective_index]
-        distances[order[0]] = np.inf
-        distances[order[-1]] = np.inf
-        value_range = values[-1] - values[0]
-        if value_range <= 0 or size <= 2:
-            continue
-        spacing = (values[2:] - values[:-2]) / value_range
-        distances[order[1:-1]] += spacing
-    return distances
-
-
 @dataclass
 class NSGA2:
     """The NSGA-II evolutionary multi-objective optimizer.
+
+    ``problem`` supplies the genome-stack hooks
+    :class:`~repro.core.problem.RRMatrixProblem` defines
+    (``initial_population_soa``, ``evaluate_population``,
+    ``crossover_stack``, ``mutate_stack``, ``repair_stack`` and
+    ``fingerprint_document``).
 
     ``fidelity`` optionally enables multi-fidelity offspring evaluation with
     promotion of the top fraction (see :mod:`repro.emoo.fidelity`); it
@@ -99,7 +87,7 @@ class NSGA2:
     ``n_generations`` is the generation budget.
     """
 
-    problem: Problem
+    problem: Any
     settings: NSGA2Settings = field(default_factory=NSGA2Settings)
     n_generations: int = 100
     seed: SeedLike = None

@@ -17,12 +17,12 @@ child rows together before the whole stack is evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.emoo.dominance import non_dominated_indices
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -69,16 +69,19 @@ def _scalar_fitness(population: Population, weight: float, scales: np.ndarray) -
 
 @dataclass
 class WeightedSumGA:
-    """Single-objective GA run once per weight in a uniform weight sweep."""
+    """Single-objective GA run once per weight in a uniform weight sweep.
 
-    problem: Problem
+    ``problem`` supplies the genome-stack hooks
+    :class:`~repro.core.problem.RRMatrixProblem` defines, with two
+    objectives.
+    """
+
+    problem: Any
     settings: WeightedSumSettings = field(default_factory=WeightedSumSettings)
     seed: SeedLike = None
 
     def run(self) -> WeightedSumResult:
         """Run the weight sweep and return the per-weight winners."""
-        if self.problem.n_objectives != 2:
-            raise OptimizationError("the weighted-sum baseline only supports two objectives")
         problem = self.problem
         rng = as_rng(self.seed)
         settings = self.settings
@@ -88,6 +91,8 @@ class WeightedSumGA:
         # A common objective scale, estimated from a random sample, keeps the
         # two objectives comparable inside the scalarisation.
         sample = problem.initial_population_soa(settings.population_size, rng)
+        if sample.objectives.shape[1] != 2:
+            raise OptimizationError("the weighted-sum baseline only supports two objectives")
         n_evaluations = sample.size
         scales = np.maximum(np.abs(sample.objectives).max(axis=0), 1e-12)
         for weight in weights:

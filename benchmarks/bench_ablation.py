@@ -6,8 +6,8 @@ Two design decisions of the paper are made checkable here:
   modifications) over alternatives, and argues that collapsing the two
   objectives into one weighted sum is inadequate.  The ablation runs the same
   RR-matrix problem through the OptRR driver (SPEA2 + Ω), plain NSGA-II and a
-  weighted-sum GA with the same evaluation budget and compares the fronts via
-  hypervolume and front size.
+  weighted-sum GA (both in ``benchmarks/baselines``) with the same
+  evaluation budget and compares the fronts via hypervolume and front size.
 * **The optimal set Ω** — the paper keeps a large privacy-indexed archive of
   good matrices evicted from the bounded SPEA2 archive.  The ablation runs
   the optimizer with and without Ω (by shrinking Ω to a single slot) and
@@ -15,6 +15,9 @@ Two design decisions of the paper are made checkable here:
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -24,9 +27,13 @@ from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.indicators import hypervolume_2d
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
-from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
 from repro.experiments.base import default_generations, default_population
+
+# pytest puts benchmarks/ itself on sys.path; the baselines import from the root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.baselines.nsga2 import NSGA2, NSGA2Settings  # noqa: E402
+from benchmarks.baselines.weighted_sum import WeightedSumGA, WeightedSumSettings  # noqa: E402
 
 N_RECORDS = 10_000
 DELTA = 0.8

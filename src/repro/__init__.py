@@ -8,10 +8,11 @@ provides:
 * privacy and utility quantification based on estimation theory —
   :mod:`repro.metrics`;
 * the evolutionary multi-objective optimization substrate on genome stacks
-  (the SPEA2 array kernels, the NSGA-II and weighted-sum baselines, the
-  checkpointing driver) — :mod:`repro.emoo`;
-* the OptRR optimizer that searches for Pareto-optimal RR matrices —
-  :mod:`repro.core`;
+  (the SPEA2 array kernels, the checkpointing driver, multi-fidelity
+  scheduling) — :mod:`repro.emoo`;
+* the OptRR optimizer that searches for Pareto-optimal RR matrices, the
+  package's one optimizer — :mod:`repro.core` (the NSGA-II and weighted-sum
+  ablation baselines live in ``benchmarks/baselines``);
 * data generators matching the paper's workloads — :mod:`repro.data`;
 * Pareto-front analysis and comparison — :mod:`repro.analysis`;
 * privacy-preserving mining applications — :mod:`repro.mining`;
@@ -35,7 +36,6 @@ from repro.core import (
     OptimizationResult,
     ParetoPoint,
     RRMatrixProblem,
-    brute_force_front,
     rr_matrix_combinations,
 )
 from repro.data import (
@@ -83,7 +83,6 @@ __all__ = [
     "RRMatrixProblem",
     "RandomizedResponse",
     "adult_attribute_distribution",
-    "brute_force_front",
     "compare_fronts",
     "frapp_matrix",
     "gamma_distribution",

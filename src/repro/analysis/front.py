@@ -99,16 +99,24 @@ class ParetoFront:
 
         This is how the Warner/UP/FRAPP baseline fronts are produced: sweep
         the scheme parameter, evaluate every matrix, drop infeasible ones
-        (bound violations), and keep the non-dominated rest.
+        (bound violations), and keep the non-dominated rest.  The matrices
+        are scored in one :meth:`~MatrixEvaluator.evaluate_batch` call,
+        which scores each row independently of the others, so the points
+        equal per-matrix :meth:`~MatrixEvaluator.evaluate` results.
         """
-        points = []
-        for matrix in matrices:
-            evaluation = evaluator.evaluate(matrix)
-            if require_feasible and not evaluation.feasible:
-                continue
-            if not np.isfinite(evaluation.utility):
-                continue
-            points.append(FrontPoint(evaluation.privacy, evaluation.utility, matrix))
+        matrices = list(matrices)
+        if not matrices:
+            return cls(name, ())
+        evaluation = evaluator.evaluate_batch(matrices)
+        keep = np.isfinite(evaluation.utility)
+        if require_feasible:
+            keep &= evaluation.feasible
+        points = [
+            FrontPoint(
+                float(evaluation.privacy[row]), float(evaluation.utility[row]), matrices[row]
+            )
+            for row in np.flatnonzero(keep)
+        ]
         return cls(name, tuple(_filter_dominated(points)))
 
     @classmethod

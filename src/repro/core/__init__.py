@@ -26,7 +26,6 @@ from repro.core.operators import (
 from repro.core.problem import RRMatrixProblem
 from repro.core.optimizer import OptRROptimizer
 from repro.core.result import OptimizationResult, ParetoPoint
-from repro.core.bruteforce import brute_force_front
 from repro.core.search_space import rr_matrix_combinations
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "checkpoint_scope",
     "ParetoPoint",
     "RRMatrixProblem",
-    "brute_force_front",
     "column_crossover_batch",
     "enforce_privacy_bound_batch",
     "proportional_column_mutation_batch",

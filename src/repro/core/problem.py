@@ -1,9 +1,14 @@
-"""The RR-matrix optimization problem plugged into the EMOO engine.
+"""The RR-matrix optimization problem OptRR searches.
 
 Genomes are ``(B, n, n)`` stacks of column-stochastic RR matrices; the two
 minimised objectives are ``(-privacy, utility)``; the variation operators are
 the paper's column crossover and proportional column mutation; and the repair
 step enforces the worst-case privacy bound ``delta`` when one is configured.
+:class:`RRMatrixProblem` defines every stack hook the optimizer and the
+fidelity scheduler call (``initial_population_soa``,
+``evaluate_population``, ``crossover_stack``, ``mutate_stack``,
+``repair_stack``, ``fingerprint_document``); the ablation baselines in
+``benchmarks/baselines`` drive the same hooks.
 
 Evaluation and repair run through the batch engine:
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
@@ -16,7 +21,7 @@ row of a :class:`~repro.emoo.population.Population`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from repro.core.operators import (
 from repro.core.result import ParetoPoint
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
@@ -40,7 +44,7 @@ SINGULAR_UTILITY_PENALTY = 1e6
 
 
 @dataclass
-class RRMatrixProblem(Problem):
+class RRMatrixProblem:
     """Multi-objective problem: find RR matrices trading privacy vs utility.
 
     Parameters
@@ -63,7 +67,6 @@ class RRMatrixProblem(Problem):
     delta: float | None = None
     mutation_scale: float = 0.3
     diagonal_bias: float = 2.0
-    n_objectives: int = field(default=2, init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.prior, CategoricalDistribution):
@@ -136,7 +139,7 @@ class RRMatrixProblem(Problem):
         self._n_low_evaluations = n_low_evaluations
         self._counter = counter
 
-    # -- Problem interface -------------------------------------------------------
+    # -- stack hooks -------------------------------------------------------------
     def fingerprint_document(self) -> dict:
         """Checkpoint workload identity: the prior, record count, bound and
         operator parameters — everything that changes what an evaluation

@@ -32,12 +32,3 @@ def log10_rr_matrix_combinations(n_categories: int, d: int) -> float:
     per_column = column_combinations(n_categories, d)
     return n_categories * math.log10(per_column)
 
-
-def brute_force_is_feasible(
-    n_categories: int, d: int, *, budget: int = 10_000_000
-) -> bool:
-    """Whether exhaustively enumerating the discretised matrices fits within
-    ``budget`` evaluations (used to guard the brute-force baseline)."""
-    check_positive_int(budget, "budget")
-    # Compare in log space to avoid astronomically large integers.
-    return log10_rr_matrix_combinations(n_categories, d) <= math.log10(budget)

@@ -2,17 +2,16 @@
 
 The array kernels of SPEA2 (fitness, density, environmental selection and
 truncation — the algorithm the paper builds on, assembled into OptRR by
-``repro.core``), the NSGA-II and weighted-sum baselines used by the ablation
-benchmarks, the stepwise checkpointing driver with its stopping rule,
-multi-fidelity scheduling, Pareto dominance utilities and front-quality
-indicators.
+``repro.core``), the stepwise checkpointing driver with its stopping rule,
+multi-fidelity scheduling, Pareto dominance utilities, the crowding
+distance and front-quality indicators.
 
-Every engine works on genome stacks — a problem supplies stack creation,
-evaluation into a structure-of-arrays
-:class:`~repro.emoo.population.Population`, and batched variation and
-repair through the :class:`~repro.emoo.problem.Problem` interface — and
-returns its survivors and front as populations.  ``repro.core``
-instantiates it with ``(P, n, n)`` RR-matrix stacks.
+The kernels work on genome stacks and structure-of-arrays
+:class:`~repro.emoo.population.Population` objects; the only problem in the
+package is :class:`repro.core.problem.RRMatrixProblem`, with ``(P, n, n)``
+RR-matrix stacks.  OptRR is the package's one optimizer; the NSGA-II and
+weighted-sum ablation baselines live in ``benchmarks/baselines`` and run on
+the same public pieces.
 """
 
 from repro.emoo.dominance import (
@@ -21,15 +20,18 @@ from repro.emoo.dominance import (
     pareto_ranks_from_arrays,
 )
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
+from repro.emoo.density import (
+    crowding_distances_from_objectives,
+    kth_nearest_distances,
+    pairwise_distances,
+    spea2_density,
+)
 from repro.emoo.population import Population
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
     truncate_indices,
 )
-from repro.emoo.problem import Problem
-# The driver must load before the algorithm built on it (nsga2).
 from repro.emoo.driver import (
     GenerationSnapshot,
     OptimizationDriver,
@@ -38,8 +40,6 @@ from repro.emoo.driver import (
     checkpoint_scope,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
-from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
 from repro.emoo.indicators import (
     coverage,
     epsilon_indicator,
@@ -55,12 +55,7 @@ __all__ = [
     "SteppableOptimization",
     "StoppingRule",
     "checkpoint_scope",
-    "NSGA2",
-    "NSGA2Settings",
     "Population",
-    "Problem",
-    "WeightedSumGA",
-    "WeightedSumSettings",
     "binary_tournament_indices",
     "coverage",
     "crowding_distances_from_objectives",

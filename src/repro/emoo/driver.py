@@ -1,10 +1,10 @@
 """Step-based optimization driving with checkpoint/resume.
 
-Every optimizer in this code base — :class:`~repro.core.optimizer.
-OptRROptimizer` and :class:`~repro.emoo.nsga2.NSGA2` — used to own a
-monolithic ``run()`` loop:
-a killed process lost all work, and the only practical stopping rule was a
-fixed generation budget.  This module factors the loop out once:
+An optimizer that owns a monolithic ``run()`` loop loses all work when its
+process is killed, and its only practical stopping rule is a fixed
+generation budget.  This module factors the loop out once, for
+:class:`~repro.core.optimizer.OptRROptimizer` (the package's one optimizer)
+and the NSGA-II ablation baseline in ``benchmarks/baselines``:
 
 * An algorithm implements :class:`SteppableOptimization` — set up its state,
   advance one generation, produce the final result, and (de)serialize its
@@ -29,9 +29,10 @@ ambient :func:`checkpoint_scope` gives every optimizer run inside a grid
 cell an automatically claimed checkpoint file, resumed transparently when
 the cell re-runs after an interruption.
 
-This module lives in the ``emoo`` layer because NSGA-II runs on the same
-driver and ``repro.emoo`` must not depend on ``repro.core``.  It is the only
-place an optimizer run reads the wall clock.
+This module lives in the ``emoo`` layer, below ``repro.core``, because it
+knows nothing of RR matrices: any :class:`SteppableOptimization` runs on it,
+including the NSGA-II baseline outside the package.  It is the only place an
+optimizer run reads the wall clock.
 """
 
 from __future__ import annotations

@@ -31,13 +31,13 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.emoo.density import crowding_distances_from_objectives
 from repro.emoo.dominance import pareto_ranks_from_arrays
 from repro.exceptions import OptimizationError, ValidationError
 from repro.utils.validation import check_counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.emoo.population import Population
-    from repro.emoo.problem import Problem
 
 #: (progress-through-deadline threshold, multiplier on the configured low
 #: fidelity) pairs, checked from latest to earliest: past 90% of the budget
@@ -124,8 +124,6 @@ class FidelityScheduler:
         count = self.promotion_count(size)
         if count >= size:
             return np.arange(size)
-        from repro.emoo.nsga2 import crowding_distances_from_objectives
-
         ranks = pareto_ranks_from_arrays(objectives, feasible)
         crowding = np.zeros(size)
         for rank in range(int(ranks.max()) + 1):
@@ -135,10 +133,14 @@ class FidelityScheduler:
         return np.sort(order[:count])
 
     # -- evaluation paths ----------------------------------------------------
-    def evaluate_stack(self, problem: "Problem", stack: np.ndarray) -> "Population":
+    def evaluate_stack(self, problem: Any, stack: np.ndarray) -> "Population":
         """Low-fidelity evaluate a genome stack (``(B, n, n)`` matrices on the
         RR path), promote the top fraction and splice their full-fidelity rows
         back in.
+
+        ``problem`` is anything with an ``evaluate_population(stack, *,
+        fidelity)`` hook returning a population, as
+        :class:`~repro.core.problem.RRMatrixProblem` has.
 
         Every returned row carries a ``fidelity`` metadata column (promoted
         rows at 1.0), so archive offers can be restricted to full-fidelity

@@ -113,7 +113,7 @@ class CheckpointSymmetryRule(Rule):
         "state_document/restore_state must come in pairs and agree on the "
         "literal dict keys they write and read"
     )
-    scopes = ("src/repro",)
+    scopes = ("src/repro", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

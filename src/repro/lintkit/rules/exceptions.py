@@ -87,7 +87,7 @@ class ExceptionDisciplineRule(Rule):
         "log, or use the caught exception — silent swallowing erases the "
         "failure signal the resilience layer classifies"
     )
-    scopes = ("src/repro",)
+    scopes = ("src/repro", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

@@ -10,8 +10,8 @@ engine from ever disagreeing about a matrix.
 The guarantee collapses as soon as another module calls ``numpy.linalg``
 itself: its private inversion skips the condition rule and silently
 classifies near-singular matrices differently.  This rule therefore bans
-every use of ``numpy.linalg`` under ``src/repro`` outside
-``src/repro/utils/linalg.py``:
+every use of ``numpy.linalg`` under ``src/repro`` (and in the ablation
+baselines, ``benchmarks/baselines``) outside ``src/repro/utils/linalg.py``:
 
 * attribute access through ``np.linalg`` / ``numpy.linalg``;
 * ``import numpy.linalg`` and ``from numpy.linalg import ...``;
@@ -42,6 +42,7 @@ class LinalgConfinementRule(Rule):
         "numpy.linalg is used only in src/repro/utils/linalg.py, so every "
         "inversion shares the one 1-norm condition rule"
     )
+    scopes = ("src/repro", "benchmarks/baselines")
 
     def applies_to(self, relpath: str) -> bool:
         return relpath != LINALG_HOME and super().applies_to(relpath)

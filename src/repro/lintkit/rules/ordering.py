@@ -3,7 +3,8 @@
 Set iteration order depends on the hash seed and insertion history, and
 "first match wins" scans over ``dict.values()``/``dict.keys()`` views bake
 the dict's construction order into the result.  In the optimizer hot paths
-(``src/repro/emoo``, ``src/repro/core``) such an order leak silently breaks
+(``src/repro/emoo``, ``src/repro/core`` and the ablation baselines in
+``benchmarks/baselines``) such an order leak silently breaks
 the bit-for-bit trajectory and kill/resume guarantees.  Flagged patterns:
 
 * a ``for`` loop or comprehension iterating *directly* over a set literal,
@@ -55,7 +56,7 @@ class OrderingHazardRule(Rule):
         "iteration over sets (and first-match scans over dict views) in the "
         "optimizer hot paths must go through sorted(...)"
     )
-    scopes = ("src/repro/emoo", "src/repro/core")
+    scopes = ("src/repro/emoo", "src/repro/core", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

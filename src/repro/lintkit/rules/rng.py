@@ -64,7 +64,7 @@ class RngDisciplineRule(Rule):
         "legacy np.random globals, unseeded default_rng() and the stdlib "
         "random module are banned"
     )
-    scopes = ("src/repro", "examples")
+    scopes = ("src/repro", "benchmarks/baselines", "examples")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

@@ -5,9 +5,10 @@ OS-entropy draws and UUIDs all make two identical invocations diverge.  The
 only sanctioned optimizer timing site is the stepwise driver, which
 *measures* elapsed wall time (it rides the checkpoint as data) and checks
 the stopping rule's deadline against it — allowlisted by path below, next
-to the process pool's cell timeouts.  Everywhere else under ``src/repro``,
-timing belongs in the benchmark harness and entropy belongs to the seeded
-Generator channel (RL001).
+to the process pool's cell timeouts.  Everywhere else under ``src/repro``
+and in the ablation baselines (``benchmarks/baselines``), timing belongs in
+the benchmark harness and entropy belongs to the seeded Generator channel
+(RL001).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class WallClockRule(Rule):
         "wall-clock reads, OS entropy and UUIDs are banned outside the "
         "allowlisted driver/process-pool timing sites"
     )
-    scopes = ("src/repro",)
+    scopes = ("src/repro", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

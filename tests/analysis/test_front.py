@@ -7,9 +7,10 @@ import pytest
 
 from repro.analysis.front import FrontPoint, ParetoFront
 from repro.core.optimizer import OptRROptimizer
+from repro.data.synthetic import normal_distribution
 from repro.exceptions import ValidationError
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.family import WarnerFamily
+from repro.rr.family import FrappFamily, UniformPerturbationFamily, WarnerFamily
 from repro.rr.schemes import warner_matrix
 
 
@@ -94,6 +95,40 @@ class TestFromResultAndFamily:
             "mixed", [RRMatrix.uniform(4), warner_matrix(4, 0.8)], evaluator
         )
         assert len(front) == 1
+
+    def test_from_matrices_of_nothing_is_empty(self, evaluator):
+        assert ParetoFront.from_matrices("none", [], evaluator).is_empty
+
+    @pytest.mark.parametrize(
+        "n_categories, delta, n_points", [(10, 0.8, 1001), (64, None, 101)]
+    )
+    @pytest.mark.parametrize(
+        "family_type", [WarnerFamily, UniformPerturbationFamily, FrappFamily]
+    )
+    def test_from_family_matches_per_matrix_evaluation(
+        self, family_type, n_categories, delta, n_points
+    ):
+        """One batched evaluation of the sweep gives exactly the points one
+        ``evaluate`` call per matrix gives (n = 64 spans several row blocks)."""
+        prior = normal_distribution(n_categories)
+        family = family_type(n_categories)
+        evaluator = MatrixEvaluator(prior, 10_000, delta)
+        per_matrix = []
+        for matrix in family.matrices(n_points):
+            evaluation = evaluator.evaluate(matrix)
+            if evaluation.feasible and np.isfinite(evaluation.utility):
+                per_matrix.append(FrontPoint(evaluation.privacy, evaluation.utility, matrix))
+        expected = ParetoFront.from_points(family.name, per_matrix)
+        front = ParetoFront.from_family(family, prior, 10_000, delta=delta, n_points=n_points)
+
+        def key(front):
+            return [
+                (point.privacy, point.utility, point.matrix.probabilities.tobytes())
+                for point in front
+            ]
+
+        assert len(front) > 1
+        assert key(front) == key(expected)
 
 
 class TestQueries:

@@ -1,16 +1,16 @@
-"""Tests for the brute-force baseline (repro.core.bruteforce)."""
+"""Tests for the brute-force oracle (tests/oracles/bruteforce.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.bruteforce import brute_force_front
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.search_space import rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
 from repro.exceptions import OptimizationError
+from tests.oracles.bruteforce import brute_force_front
 
 
 @pytest.fixture

@@ -24,10 +24,10 @@ from repro.emoo.driver import (
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
 from repro.exceptions import OptimizationError, ValidationError
 from repro.io import load_checkpoint, result_to_dict, save_result
 
+from benchmarks.baselines.nsga2 import NSGA2, NSGA2Settings
 from tests.emoo.conftest import SphereTradeoffProblem
 
 N_GENERATIONS = 5

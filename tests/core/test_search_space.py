@@ -9,11 +9,11 @@ import pytest
 from repro.exceptions import ValidationError
 
 from repro.core.search_space import (
-    brute_force_is_feasible,
     column_combinations,
     log10_rr_matrix_combinations,
     rr_matrix_combinations,
 )
+from tests.oracles.bruteforce import brute_force_is_feasible
 
 
 class TestColumnCombinations:

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
 
 
-class SphereTradeoffProblem(Problem):
+class SphereTradeoffProblem:
     """A simple bi-objective problem with a known Pareto front.
 
     Genomes are scalars ``x``, stacked as ``(P, 1)`` arrays; the objectives
     are ``f1(x) = x^2`` and ``f2(x) = (x - 1)^2``.  The Pareto front is the
-    whole interval ``x in [0, 1]`` with ``sqrt(f1) + sqrt(f2) = 1``.
+    whole interval ``x in [0, 1]`` with ``sqrt(f1) + sqrt(f2) = 1``.  It
+    defines the genome-stack hooks of
+    :class:`repro.core.problem.RRMatrixProblem`.
     """
-
-    n_objectives = 2
 
     def initial_population_soa(self, size, rng, *, fidelity=None) -> Population:
         stack = rng.uniform(-0.5, 1.5, size=(size, 1))
@@ -46,6 +45,9 @@ class SphereTradeoffProblem(Problem):
 
     def repair_stack(self, stack):
         return np.clip(stack, -2.0, 3.0)
+
+    def fingerprint_document(self):
+        return {"problem": type(self).__name__}
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Tests for repro.emoo.density and repro.emoo.fitness (SPEA2 components)."""
+"""Tests for repro.emoo.density and repro.emoo.fitness (SPEA2 components and
+the crowding distance)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
+from repro.emoo.density import (
+    crowding_distances_from_objectives,
+    kth_nearest_distances,
+    pairwise_distances,
+    spea2_density,
+)
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.exceptions import OptimizationError
 from tests.oracles import kernels as oracle
@@ -122,6 +128,24 @@ class TestSpea2Density:
         densities = spea2_density(points)
         assert densities[0] > densities[2]
         assert densities[1] > densities[2]
+
+
+class TestCrowdingDistance:
+    def test_extremes_get_infinity(self):
+        front = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+        distances = crowding_distances_from_objectives(front)
+        assert distances[0] == np.inf and distances[2] == np.inf
+        assert np.isfinite(distances[1])
+
+    def test_isolated_point_has_larger_distance(self):
+        front = np.array([[0.0, 1.0], [0.05, 0.9], [0.1, 0.85], [1.0, 0.0]])
+        distances = crowding_distances_from_objectives(front)
+        # The interior point next to the isolated extreme is less crowded than
+        # the interior point in the dense cluster.
+        assert distances[2] > distances[1]
+
+    def test_empty_front(self):
+        assert crowding_distances_from_objectives(np.empty((0, 2))).size == 0
 
 
 class TestSpea2Fitness:

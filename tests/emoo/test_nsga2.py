@@ -1,29 +1,11 @@
-"""Tests for the NSGA-II baseline."""
+"""Tests for the NSGA-II ablation baseline (benchmarks/baselines/nsga2.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
-
-
-class TestCrowdingDistance:
-    def test_extremes_get_infinity(self):
-        front = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-        distances = crowding_distances_from_objectives(front)
-        assert distances[0] == np.inf and distances[2] == np.inf
-        assert np.isfinite(distances[1])
-
-    def test_isolated_point_has_larger_distance(self):
-        front = np.array([[0.0, 1.0], [0.05, 0.9], [0.1, 0.85], [1.0, 0.0]])
-        distances = crowding_distances_from_objectives(front)
-        # The interior point next to the isolated extreme is less crowded than
-        # the interior point in the dense cluster.
-        assert distances[2] > distances[1]
-
-    def test_empty_front(self):
-        assert crowding_distances_from_objectives(np.empty((0, 2))).size == 0
+from benchmarks.baselines.nsga2 import NSGA2, NSGA2Settings
 
 
 class TestNSGA2Run:

@@ -1,11 +1,11 @@
-"""Tests for the weighted-sum GA baseline."""
+"""Tests for the weighted-sum GA ablation baseline (benchmarks/baselines/weighted_sum.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
+from benchmarks.baselines.weighted_sum import WeightedSumGA, WeightedSumSettings
 from repro.exceptions import ValidationError
 
 

@@ -1,13 +1,15 @@
-"""Brute-force / grid-search baseline for tiny domains.
+"""Brute-force / grid-search oracle for tiny domains.
 
 The paper's Fact 1 shows exhaustive search is hopeless for realistic domain
 sizes, but for ``n = 2`` or ``n = 3`` with a coarse grid it is perfectly
 feasible — and extremely useful for validating the evolutionary optimizer:
-the OptRR front should be close to the exhaustive front on such instances.
+the OptRR front should be close to the exhaustive front on such instances
+(``tests/core/test_bruteforce.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -15,13 +17,23 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.result import OptimizationResult, ParetoPoint
-from repro.core.search_space import brute_force_is_feasible, rr_matrix_combinations
+from repro.core.search_space import log10_rr_matrix_combinations, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import non_dominated_indices
 from repro.exceptions import OptimizationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_positive_int
+
+
+def brute_force_is_feasible(
+    n_categories: int, d: int, *, budget: int = 10_000_000
+) -> bool:
+    """Whether exhaustively enumerating the discretised matrices fits within
+    ``budget`` evaluations (used to guard the brute-force baseline)."""
+    check_positive_int(budget, "budget")
+    # Compare in log space to avoid astronomically large integers.
+    return log10_rr_matrix_combinations(n_categories, d) <= math.log10(budget)
 
 
 def _grid_columns(n_categories: int, d: int) -> list[np.ndarray]:

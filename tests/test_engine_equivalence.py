@@ -35,13 +35,13 @@ from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.density import pairwise_distances
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
     truncate_indices,
 )
-from repro.emoo.weighted_sum import WeightedSumGA, WeightedSumSettings
+from benchmarks.baselines.nsga2 import NSGA2, NSGA2Settings
+from benchmarks.baselines.weighted_sum import WeightedSumGA, WeightedSumSettings
 from tests.oracles.individual import Individual
 from tests.oracles.optrr_loop import (
     reference_environmental_selection,

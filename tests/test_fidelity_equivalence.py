@@ -24,8 +24,9 @@ from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.fidelity import FidelitySchedule
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
 from repro.io import load_checkpoint, result_to_dict
+
+from benchmarks.baselines.nsga2 import NSGA2, NSGA2Settings
 
 N_GENERATIONS = 5
 SCHEDULE = FidelitySchedule(low_fidelity=0.25, promotion_fraction=0.4)

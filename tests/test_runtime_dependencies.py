@@ -4,8 +4,9 @@ Each case runs in a fresh interpreter whose import system refuses every
 ``scipy`` module, then checks that the run succeeded and that no ``scipy``
 module was loaded.  An optimize run reaches every SPEA2 selection kernel
 (distances, density, dominance, truncation) plus the bound repair and the
-checkpoint writer; the NSGA-II run reaches non-dominated sorting and
-crowding.
+checkpoint writer; the ``--fidelity`` run reaches the multi-fidelity
+scheduler's promotion order, non-dominated sorting and the crowding
+distance.
 """
 
 from __future__ import annotations
@@ -52,16 +53,15 @@ code = main([
 assert code == 0, code
 """
 
-NSGA2_RUN = """
-from repro.core.problem import RRMatrixProblem
-from repro.data.synthetic import normal_distribution
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings
+OPTIMIZE_FIDELITY = """
+from repro.cli import main
 
-problem = RRMatrixProblem(normal_distribution(6), 2000, delta=0.85)
-result = NSGA2(
-    problem, NSGA2Settings(population_size=8), n_generations=3, seed=1
-).run()
-assert result.n_generations == 3 and result.front, result
+code = main([
+    "optimize", "--distribution", "normal", "--categories", "6",
+    "--records", "2000", "--delta", "0.8", "--generations", "3",
+    "--population", "8", "--seed", "1", "--fidelity",
+])
+assert code == 0, code
 """
 
 
@@ -77,7 +77,9 @@ def _run_without_scipy(payload: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("payload", [OPTIMIZE, NSGA2_RUN], ids=["optimize", "nsga2"])
+@pytest.mark.parametrize(
+    "payload", [OPTIMIZE, OPTIMIZE_FIDELITY], ids=["optimize", "optimize-fidelity"]
+)
 def test_runs_without_scipy(payload, tmp_path):
     completed = _run_without_scipy(payload, tmp_path)
     assert completed.returncode == 0, completed.stderr
