@@ -934,11 +934,11 @@ def _command_disguise(args: argparse.Namespace) -> int:
 def _command_compare_schemes(args: argparse.Namespace) -> int:
     try:
         prior = _resolve_distribution(args.distribution, args.categories)
-    except DataError as exc:
+        evaluator = MatrixEvaluator(prior, args.records, args.delta)
+        families = {name: scheme_family(name, prior.n_categories) for name in family_names()}
+    except ValidationError as exc:
         return _fail(str(exc))
-    evaluator = MatrixEvaluator(prior, args.records, args.delta)
-    for name in family_names():
-        family = scheme_family(name, prior.n_categories)
+    for name, family in families.items():
         front = ParetoFront.from_matrices(name, family.matrices(201), evaluator)
         print(format_front_table(front, max_rows=10))
         print()
@@ -946,7 +946,10 @@ def _command_compare_schemes(args: argparse.Namespace) -> int:
 
 
 def _command_search_space(args: argparse.Namespace) -> int:
-    log10_count = log10_rr_matrix_combinations(args.categories, args.grid)
+    try:
+        log10_count = log10_rr_matrix_combinations(args.categories, args.grid)
+    except ValidationError as exc:
+        return _fail(str(exc))
     print(
         f"discretised RR matrices for n={args.categories}, d={args.grid}: "
         f"about 10^{log10_count:.2f}"

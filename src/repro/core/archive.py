@@ -24,6 +24,11 @@ from repro.exceptions import OptimizationError, ValidationError
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_positive_int, check_stochastic_stack
 
+#: Byte budget of the genome rows one offer or refresh gathers at a time
+#: (``4 MiB // (8 n^2)`` rows of ``n x n`` float64 matrices: every offer at
+#: n <= 22 is one chunk).
+_CHUNK_BYTES = 4 * 2**20
+
 
 @dataclass
 class OptimalSet:
@@ -35,6 +40,9 @@ class OptimalSet:
         Number of privacy slots (``N_Ω``).  The privacy range ``[0, 1]`` is
         divided uniformly; a matrix with privacy ``p`` lands in slot
         ``floor(p * size)``.
+
+    Memory: besides its own slot columns, an offer or a refresh holds at
+    most one chunk (:data:`_CHUNK_BYTES`) of copied genomes at a time.
     """
 
     size: int = 1000
@@ -91,7 +99,7 @@ class OptimalSet:
         accepted = 1 + int(np.count_nonzero(key[1:] < np.minimum.accumulate(key)[:-1]))
         rows, slots = rows[first], slots[first]
         self._utilities[slots] = utility[rows]
-        self._genomes[slots] = population.genomes[rows]
+        _copy_rows(self._genomes, slots, population.genomes, rows)
         self._objectives[slots] = population.objectives[rows]
         for key_name, column in self._metadata.items():
             column[slots] = population.metadata[key_name][rows]
@@ -108,7 +116,7 @@ class OptimalSet:
         rows, slots = rows[better], slots[better]
         if rows.size == 0:
             return
-        population.genomes[rows] = self._genomes[slots]
+        _copy_rows(population.genomes, rows, self._genomes, slots)
         population.objectives[rows] = self._objectives[slots]
         for key, column in population.metadata.items():
             column[rows] = self._metadata[key][slots]
@@ -241,6 +249,18 @@ class OptimalSet:
             raise ValidationError("members do not lie in their privacy slots")
         if np.stack([-privacy, utility], axis=1).tobytes() != members.objectives.tobytes():
             raise ValidationError("objectives must equal (-privacy, utility) bit for bit")
+
+
+def _copy_rows(
+    target: np.ndarray, target_rows: np.ndarray, source: np.ndarray, source_rows: np.ndarray
+) -> None:
+    """``target[target_rows] = source[source_rows]`` for distinct
+    ``target_rows``, gathering at most :data:`_CHUNK_BYTES` of ``source``
+    rows at a time."""
+    step = max(1, _CHUNK_BYTES // max(1, source[:1].nbytes))
+    for start in range(0, source_rows.size, step):
+        stop = start + step
+        target[target_rows[start:stop]] = source[source_rows[start:stop]]
 
 
 def _is_int(value: Any) -> bool:

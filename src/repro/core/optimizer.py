@@ -278,21 +278,20 @@ class OptRROptimizer:
         problem = self._problem
         fitness = archive.require_fresh_fitness(generation)
         parents = binary_tournament_indices(fitness, config.population_size, rng)
-        parent_stack = archive.genomes[parents]
-        n_parents = parent_stack.shape[0]
-        first_index = np.arange(0, n_parents, 2)
-        first = parent_stack[first_index]
-        second = parent_stack[(first_index + 1) % n_parents]
-        crossed = rng.random(size=first.shape[0]) < config.crossover_rate
-        child_a = first.copy()
-        child_b = second.copy()
+        # Pair parent 2k with parent 2k + 1 (the last odd one out with parent
+        # 0) and gather every pair straight into the interleaved children
+        # stack: row 2k holds child a, row 2k + 1 child b of pair k.
+        pairs = np.arange(0, parents.size, 2)
+        mates = np.empty(2 * pairs.size, dtype=np.intp)
+        mates[0::2] = parents[pairs]
+        mates[1::2] = parents[(pairs + 1) % parents.size]
+        children = archive.genomes[mates]
+        child_a, child_b = children[0::2], children[1::2]
+        crossed = rng.random(size=pairs.size) < config.crossover_rate
         if crossed.any():
-            cross_a, cross_b = problem.crossover_stack(first[crossed], second[crossed], rng)
-            child_a[crossed] = cross_a
-            child_b[crossed] = cross_b
-        children = np.empty((2 * first.shape[0], *parent_stack.shape[1:]))
-        children[0::2] = child_a
-        children[1::2] = child_b
+            child_a[crossed], child_b[crossed] = problem.crossover_stack(
+                child_a[crossed], child_b[crossed], rng
+            )
         children = children[: config.population_size]
         mutated = rng.random(size=children.shape[0]) < config.mutation_rate
         if mutated.any():

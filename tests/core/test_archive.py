@@ -7,13 +7,17 @@ checkpoint documents are compared against.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import archive
 from repro.core.archive import OptimalSet
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
@@ -233,20 +237,32 @@ def canonical(document) -> str:
     return json.dumps(document, sort_keys=True)
 
 
+#: Genome rows per Ω copy chunk: None keeps the module's budget (every test
+#: batch is one chunk); 1-3 rows make batches span several chunks.
+CHUNK_ROWS = st.one_of(st.none(), st.integers(min_value=1, max_value=3))
+
+
+def chunk_rows(rows):
+    """Patch Ω's copy budget down to ``rows`` 3x3 float64 genomes."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(archive, "_CHUNK_BYTES", rows * 9 * 8)
+
+
 class TestOracleEquivalence:
     """Columnar Ω against the frozen ``Individual``-per-slot Ω, batch by
     batch: accepted counts, update counters, slot utilities and the member
     genome, objective and metadata bytes (via the checkpoint documents)."""
 
-    @given(batches=BATCHES, size=st.integers(min_value=1, max_value=20))
+    @given(batches=BATCHES, size=st.integers(min_value=1, max_value=20), chunk=CHUNK_ROWS)
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_batches_match_the_list_oracle(self, batches, size):
+    def test_batches_match_the_list_oracle(self, batches, size, chunk):
         ours, oracle = OptimalSet(size), OracleOptimalSet(size)
         for seed, rows in enumerate(batches):
             population = batch_population(rows, seed)
-            assert ours.offer_population(population) == oracle.offer_many(
-                row_individuals(population)
-            )
+            with chunk_rows(chunk):
+                accepted = ours.offer_population(population)
+            assert accepted == oracle.offer_many(row_individuals(population))
             assert ours.n_updates == oracle.n_updates
             assert ours.n_occupied == oracle.n_occupied
             assert ours.slot_utilities().tobytes() == oracle.slot_utilities().tobytes()
@@ -256,19 +272,22 @@ class TestOracleEquivalence:
         batches=BATCHES,
         targets=st.lists(st.tuples(PRIVACY, UTILITY, st.booleans()), max_size=12),
         size=st.integers(min_value=1, max_value=20),
+        chunk=CHUNK_ROWS,
     )
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_refresh_matches_the_oracle_loop(self, batches, targets, size):
+    def test_refresh_matches_the_oracle_loop(self, batches, targets, size, chunk):
         ours, oracle = OptimalSet(size), OracleOptimalSet(size)
         for seed, rows in enumerate(batches):
             population = batch_population(rows, seed)
-            ours.offer_population(population)
+            with chunk_rows(chunk):
+                ours.offer_population(population)
             oracle.offer_many(row_individuals(population))
         population = batch_population(targets, seed=99)
         population.set_fitness(np.arange(population.size, dtype=np.float64), generation=4)
         individuals = row_individuals(population)
         _refresh_from_optimal_set(individuals, oracle, reuse_archive_fitness=True)
-        ours.refresh(population)
+        with chunk_rows(chunk):
+            ours.refresh(population)
         refreshed = row_individuals(population)
         for row, (theirs, mine) in enumerate(zip(individuals, refreshed)):
             assert mine.genome.probabilities.tobytes() == theirs.genome.probabilities.tobytes()
@@ -276,3 +295,36 @@ class TestOracleEquivalence:
             assert mine.feasible == theirs.feasible
             assert mine.metadata == theirs.metadata
             assert mine.fitness == theirs.fitness == row
+
+
+class TestChunkedCopies:
+    """Genomes move between a population and Ω in bounded chunks."""
+
+    def test_offer_holds_at_most_two_chunks_beyond_the_columns(self):
+        # The n = 64 baseline sweep's shape: 1001 matrices over 1000 slots,
+        # each genome tagged with its row number.
+        n, size = 64, 1001
+        privacy = np.linspace(0.0, 1.0, size)
+        genomes = np.full((size, n, n), 1.0 / n)
+        genomes[:, 0, 0] = np.arange(size)
+        population = Population(
+            genomes=genomes,
+            objectives=np.stack([-privacy, np.ones(size)], axis=1),
+            feasible=np.ones(size, dtype=bool),
+            metadata={"privacy": privacy, "utility": np.ones(size)},
+        )
+        omega = OptimalSet(1000)
+        tracemalloc.start()
+        try:
+            omega.offer_population(population)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        members = omega.members()
+        columns = members.genomes.nbytes + members.objectives.nbytes + sum(
+            column.nbytes for column in members.metadata.values()
+        )
+        assert peak <= columns + 2 * archive._CHUNK_BYTES
+        # Equal utilities: the first row offered to each slot keeps it.
+        assert omega.n_occupied == 1000
+        assert np.array_equal(members.genomes, genomes[:1000])

@@ -13,6 +13,16 @@ from repro.cli import main
 FAST_CAMPAIGN = ["--generations", "5", "--population", "8"]
 
 
+def assert_one_error_line(captured, message: str) -> None:
+    """A usage error: nothing on stdout, one ``optrr: error:`` line naming
+    ``message`` on stderr."""
+    assert captured.out == ""
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("optrr: error: ")
+    assert message in err_lines[0]
+
+
 class TestList:
     def test_lists_experiments(self, capsys):
         assert main(["list"]) == 0
@@ -25,6 +35,17 @@ class TestSearchSpace:
     def test_prints_fact1_exponent(self, capsys):
         assert main(["search-space", "--categories", "10", "--grid", "100"]) == 0
         assert "10^126" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--categories", "-1"], "n_categories must be positive"),
+            (["--grid", "0"], "d must be positive"),
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, capsys, flags, message):
+        assert main(["search-space", *flags]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
 
 
 class TestOptimize:
@@ -64,6 +85,20 @@ class TestCompareSchemes:
         assert "warner" in output
         assert "frapp" in output
         assert "uniform-perturbation" in output
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--categories", "0"], "n_categories must be positive"),
+            (["--categories", "1"], "at least two categories"),
+            (["--records", "0"], "n_records must be positive"),
+            (["--delta", "2"], "delta must be in (0, 1]"),
+            (["--delta", "0.01"], "Theorem 5"),
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, capsys, flags, message):
+        assert main(["compare-schemes", *flags]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
 
 
 class TestRun:
