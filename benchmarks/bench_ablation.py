@@ -70,7 +70,7 @@ def test_emoo_algorithm_ablation(run_once):
             seed=0,
         )
         optrr_result = OptRROptimizer(prior, N_RECORDS, config).run()
-        optrr_front = ParetoFront.from_result("optrr", optrr_result)
+        optrr_front = optrr_result.front
 
         nsga_problem = RRMatrixProblem(prior, N_RECORDS, delta=DELTA)
         nsga_result = NSGA2(
@@ -167,8 +167,8 @@ def test_optimal_set_ablation(run_once):
         op="optimal_set_ablation",
         params={"population": population, "generations": generations},
     )
-    front_with = ParetoFront.from_result("with-omega", with_omega)
-    front_without = ParetoFront.from_result("without-omega", without_omega)
+    front_with = with_omega.front
+    front_without = without_omega.front
 
     print()
     print("  Optimal-set (Ω) ablation:")

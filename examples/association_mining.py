@@ -31,7 +31,7 @@ def main() -> None:
         population_size=30, archive_size=30, n_generations=150, delta=0.85, seed=1
     )
     optimization = OptRROptimizer(workload.prior, N_RECORDS, config).run()
-    low, high = optimization.privacy_range
+    low, high = optimization.front.privacy_range
     print(f"Optimized front: {len(optimization)} points, "
           f"privacy range [{low:.3f}, {high:.3f}]")
 

@@ -24,7 +24,6 @@ from repro import (
     normal_distribution,
     sample_dataset,
 )
-from repro.analysis.front import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_front_table
 
@@ -47,7 +46,7 @@ def main() -> None:
     )
     optimizer = OptRROptimizer(prior, n_records, config)
     result = optimizer.run()
-    front = ParetoFront.from_result("optrr", result)
+    front = result.front
     print()
     print(format_front_table(front, max_rows=12))
     print()

@@ -42,7 +42,7 @@ def main(delta: float = 0.75) -> None:
         population_size=40, archive_size=40, n_generations=300, delta=delta, seed=1
     )
     result = OptRROptimizer(prior, n_records, config).run()
-    optrr = ParetoFront.from_result("optrr", result)
+    optrr = result.front
     low, high = optrr.privacy_range
     print(f"{'optrr':22s}: {len(optrr):4d} optimal matrices, "
           f"privacy range [{low:.3f}, {high:.3f}]")

@@ -24,7 +24,10 @@ Quickstart
 >>> prior = normal_distribution(10)
 >>> config = OptRRConfig(n_generations=50, delta=0.8, seed=0)
 >>> result = OptRROptimizer(prior, n_records=10_000, config=config).run()
->>> point = result.best_matrix_for_privacy(0.5)
+>>> front = result.front  # columns: privacy, utility, max_posterior, matrices
+>>> bool((front.privacy[1:] > front.privacy[:-1]).all())
+True
+>>> point = result.best_matrix_for_privacy(0.5)  # one FrontRow, built on demand
 >>> point.matrix.n_categories
 10
 """
@@ -34,7 +37,6 @@ from repro.core import (
     OptRROptimizer,
     OptimalSet,
     OptimizationResult,
-    ParetoPoint,
     RRMatrixProblem,
     rr_matrix_combinations,
 )
@@ -63,13 +65,14 @@ from repro.rr import (
     uniform_perturbation_matrix,
     warner_matrix,
 )
-from repro.analysis import ParetoFront, compare_fronts
+from repro.analysis import FrontRow, ParetoFront, compare_fronts
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CategoricalDataset",
     "CategoricalDistribution",
+    "FrontRow",
     "InversionEstimator",
     "IterativeEstimator",
     "MatrixEvaluator",
@@ -78,7 +81,6 @@ __all__ = [
     "OptimalSet",
     "OptimizationResult",
     "ParetoFront",
-    "ParetoPoint",
     "RRMatrix",
     "RRMatrixProblem",
     "RandomizedResponse",

@@ -1,6 +1,6 @@
 """Pareto-front analysis, comparison, aggregation, plotting and reporting."""
 
-from repro.analysis.front import ParetoFront
+from repro.analysis.front import FrontRow, ParetoFront
 from repro.analysis.compare import FrontComparison, compare_fronts
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_front_table, format_comparison_table
@@ -16,6 +16,7 @@ from repro.analysis.aggregate import (
 __all__ = [
     "ExperimentAggregate",
     "FrontComparison",
+    "FrontRow",
     "MetricAggregate",
     "ParetoFront",
     "aggregate_campaign_runs",

@@ -2,21 +2,22 @@
 
 The paper presents every experimental result as a Pareto front plotted with
 privacy on the x-axis (larger is better) and utility/MSE on the y-axis
-(smaller is better).  :class:`ParetoFront` is the analysis-side container for
-such fronts; it can be built from an optimizer result, from a baseline scheme
-sweep, or from raw (privacy, utility) pairs, and offers the queries the
-evaluation section relies on (privacy range, utility at a privacy level,
-dominance filtering).
+(smaller is better).  :class:`ParetoFront` holds such a front as columns:
+``privacy``, ``utility``, an optional ``max_posterior`` and an optional
+``(k, n, n)`` matrix stack.  The same type carries an optimizer result's
+front and Ω spectrum (:class:`~repro.core.result.OptimizationResult`), a
+baseline scheme sweep (:meth:`ParetoFront.from_family`) and raw
+(privacy, utility) pairs (:meth:`ParetoFront.from_points`); a
+:class:`FrontRow` is built only when one row is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import non_dominated_indices
 from repro.exceptions import ValidationError
@@ -26,98 +27,83 @@ from repro.rr.matrix import RRMatrix
 
 
 @dataclass(frozen=True)
-class FrontPoint:
-    """One (privacy, utility) point, optionally carrying its matrix."""
+class FrontRow:
+    """One row of a :class:`ParetoFront`: privacy (Eq. 8, larger is better),
+    utility (Eq. 10 MSE, smaller is better) and, when the front carries
+    them, the worst-case posterior (Eq. 9) and the RR matrix."""
 
     privacy: float
     utility: float
+    max_posterior: float | None = None
     matrix: RRMatrix | None = None
 
-    def dominates(self, other: "FrontPoint") -> bool:
-        """Whether this point Pareto-dominates ``other`` (higher privacy,
-        lower utility)."""
-        no_worse = self.privacy >= other.privacy and self.utility <= other.utility
-        better = self.privacy > other.privacy or self.utility < other.utility
-        return no_worse and better
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParetoFront:
-    """An immutable Pareto front in (privacy, utility) space.
+    """A front in (privacy, utility) space, held as aligned columns.
 
-    Points are stored sorted by increasing privacy; dominated points are
-    removed at construction time unless ``keep_dominated`` was requested via
-    :meth:`from_points`.
+    Row ``i``'s matrix is ``stack[stack_rows[i]]`` (``stack_rows`` defaults
+    to every stack row in order), so fronts taken from one another with
+    :meth:`take` share one matrix stack instead of copying it.  The
+    constructor keeps rows as given; :meth:`from_points` and
+    :meth:`from_matrices` drop dominated rows and sort by
+    ``(privacy, utility)``, stably.
     """
 
     name: str
-    points: tuple[FrontPoint, ...] = field(default=())
+    privacy: np.ndarray
+    utility: np.ndarray
+    max_posterior: np.ndarray | None = None
+    stack: np.ndarray | None = None
+    stack_rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.points, key=lambda point: (point.privacy, point.utility)))
-        object.__setattr__(self, "points", ordered)
+        for key in ("privacy", "utility", "max_posterior"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=np.float64))
+        if self.stack is not None and self.stack_rows is None:
+            object.__setattr__(self, "stack_rows", np.arange(len(self.stack)))
+        columns = (self.privacy, self.utility, self.max_posterior, self.stack_rows)
+        if self.privacy.ndim != 1 or len({len(c) for c in columns if c is not None}) > 1:
+            raise ValidationError(f"front {self.name!r} needs aligned one-dimensional columns")
 
     # -- constructors ------------------------------------------------------------
     @classmethod
     def from_points(
         cls,
         name: str,
-        pairs: Iterable[tuple[float, float]] | Sequence[FrontPoint],
+        pairs: Iterable[tuple[float, float]],
         *,
         keep_dominated: bool = False,
     ) -> "ParetoFront":
-        """Build a front from (privacy, utility) pairs or FrontPoint objects."""
-        points: list[FrontPoint] = []
-        for item in pairs:
-            if isinstance(item, FrontPoint):
-                points.append(item)
-            else:
-                privacy, utility = item
-                points.append(FrontPoint(float(privacy), float(utility)))
-        if not keep_dominated:
-            points = _filter_dominated(points)
-        return cls(name, tuple(points))
-
-    @classmethod
-    def from_result(cls, name: str, result: OptimizationResult) -> "ParetoFront":
-        """Build a front from an OptRR optimization result."""
-        points = [
-            FrontPoint(point.privacy, point.utility, point.matrix) for point in result.points
-        ]
-        return cls(name, tuple(_filter_dominated(points)))
+        """Build a front from (privacy, utility) pairs."""
+        columns = np.array([(float(p), float(u)) for p, u in pairs]).reshape(-1, 2)
+        rows = _front_rows(columns[:, 0], columns[:, 1], keep_dominated)
+        return cls(name, columns[rows, 0], columns[rows, 1])
 
     @classmethod
     def from_matrices(
         cls,
         name: str,
-        matrices: Sequence[RRMatrix],
+        stack: np.ndarray,
         evaluator: MatrixEvaluator,
-        *,
-        require_feasible: bool = True,
     ) -> "ParetoFront":
-        """Evaluate ``matrices`` and build the front of the feasible ones.
+        """Evaluate a ``(B, n, n)`` stack and build the front of its feasible
+        matrices.
 
         This is how the Warner/UP/FRAPP baseline fronts are produced: sweep
         the scheme parameter, evaluate every matrix, drop infeasible ones
-        (bound violations), and keep the non-dominated rest.  The matrices
-        are scored in one :meth:`~MatrixEvaluator.evaluate_batch` call,
-        which scores each row independently of the others, so the points
-        equal per-matrix :meth:`~MatrixEvaluator.evaluate` results.
+        (bound violations), and keep the non-dominated rest.  The stack is
+        scored in one :meth:`~MatrixEvaluator.evaluate_batch` call, which
+        scores each row independently of the others, so the points equal
+        per-matrix :meth:`~MatrixEvaluator.evaluate` results.  The front
+        keeps its own copy of its rows of ``stack``.
         """
-        matrices = list(matrices)
-        if not matrices:
-            return cls(name, ())
-        evaluation = evaluator.evaluate_batch(matrices)
-        keep = np.isfinite(evaluation.utility)
-        if require_feasible:
-            keep &= evaluation.feasible
-        points = [
-            FrontPoint(
-                float(evaluation.privacy[row]), float(evaluation.utility[row]), matrices[row]
-            )
-            for row in np.flatnonzero(keep)
-        ]
-        return cls(name, tuple(_filter_dominated(points)))
+        evaluation = evaluator.evaluate_batch(stack)
+        kept = np.flatnonzero(np.isfinite(evaluation.utility) & evaluation.feasible)
+        privacy, utility = evaluation.privacy[kept], evaluation.utility[kept]
+        rows = _front_rows(privacy, utility, keep_dominated=False)
+        return cls(name, privacy[rows], utility[rows], stack=np.asarray(stack)[kept[rows]])
 
     @classmethod
     def from_family(
@@ -135,53 +121,54 @@ class ParetoFront:
         evaluator = MatrixEvaluator(prior, n_records, delta)
         return cls.from_matrices(family.name, family.matrices(n_points), evaluator)
 
+    def take(self, indices: np.ndarray) -> "ParetoFront":
+        """The rows ``indices`` as a front of the same name; the matrix stack
+        is shared, not copied."""
+        return ParetoFront(
+            self.name,
+            self.privacy[indices],
+            self.utility[indices],
+            None if self.max_posterior is None else self.max_posterior[indices],
+            self.stack,
+            None if self.stack_rows is None else self.stack_rows[indices],
+        )
+
     # -- protocol ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.privacy)
 
-    def __iter__(self) -> Iterator[FrontPoint]:
-        return iter(self.points)
+    def __getitem__(self, index: int) -> FrontRow:
+        """Row ``index``; its matrix is a read-only copy of the stack row."""
+        matrix = None if self.stack is None else self.stack[self.stack_rows[index]]
+        return FrontRow(
+            float(self.privacy[index]),
+            float(self.utility[index]),
+            None if self.max_posterior is None else float(self.max_posterior[index]),
+            None if matrix is None else RRMatrix.from_validated(matrix),
+        )
+
+    def __iter__(self) -> Iterator[FrontRow]:
+        return (self[index] for index in range(len(self)))
 
     @property
     def is_empty(self) -> bool:
         """Whether the front has no points (e.g. no feasible matrices)."""
-        return not self.points
+        return len(self) == 0
 
     # -- views ------------------------------------------------------------------
-    def privacy_values(self) -> np.ndarray:
-        """Privacy coordinates, ascending."""
-        return np.array([point.privacy for point in self.points])
-
-    def utility_values(self) -> np.ndarray:
-        """Utility coordinates aligned with :meth:`privacy_values`."""
-        return np.array([point.utility for point in self.points])
-
-    def as_array(self) -> np.ndarray:
-        """Front as an ``(n_points, 2)`` array of (privacy, utility)."""
-        return np.column_stack([self.privacy_values(), self.utility_values()])
-
     def as_minimization_array(self) -> np.ndarray:
         """Front as minimisation objectives ``(-privacy, utility)`` for the
         quality indicators."""
-        return np.column_stack([-self.privacy_values(), self.utility_values()])
+        return np.column_stack([-self.privacy, self.utility])
 
     @property
     def privacy_range(self) -> tuple[float, float]:
         """Smallest and largest privacy on the front."""
         if self.is_empty:
             raise ValidationError(f"front {self.name!r} is empty")
-        privacies = self.privacy_values()
-        return float(privacies.min()), float(privacies.max())
+        return float(self.privacy.min()), float(self.privacy.max())
 
     # -- queries ------------------------------------------------------------------
-    def utility_at_privacy(self, privacy: float) -> float:
-        """Best (lowest) utility achievable at privacy >= ``privacy``.
-
-        Returns ``inf`` when the front does not reach that privacy level.
-        """
-        candidates = [point.utility for point in self.points if point.privacy >= privacy - 1e-12]
-        return float(min(candidates)) if candidates else float("inf")
-
     def interpolated_utility_at_privacy(self, privacy: float) -> float:
         """Utility of the front *curve* at a privacy level, with linear
         interpolation between adjacent front points.
@@ -194,8 +181,7 @@ class ParetoFront:
         """
         if self.is_empty:
             return float("inf")
-        privacies = self.privacy_values()
-        utilities = self.utility_values()
+        privacies, utilities = self.privacy, self.utility
         if privacy <= privacies[0]:
             return float(utilities[0])
         if privacy > privacies[-1] + 1e-12:
@@ -209,22 +195,13 @@ class ParetoFront:
         weight = (privacy - privacies[lower]) / span
         return float(utilities[lower] + weight * (utilities[index] - utilities[lower]))
 
-    def best_point_for_privacy(self, privacy: float) -> FrontPoint | None:
-        """The point attaining :meth:`utility_at_privacy` (None if unreachable)."""
-        candidates = [point for point in self.points if point.privacy >= privacy - 1e-12]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda point: point.utility)
 
-    def restrict_privacy(self, low: float, high: float) -> "ParetoFront":
-        """Sub-front whose privacy lies inside ``[low, high]``."""
-        selected = tuple(point for point in self.points if low <= point.privacy <= high)
-        return ParetoFront(self.name, selected)
-
-
-def _filter_dominated(points: list[FrontPoint]) -> list[FrontPoint]:
-    """Drop dominated points (maximise privacy, minimise utility)."""
-    if not points:
-        return []
-    array = np.array([[-point.privacy, point.utility] for point in points])
-    return [points[index] for index in non_dominated_indices(array)]
+def _front_rows(privacy: np.ndarray, utility: np.ndarray, keep_dominated: bool) -> np.ndarray:
+    """Rows of the non-dominated points (every row with ``keep_dominated``;
+    maximise privacy, minimise utility), ordered by ``(privacy, utility)``
+    stably."""
+    if keep_dominated or privacy.size == 0:
+        rows = np.arange(privacy.size)
+    else:
+        rows = non_dominated_indices(np.column_stack([-privacy, utility]))
+    return rows[np.lexsort((utility[rows], privacy[rows]))]

@@ -43,8 +43,8 @@ def ascii_scatter(
     if width < 10 or height < 5:
         raise ValidationError("plot area must be at least 10x5 characters")
 
-    xs = np.concatenate([front.privacy_values() for front in fronts])
-    ys = np.concatenate([front.utility_values() for front in fronts])
+    xs = np.concatenate([front.privacy for front in fronts])
+    ys = np.concatenate([front.utility for front in fronts])
     x_min, x_max = float(xs.min()), float(xs.max())
     y_min, y_max = float(ys.min()), float(ys.max())
     x_span = (x_max - x_min) or 1.0
@@ -53,9 +53,9 @@ def ascii_scatter(
     grid = [[" "] * width for _ in range(height)]
     for front_index, front in enumerate(fronts):
         marker = _MARKERS[front_index % len(_MARKERS)]
-        for point in front:
-            column = int(round((point.privacy - x_min) / x_span * (width - 1)))
-            row = int(round((point.utility - y_min) / y_span * (height - 1)))
+        for privacy, utility in zip(front.privacy.tolist(), front.utility.tolist()):
+            column = int(round((privacy - x_min) / x_span * (width - 1)))
+            row = int(round((utility - y_min) / y_span * (height - 1)))
             grid[height - 1 - row][column] = marker
 
     lines = []

@@ -16,13 +16,13 @@ def format_front_table(front: ParetoFront, *, max_rows: int = 20) -> str:
     header = f"Pareto front: {front.name} ({len(front)} points)"
     if front.is_empty:
         return header + "\n  (empty)"
-    points = list(front)
-    if len(points) > max_rows:
-        step = len(points) / max_rows
-        points = [points[int(index * step)] for index in range(max_rows)]
+    rows = range(len(front))
+    if len(front) > max_rows:
+        step = len(front) / max_rows
+        rows = [int(index * step) for index in range(max_rows)]
     lines = [header, f"  {'privacy':>10}  {'utility (MSE)':>14}"]
-    for point in points:
-        lines.append(f"  {point.privacy:>10.4f}  {point.utility:>14.6e}")
+    for row in rows:
+        lines.append(f"  {front.privacy[row]:>10.4f}  {front.utility[row]:>14.6e}")
     return "\n".join(lines)
 
 

@@ -546,11 +546,10 @@ def _command_optimize(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"checkpoint i/o failed: {exc}")
-    front = ParetoFront.from_result("optrr", result)
-    print(format_front_table(front, max_rows=30))
+    print(format_front_table(result.front, max_rows=30))
     if args.plot:
-        print(ascii_scatter([front]))
-    low, high = result.privacy_range
+        print(ascii_scatter([result.front]))
+    low, high = result.front.privacy_range
     print(f"privacy range: [{low:.4f}, {high:.4f}]  "
           f"({len(result)} Pareto points, {result.n_evaluations} evaluations)")
     if output_path is not None:

@@ -25,7 +25,7 @@ from repro.core.operators import (
 )
 from repro.core.problem import RRMatrixProblem
 from repro.core.optimizer import OptRROptimizer
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.core.result import OptimizationResult
 from repro.core.search_space import rr_matrix_combinations
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "OptimizationResult",
     "SteppableOptimization",
     "checkpoint_scope",
-    "ParetoPoint",
     "RRMatrixProblem",
     "column_crossover_batch",
     "enforce_privacy_bound_batch",

@@ -24,8 +24,8 @@ fitness environmental selection just assigned (stamped per generation, so
 staleness is impossible) instead of re-running fitness assignment on the
 archive.  Ω itself is slot-indexed columns (:mod:`repro.core.archive`), so
 offers and the reverse refresh are whole-column operations; a candidate is
-only ever a population row, and Ω's rows become
-:class:`~repro.core.result.ParetoPoint` results only in ``finish()``.  The
+only ever a population row, and Ω's rows become the result's
+:class:`~repro.analysis.front.ParetoFront` columns only in ``finish()``.  The
 pre-array list-based loop is preserved verbatim in
 ``tests/oracles/optrr_loop.py`` for equivalence tests and benchmarks.
 """
@@ -180,7 +180,7 @@ class OptRROptimizer:
             result.n_generations,
             result.n_evaluations,
             len(result),
-            result.privacy_range if len(result) else "n/a",
+            result.front.privacy_range if len(result) else "n/a",
         )
         return result
 
@@ -427,18 +427,18 @@ class _OptRRSteppable(SteppableOptimization):
             # No feasible matrix was ever found (possible only with an
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
-            archive = self.archive
-            front = [problem.population_individual(archive, row) for row in range(archive.size)]
-            spectrum = []
+            front = problem.population_individual(self.archive, np.arange(self.archive.size))
+            spectrum = front.take(np.arange(0))
         else:
-            # Each occupied slot row becomes a point straight from Ω's
-            # columns; the front is picked by dominance over their objectives.
+            # The spectrum is the occupied slots, in slot order, as rows of
+            # Ω's own (read-only, no longer changing) genome array; the front
+            # is the subset no other member dominates.
             slots = np.flatnonzero(members.feasible)
-            spectrum = [problem.population_individual(members, slot) for slot in slots]
-            front = [spectrum[row] for row in non_dominated_indices(members.objectives[slots])]
+            spectrum = problem.population_individual(members, slots)
+            front = spectrum.take(non_dominated_indices(members.objectives[slots]))
         return OptimizationResult(
-            points=tuple(front),
-            optimal_set_points=tuple(spectrum),
+            front=front,
+            spectrum=spectrum,
             n_generations=generation + 1,
             n_evaluations=problem.n_evaluations,
         )

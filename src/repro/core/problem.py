@@ -13,10 +13,9 @@ fidelity scheduler call (``initial_population_soa``,
 Evaluation and repair run through the batch engine:
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
 :func:`~repro.core.operators.enforce_privacy_bound_batch`.  A candidate is a
-row of a :class:`~repro.emoo.population.Population`;
-:class:`~repro.rr.matrix.RRMatrix` objects appear only in the
-:class:`~repro.core.result.ParetoPoint` results
-:meth:`RRMatrixProblem.population_individual` builds from those rows.
+row of a :class:`~repro.emoo.population.Population`; a run's result rows
+leave the engine as one :class:`~repro.analysis.front.ParetoFront`, built
+by :meth:`RRMatrixProblem.population_individual`.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from repro.core.operators import (
     proportional_column_mutation_batch,
     random_initial_matrix,
 )
-from repro.core.result import ParetoPoint
+from repro.analysis.front import ParetoFront
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.population import Population
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
 
 #: Finite utility penalty substituted for the infinite MSE of non-invertible
@@ -167,9 +165,8 @@ class RRMatrixProblem:
         worst posterior and feasibility for the whole stack with batched
         linear algebra, and the stack itself becomes the population's genome
         array — no per-matrix ``RRMatrix`` construction or re-validation
-        happens inside the generation loop.  Result points (with
-        :class:`RRMatrix` genomes) are built only at the result boundary via
-        :meth:`population_individual`.
+        happens inside the generation loop.  Result rows are gathered only
+        at the result boundary, by :meth:`population_individual`.
 
         ``fidelity`` (a scalar or per-row column in ``(0, 1]``) evaluates the
         stack at reduced fidelity (see :meth:`MatrixEvaluator.evaluate_batch`)
@@ -198,18 +195,20 @@ class RRMatrixProblem:
             metadata=metadata,
         )
 
-    def population_individual(self, population: Population, index: int) -> ParetoPoint:
-        """The :class:`ParetoPoint` of one population row (the array-to-result
-        boundary): privacy, utility and worst posterior from the metadata
-        columns.  The genome row was produced by the engine's own operators,
-        so it wraps through the trusted :meth:`RRMatrix.from_validated` path
-        instead of re-validating per matrix."""
+    def population_individual(self, population: Population, rows: np.ndarray) -> ParetoFront:
+        """The result front of ``population``'s ``rows`` (the array-to-result
+        boundary): privacy, utility and worst posterior gathered from the
+        metadata columns, and the matrices as those rows of the population's
+        own genome stack, neither copied nor re-validated (the engine's
+        operators produced them)."""
         metadata = population.metadata
-        return ParetoPoint(
-            matrix=RRMatrix.from_validated(population.genomes[index]),
-            privacy=float(metadata["privacy"][index]),
-            utility=float(metadata["utility"][index]),
-            max_posterior=float(metadata["max_posterior"][index]),
+        return ParetoFront(
+            "optrr",
+            metadata["privacy"][rows],
+            metadata["utility"][rows],
+            metadata["max_posterior"][rows],
+            stack=population.genomes,
+            stack_rows=rows,
         )
 
     def initial_population_soa(

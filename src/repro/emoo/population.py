@@ -7,8 +7,8 @@ population as parallel arrays — a stacked genome array, an ``(P, m)``
 objective matrix, a feasibility mask, columnar metadata and a fitness
 vector — and every algorithm step works on index arrays over those columns.
 A candidate is only ever a row of these columns: the engines return their
-survivors and fronts as populations, and OptRR turns rows straight into
-:class:`~repro.core.result.ParetoPoint` results.
+survivors and fronts as populations, and OptRR gathers its result rows
+straight into a :class:`~repro.analysis.front.ParetoFront`.
 
 Genomes are stacked once, at the boundary where candidates enter the engine
 (:meth:`repro.core.problem.RRMatrixProblem.evaluate_population` produces the

@@ -84,7 +84,7 @@ def optimize_front(
     )
     optimizer = OptRROptimizer(prior, n_records, config)
     result = optimizer.run()
-    return ParetoFront.from_result("optrr", result), result
+    return result.front, result
 
 
 def warner_front(
@@ -96,8 +96,7 @@ def warner_front(
 ) -> ParetoFront:
     """Baseline front: the 1001-step Warner sweep with bound filtering."""
     family = WarnerFamily(prior.n_categories)
-    front = ParetoFront.from_family(family, prior, n_records, delta=delta, n_points=n_points)
-    return ParetoFront("warner", front.points)
+    return ParetoFront.from_family(family, prior, n_records, delta=delta, n_points=n_points)
 
 
 def run_front_comparison(
@@ -197,7 +196,7 @@ def empirical_front_mse(
     dense baseline sweeps stay affordable), the original data is sampled from
     the prior, disguised with the matrix, the distribution is re-estimated
     with the named estimator, and the measured MSE replaces the closed-form
-    utility.  Points without an attached matrix are skipped.
+    utility.  A front without matrices gives an empty front.
     """
     from repro.rr.estimation import IterativeEstimator, InversionEstimator
     from repro.rr.randomize import RandomizedResponse
@@ -209,17 +208,18 @@ def empirical_front_mse(
         estimator = InversionEstimator()
     pairs = []
     truth = prior.probabilities
-    points = [point for point in front if point.matrix is not None]
-    if len(points) > max_points:
-        step = len(points) / max_points
-        points = [points[int(index * step)] for index in range(max_points)]
-    for point in points:
-        mechanism = RandomizedResponse(point.matrix)
+    rows = range(len(front) if front.stack is not None else 0)
+    if len(rows) > max_points:
+        step = len(rows) / max_points
+        rows = [int(index * step) for index in range(max_points)]
+    for row in rows:
+        matrix = front[row].matrix
+        mechanism = RandomizedResponse(matrix)
         errors = []
         for _ in range(n_trials):
             original = prior.sample(n_records, seed=rng)
             disguised = mechanism.randomize_codes(original, seed=rng)
-            estimate = estimator.estimate_from_codes(disguised, point.matrix)
+            estimate = estimator.estimate_from_codes(disguised, matrix)
             errors.append(float(np.mean((estimate.probabilities - truth) ** 2)))
-        pairs.append((point.privacy, float(np.mean(errors))))
+        pairs.append((front.privacy[row], float(np.mean(errors))))
     return ParetoFront.from_points(f"{front.name}-empirical", pairs, keep_dominated=True)

@@ -29,17 +29,19 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 import numpy as np
 
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.core.result import OptimizationResult
 from repro.exceptions import CheckpointCorruptionError, ValidationError
 from repro.faults.injector import truncate_checkpoint_file
 from repro.rr.matrix import RRMatrix
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_counter
 
 logger = get_logger(__name__)
 
@@ -55,14 +57,14 @@ FORMAT_VERSION = 1
 
 def matrix_to_dict(matrix: RRMatrix) -> dict[str, Any]:
     """Serialize an RR matrix to a JSON-compatible dictionary."""
-    return _matrix_document(matrix, matrix.probabilities.tolist())
+    return _matrix_document(matrix.n_categories, matrix.probabilities.tolist())
 
 
-def _matrix_document(matrix: RRMatrix, probabilities: Any) -> dict[str, Any]:
+def _matrix_document(n_categories: int, probabilities: Any) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "type": "rr_matrix",
-        "n_categories": matrix.n_categories,
+        "n_categories": n_categories,
         "probabilities": probabilities,
     }
 
@@ -87,59 +89,59 @@ def matrix_from_dict(document: dict[str, Any]) -> RRMatrix:
 
 def result_to_dict(result: OptimizationResult, *, include_optimal_set: bool = False) -> dict[str, Any]:
     """Serialize an optimization result (front + metadata) to a dictionary."""
-    return _result_document(result, include_optimal_set, matrix_to_dict)
+    return _result_document(
+        result,
+        include_optimal_set,
+        lambda front, row: front.stack[front.stack_rows[row]].tolist(),
+    )
 
 
 def _result_document(
     result: OptimizationResult,
     include_optimal_set: bool,
-    matrix_document: Callable[[RRMatrix], dict[str, Any]],
+    probabilities: Callable[["ParetoFront", int], Any],
 ) -> dict[str, Any]:
-    def point_to_dict(point: ParetoPoint) -> dict[str, Any]:
-        return {
-            "privacy": point.privacy,
-            "utility": point.utility,
-            "max_posterior": point.max_posterior,
-            "matrix": matrix_document(point.matrix),
-        }
+    def point_documents(front: "ParetoFront") -> list[dict[str, Any]]:
+        return [
+            {
+                "privacy": float(front.privacy[row]),
+                "utility": float(front.utility[row]),
+                "max_posterior": float(front.max_posterior[row]),
+                "matrix": _matrix_document(front.stack.shape[-1], probabilities(front, row)),
+            }
+            for row in range(len(front))
+        ]
 
     document: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "type": "optimization_result",
         "n_generations": result.n_generations,
         "n_evaluations": result.n_evaluations,
-        "points": [point_to_dict(point) for point in result.points],
+        "points": point_documents(result.front),
     }
     if include_optimal_set:
-        document["optimal_set_points"] = [
-            point_to_dict(point) for point in result.optimal_set_points
-        ]
+        document["optimal_set_points"] = point_documents(result.spectrum)
     return document
 
 
+#: Fields every point of an ``optimization_result`` document carries.
+_RESULT_POINT_FIELDS = ("privacy", "utility", "max_posterior", "matrix")
+
+
 def result_from_dict(document: dict[str, Any]) -> OptimizationResult:
-    """Deserialize an optimization result from :func:`result_to_dict` output."""
+    """Deserialize an optimization result from :func:`result_to_dict` output
+    (finite objectives, non-negative integer counts, one matrix size)."""
     _check_document(document, "optimization_result")
-
-    def points_from(key: str, *, required: bool) -> tuple[ParetoPoint, ...]:
-        return tuple(
-            ParetoPoint(
-                matrix=matrix_from_dict(item["matrix"]),
-                privacy=_number(float, item["privacy"], f"{where}.privacy"),
-                utility=_number(float, item["utility"], f"{where}.utility"),
-                max_posterior=_number(float, item["max_posterior"], f"{where}.max_posterior"),
-            )
-            for where, item in _point_items(
-                document, key, ("privacy", "utility", "max_posterior", "matrix"),
-                required=required,
-            )
-        )
-
+    points = _point_items(document, "points", _RESULT_POINT_FIELDS)
+    spectrum = _point_items(
+        document, "optimal_set_points", _RESULT_POINT_FIELDS, required=False
+    )
+    rows = _front_from_items("optrr", points + spectrum, result=True)
     return OptimizationResult(
-        points=points_from("points", required=True),
-        optimal_set_points=points_from("optimal_set_points", required=False),
-        n_generations=_number(int, document.get("n_generations", 0), "n_generations"),
-        n_evaluations=_number(int, document.get("n_evaluations", 0), "n_evaluations"),
+        front=rows.take(np.arange(len(points))),
+        spectrum=rows.take(np.arange(len(points), len(rows))),
+        n_generations=check_counter(document.get("n_generations", 0), "n_generations"),
+        n_evaluations=check_counter(document.get("n_evaluations", 0), "n_evaluations"),
     )
 
 
@@ -149,30 +151,52 @@ def front_to_dict(front: "ParetoFront") -> dict[str, Any]:
         "name": front.name,
         "points": [
             {
-                "privacy": float(point.privacy),
-                "utility": float(point.utility),
+                "privacy": point.privacy,
+                "utility": point.utility,
                 "matrix": matrix_to_dict(point.matrix) if point.matrix is not None else None,
             }
-            for point in front.points
+            for point in front
         ],
     }
 
 
 def front_from_dict(document: dict[str, Any]) -> "ParetoFront":
-    """Deserialize a Pareto front from :func:`front_to_dict` output."""
-    from repro.analysis.front import FrontPoint, ParetoFront
-
+    """Deserialize a Pareto front from :func:`front_to_dict` output, sorted
+    by ``(privacy, utility)`` (finite objectives, matrices on all points or
+    none, one matrix size)."""
     if not isinstance(document, dict) or "name" not in document:
         raise ValidationError("a front must be a JSON object with a 'name'")
-    points = tuple(
-        FrontPoint(
-            privacy=_number(float, item["privacy"], f"{where}.privacy"),
-            utility=_number(float, item["utility"], f"{where}.utility"),
-            matrix=matrix_from_dict(item["matrix"]) if item.get("matrix") else None,
-        )
-        for where, item in _point_items(document, "points", ("privacy", "utility"))
+    front = _front_from_items(
+        str(document["name"]),
+        _point_items(document, "points", ("privacy", "utility")),
+        result=False,
     )
-    return ParetoFront(str(document["name"]), points)
+    return front.take(np.lexsort((front.utility, front.privacy)))
+
+
+def _front_from_items(
+    name: str, items: list[tuple[str, dict[str, Any]]], *, result: bool
+) -> "ParetoFront":
+    """One columnar front from labelled point objects, each objective a
+    finite number.  A ``result`` point also carries a ``max_posterior`` and
+    always a matrix; other fronts carry a matrix on every point or on none.
+    The matrices are validated and gathered into one stack of one size."""
+    from repro.analysis.front import ParetoFront
+
+    keys = ("privacy", "utility", "max_posterior") if result else ("privacy", "utility")
+    columns = [
+        [_finite(item[key], f"{where}.{key}") for where, item in items] for key in keys
+    ]
+    matrices = [
+        matrix_from_dict(item["matrix"]) for _, item in items if result or item.get("matrix")
+    ]
+    if len(matrices) not in (0, len(items)):
+        raise ValidationError(f"front {name!r}: either every point or none has a matrix")
+    sizes = sorted({matrix.n_categories for matrix in matrices})
+    if len(sizes) > 1:
+        raise ValidationError(f"front {name!r} mixes matrix sizes {sizes}")
+    stack = np.stack([matrix.probabilities for matrix in matrices]) if matrices else None
+    return ParetoFront(name, *columns, stack=stack)
 
 
 def _point_items(
@@ -197,6 +221,14 @@ def _point_items(
             raise ValidationError(f"{where} has no {', '.join(map(repr, missing))}")
         labelled.append((where, item))
     return labelled
+
+
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a float when it is a finite JSON number (not a bool or a
+    string), else :class:`ValidationError`."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _number(kind: type, value: Any, what: str) -> Any:
@@ -650,19 +682,15 @@ def save_result(
     partway never leaves a torn file at ``path``.
     """
     path = Path(path)
-    points = list(result.points)
-    if include_optimal_set:
-        points.extend(result.optimal_set_points)
+    fronts = [result.front, result.spectrum] if include_optimal_set else [result.front]
     skeleton = json.dumps(
         _result_document(
-            result,
-            include_optimal_set,
-            lambda matrix: _matrix_document(matrix, _PROBABILITIES_PLACEHOLDER),
+            result, include_optimal_set, lambda front, row: _PROBABILITIES_PLACEHOLDER
         ),
         indent=2,
     )
     _write_atomically(
-        path, ".tmp-result-", lambda handle: _write_result(handle, skeleton, points)
+        path, ".tmp-result-", lambda handle: _write_result(handle, skeleton, fronts)
     )
     return path
 
@@ -679,58 +707,49 @@ _PROBABILITIES_PLACEHOLDER = "<probabilities>"
 RESULT_GROUP_VALUES = 1 << 16
 
 
-def _write_result(handle: TextIO, skeleton: str, points: list[ParetoPoint]) -> None:
-    """Stream ``skeleton`` with each point's probabilities spliced in.
+def _write_result(handle: TextIO, skeleton: str, fronts: list["ParetoFront"]) -> None:
+    """Stream ``skeleton`` with the probabilities of each front's rows, front
+    after front, spliced in.
 
     ``json`` only uses its C encoder without ``indent``, and formatting
     every float separately dominates a large front, yet crossover copies
-    whole columns so a front holds few distinct values.  Points are written
-    in groups of about :data:`RESULT_GROUP_VALUES` values; within a group
-    each distinct bit pattern (so ``-0.0`` and ``0.0`` stay apart) is
-    formatted once by ``json`` itself, and a matrix is written as lookups
-    into that table.
+    whole columns so a front holds few distinct values.  Rows are written
+    in groups of about :data:`RESULT_GROUP_VALUES` values, each gathered
+    from the front's stack; within a group each distinct bit pattern (so
+    ``-0.0`` and ``0.0`` stay apart) is formatted once by ``json`` itself,
+    and a matrix is written as lookups into that table.
     """
     parts = skeleton.split(json.dumps(_PROBABILITIES_PLACEHOLDER))
     handle.write(parts[0])
-    if not points:
+    if len(parts) == 1:
         return
     # Every matrix sits at the same depth: its array opens on the line of
     # its "probabilities" key, rows one level deeper, values two.
     key_line = parts[0][parts[0].rindex("\n") + 1:]
     key_indent = "\n" + " " * (len(key_line) - len(key_line.lstrip(" ")))
     row_indent, value_indent = key_indent + "  ", key_indent + "    "
-
-    def write_group(group: list[tuple[ParetoPoint, str]]) -> None:
-        flat = np.concatenate([point.matrix.probabilities.ravel() for point, _ in group])
-        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        row_start = np.array(
-            [row_indent + "[" + value_indent + text for text in texts], dtype=object
-        )
-        row_next = np.array(["," + value_indent + text for text in texts], dtype=object)
-        offset = 0
-        for point, after in group:
-            n = point.matrix.n_categories
-            codes = inverse[offset:offset + n * n].reshape(n, n)
-            offset += n * n
-            cells = np.empty((n, n + 1), dtype=object)
-            cells[:, 0] = row_start[codes[:, 0]]
-            cells[:, 1:n] = row_next[codes[:, 1:]]
-            cells[:, n] = row_indent + "],"
-            cells[n - 1, n] = row_indent + "]"
-            handle.write("[" + "".join(cells.ravel().tolist()) + key_indent + "]")
-            handle.write(after)
-
-    group: list[tuple[ParetoPoint, str]] = []
-    group_values = 0
-    for point, after in zip(points, parts[1:]):
-        group.append((point, after))
-        group_values += point.matrix.probabilities.size
-        if group_values >= RESULT_GROUP_VALUES:
-            write_group(group)
-            group, group_values = [], 0
-    if group:
-        write_group(group)
+    afters = iter(parts[1:])
+    for front in fronts:
+        if front.is_empty:
+            continue
+        n = front.stack.shape[-1]
+        step = -(-RESULT_GROUP_VALUES // (n * n))
+        for start in range(0, len(front), step):
+            group = front.stack[front.stack_rows[start:start + step]]
+            bits, inverse = np.unique(group.reshape(-1).view(np.uint64), return_inverse=True)
+            texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+            row_start = np.array(
+                [row_indent + "[" + value_indent + text for text in texts], dtype=object
+            )
+            row_next = np.array(["," + value_indent + text for text in texts], dtype=object)
+            for codes in inverse.reshape(-1, n, n):
+                cells = np.empty((n, n + 1), dtype=object)
+                cells[:, 0] = row_start[codes[:, 0]]
+                cells[:, 1:n] = row_next[codes[:, 1:]]
+                cells[:, n] = row_indent + "],"
+                cells[n - 1, n] = row_indent + "]"
+                handle.write("[" + "".join(cells.ravel().tolist()) + key_indent + "]")
+                handle.write(next(afters))
 
 
 def load_result(path: str | Path) -> OptimizationResult:

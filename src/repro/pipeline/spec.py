@@ -224,24 +224,24 @@ def schemes_from_front(
     ``max_schemes`` is given, the front is thinned to at most that many
     points, evenly spaced across the privacy range.
     """
-    points = list(result.points)
-    if not points:
+    front = result.front
+    if front.is_empty:
         raise ValidationError("the optimized front contains no points")
-    if max_schemes is not None and max_schemes < len(points):
+    rows = list(range(len(front)))
+    if max_schemes is not None and max_schemes < len(front):
         if max_schemes < 1:
             raise ValidationError("max_schemes must be at least 1")
         if max_schemes == 1:
-            indices = [0]
+            rows = [0]
         else:
-            step = (len(points) - 1) / (max_schemes - 1)
-            indices = sorted({int(round(i * step)) for i in range(max_schemes)})
-        points = [points[index] for index in indices]
+            step = (len(front) - 1) / (max_schemes - 1)
+            rows = sorted({int(round(i * step)) for i in range(max_schemes)})
     return tuple(
         PipelineScheme(
-            name=f"front[{index:02d}]@privacy={point.privacy:.4f}",
-            matrix=point.matrix,
+            name=f"front[{index:02d}]@privacy={front.privacy[row]:.4f}",
+            matrix=front[row].matrix,
         )
-        for index, point in enumerate(points)
+        for index, row in enumerate(rows)
     )
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.rr import schemes
 from repro.rr.matrix import RRMatrix
-from repro.rr.schemes import frapp_matrix, uniform_perturbation_matrix, warner_matrix
 from repro.utils.validation import check_positive_int
 
 
@@ -25,8 +25,8 @@ from repro.utils.validation import check_positive_int
 class SchemeFamily(ABC):
     """A one-parameter family of RR matrices.
 
-    Sub-classes provide the parameter grid and the matrix constructor; the
-    base class offers iteration and materialisation helpers.
+    Sub-classes provide the parameter grid, the matrix constructor and the
+    stack constructor :meth:`matrices` sweeps the grid with.
     """
 
     n_categories: int
@@ -49,13 +49,15 @@ class SchemeFamily(ABC):
     def matrix(self, parameter: float) -> RRMatrix:
         """Construct the family member for ``parameter``."""
 
-    def matrices(self, n_points: int = 1001) -> list[RRMatrix]:
-        """Materialise the family on an ``n_points`` grid (default matches the
-        paper's 1001-step Warner sweep)."""
-        return [self.matrix(value) for value in self.parameter_grid(n_points)]
+    @abstractmethod
+    def stack(self, parameters: np.ndarray) -> np.ndarray:
+        """``(S, n, n)`` stack of the members for ``parameters``, row ``i``
+        equal to ``matrix(parameters[i]).probabilities`` bit for bit."""
 
-    def __iter__(self) -> Iterator[RRMatrix]:
-        return iter(self.matrices())
+    def matrices(self, n_points: int = 1001) -> np.ndarray:
+        """The family on an ``n_points`` grid as one validated ``(n_points,
+        n, n)`` stack (default matches the paper's 1001-step Warner sweep)."""
+        return self.stack(self.parameter_grid(n_points))
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,10 @@ class WarnerFamily(SchemeFamily):
         return np.linspace(0.0, 1.0, n_points)
 
     def matrix(self, parameter: float) -> RRMatrix:
-        return warner_matrix(self.n_categories, parameter)
+        return schemes.warner_matrix(self.n_categories, parameter)
+
+    def stack(self, parameters: np.ndarray) -> np.ndarray:
+        return schemes.warner_stack(self.n_categories, parameters)
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,10 @@ class UniformPerturbationFamily(SchemeFamily):
         return np.linspace(0.0, 1.0, n_points)
 
     def matrix(self, parameter: float) -> RRMatrix:
-        return uniform_perturbation_matrix(self.n_categories, parameter)
+        return schemes.uniform_perturbation_matrix(self.n_categories, parameter)
+
+    def stack(self, parameters: np.ndarray) -> np.ndarray:
+        return schemes.uniform_perturbation_stack(self.n_categories, parameters)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,10 @@ class FrappFamily(SchemeFamily):
         return diagonals * (n - 1) / (1.0 - diagonals)
 
     def matrix(self, parameter: float) -> RRMatrix:
-        return frapp_matrix(self.n_categories, parameter)
+        return schemes.frapp_matrix(self.n_categories, parameter)
+
+    def stack(self, parameters: np.ndarray) -> np.ndarray:
+        return schemes.frapp_stack(self.n_categories, parameters)
 
 
 _FAMILIES = {

@@ -50,31 +50,17 @@ def warner_matrix(n_categories: int, p: float) -> RRMatrix:
 
 
 def warner_stack(n_categories: int, retention_values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``(S, n, n)`` stack of Warner matrices, one per retention value.
-
-    Built as one array (off-diagonal ``(1 - p) / (n - 1)``, diagonal ``p``)
-    and validated once with the bounds, column-sum check and clip that
-    :class:`RRMatrix` applies to each matrix, so ``warner_stack(n, ps)[i]``
-    equals ``warner_matrix(n, ps[i]).probabilities`` bit for bit.
+    """``(S, n, n)`` stack of Warner matrices, one per retention value
+    (off-diagonal ``(1 - p) / (n - 1)``, diagonal ``p``), built like every
+    stack of this module (see :func:`_symmetric_stack`), so
+    ``warner_stack(n, ps)[i]`` equals ``warner_matrix(n, ps[i]).probabilities``
+    bit for bit.
     """
-    check_positive_int(n_categories, "n_categories")
-    retention = np.asarray(retention_values, dtype=np.float64)
-    if retention.ndim != 1:
-        raise ValidationError(
-            f"retention values must be one-dimensional, got shape {retention.shape}"
-        )
-    if not np.all(np.isfinite(retention)) or np.any((retention < 0.0) | (retention > 1.0)):
-        raise ValidationError("retention values must lie in [0, 1]")
+    retention = _parameters(n_categories, retention_values, "retention values")
     if n_categories == 1:
         raise RRMatrixError("Warner scheme needs at least two categories")
     off_diagonal = (1.0 - retention) / (n_categories - 1)
-    stack = np.repeat(off_diagonal, n_categories * n_categories).reshape(
-        retention.size, n_categories, n_categories
-    )
-    diagonal = np.arange(n_categories)
-    stack[:, diagonal, diagonal] = retention[:, None]
-    stack = check_stochastic_stack(stack, "Warner stack")
-    return np.clip(stack, 0.0, 1.0, out=stack)
+    return _symmetric_stack(n_categories, retention, off_diagonal, "Warner stack")
 
 
 def uniform_perturbation_matrix(n_categories: int, q: float) -> RRMatrix:
@@ -86,10 +72,18 @@ def uniform_perturbation_matrix(n_categories: int, q: float) -> RRMatrix:
     """
     check_positive_int(n_categories, "n_categories")
     check_in_unit_interval(q, "q")
-    off_diagonal = (1.0 - q) / n_categories
-    matrix = np.full((n_categories, n_categories), off_diagonal)
-    np.fill_diagonal(matrix, q + off_diagonal)
-    return RRMatrix(matrix)
+    return RRMatrix.from_validated(uniform_perturbation_stack(n_categories, [q])[0])
+
+
+def uniform_perturbation_stack(
+    n_categories: int, retention_values: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """``(S, n, n)`` stack of UP matrices, one per retention value ``q``;
+    row ``i`` equals ``uniform_perturbation_matrix(n, qs[i]).probabilities``
+    bit for bit."""
+    retention = _parameters(n_categories, retention_values, "retention values")
+    off_diagonal = (1.0 - retention) / n_categories
+    return _symmetric_stack(n_categories, retention + off_diagonal, off_diagonal, "UP stack")
 
 
 def frapp_matrix(n_categories: int, gamma: float) -> RRMatrix:
@@ -103,10 +97,48 @@ def frapp_matrix(n_categories: int, gamma: float) -> RRMatrix:
     check_positive_int(n_categories, "n_categories")
     if gamma <= 0 or not np.isfinite(gamma):
         raise RRMatrixError(f"gamma must be a positive finite value, got {gamma}")
-    denominator = gamma + n_categories - 1
-    matrix = np.full((n_categories, n_categories), 1.0 / denominator)
-    np.fill_diagonal(matrix, gamma / denominator)
-    return RRMatrix(matrix)
+    return RRMatrix.from_validated(frapp_stack(n_categories, [gamma])[0])
+
+
+def frapp_stack(n_categories: int, gammas: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``(S, n, n)`` stack of FRAPP matrices, one per ``gamma``; row ``i``
+    equals ``frapp_matrix(n, gammas[i]).probabilities`` bit for bit."""
+    gammas = _parameters(n_categories, gammas, "gamma values", positive=True)
+    denominator = gammas + n_categories - 1
+    return _symmetric_stack(n_categories, gammas / denominator, 1.0 / denominator, "FRAPP stack")
+
+
+def _parameters(
+    n_categories: int, values: Sequence[float] | np.ndarray, name: str, *, positive: bool = False
+) -> np.ndarray:
+    """``values`` as a 1-D float array: finite and positive with
+    ``positive``, else in ``[0, 1]``."""
+    check_positive_int(n_categories, "n_categories")
+    parameters = np.asarray(values, dtype=np.float64)
+    if parameters.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {parameters.shape}")
+    if positive:
+        if not np.all(np.isfinite(parameters) & (parameters > 0.0)):
+            raise RRMatrixError(f"{name} must be positive and finite")
+    elif not np.all((parameters >= 0.0) & (parameters <= 1.0)):
+        raise ValidationError(f"{name} must lie in [0, 1]")
+    return parameters
+
+
+def _symmetric_stack(
+    n_categories: int, diagonal: np.ndarray, off_diagonal: np.ndarray, name: str
+) -> np.ndarray:
+    """``(S, n, n)`` stack whose matrix ``i`` has ``diagonal[i]`` on the
+    diagonal and ``off_diagonal[i]`` elsewhere, built as one array and
+    validated once with the bounds, column-sum check and clip that
+    :class:`RRMatrix` applies to each matrix."""
+    stack = np.repeat(off_diagonal, n_categories * n_categories).reshape(
+        off_diagonal.size, n_categories, n_categories
+    )
+    cells = np.arange(n_categories)
+    stack[:, cells, cells] = diagonal[:, None]
+    stack = check_stochastic_stack(stack, name)
+    return np.clip(stack, 0.0, 1.0, out=stack)
 
 
 def warner_equivalent_p(n_categories: int, *, q: float | None = None, gamma: float | None = None) -> float:

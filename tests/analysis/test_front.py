@@ -5,39 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.front import FrontPoint, ParetoFront
+from repro.analysis.front import ParetoFront
 from repro.core.optimizer import OptRROptimizer
 from repro.data.synthetic import normal_distribution
+from repro.emoo.dominance import non_dominated_indices
 from repro.exceptions import ValidationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.family import FrappFamily, UniformPerturbationFamily, WarnerFamily
 from repro.rr.schemes import warner_matrix
 
 
-class TestFrontPoint:
-    def test_dominates(self):
-        better = FrontPoint(privacy=0.6, utility=1e-4)
-        worse = FrontPoint(privacy=0.5, utility=2e-4)
-        assert better.dominates(worse)
-        assert not worse.dominates(better)
-
-    def test_tradeoff_points_incomparable(self):
-        a = FrontPoint(privacy=0.6, utility=2e-4)
-        b = FrontPoint(privacy=0.5, utility=1e-4)
-        assert not a.dominates(b)
-        assert not b.dominates(a)
-
-    def test_equal_points_do_not_dominate(self):
-        a = FrontPoint(privacy=0.5, utility=1e-4)
-        assert not a.dominates(FrontPoint(privacy=0.5, utility=1e-4))
-
-
 class TestFromPoints:
     def test_sorted_by_privacy(self):
         front = ParetoFront.from_points("test", [(0.7, 1e-4), (0.3, 5e-5), (0.5, 8e-5)],
                                         keep_dominated=True)
-        privacies = front.privacy_values()
-        assert np.all(np.diff(privacies) >= 0)
+        assert np.all(np.diff(front.privacy) >= 0)
 
     def test_dominated_points_removed_by_default(self):
         front = ParetoFront.from_points(
@@ -45,7 +27,7 @@ class TestFromPoints:
         )
         # (0.6, 5e-5) dominates both other points.
         assert len(front) == 1
-        assert front.privacy_values()[0] == pytest.approx(0.6)
+        assert front.privacy[0] == pytest.approx(0.6)
 
     def test_dominated_point_within_isclose_tolerance_is_removed(self):
         # The dominated point differs from the dominating one by less than
@@ -67,11 +49,13 @@ class TestFromPoints:
 
 
 class TestFromResultAndFamily:
-    def test_from_result(self, small_prior, fast_config):
+    def test_result_front_carries_matrices(self, small_prior, fast_config):
         result = OptRROptimizer(small_prior, 10_000, fast_config).run()
-        front = ParetoFront.from_result("optrr", result)
+        front = result.front
         assert not front.is_empty
         assert all(point.matrix is not None for point in front)
+        # The front is a view into the spectrum's stack, not a copy of it.
+        assert front.stack is result.spectrum.stack
 
     def test_from_family_filters_bound_violations(self, normal_prior):
         delta = 0.7
@@ -91,13 +75,12 @@ class TestFromResultAndFamily:
     def test_from_matrices_excludes_singular(self, small_prior, evaluator):
         from repro.rr.matrix import RRMatrix
 
-        front = ParetoFront.from_matrices(
-            "mixed", [RRMatrix.uniform(4), warner_matrix(4, 0.8)], evaluator
-        )
+        stack = np.stack([RRMatrix.uniform(4).probabilities, warner_matrix(4, 0.8).probabilities])
+        front = ParetoFront.from_matrices("mixed", stack, evaluator)
         assert len(front) == 1
 
     def test_from_matrices_of_nothing_is_empty(self, evaluator):
-        assert ParetoFront.from_matrices("none", [], evaluator).is_empty
+        assert ParetoFront.from_matrices("none", np.empty((0, 4, 4)), evaluator).is_empty
 
     @pytest.mark.parametrize(
         "n_categories, delta, n_points", [(10, 0.8, 1001), (64, None, 101)]
@@ -114,21 +97,25 @@ class TestFromResultAndFamily:
         family = family_type(n_categories)
         evaluator = MatrixEvaluator(prior, 10_000, delta)
         per_matrix = []
-        for matrix in family.matrices(n_points):
+        for parameter in family.parameter_grid(n_points):
+            matrix = family.matrix(parameter)
             evaluation = evaluator.evaluate(matrix)
             if evaluation.feasible and np.isfinite(evaluation.utility):
-                per_matrix.append(FrontPoint(evaluation.privacy, evaluation.utility, matrix))
-        expected = ParetoFront.from_points(family.name, per_matrix)
+                per_matrix.append(
+                    (evaluation.privacy, evaluation.utility, matrix.probabilities.tobytes())
+                )
+        objectives = np.array([(-privacy, utility) for privacy, utility, _ in per_matrix])
+        expected = sorted(
+            (per_matrix[row] for row in non_dominated_indices(objectives)),
+            key=lambda point: point[:2],
+        )
         front = ParetoFront.from_family(family, prior, 10_000, delta=delta, n_points=n_points)
 
-        def key(front):
-            return [
-                (point.privacy, point.utility, point.matrix.probabilities.tobytes())
-                for point in front
-            ]
-
         assert len(front) > 1
-        assert key(front) == key(expected)
+        assert [
+            (point.privacy, point.utility, point.matrix.probabilities.tobytes())
+            for point in front
+        ] == expected
 
 
 class TestQueries:
@@ -138,25 +125,25 @@ class TestQueries:
             "simple", [(0.2, 1e-5), (0.4, 5e-5), (0.6, 2e-4), (0.8, 1e-3)], keep_dominated=True
         )
 
-    def test_utility_at_privacy(self, simple_front):
-        assert simple_front.utility_at_privacy(0.5) == pytest.approx(2e-4)
-        assert simple_front.utility_at_privacy(0.2) == pytest.approx(1e-5)
-
-    def test_utility_at_unreachable_privacy_is_inf(self, simple_front):
-        assert simple_front.utility_at_privacy(0.95) == np.inf
-
-    def test_best_point_for_privacy(self, simple_front):
-        point = simple_front.best_point_for_privacy(0.5)
-        assert point.privacy == pytest.approx(0.6)
-        assert simple_front.best_point_for_privacy(0.95) is None
-
-    def test_restrict_privacy(self, simple_front):
-        restricted = simple_front.restrict_privacy(0.3, 0.7)
-        assert len(restricted) == 2
-
     def test_as_arrays(self, simple_front):
-        array = simple_front.as_array()
         minimisation = simple_front.as_minimization_array()
-        assert array.shape == (4, 2)
-        np.testing.assert_allclose(minimisation[:, 0], -array[:, 0])
-        np.testing.assert_allclose(minimisation[:, 1], array[:, 1])
+        assert minimisation.shape == (4, 2)
+        np.testing.assert_array_equal(minimisation[:, 0], -simple_front.privacy)
+        np.testing.assert_array_equal(minimisation[:, 1], simple_front.utility)
+
+    def test_take_shares_the_stack(self):
+        stack = np.stack([warner_matrix(3, p).probabilities for p in (0.4, 0.6, 0.8)])
+        front = ParetoFront("f", [0.3, 0.2, 0.1], [1.0, 2.0, 3.0], stack=stack)
+        taken = front.take(np.array([2, 0]))
+        assert taken.stack is stack
+        assert taken.privacy.tolist() == [0.1, 0.3]
+        assert taken[0].matrix == warner_matrix(3, 0.8)
+        assert taken[1].matrix == warner_matrix(3, 0.4)
+        assert taken[0].max_posterior is None
+        assert ParetoFront("bare", [0.1], [1.0])[0].matrix is None
+
+    def test_columns_must_align(self):
+        with pytest.raises(ValidationError):
+            ParetoFront("f", [0.1, 0.2], [1.0])
+        with pytest.raises(ValidationError):
+            ParetoFront("f", [0.1], [1.0], stack=np.eye(2)[None].repeat(2, axis=0))

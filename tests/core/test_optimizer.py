@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,19 @@ from repro.analysis.front import ParetoFront
 from repro.core.config import OptRRConfig
 from repro.core.archive import OptimalSet
 from repro.core.optimizer import OptRROptimizer
+from repro.data.synthetic import normal_distribution
 from repro.emoo.population import Population
 from repro.exceptions import InfeasibleBoundError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import max_posterior
 from repro.rr.family import WarnerFamily
+
+
+def utility_at_privacy(front: ParetoFront, privacy: float) -> float:
+    """Best (lowest) utility on ``front`` at privacy >= ``privacy`` (``inf``
+    when the front does not reach it)."""
+    reached = front.privacy >= privacy - 1e-12
+    return float(front.utility[reached].min()) if reached.any() else float("inf")
 
 
 class TestBasicRun:
@@ -50,7 +60,7 @@ class TestBasicRun:
     def test_front_is_the_non_dominated_part_of_omega(self, small_prior, fast_config):
         """The front is exactly the Ω members no other member dominates."""
         result = OptRROptimizer(small_prior, 10_000, fast_config).run()
-        spectrum = [(point.privacy, point.utility) for point in result.optimal_set_points]
+        spectrum = [(point.privacy, point.utility) for point in result.spectrum]
 
         def dominated(p):
             return any(
@@ -65,12 +75,15 @@ class TestBasicRun:
     def test_reproducible_with_seed(self, small_prior, fast_config):
         first = OptRROptimizer(small_prior, 10_000, fast_config).run()
         second = OptRROptimizer(small_prior, 10_000, fast_config).run()
-        np.testing.assert_allclose(first.objectives(), second.objectives())
+        np.testing.assert_allclose(first.privacy_values(), second.privacy_values())
+        np.testing.assert_allclose(first.utility_values(), second.utility_values())
 
     def test_seed_override_changes_result(self, small_prior, fast_config):
         base = OptRROptimizer(small_prior, 10_000, fast_config).run()
         other = OptRROptimizer(small_prior, 10_000, fast_config).run(seed=999)
-        assert not np.array_equal(base.objectives(), other.objectives())
+        assert not np.array_equal(
+            base.front.as_minimization_array(), other.front.as_minimization_array()
+        )
 
     def test_accepts_probability_vector_prior(self, fast_config):
         result = OptRROptimizer(np.array([0.5, 0.3, 0.2]), 1000, fast_config).run()
@@ -104,6 +117,48 @@ class TestBasicRun:
         assert result.n_generations < 500
 
 
+class TestFinishMemory:
+    """``finish()`` copies no genome: the spectrum's matrices are rows of Ω's
+    genome array and the front is a view into the same stack."""
+
+    def test_finish_copies_no_genome(self):
+        n, occupied = 64, 300
+        optimizer = OptRROptimizer(normal_distribution(n), 1000, OptRRConfig(seed=0))
+        steppable = optimizer.driver().optimization
+        # Utility rises with privacy, so every member is on the front.
+        privacy = np.linspace(0.1, 0.9, occupied)
+        utility = np.linspace(1e-4, 1e-2, occupied)
+        genomes = np.full((occupied, n, n), 1.0 / n)
+        genomes[:, 0, 0] = np.arange(occupied)
+        omega = OptimalSet(1000)
+        omega.offer_population(
+            Population(
+                genomes=genomes,
+                objectives=np.stack([-privacy, utility], axis=1),
+                feasible=np.ones(occupied, dtype=bool),
+                metadata={
+                    "privacy": privacy,
+                    "utility": utility,
+                    "max_posterior": np.full(occupied, 0.5),
+                    "invertible": np.ones(occupied, dtype=bool),
+                },
+            )
+        )
+        steppable.optimal_set = omega
+        tracemalloc.start()
+        try:
+            result = steppable.finish(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The occupied genomes take 9.8 MB; gathering them, or the front,
+        # once would exceed this bound.
+        assert peak <= 2**20
+        assert len(result.spectrum) == len(result) == occupied
+        spectrum = result.spectrum
+        np.testing.assert_array_equal(spectrum.stack[spectrum.stack_rows], genomes)
+
+
 class TestBaselineSeeding:
     def test_runs_without_baseline_seeds(self, small_prior, fast_config):
         config = fast_config.with_updates(baseline_seeds=0)
@@ -121,12 +176,13 @@ class TestBaselineSeeding:
             baseline_seeds=40, seed=0,
         )
         result = OptRROptimizer(normal_prior, n_records, config).run()
-        optrr = ParetoFront.from_result("optrr", result)
         warner = ParetoFront.from_family(
             WarnerFamily(10), normal_prior, n_records, delta=delta, n_points=41
         )
         for privacy in np.linspace(*warner.privacy_range, 15):
-            assert optrr.utility_at_privacy(privacy) <= warner.utility_at_privacy(privacy) * 1.02
+            assert utility_at_privacy(result.front, privacy) <= (
+                utility_at_privacy(warner, privacy) * 1.02
+            )
 
     def test_seeding_extends_low_privacy_end_beyond_warner(self, normal_prior):
         delta = 0.8
@@ -135,7 +191,7 @@ class TestBaselineSeeding:
         )
         result = OptRROptimizer(normal_prior, 10_000, config).run()
         warner = ParetoFront.from_family(WarnerFamily(10), normal_prior, 10_000, delta=delta)
-        assert result.privacy_range[0] < warner.privacy_range[0]
+        assert result.front.privacy_range[0] < warner.privacy_range[0]
 
 
 class TestOptimizationQuality:
@@ -152,7 +208,7 @@ class TestOptimizationQuality:
             seed=3,
         )
         result = OptRROptimizer(normal_prior, n_records, config).run()
-        optrr_front = ParetoFront.from_result("optrr", result)
+        optrr_front = result.front
         warner = ParetoFront.from_family(
             WarnerFamily(normal_prior.n_categories), normal_prior, n_records, delta=delta
         )
@@ -164,7 +220,7 @@ class TestOptimizationQuality:
         losses = sum(
             1
             for privacy in probes
-            if optrr_front.utility_at_privacy(privacy) > warner.utility_at_privacy(privacy) * 1.05
+            if utility_at_privacy(optrr_front, privacy) > utility_at_privacy(warner, privacy) * 1.05
         )
         assert losses <= 4
 
@@ -176,7 +232,7 @@ class TestOptimizationQuality:
                 population_size=16, archive_size=16, n_generations=generations, delta=0.8, seed=5
             )
             result = OptRROptimizer(small_prior, 10_000, config).run()
-            return ParetoFront.from_result("optrr", result).as_minimization_array()
+            return result.front.as_minimization_array()
 
         short = run(5)
         long = run(60)

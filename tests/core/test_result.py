@@ -5,35 +5,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.front import FrontRow
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.core.result import OptimizationResult
 from repro.data.synthetic import normal_distribution
-from repro.exceptions import OptimizationError
+from repro.exceptions import OptimizationError, ValidationError
 from repro.io import result_to_dict
 from repro.rr.schemes import warner_matrix
 from tests.oracles.individual import (
     non_dominated,
     result_from_members,
+    result_from_rows,
     row_individual,
     row_individuals,
 )
 
 
-def make_point(privacy: float, utility: float) -> ParetoPoint:
-    return ParetoPoint(
-        matrix=warner_matrix(4, 0.5),
-        privacy=privacy,
-        utility=utility,
-        max_posterior=0.5,
-    )
+def make_point(privacy: float, utility: float) -> FrontRow:
+    return FrontRow(privacy, utility, max_posterior=0.5, matrix=warner_matrix(4, 0.5))
 
 
 @pytest.fixture
 def result() -> OptimizationResult:
-    return OptimizationResult(
-        points=(make_point(0.3, 1e-4), make_point(0.6, 5e-4), make_point(0.45, 2e-4)),
+    return result_from_rows(
+        [make_point(0.3, 1e-4), make_point(0.6, 5e-4), make_point(0.45, 2e-4)],
         n_generations=10,
         n_evaluations=200,
     )
@@ -41,12 +38,13 @@ def result() -> OptimizationResult:
 
 class TestParetoPoint:
     def test_from_individual(self):
-        """``population_individual`` turns a row straight into the point the
-        frozen ``Individual`` route built from the same row."""
+        """``population_individual`` turns rows straight into the points the
+        frozen ``Individual`` route built from the same rows."""
         problem = RRMatrixProblem(normal_distribution(3), n_records=1000, delta=0.9)
         population = problem.initial_population_soa(6, np.random.default_rng(4))
+        front = problem.population_individual(population, np.arange(population.size))
         for row in range(population.size):
-            point = problem.population_individual(population, row)
+            point = front[row]
             (expected,) = result_from_members([row_individual(population, row)]).points
             assert point.matrix.probabilities.tobytes() == expected.matrix.probabilities.tobytes()
             assert not point.matrix.probabilities.flags.writeable
@@ -64,15 +62,12 @@ class TestOptimizationResult:
         assert len(result) == 3
         assert len(list(result)) == 3
 
-    def test_objectives_shape(self, result):
-        assert result.objectives().shape == (3, 2)
-
     def test_privacy_range(self, result):
-        assert result.privacy_range == (pytest.approx(0.3), pytest.approx(0.6))
+        assert result.front.privacy_range == (pytest.approx(0.3), pytest.approx(0.6))
 
     def test_privacy_range_of_empty_result_raises(self):
-        with pytest.raises(OptimizationError):
-            OptimizationResult(points=()).privacy_range
+        with pytest.raises(ValidationError):
+            result_from_rows([]).front.privacy_range
 
     def test_best_matrix_for_privacy(self, result):
         point = result.best_matrix_for_privacy(0.4)
@@ -81,14 +76,6 @@ class TestOptimizationResult:
     def test_best_matrix_for_privacy_unreachable(self, result):
         with pytest.raises(OptimizationError):
             result.best_matrix_for_privacy(0.95)
-
-    def test_best_matrix_for_utility(self, result):
-        point = result.best_matrix_for_utility(3e-4)
-        assert point.privacy == pytest.approx(0.45)
-
-    def test_best_matrix_for_utility_unreachable(self, result):
-        with pytest.raises(OptimizationError):
-            result.best_matrix_for_utility(1e-7)
 
     def test_from_members(self):
         """A finished run's result is built from Ω's member rows: the same
@@ -108,4 +95,4 @@ class TestOptimizationResult:
         assert result_to_dict(result, include_optimal_set=True) == result_to_dict(
             expected, include_optimal_set=True
         )
-        assert len(result.optimal_set_points) == len(spectrum)
+        assert len(result.spectrum) == len(spectrum)

@@ -146,7 +146,7 @@ class TestViews:
     def test_individual_view_builds_genome_and_metadata(self):
         problem = RRMatrixProblem(normal_distribution(3), n_records=500)
         population = problem.initial_population_soa(3, np.random.default_rng(0))
-        point = problem.population_individual(population, 1)
+        point = problem.population_individual(population, np.array([1]))[0]
         assert isinstance(point.matrix, RRMatrix)
         assert point.matrix.probabilities.tobytes() == population.genomes[1].tobytes()
         # Metadata columns come back as plain Python floats.

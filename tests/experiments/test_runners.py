@@ -43,7 +43,7 @@ class TestCommonHelpers:
         front, _ = optimize_front(normal_prior, 5_000, 0.8, seed=0, **FAST)
         empirical = empirical_front_mse(front, normal_prior, 5_000, n_trials=1, seed=0)
         assert not empirical.is_empty
-        assert np.all(empirical.utility_values() > 0)
+        assert np.all(empirical.utility > 0)
 
     def test_run_front_comparison_structure(self):
         workload = FrontComparisonWorkload(
@@ -85,7 +85,7 @@ class TestFig5d:
         assert result.experiment_id == "fig5d"
         assert not result.fronts["optrr"].is_empty
         # The empirically re-measured utilities must be positive MSE values.
-        assert np.all(result.fronts["optrr"].utility_values() > 0)
+        assert np.all(result.fronts["optrr"].utility > 0)
 
 
 class TestTheorem2:

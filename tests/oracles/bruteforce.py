@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.analysis.front import ParetoFront
+from repro.core.result import OptimizationResult
 from repro.core.search_space import log10_rr_matrix_combinations, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import non_dominated_indices
@@ -126,18 +127,17 @@ def brute_force_front(
     # Feasible rows as (privacy, utility, max_posterior) columns; the front is
     # picked by dominance over (-privacy, utility).
     feasible = np.array(values, dtype=np.float64).reshape(-1, 3)
-    front = non_dominated_indices(np.column_stack([-feasible[:, 0], feasible[:, 1]]))
+    rows = ParetoFront(
+        "brute-force",
+        feasible[:, 0],
+        feasible[:, 1],
+        feasible[:, 2],
+        stack=np.array([matrix.probabilities for matrix in matrices]).reshape(-1, n, n),
+    )
+    front = rows.take(
+        non_dominated_indices(np.column_stack([-feasible[:, 0], feasible[:, 1]]))
+    )
     result = OptimizationResult(
-        points=tuple(
-            ParetoPoint(
-                matrix=matrices[row],
-                privacy=float(feasible[row, 0]),
-                utility=float(feasible[row, 1]),
-                max_posterior=float(feasible[row, 2]),
-            )
-            for row in front
-        ),
-        n_generations=0,
-        n_evaluations=n_enumerated,
+        front=front, spectrum=front.take(np.arange(0)), n_generations=0, n_evaluations=n_enumerated
     )
     return BruteForceReport(result=result, n_enumerated=n_enumerated, n_feasible=len(matrices))

@@ -1,8 +1,9 @@
 """Frozen per-candidate ``Individual`` object (the pre-columnar reference).
 
 ``repro`` keeps every candidate as a row of a structure-of-arrays
-:class:`~repro.emoo.population.Population` and every OptRR result point as a
-:class:`~repro.core.result.ParetoPoint`.  The frozen list-based references —
+:class:`~repro.emoo.population.Population` and every OptRR result as
+columnar :class:`~repro.analysis.front.ParetoFront` rows.  The frozen
+list-based references —
 the OptRR loop in :mod:`tests.oracles.optrr_loop`, the ``Individual``-per-slot
 Ω in :mod:`tests.oracles.omega` and the list wrappers in
 :mod:`tests.oracles.scalar` — still run on one object per candidate; this
@@ -19,7 +20,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.analysis.front import FrontRow, ParetoFront
+from repro.core.result import OptimizationResult
 from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.population import Population
 from repro.rr.matrix import RRMatrix
@@ -113,18 +115,50 @@ def result_from_members(
 ) -> OptimizationResult:
     """An OptRR result built from the front's and Ω's member individuals."""
 
-    def point(individual: Individual) -> ParetoPoint:
+    def point(individual: Individual) -> FrontRow:
         metadata = individual.metadata
-        return ParetoPoint(
-            matrix=individual.genome,
+        return FrontRow(
             privacy=float(metadata["privacy"]),
             utility=float(metadata["utility"]),
             max_posterior=float(metadata.get("max_posterior", float("nan"))),
+            matrix=individual.genome,
         )
 
+    return result_from_rows(
+        [point(individual) for individual in front],
+        [point(individual) for individual in optimal_set],
+        n_generations=n_generations,
+        n_evaluations=n_evaluations,
+    )
+
+
+def front_from_rows(name: str, rows: Sequence[FrontRow]) -> ParetoFront:
+    """A columnar front holding ``rows`` in the given order: a
+    ``max_posterior`` column and a matrix stack when the rows carry them."""
+    rows = list(rows)
+    posteriors = [row.max_posterior for row in rows]
+    matrices = [row.matrix.probabilities for row in rows if row.matrix is not None]
+    return ParetoFront(
+        name,
+        np.array([row.privacy for row in rows], dtype=np.float64),
+        np.array([row.utility for row in rows], dtype=np.float64),
+        None if None in posteriors else np.array(posteriors, dtype=np.float64),
+        stack=np.stack(matrices) if matrices else None,
+    )
+
+
+def result_from_rows(
+    front: Sequence[FrontRow],
+    spectrum: Sequence[FrontRow] = (),
+    *,
+    n_generations: int = 0,
+    n_evaluations: int = 0,
+) -> OptimizationResult:
+    """An OptRR result whose front and spectrum hold these rows (each row
+    carries a ``max_posterior`` and a matrix)."""
     return OptimizationResult(
-        points=tuple(point(individual) for individual in front),
-        optimal_set_points=tuple(point(individual) for individual in optimal_set),
+        front=front_from_rows("optrr", front),
+        spectrum=front_from_rows("optrr", spectrum),
         n_generations=n_generations,
         n_evaluations=n_evaluations,
     )

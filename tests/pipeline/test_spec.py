@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.analysis.front import FrontRow
+from repro.core.result import OptimizationResult
 from repro.exceptions import ValidationError
 from repro.pipeline.spec import (
     PipelineScheme,
@@ -15,6 +16,7 @@ from repro.pipeline.spec import (
     schemes_from_front,
 )
 from repro.rr.schemes import warner_matrix
+from tests.oracles.individual import result_from_rows
 
 
 class TestParseSeedArgument:
@@ -66,15 +68,15 @@ class TestResolveSchemeArgument:
 
 def _front(n_points: int, n_categories: int = 4) -> OptimizationResult:
     points = [
-        ParetoPoint(
-            matrix=warner_matrix(n_categories, 0.9 - 0.8 * i / max(1, n_points - 1)),
+        FrontRow(
             privacy=i / max(1, n_points - 1),
             utility=1e-4 * (n_points - i),
             max_posterior=0.5,
+            matrix=warner_matrix(n_categories, 0.9 - 0.8 * i / max(1, n_points - 1)),
         )
         for i in range(n_points)
     ]
-    return OptimizationResult(points=tuple(points))
+    return result_from_rows(points)
 
 
 class TestSchemesFromFront:
@@ -98,7 +100,7 @@ class TestSchemesFromFront:
 
     def test_empty_front_rejected(self):
         with pytest.raises(ValidationError, match="no points"):
-            schemes_from_front(OptimizationResult(points=()))
+            schemes_from_front(result_from_rows([]))
 
 
 class TestPlanPipeline:

@@ -25,12 +25,12 @@ class TestWarnerFamily:
     def test_matrices_materialisation(self):
         family = WarnerFamily(4)
         matrices = family.matrices(5)
-        assert len(matrices) == 5
-        assert matrices[-1].isclose(matrices[-1])  # all valid RRMatrix objects
+        assert matrices.shape == (5, 4, 4)
+        np.testing.assert_allclose(matrices.sum(axis=1), 1.0)
 
     def test_default_sweep_matches_paper(self):
         family = WarnerFamily(3)
-        assert len(list(family)) == 1001
+        assert len(family.matrices()) == 1001
 
     def test_name(self):
         assert WarnerFamily(3).name == "warner"
@@ -40,8 +40,8 @@ class TestUniformPerturbationFamily:
     def test_endpoints(self):
         family = UniformPerturbationFamily(4)
         matrices = family.matrices(3)
-        np.testing.assert_allclose(matrices[0].probabilities, 0.25)
-        np.testing.assert_allclose(matrices[-1].probabilities, np.eye(4))
+        np.testing.assert_allclose(matrices[0], 0.25)
+        np.testing.assert_allclose(matrices[-1], np.eye(4))
 
 
 class TestFrappFamily:
@@ -56,6 +56,29 @@ class TestFrappFamily:
         diagonals = np.array([matrix[0, 0] for matrix in matrices])
         assert diagonals.min() == pytest.approx(1.0 / 5, abs=1e-6)
         assert diagonals.max() > 0.99
+
+
+@pytest.mark.parametrize("family_type", [WarnerFamily, UniformPerturbationFamily, FrappFamily])
+@pytest.mark.parametrize("n_categories, n_points", [(2, 7), (10, 1001), (64, 101)])
+def test_stack_rows_equal_the_per_matrix_constructor(family_type, n_categories, n_points):
+    """``matrices`` builds one validated stack whose every row is bit for bit
+    the matrix ``matrix`` builds for the same grid parameter."""
+    family = family_type(n_categories)
+    stack = family.matrices(n_points)
+    grid = family.parameter_grid(n_points)
+    assert stack.shape == (n_points, n_categories, n_categories)
+    for row, parameter in zip(stack, grid):
+        assert row.tobytes() == family.matrix(parameter).probabilities.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family_type, bad", [(WarnerFamily, 1.5), (UniformPerturbationFamily, -0.1), (FrappFamily, 0.0)]
+)
+def test_stack_rejects_out_of_range_parameters(family_type, bad):
+    with pytest.raises(ValidationError):
+        family_type(4).stack(np.array([0.5, bad]))
+    with pytest.raises(ValidationError):
+        family_type(4).stack(np.array([np.nan]))
 
 
 class TestSchemeFamilyLookup:

@@ -883,19 +883,37 @@ class TestRunCheckpointFlags:
 
 def _malformed_fronts(tmp_path):
     """``optimization_result`` documents broken the ways users hit: a point
-    without its matrix, and a ``points`` field that is not a list."""
-    from repro.io import result_to_dict
-    from repro.core.result import OptimizationResult, ParetoPoint
+    without its matrix, a ``points`` field that is not a list, a non-finite,
+    bool or string objective, a non-integral, string or negative count, and
+    matrices of two sizes in one front."""
+    from repro.analysis.front import FrontRow
+    from repro.io import matrix_to_dict, result_to_dict
     from repro.rr.matrix import RRMatrix
+    from tests.oracles.individual import result_from_rows
 
-    point = ParetoPoint(RRMatrix.identity(2), 0.0, 0.5, 1.0)
-    document = result_to_dict(OptimizationResult(points=(point,)))
-    no_matrix = json.loads(json.dumps(document))
+    point = FrontRow(0.0, 0.5, 1.0, RRMatrix.identity(2))
+    document = result_to_dict(result_from_rows([point, point]))
+
+    def with_point(index, **fields):
+        copy = json.loads(json.dumps(document))
+        copy["points"][index].update(fields)
+        return copy
+
+    no_matrix = with_point(0)
     del no_matrix["points"][0]["matrix"]
+    cases = {
+        "no-matrix": no_matrix,
+        "int-points": {**document, "points": 7},
+        "mixed-sizes": with_point(1, matrix=matrix_to_dict(RRMatrix.identity(3))),
+    }
+    for index, value in enumerate([float("nan"), float("inf"), True, "0.5"]):
+        cases[f"privacy-{index}"] = with_point(0, privacy=value)
+    for key, value in (("n_evaluations", 3.7), ("n_evaluations", "12"), ("n_generations", -5)):
+        cases[f"{key}-{value}"] = {**document, key: value}
     paths = []
-    for name, broken in (("no-matrix", no_matrix), ("int-points", {**document, "points": 7})):
+    for name, case in cases.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(broken), encoding="utf-8")
+        path.write_text(json.dumps(case), encoding="utf-8")
         paths.append(path)
     return paths
 

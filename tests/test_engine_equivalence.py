@@ -88,7 +88,7 @@ def _points(result) -> np.ndarray:
 
 
 def _omega(result) -> np.ndarray:
-    return np.array([(p.privacy, p.utility) for p in result.optimal_set_points])
+    return np.array([(p.privacy, p.utility) for p in result.spectrum])
 
 
 class TestTrajectoryEquivalence:

@@ -82,9 +82,8 @@ class TestEndToEndDisguiseAndRecover:
             population_size=32, archive_size=32, n_generations=150, delta=delta, seed=11
         )
         result = OptRROptimizer(prior, n_records, config).run()
-        optrr = ParetoFront.from_result("optrr", result)
         warner = ParetoFront.from_family(WarnerFamily(10), prior, n_records, delta=delta)
-        comparison = compare_fronts(optrr, warner)
+        comparison = compare_fronts(result.front, warner)
         # OptRR must not be dominated: it wins or ties almost everywhere and
         # reaches at least as low a privacy value.
         probes = comparison.candidate_wins + comparison.baseline_wins + comparison.ties

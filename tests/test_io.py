@@ -84,7 +84,9 @@ class TestResultSerialization:
     def test_round_trip_dict(self, result):
         restored = result_from_dict(result_to_dict(result))
         assert len(restored) == len(result)
-        np.testing.assert_allclose(restored.objectives(), result.objectives())
+        np.testing.assert_array_equal(
+            restored.front.as_minimization_array(), result.front.as_minimization_array()
+        )
         assert restored.n_generations == result.n_generations
         assert restored.n_evaluations == result.n_evaluations
 
@@ -102,9 +104,9 @@ class TestResultSerialization:
         without = result_to_dict(result)
         assert "optimal_set_points" not in without
         with_set = result_to_dict(result, include_optimal_set=True)
-        assert len(with_set["optimal_set_points"]) == len(result.optimal_set_points)
+        assert len(with_set["optimal_set_points"]) == len(result.spectrum)
         restored = result_from_dict(with_set)
-        assert len(restored.optimal_set_points) == len(result.optimal_set_points)
+        assert len(restored.spectrum) == len(result.spectrum)
 
     def test_rejects_wrong_type(self):
         with pytest.raises(ValidationError):
@@ -130,8 +132,8 @@ class TestExperimentResultSerialization:
         restored = experiment_result_from_dict(experiment_result_to_dict(result))
         for name, front in result.fronts.items():
             loaded = restored.fronts[name]
-            np.testing.assert_array_equal(loaded.privacy_values(), front.privacy_values())
-            np.testing.assert_array_equal(loaded.utility_values(), front.utility_values())
+            np.testing.assert_array_equal(loaded.privacy, front.privacy)
+            np.testing.assert_array_equal(loaded.utility, front.utility)
             for original, point in zip(front, loaded):
                 assert original.matrix == point.matrix
 

@@ -19,17 +19,20 @@ from hypothesis import strategies as st
 
 import repro.io
 from repro.cli import main
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.analysis.front import FrontRow
+from repro.core.result import OptimizationResult
 from repro.exceptions import ValidationError
 from repro.io import (
     front_from_dict,
     front_to_dict,
     load_result,
+    matrix_to_dict,
     result_from_dict,
     result_to_dict,
     save_result,
 )
 from repro.rr.matrix import RRMatrix
+from tests.oracles.individual import front_from_rows, result_from_rows
 
 SETTINGS = settings(
     max_examples=60,
@@ -60,14 +63,14 @@ def results(draw) -> OptimizationResult:
     # crossover makes front matrices share values.
     pool = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=4))
 
-    def point() -> ParetoPoint:
+    def point() -> FrontRow:
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
         matrix = RRMatrix.from_validated(np.array([pool[pick] for pick in picks]).T)
-        return ParetoPoint(matrix, draw(values), draw(values), draw(values))
+        return FrontRow(draw(values), draw(values), draw(values), matrix)
 
-    return OptimizationResult(
-        points=tuple(point() for _ in range(draw(st.integers(0, 4)))),
-        optimal_set_points=tuple(point() for _ in range(draw(st.integers(0, 3)))),
+    return result_from_rows(
+        [point() for _ in range(draw(st.integers(0, 4)))],
+        [point() for _ in range(draw(st.integers(0, 3)))],
         n_generations=draw(st.integers(0, 2**63)),
         n_evaluations=draw(st.integers(0, 2**63)),
     )
@@ -91,13 +94,13 @@ class TestByteIdentity:
 
     def test_signed_zeros_keep_their_own_text(self, tmp_path):
         matrix = RRMatrix.from_validated(np.array([[-0.0, 1.0], [1.0, 0.0]]))
-        result = OptimizationResult(points=(ParetoPoint(matrix, 0.5, 0.25, 1.0),))
+        result = result_from_rows([FrontRow(0.5, 0.25, 1.0, matrix)])
         text = save_result(result, tmp_path / "result.json").read_text()
         assert text.encode() == reference_bytes(result, False)
         assert "-0.0" in text and "\n            0.0\n" in text
 
     def test_empty_front(self, tmp_path):
-        result = OptimizationResult(points=())
+        result = result_from_rows([])
         for flag in (False, True):
             path = save_result(result, tmp_path / "empty.json", include_optimal_set=flag)
             assert path.read_bytes() == reference_bytes(result, flag)
@@ -110,17 +113,17 @@ class TestByteIdentity:
         monkeypatch.setattr(repro.io, "RESULT_GROUP_VALUES", group_values)
         rng = np.random.default_rng(5)
         pool = np.array([-0.0, 0.0, 0.25, 0.5, 1 / 3, 5e-324, 0.1])
-        points = tuple(
-            ParetoPoint(RRMatrix.from_validated(rng.choice(pool, size=(3, 3))), 0.1 * i, 1e-3, 0.5)
+        points = [
+            FrontRow(0.1 * i, 1e-3, 0.5, RRMatrix.from_validated(rng.choice(pool, size=(3, 3))))
             for i in range(7)
-        )
-        result = OptimizationResult(points=points[:5], optimal_set_points=points[5:])
+        ]
+        result = result_from_rows(points[:5], points[5:])
         for flag in (False, True):
             path = save_result(result, tmp_path / "grouped.json", include_optimal_set=flag)
             assert path.read_bytes() == reference_bytes(result, flag)
         assert "-0.0" in path.read_text()
-        empty = save_result(OptimizationResult(points=()), tmp_path / "empty.json")
-        assert empty.read_bytes() == reference_bytes(OptimizationResult(points=()), False)
+        empty = save_result(result_from_rows([]), tmp_path / "empty.json")
+        assert empty.read_bytes() == reference_bytes(result_from_rows([]), False)
 
     def test_cli_output_matches_the_pre_streaming_bytes(self, tmp_path, capsys):
         # sha256 of this document as written by the json.dumps(indent=2)
@@ -159,10 +162,8 @@ class _FailingHandle:
 class TestAtomicWrite:
     @pytest.fixture
     def result(self) -> OptimizationResult:
-        points = tuple(
-            ParetoPoint(RRMatrix.identity(3), float(index), 1.0, 1.0) for index in range(4)
-        )
-        return OptimizationResult(points=points)
+        points = [FrontRow(float(index), 1.0, 1.0, RRMatrix.identity(3)) for index in range(4)]
+        return result_from_rows(points)
 
     def test_failure_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, result):
         path = tmp_path / "result.json"
@@ -188,8 +189,8 @@ class TestAtomicWrite:
 
 
 def _result_document() -> dict:
-    point = ParetoPoint(RRMatrix.identity(2), 0.0, 0.5, 1.0)
-    result = OptimizationResult(points=(point,), optimal_set_points=(point,))
+    point = FrontRow(0.0, 0.5, 1.0, RRMatrix.identity(2))
+    result = result_from_rows([point], [point])
     return result_to_dict(result, include_optimal_set=True)
 
 
@@ -211,7 +212,7 @@ class TestMalformedDocuments:
     def test_optimal_set_points_may_be_absent(self):
         document = _result_document()
         del document["optimal_set_points"]
-        assert result_from_dict(document).optimal_set_points == ()
+        assert result_from_dict(document).spectrum.is_empty
 
     @pytest.mark.parametrize("item", [7, "point", [0.0, 0.5], None])
     def test_non_object_items(self, item):
@@ -234,6 +235,38 @@ class TestMalformedDocuments:
         with pytest.raises(ValidationError, match=r"points\[0\]\.utility"):
             result_from_dict(document)
 
+    @pytest.mark.parametrize("field", ["privacy", "utility", "max_posterior"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True, False, "0.5", 10**400]
+    )
+    def test_non_finite_or_non_numeric_objectives(self, field, value):
+        document = _result_document()
+        document["optimal_set_points"][0][field] = value
+        with pytest.raises(ValidationError, match=rf"optimal_set_points\[0\]\.{field}"):
+            result_from_dict(document)
+
+    @pytest.mark.parametrize("key", ["n_generations", "n_evaluations"])
+    @pytest.mark.parametrize("value", [3.7, 3.0, "12", -5, True, None])
+    def test_bad_counts(self, key, value):
+        document = _result_document()
+        document[key] = value
+        with pytest.raises(ValidationError, match=key):
+            result_from_dict(document)
+
+    @pytest.mark.parametrize("matrix", [None, {}, 0])
+    def test_points_without_a_matrix_document(self, matrix):
+        document = _result_document()
+        for key in ("points", "optimal_set_points"):
+            document[key][0]["matrix"] = matrix
+        with pytest.raises(ValidationError):
+            result_from_dict(document)
+
+    def test_mixed_matrix_sizes(self):
+        document = _result_document()
+        document["optimal_set_points"][0]["matrix"] = matrix_to_dict(RRMatrix.identity(3))
+        with pytest.raises(ValidationError, match=r"mixes matrix sizes \[2, 3\]"):
+            result_from_dict(document)
+
     def test_non_numeric_probabilities(self):
         document = _result_document()
         document["points"][0]["matrix"]["probabilities"] = {"a": 1}
@@ -241,16 +274,36 @@ class TestMalformedDocuments:
             result_from_dict(document)
 
     def test_front_documents(self):
-        from repro.analysis.front import FrontPoint, ParetoFront
-
-        document = front_to_dict(ParetoFront("f", (FrontPoint(0.1, 0.2),)))
-        assert front_from_dict(document).points[0].privacy == 0.1
+        document = front_to_dict(front_from_rows("f", [FrontRow(0.1, 0.2)]))
+        assert front_from_dict(document)[0].privacy == 0.1
         for broken in (
             {**document, "points": 7},
             {**document, "points": [7]},
             {**document, "points": [{"privacy": 0.1}]},
             {"points": []},
             [],
+            {**document, "points": [{"privacy": float("nan"), "utility": 0.2}]},
+            {**document, "points": [{"privacy": 0.1, "utility": float("inf")}]},
+            {**document, "points": [{"privacy": True, "utility": 0.2}]},
+            {**document, "points": [{"privacy": "0.1", "utility": 0.2}]},
         ):
             with pytest.raises(ValidationError):
+                front_from_dict(broken)
+
+    def test_front_document_matrices(self):
+        rows = [
+            FrontRow(0.3, 0.1, matrix=RRMatrix.identity(2)),
+            FrontRow(0.1, 0.2, matrix=RRMatrix.identity(2)),
+        ]
+        document = front_to_dict(front_from_rows("f", rows))
+        loaded = front_from_dict(document)
+        assert loaded.privacy.tolist() == [0.1, 0.3]
+        assert loaded[0].matrix == RRMatrix.identity(2)
+        for change in (
+            {"matrix": None},
+            {"matrix": matrix_to_dict(RRMatrix.identity(3))},
+        ):
+            broken = json.loads(json.dumps(document))
+            broken["points"][1].update(change)
+            with pytest.raises(ValidationError, match="matrix"):
                 front_from_dict(broken)
