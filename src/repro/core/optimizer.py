@@ -25,7 +25,7 @@ staleness is impossible) instead of re-running fitness assignment on the
 archive.  Ω itself is slot-indexed columns (:mod:`repro.core.archive`), so
 offers and the reverse refresh are whole-column operations; a candidate is
 only ever a population row, and Ω's rows become the result's
-:class:`~repro.analysis.front.ParetoFront` columns only in ``finish()``.  The
+:class:`~repro.core.result.ParetoFront` columns only in ``finish()``.  The
 pre-array list-based loop is preserved verbatim in
 ``tests/oracles/optrr_loop.py`` for equivalence tests and benchmarks.
 """
@@ -425,9 +425,11 @@ class _OptRRSteppable(SteppableOptimization):
         members = self.optimal_set.members()
         if members is None:
             # No feasible matrix was ever found (possible only with an
-            # extremely tight delta); fall back to the archive so the caller
-            # still gets diagnostics.
-            front = problem.population_individual(self.archive, np.arange(self.archive.size))
+            # extremely tight delta); fall back to the archive's
+            # non-dominated rows so the caller still gets diagnostics.
+            front = problem.population_individual(
+                self.archive, non_dominated_indices(self.archive.objectives)
+            )
             spectrum = front.take(np.arange(0))
         else:
             # The spectrum is the occupied slots, in slot order, as rows of

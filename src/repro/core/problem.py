@@ -14,7 +14,7 @@ Evaluation and repair run through the batch engine:
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
 :func:`~repro.core.operators.enforce_privacy_bound_batch`.  A candidate is a
 row of a :class:`~repro.emoo.population.Population`; a run's result rows
-leave the engine as one :class:`~repro.analysis.front.ParetoFront`, built
+leave the engine as one :class:`~repro.core.result.ParetoFront`, built
 by :meth:`RRMatrixProblem.population_individual`.
 """
 
@@ -30,7 +30,7 @@ from repro.core.operators import (
     proportional_column_mutation_batch,
     random_initial_matrix,
 )
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.population import Population
 from repro.metrics.evaluation import MatrixEvaluator

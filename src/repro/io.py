@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 import numpy as np
 
-from repro.core.result import OptimizationResult
+from repro.core.result import OptimizationResult, ParetoFront
 from repro.exceptions import CheckpointCorruptionError, ValidationError
 from repro.faults.injector import truncate_checkpoint_file
 from repro.rr.matrix import RRMatrix
@@ -47,7 +47,6 @@ logger = get_logger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.analysis.compare import FrontComparison
-    from repro.analysis.front import ParetoFront
     from repro.experiments.base import ExperimentResult
     from repro.pipeline.runner import PipelineResult
 
@@ -99,9 +98,9 @@ def result_to_dict(result: OptimizationResult, *, include_optimal_set: bool = Fa
 def _result_document(
     result: OptimizationResult,
     include_optimal_set: bool,
-    probabilities: Callable[["ParetoFront", int], Any],
+    probabilities: Callable[[ParetoFront, int], Any],
 ) -> dict[str, Any]:
-    def point_documents(front: "ParetoFront") -> list[dict[str, Any]]:
+    def point_documents(front: ParetoFront) -> list[dict[str, Any]]:
         return [
             {
                 "privacy": float(front.privacy[row]),
@@ -145,7 +144,7 @@ def result_from_dict(document: dict[str, Any]) -> OptimizationResult:
     )
 
 
-def front_to_dict(front: "ParetoFront") -> dict[str, Any]:
+def front_to_dict(front: ParetoFront) -> dict[str, Any]:
     """Serialize a Pareto front (points plus any attached matrices)."""
     return {
         "name": front.name,
@@ -160,7 +159,7 @@ def front_to_dict(front: "ParetoFront") -> dict[str, Any]:
     }
 
 
-def front_from_dict(document: dict[str, Any]) -> "ParetoFront":
+def front_from_dict(document: dict[str, Any]) -> ParetoFront:
     """Deserialize a Pareto front from :func:`front_to_dict` output, sorted
     by ``(privacy, utility)`` (finite objectives, matrices on all points or
     none, one matrix size)."""
@@ -176,13 +175,11 @@ def front_from_dict(document: dict[str, Any]) -> "ParetoFront":
 
 def _front_from_items(
     name: str, items: list[tuple[str, dict[str, Any]]], *, result: bool
-) -> "ParetoFront":
+) -> ParetoFront:
     """One columnar front from labelled point objects, each objective a
     finite number.  A ``result`` point also carries a ``max_posterior`` and
     always a matrix; other fronts carry a matrix on every point or on none.
     The matrices are validated and gathered into one stack of one size."""
-    from repro.analysis.front import ParetoFront
-
     keys = ("privacy", "utility", "max_posterior") if result else ("privacy", "utility")
     columns = [
         [_finite(item[key], f"{where}.{key}") for where, item in items] for key in keys
@@ -707,7 +704,7 @@ _PROBABILITIES_PLACEHOLDER = "<probabilities>"
 RESULT_GROUP_VALUES = 1 << 16
 
 
-def _write_result(handle: TextIO, skeleton: str, fronts: list["ParetoFront"]) -> None:
+def _write_result(handle: TextIO, skeleton: str, fronts: list[ParetoFront]) -> None:
     """Stream ``skeleton`` with the probabilities of each front's rows, front
     after front, spliced in.
 

@@ -25,8 +25,8 @@ from repro.utils.validation import check_positive_int
 class SchemeFamily(ABC):
     """A one-parameter family of RR matrices.
 
-    Sub-classes provide the parameter grid, the matrix constructor and the
-    stack constructor :meth:`matrices` sweeps the grid with.
+    Sub-classes provide the parameter grid and the stack constructor
+    :meth:`matrices` sweeps the grid with; :meth:`matrix` is one row of it.
     """
 
     n_categories: int
@@ -46,13 +46,12 @@ class SchemeFamily(ABC):
         """Return ``n_points`` parameter values covering the family."""
 
     @abstractmethod
-    def matrix(self, parameter: float) -> RRMatrix:
-        """Construct the family member for ``parameter``."""
-
-    @abstractmethod
     def stack(self, parameters: np.ndarray) -> np.ndarray:
-        """``(S, n, n)`` stack of the members for ``parameters``, row ``i``
-        equal to ``matrix(parameters[i]).probabilities`` bit for bit."""
+        """Validated ``(S, n, n)`` stack of the members for ``parameters``."""
+
+    def matrix(self, parameter: float) -> RRMatrix:
+        """The family member for ``parameter`` (row 0 of a one-row stack)."""
+        return RRMatrix.from_validated(self.stack(np.array([parameter]))[0])
 
     def matrices(self, n_points: int = 1001) -> np.ndarray:
         """The family on an ``n_points`` grid as one validated ``(n_points,
@@ -72,9 +71,6 @@ class WarnerFamily(SchemeFamily):
         check_positive_int(n_points, "n_points")
         return np.linspace(0.0, 1.0, n_points)
 
-    def matrix(self, parameter: float) -> RRMatrix:
-        return schemes.warner_matrix(self.n_categories, parameter)
-
     def stack(self, parameters: np.ndarray) -> np.ndarray:
         return schemes.warner_stack(self.n_categories, parameters)
 
@@ -91,9 +87,6 @@ class UniformPerturbationFamily(SchemeFamily):
     def parameter_grid(self, n_points: int) -> np.ndarray:
         check_positive_int(n_points, "n_points")
         return np.linspace(0.0, 1.0, n_points)
-
-    def matrix(self, parameter: float) -> RRMatrix:
-        return schemes.uniform_perturbation_matrix(self.n_categories, parameter)
 
     def stack(self, parameters: np.ndarray) -> np.ndarray:
         return schemes.uniform_perturbation_stack(self.n_categories, parameters)
@@ -125,9 +118,6 @@ class FrappFamily(SchemeFamily):
         diagonals = np.linspace(1.0 / n, diagonal_max, n_points)
         diagonals = np.clip(diagonals, 1.0 / n, 1.0 - 1e-12)
         return diagonals * (n - 1) / (1.0 - diagonals)
-
-    def matrix(self, parameter: float) -> RRMatrix:
-        return schemes.frapp_matrix(self.n_categories, parameter)
 
     def stack(self, parameters: np.ndarray) -> np.ndarray:
         return schemes.frapp_stack(self.n_categories, parameters)

@@ -44,8 +44,6 @@ def warner_matrix(n_categories: int, p: float) -> RRMatrix:
     ``p = 1`` yields the identity matrix; ``p = 1 / n`` yields the total
     randomization matrix.
     """
-    check_positive_int(n_categories, "n_categories")
-    check_in_unit_interval(p, "p")
     return RRMatrix.from_validated(warner_stack(n_categories, [p])[0])
 
 
@@ -70,8 +68,6 @@ def uniform_perturbation_matrix(n_categories: int, q: float) -> RRMatrix:
     category drawn uniformly from the whole domain (including itself), giving
     diagonal ``q + (1 - q) / n`` and off-diagonal ``(1 - q) / n``.
     """
-    check_positive_int(n_categories, "n_categories")
-    check_in_unit_interval(q, "q")
     return RRMatrix.from_validated(uniform_perturbation_stack(n_categories, [q])[0])
 
 
@@ -94,9 +90,6 @@ def frapp_matrix(n_categories: int, gamma: float) -> RRMatrix:
     ``gamma`` must be positive; ``gamma = 1`` gives total randomization and
     ``gamma -> inf`` approaches the identity matrix.
     """
-    check_positive_int(n_categories, "n_categories")
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise RRMatrixError(f"gamma must be a positive finite value, got {gamma}")
     return RRMatrix.from_validated(frapp_stack(n_categories, [gamma])[0])
 
 
@@ -118,10 +111,13 @@ def _parameters(
     if parameters.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {parameters.shape}")
     if positive:
-        if not np.all(np.isfinite(parameters) & (parameters > 0.0)):
-            raise RRMatrixError(f"{name} must be positive and finite")
-    elif not np.all((parameters >= 0.0) & (parameters <= 1.0)):
-        raise ValidationError(f"{name} must lie in [0, 1]")
+        bad = parameters[~(np.isfinite(parameters) & (parameters > 0.0))]
+        if bad.size:
+            raise RRMatrixError(f"{name} must be positive and finite, got {bad[0]}")
+    else:
+        bad = parameters[~((parameters >= 0.0) & (parameters <= 1.0))]
+        if bad.size:
+            raise ValidationError(f"{name} must lie in [0, 1], got {bad[0]}")
     return parameters
 
 

@@ -135,12 +135,22 @@ class TestQueries:
         stack = np.stack([warner_matrix(3, p).probabilities for p in (0.4, 0.6, 0.8)])
         front = ParetoFront("f", [0.3, 0.2, 0.1], [1.0, 2.0, 3.0], stack=stack)
         taken = front.take(np.array([2, 0]))
-        assert taken.stack is stack
+        assert taken.stack is front.stack and np.shares_memory(taken.stack, stack)
         assert taken.privacy.tolist() == [0.1, 0.3]
         assert taken[0].matrix == warner_matrix(3, 0.8)
         assert taken[1].matrix == warner_matrix(3, 0.4)
         assert taken[0].max_posterior is None
         assert ParetoFront("bare", [0.1], [1.0])[0].matrix is None
+
+    def test_columns_are_read_only(self):
+        """Nothing writes through a front; the caller's arrays stay writable."""
+        privacy, stack = np.array([0.3, 0.1]), np.stack([np.eye(2), np.eye(2)])
+        front = ParetoFront("f", privacy, [1.0, 2.0], [0.5, 0.6], stack=stack)
+        for column in (front.privacy, front.utility, front.max_posterior, front.stack):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        assert privacy.flags.writeable and stack.flags.writeable
+        assert front.take(np.array([1])).privacy.flags.writeable is False
 
     def test_columns_must_align(self):
         with pytest.raises(ValidationError):

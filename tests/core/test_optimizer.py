@@ -12,6 +12,7 @@ from repro.core.config import OptRRConfig
 from repro.core.archive import OptimalSet
 from repro.core.optimizer import OptRROptimizer
 from repro.data.synthetic import normal_distribution
+from repro.emoo.dominance import non_dominated_indices
 from repro.emoo.population import Population
 from repro.exceptions import InfeasibleBoundError
 from repro.metrics.evaluation import MatrixEvaluator
@@ -164,6 +165,21 @@ class TestBaselineSeeding:
         config = fast_config.with_updates(baseline_seeds=0)
         result = OptRROptimizer(small_prior, 10_000, config).run()
         assert len(result) > 0
+
+    def test_front_without_a_feasible_member_is_non_dominated(self):
+        """With no seeds and ``delta`` at the largest prior probability, Ω
+        never accepts a member; the result falls back to the archive's
+        non-dominated rows, not every archive row."""
+        prior = normal_distribution(5)
+        config = OptRRConfig(
+            population_size=10, archive_size=10, n_generations=5, seed=1,
+            baseline_seeds=0, delta=float(prior.probabilities.max()),
+        )
+        result = OptRROptimizer(prior, 10_000, config).run()
+        assert len(result.spectrum) == 0 and len(result) > 0
+        objectives = result.front.as_minimization_array()
+        assert non_dominated_indices(objectives).size == len(result)
+        assert np.all(np.diff(result.privacy_values()) >= 0)
 
     def test_seeded_front_never_loses_to_warner(self, normal_prior):
         """With the warm start, every delta-feasible Warner matrix is in the

@@ -66,6 +66,13 @@ class TestMatrixEvaluator:
         assert objectives[0] == pytest.approx(-evaluation.privacy)
         assert objectives[1] == pytest.approx(evaluation.utility)
 
+    def test_evaluate_many(self, evaluator):
+        matrices = [warner_matrix(4, p) for p in (0.3, 0.5, 0.7)]
+        evaluations = evaluator.evaluate_many(matrices)
+        assert len(evaluations) == 3
+        privacies = [evaluation.privacy for evaluation in evaluations]
+        assert privacies == sorted(privacies, reverse=True)
+
 
 class TestPrivacyUtilityTradeoff:
     def test_warner_sweep_shows_conflict(self):

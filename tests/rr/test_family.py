@@ -13,6 +13,7 @@ from repro.rr.family import (
     family_names,
     scheme_family,
 )
+from repro.rr.matrix import RRMatrix
 
 
 class TestWarnerFamily:
@@ -58,17 +59,35 @@ class TestFrappFamily:
         assert diagonals.max() > 0.99
 
 
+def _reference_matrix(family, parameter: float) -> np.ndarray:
+    """One family member built on its own, from the scheme's closed form
+    (Section III-B), through the validating :class:`RRMatrix` constructor."""
+    n = family.n_categories
+    if isinstance(family, WarnerFamily):
+        diagonal, off_diagonal = parameter, (1.0 - parameter) / (n - 1)
+    elif isinstance(family, UniformPerturbationFamily):
+        off_diagonal = (1.0 - parameter) / n
+        diagonal = parameter + off_diagonal
+    else:
+        denominator = parameter + n - 1
+        diagonal, off_diagonal = parameter / denominator, 1.0 / denominator
+    matrix = np.full((n, n), off_diagonal)
+    np.fill_diagonal(matrix, diagonal)
+    return RRMatrix(matrix).probabilities
+
+
 @pytest.mark.parametrize("family_type", [WarnerFamily, UniformPerturbationFamily, FrappFamily])
 @pytest.mark.parametrize("n_categories, n_points", [(2, 7), (10, 1001), (64, 101)])
 def test_stack_rows_equal_the_per_matrix_constructor(family_type, n_categories, n_points):
     """``matrices`` builds one validated stack whose every row is bit for bit
-    the matrix ``matrix`` builds for the same grid parameter."""
+    ``matrix`` for the same grid parameter and the closed-form matrix."""
     family = family_type(n_categories)
     stack = family.matrices(n_points)
     grid = family.parameter_grid(n_points)
     assert stack.shape == (n_points, n_categories, n_categories)
     for row, parameter in zip(stack, grid):
         assert row.tobytes() == family.matrix(parameter).probabilities.tobytes()
+        assert row.tobytes() == _reference_matrix(family, parameter).tobytes()
 
 
 @pytest.mark.parametrize(
