@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem

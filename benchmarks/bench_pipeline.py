@@ -30,8 +30,9 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
-from repro.pipeline import plan_pipeline, run_pipeline
 from repro.pipeline import runner as pipeline_runner
+from repro.pipeline.runner import run_pipeline
+from repro.pipeline.spec import plan_pipeline
 
 #: The pipeline workload: four disguise strengths, three miners, two seeds.
 DATA = "adult:education"

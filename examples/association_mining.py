@@ -17,7 +17,8 @@ from __future__ import annotations
 from repro import OptRRConfig, OptRROptimizer
 from repro.analysis.report import format_pipeline_table
 from repro.data.workload import SENSITIVE_ATTRIBUTE, build_workload
-from repro.pipeline import plan_pipeline, run_pipeline, schemes_from_front
+from repro.pipeline.runner import run_pipeline
+from repro.pipeline.spec import plan_pipeline, schemes_from_front
 
 DATA = "adult:sex"
 N_RECORDS = 12_000

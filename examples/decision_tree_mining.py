@@ -27,7 +27,8 @@ from repro.data.workload import (
     build_workload,
 )
 from repro.mining.decision_tree import DecisionTreeBuilder, DecisionTreeNode
-from repro.pipeline import disguise_workload, plan_pipeline, run_pipeline
+from repro.pipeline.runner import disguise_workload, run_pipeline
+from repro.pipeline.spec import plan_pipeline
 from repro.rr.schemes import warner_matrix
 
 DATA = "adult:education"

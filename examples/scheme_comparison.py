@@ -16,7 +16,7 @@ import sys
 
 from repro import OptRRConfig, OptRROptimizer, gamma_distribution
 from repro.analysis.compare import compare_fronts
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_comparison_table
 from repro.rr.family import FrappFamily, UniformPerturbationFamily, WarnerFamily

@@ -32,71 +32,51 @@ True
 10
 """
 
-from repro.core import (
-    OptRRConfig,
-    OptRROptimizer,
-    OptimalSet,
-    OptimizationResult,
-    RRMatrixProblem,
-    rr_matrix_combinations,
-)
-from repro.data import (
-    CategoricalDataset,
-    CategoricalDistribution,
-    adult_attribute_distribution,
-    gamma_distribution,
-    load_adult_like,
-    normal_distribution,
-    sample_dataset,
-    uniform_distribution,
-    zipf_distribution,
-)
-from repro.metrics import (
-    MatrixEvaluator,
-    privacy_score,
-    utility_score,
-)
-from repro.rr import (
-    InversionEstimator,
-    IterativeEstimator,
-    RRMatrix,
-    RandomizedResponse,
-    frapp_matrix,
-    uniform_perturbation_matrix,
-    warner_matrix,
-)
-from repro.analysis import FrontRow, ParetoFront, compare_fronts
+import importlib
+from typing import Any
+
+#: Where each top-level name is defined.  Importing ``repro`` loads none of
+#: these modules; a name resolves (PEP 562) on first access, so a command
+#: only pays for the modules it actually runs.
+_EXPORTS = {
+    "CategoricalDataset": "repro.data.dataset",
+    "CategoricalDistribution": "repro.data.distribution",
+    "FrontRow": "repro.core.result",
+    "InversionEstimator": "repro.rr.estimation",
+    "IterativeEstimator": "repro.rr.estimation",
+    "MatrixEvaluator": "repro.metrics.evaluation",
+    "OptRRConfig": "repro.core.config",
+    "OptRROptimizer": "repro.core.optimizer",
+    "OptimalSet": "repro.core.archive",
+    "OptimizationResult": "repro.core.result",
+    "ParetoFront": "repro.core.result",
+    "RRMatrix": "repro.rr.matrix",
+    "RRMatrixProblem": "repro.core.problem",
+    "RandomizedResponse": "repro.rr.randomize",
+    "adult_attribute_distribution": "repro.data.adult",
+    "compare_fronts": "repro.analysis.compare",
+    "frapp_matrix": "repro.rr.schemes",
+    "gamma_distribution": "repro.data.synthetic",
+    "load_adult_like": "repro.data.adult",
+    "normal_distribution": "repro.data.synthetic",
+    "privacy_score": "repro.metrics.privacy",
+    "rr_matrix_combinations": "repro.core.search_space",
+    "sample_dataset": "repro.data.synthetic",
+    "uniform_distribution": "repro.data.synthetic",
+    "uniform_perturbation_matrix": "repro.rr.schemes",
+    "utility_score": "repro.metrics.utility",
+    "warner_matrix": "repro.rr.schemes",
+    "zipf_distribution": "repro.data.synthetic",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CategoricalDataset",
-    "CategoricalDistribution",
-    "FrontRow",
-    "InversionEstimator",
-    "IterativeEstimator",
-    "MatrixEvaluator",
-    "OptRRConfig",
-    "OptRROptimizer",
-    "OptimalSet",
-    "OptimizationResult",
-    "ParetoFront",
-    "RRMatrix",
-    "RRMatrixProblem",
-    "RandomizedResponse",
-    "adult_attribute_distribution",
-    "compare_fronts",
-    "frapp_matrix",
-    "gamma_distribution",
-    "load_adult_like",
-    "normal_distribution",
-    "privacy_score",
-    "rr_matrix_combinations",
-    "sample_dataset",
-    "uniform_distribution",
-    "uniform_perturbation_matrix",
-    "utility_score",
-    "warner_matrix",
-    "zipf_distribution",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

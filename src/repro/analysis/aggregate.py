@@ -11,7 +11,7 @@ plus the reproduction verdict rate.
 The aggregation is deterministic: runs are consumed in the caller-supplied
 order, statistics are computed with plain ``float64`` reductions, and the
 JSON rendering (:func:`aggregate_to_document` +
-:func:`repro.io.dump_canonical_json`) sorts every key — so the same runs
+:func:`repro.utils.arrays.dump_canonical_json`) sorts every key — so the same runs
 always produce byte-identical aggregate documents, no matter how (serially,
 in parallel, from cache) the results were obtained.
 """

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.emoo.indicators import coverage, epsilon_indicator, hypervolume_2d
 from repro.exceptions import ValidationError
 

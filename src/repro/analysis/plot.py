@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.exceptions import ValidationError
 
 #: Markers assigned to fronts in the order they are passed.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.compare import FrontComparison
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 
 
 def format_front_table(front: ParetoFront, *, max_rows: int = 20) -> str:

@@ -91,8 +91,9 @@ class OptRROptimizer:
 
     Examples
     --------
-    >>> from repro.data import normal_distribution
-    >>> from repro.core import OptRRConfig, OptRROptimizer
+    >>> from repro.core.config import OptRRConfig
+    >>> from repro.core.optimizer import OptRROptimizer
+    >>> from repro.data.synthetic import normal_distribution
     >>> prior = normal_distribution(5)
     >>> config = OptRRConfig(n_generations=20, delta=0.8, seed=7)
     >>> result = OptRROptimizer(prior, n_records=1000, config=config).run()

@@ -8,8 +8,7 @@ privacy on the x-axis (larger is better) and utility/MSE on the y-axis
 front and Ω spectrum (:class:`OptimizationResult`), a baseline scheme sweep
 (:meth:`ParetoFront.from_family`) and raw (privacy, utility) pairs
 (:meth:`ParetoFront.from_points`); a :class:`FrontRow` is built only when
-one row is asked for.  The analysis layer re-exports both types from
-:mod:`repro.analysis.front`.
+one row is asked for.
 """
 
 from __future__ import annotations

@@ -5,35 +5,3 @@ layer is written to support multi-attribute datasets so the downstream
 privacy-preserving mining applications (``repro.mining``) can consume the same
 objects.
 """
-
-from repro.data.distribution import CategoricalDistribution
-from repro.data.dataset import CategoricalAttribute, CategoricalDataset
-from repro.data.discretize import discretize_equal_frequency, discretize_equal_width
-from repro.data.synthetic import (
-    custom_distribution,
-    gamma_distribution,
-    geometric_distribution,
-    normal_distribution,
-    uniform_distribution,
-    zipf_distribution,
-    sample_dataset,
-)
-from repro.data.adult import adult_attribute_distribution, adult_attribute_names, load_adult_like
-
-__all__ = [
-    "CategoricalAttribute",
-    "CategoricalDataset",
-    "CategoricalDistribution",
-    "adult_attribute_distribution",
-    "adult_attribute_names",
-    "custom_distribution",
-    "discretize_equal_frequency",
-    "discretize_equal_width",
-    "gamma_distribution",
-    "geometric_distribution",
-    "load_adult_like",
-    "normal_distribution",
-    "sample_dataset",
-    "uniform_distribution",
-    "zipf_distribution",
-]

@@ -17,9 +17,10 @@ estimation and truncation.
 
 Truncation is incremental: the distance matrix is masked in place per removal
 (the victim's row and column are set to ``+inf``) and the next victim is found
-with one NaN-skipping ``fmin``-reduction — the full ``np.ix_`` copy + row sort + lexsort of
-the reference implementation only runs over the (rare) rows that tie on their
-nearest-neighbour distance.  The removal order is bit-for-bit identical to the
+with one NaN-skipping ``fmin``-reduction.  Only the rows that tie on their
+nearest-neighbour distance (in practice the closest pair, on every removal)
+are copied out and row-sorted, and the tie is broken on the first column
+where their sorted rows differ.  The removal order is bit-for-bit identical to the
 reference in ``tests/oracles/optrr_loop.py`` (property-tested in
 ``tests/test_engine_equivalence.py``).
 """
@@ -96,8 +97,8 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
     removed, exactly as in SPEA2.  Instead of re-slicing and fully re-sorting
     the alive submatrix per removal, the matrix is masked in place (+inf on
     the victim's row and column) and each pass reduces to one row-``min``;
-    the full lexicographic comparison only runs over rows tied on that
-    nearest distance.  Survivors are returned in ascending index order —
+    the lexicographic comparison only runs over rows tied on that nearest
+    distance.  Survivors are returned in ascending index order —
     bit-for-bit the reference semantics, non-finite distances included (see
     the non-finite contract in ``docs/invariants.md``).
     """
@@ -129,13 +130,12 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
         tied = np.flatnonzero(alive & (nearest == nearest.min()))
         victim = int(tied[0])
         if tied.size > 1:
-            # Rare path: break the tie on the full sorted neighbour-distance
-            # vectors.  lexsort treats the LAST key as primary, so feed the
-            # columns (nearest first) in reverse; stability keeps the lowest
-            # index between fully-tied rows, matching the reference.
+            # The closest pair always ties on its own distance, so this path
+            # runs on nearly every removal: break the tie on the full sorted
+            # neighbour-distance vectors.
             alive_columns = np.flatnonzero(alive)
             rows = np.sort(masked[np.ix_(tied, alive_columns)], axis=1)
-            victim = int(tied[np.lexsort(rows.T[::-1])[0]])
+            victim = int(tied[_lexicographic_first(rows)])
         masked[victim, :] = np.inf
         masked[:, victim] = np.inf
         alive[victim] = False
@@ -148,6 +148,25 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
                 nearest[stale] = np.fmin.reduce(rows, axis=1)
                 nearest_at[stale] = (rows == nearest[stale, None]).argmax(axis=1)
     return np.flatnonzero(alive)
+
+
+def _lexicographic_first(rows: np.ndarray) -> int:
+    """Index of the lexicographically smallest of the row-sorted ``rows``.
+
+    Equal to ``np.lexsort(rows.T[::-1])[0]`` (the reference's tie-break):
+    NaN sorts after every number and equals NaN, and a full tie goes to the
+    lowest index.  Each comparison looks only at the first column where two
+    rows differ.  Sorting puts a row's NaNs last, so two NaNs at that column
+    mean the rows agree to the end.
+    """
+    best = 0
+    for candidate in range(1, rows.shape[0]):
+        incumbent, challenger = rows[best], rows[candidate]
+        column = int((incumbent != challenger).argmax())
+        current, other = incumbent[column], challenger[column]
+        if other < current or (current != current and other == other):
+            best = candidate
+    return best
 
 
 def _remove_duplicate_clusters(
@@ -217,7 +236,7 @@ def _remove_duplicate_clusters(
             representatives = np.array([cluster[0] for cluster in candidates])
             alive_columns = np.flatnonzero(alive)
             rows = np.sort(masked[np.ix_(representatives, alive_columns)], axis=1)
-            chosen = candidates[int(np.lexsort(rows.T[::-1])[0])]
+            chosen = candidates[_lexicographic_first(rows)]
         victim = chosen.pop(0)
         masked[victim, :] = np.inf
         masked[:, victim] = np.inf

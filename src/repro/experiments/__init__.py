@@ -1,37 +1,2 @@
 """Experiment harness: one runner per table/figure in the paper's evaluation,
 plus campaign orchestration for multi-seed grids."""
-
-from repro.experiments.base import ExperimentResult, ExperimentSpec
-from repro.experiments.registry import (
-    available_experiments,
-    find_experiments,
-    get_experiment,
-    register_experiment,
-)
-from repro.experiments.runner import run_experiment
-from repro.experiments import figure4, figure5, theorem2, factsheet  # noqa: F401  (registration side effects)
-from repro.experiments.campaign import (
-    CampaignCache,
-    CampaignResult,
-    CampaignRunRecord,
-    CampaignSpec,
-    CampaignTask,
-    plan_campaign,
-    run_campaign,
-)
-
-__all__ = [
-    "CampaignCache",
-    "CampaignResult",
-    "CampaignRunRecord",
-    "CampaignSpec",
-    "CampaignTask",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "available_experiments",
-    "find_experiments",
-    "get_experiment",
-    "plan_campaign",
-    "register_experiment",
-    "run_experiment",
-]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.analysis.compare import FrontComparison
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.exceptions import ExperimentError, ValidationError
 
 #: Override keys accepted by the front-comparison experiments (the common

@@ -46,11 +46,8 @@ from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.base import ExperimentResult, environment_override_defaults
 from repro.experiments.grid import DocumentCache, RetryPolicy, run_grid
 from repro.experiments.registry import find_experiments, get_experiment
-from repro.io import (
-    dump_canonical_json,
-    experiment_result_from_dict,
-    experiment_result_to_dict,
-)
+from repro.io import experiment_result_from_dict, experiment_result_to_dict
+from repro.utils.arrays import dump_canonical_json
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)

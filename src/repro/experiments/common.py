@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.compare import FrontComparison, compare_fronts
-from repro.analysis.front import ParetoFront
 from repro.analysis.report import format_front_table, format_paper_vs_measured
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
-from repro.core.result import OptimizationResult
+from repro.core.result import OptimizationResult, ParetoFront
 from repro.data.distribution import CategoricalDistribution
 from repro.experiments.base import (
     ExperimentResult,

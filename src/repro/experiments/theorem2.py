@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.analysis.report import format_paper_vs_measured
 from repro.data.synthetic import normal_distribution
 from repro.experiments.base import ExperimentResult, ExperimentSpec

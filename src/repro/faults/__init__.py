@@ -12,37 +12,3 @@ Activate a plan programmatically (:func:`fault_plan` /
 variable, whose grammar is documented in :mod:`repro.faults.plan` and
 ``docs/robustness.md``.  Fault hooks are no-ops when no plan is active.
 """
-
-from repro.faults.injector import (
-    CRASH_EXIT_STATUS,
-    FAULTS_ENVIRONMENT_VARIABLE,
-    active_fault_plan,
-    corrupt_stored_document,
-    fault_plan,
-    fire_cell_faults,
-    install_fault_plan,
-    truncate_checkpoint_file,
-)
-from repro.faults.plan import (
-    DEFAULT_HANG_SECONDS,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    parse_fault_plan,
-)
-
-__all__ = [
-    "CRASH_EXIT_STATUS",
-    "DEFAULT_HANG_SECONDS",
-    "FAULT_KINDS",
-    "FAULTS_ENVIRONMENT_VARIABLE",
-    "FaultPlan",
-    "FaultSpec",
-    "active_fault_plan",
-    "corrupt_stored_document",
-    "fault_plan",
-    "fire_cell_faults",
-    "install_fault_plan",
-    "parse_fault_plan",
-    "truncate_checkpoint_file",
-]

@@ -40,6 +40,7 @@ from repro.core.result import OptimizationResult, ParetoFront
 from repro.exceptions import CheckpointCorruptionError, ValidationError
 from repro.faults.injector import truncate_checkpoint_file
 from repro.rr.matrix import RRMatrix
+from repro.utils.arrays import dump_canonical_json
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_counter
 
@@ -628,15 +629,6 @@ def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Pat
             f"both corrupt or missing"
         ) from corruption
     raise FileNotFoundError(f"no checkpoint at {path}")
-
-
-def dump_canonical_json(document: dict[str, Any]) -> str:
-    """Render a document as canonical JSON (sorted keys, fixed indent).
-
-    The campaign cache and the campaign aggregates rely on this being
-    deterministic: the same document always produces the same bytes.
-    """
-    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def save_experiment_result(result: "ExperimentResult", path: str | Path) -> Path:

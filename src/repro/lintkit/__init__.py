@@ -9,23 +9,3 @@ documented in ``docs/invariants.md``.
 
 Entry points: ``tools/lint_repro.py`` and ``optrr lint``.
 """
-
-from repro.lintkit.baseline import Baseline, load_baseline, write_baseline
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, all_rules, register
-from repro.lintkit.runner import collect_files, main, run_rules
-
-__all__ = [
-    "Baseline",
-    "ProjectContext",
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "all_rules",
-    "collect_files",
-    "load_baseline",
-    "main",
-    "register",
-    "run_rules",
-    "write_baseline",
-]

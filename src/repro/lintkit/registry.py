@@ -17,6 +17,7 @@ run is deterministic regardless of registration order.
 from __future__ import annotations
 
 import ast
+import importlib
 from typing import Iterable, Iterator
 
 from repro.lintkit.model import ProjectContext, SourceFile, Violation
@@ -91,10 +92,16 @@ def register(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
+#: The rule modules; importing one registers its rule.
+_RULE_MODULES = (
+    "cachekey", "checkpoint", "exceptions", "linalg", "ordering", "rng", "wallclock",
+)
+
+
 def all_rules() -> list[Rule]:
     """One instance of every registered rule, ordered by rule id."""
-    import repro.lintkit.rules  # noqa: F401  (registration side effects)
-
+    for module in _RULE_MODULES:
+        importlib.import_module(f"repro.lintkit.rules.{module}")
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 

@@ -1,7 +1,8 @@
 """The repro-lint rule set.
 
-Importing this package registers every rule; the ids are stable and
-documented in ``docs/invariants.md``:
+Importing a rule module registers its rule (:func:`repro.lintkit.registry.
+all_rules` imports them all); the ids are stable and documented in
+``docs/invariants.md``:
 
 * RL001 ``rng-discipline`` — seeded-Generator-only randomness
 * RL002 ``wall-clock`` — no nondeterminism sources outside the timing sites
@@ -13,21 +14,3 @@ documented in ``docs/invariants.md``:
 * RL007 ``exception-discipline`` — broad except handlers must re-raise, log,
   or use the caught exception
 """
-
-from repro.lintkit.rules.cachekey import CacheKeyCompletenessRule
-from repro.lintkit.rules.checkpoint import CheckpointSymmetryRule
-from repro.lintkit.rules.exceptions import ExceptionDisciplineRule
-from repro.lintkit.rules.linalg import LinalgConfinementRule
-from repro.lintkit.rules.ordering import OrderingHazardRule
-from repro.lintkit.rules.rng import RngDisciplineRule
-from repro.lintkit.rules.wallclock import WallClockRule
-
-__all__ = [
-    "CacheKeyCompletenessRule",
-    "CheckpointSymmetryRule",
-    "ExceptionDisciplineRule",
-    "LinalgConfinementRule",
-    "OrderingHazardRule",
-    "RngDisciplineRule",
-    "WallClockRule",
-]

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.lintkit.baseline import Baseline, load_baseline, write_baseline
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
+from repro.lintkit.model import ProjectContext, Violation
 from repro.lintkit.registry import Rule, all_rules
 
 #: Path roots scanned when no explicit paths are given (relative to --root).
@@ -98,46 +98,6 @@ def run_rules(
             violations.append(violation)
     violations.sort(key=lambda v: (v.relpath, v.line, v.column, v.rule_id))
     return violations
-
-
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared repro-lint flags to ``parser``."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help=f"files or directories to analyze (default: {' '.join(DEFAULT_ROOTS)})",
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="project root paths are reported relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot the current violations into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every violation",
-    )
-    parser.add_argument(
-        "--forbid-baseline",
-        action="store_true",
-        help="fail when the baseline contains any entry (CI mode: new "
-             "baseline entries must be argued in review, not committed "
-             "silently)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="list the registered rules and exit"
-    )
 
 
 def run_from_args(
@@ -228,12 +188,48 @@ def run_from_args(
     return 1 if failures else 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Stand-alone entry point (used by ``tools/lint_repro.py``)."""
+def main(argv: Sequence[str] | None = None, *, prog: str = "lint_repro") -> int:
+    """Command-line entry point of ``tools/lint_repro.py`` and ``optrr lint``
+    (``prog`` names the command in usage and help text)."""
     parser = argparse.ArgumentParser(
-        prog="lint_repro",
+        prog=prog,
         description="repro-lint: AST invariant analyzer for determinism, "
                     "checkpoint symmetry and cache-key completeness",
     )
-    configure_parser(parser)
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help=f"files or directories to analyze (default: {' '.join(DEFAULT_ROOTS)})",
+    )
+    parser.add_argument(
+        "--root",
+        default=".",
+        help="project root paths are reported relative to (default: cwd)",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="snapshot the current violations into the baseline file and exit 0",
+    )
+    parser.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="ignore the baseline file: report every violation",
+    )
+    parser.add_argument(
+        "--forbid-baseline",
+        action="store_true",
+        help="fail when the baseline contains any entry (CI mode: new "
+             "baseline entries must be argued in review, not committed "
+             "silently)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="list the registered rules and exit"
+    )
     return run_from_args(parser.parse_args(argv))

@@ -1,53 +1,1 @@
 """Privacy and utility quantification (Section IV of the paper)."""
-
-from repro.metrics.accuracy import (
-    AccuracyFunction,
-    ZeroOneAccuracy,
-    bayes_estimate,
-    expected_accuracy,
-)
-from repro.metrics.privacy import (
-    PrivacyReport,
-    map_estimates,
-    max_posterior,
-    max_posterior_batch,
-    posterior_matrix,
-    posterior_tensor,
-    privacy_score,
-    privacy_score_batch,
-    satisfies_bound,
-)
-from repro.metrics.utility import (
-    UtilityReport,
-    empirical_mse,
-    theoretical_mse,
-    theoretical_mse_batch,
-    utility_score,
-    utility_score_batch,
-)
-from repro.metrics.evaluation import BatchEvaluation, MatrixEvaluation, MatrixEvaluator
-
-__all__ = [
-    "AccuracyFunction",
-    "BatchEvaluation",
-    "MatrixEvaluation",
-    "MatrixEvaluator",
-    "PrivacyReport",
-    "UtilityReport",
-    "ZeroOneAccuracy",
-    "bayes_estimate",
-    "empirical_mse",
-    "expected_accuracy",
-    "map_estimates",
-    "max_posterior",
-    "max_posterior_batch",
-    "posterior_matrix",
-    "posterior_tensor",
-    "privacy_score",
-    "privacy_score_batch",
-    "satisfies_bound",
-    "theoretical_mse",
-    "theoretical_mse_batch",
-    "utility_score",
-    "utility_score_batch",
-]

@@ -5,17 +5,3 @@ the paper's introduction and related work motivate: reconstructing joint
 distributions of several disguised attributes, estimating itemset supports
 for association-rule mining, and building decision trees from disguised data.
 """
-
-from repro.mining.contingency import ContingencyEstimator, ContingencyTable
-from repro.mining.association import AssociationMiner, AssociationRule, ItemsetSupport
-from repro.mining.decision_tree import DecisionTreeBuilder, DecisionTreeNode
-
-__all__ = [
-    "AssociationMiner",
-    "AssociationRule",
-    "ContingencyEstimator",
-    "ContingencyTable",
-    "DecisionTreeBuilder",
-    "DecisionTreeNode",
-    "ItemsetSupport",
-]

@@ -7,44 +7,3 @@ downstream miners (decision trees, association rules, distribution error) and
 scores each scheme's surviving data-mining utility — fanned out over seeds
 through the shared grid executor with content-addressed caching.
 """
-
-from repro.pipeline.miners import Miner, available_miners, get_miner, register_miner
-from repro.pipeline.runner import (
-    PipelineCache,
-    PipelineCellRecord,
-    PipelineResult,
-    SchemeEvaluation,
-    disguise_workload,
-    evaluate_schemes,
-    run_pipeline,
-)
-from repro.pipeline.spec import (
-    PipelineCellTask,
-    PipelineScheme,
-    PipelineSpec,
-    parse_seed_argument,
-    plan_pipeline,
-    resolve_scheme_argument,
-    schemes_from_front,
-)
-
-__all__ = [
-    "Miner",
-    "PipelineCache",
-    "PipelineCellRecord",
-    "PipelineCellTask",
-    "PipelineResult",
-    "PipelineScheme",
-    "PipelineSpec",
-    "SchemeEvaluation",
-    "available_miners",
-    "disguise_workload",
-    "evaluate_schemes",
-    "get_miner",
-    "parse_seed_argument",
-    "plan_pipeline",
-    "register_miner",
-    "resolve_scheme_argument",
-    "run_pipeline",
-    "schemes_from_front",
-]

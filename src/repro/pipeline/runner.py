@@ -36,9 +36,10 @@ from repro.exceptions import ValidationError
 from repro.experiments.grid import DocumentCache, RetryPolicy, run_grid
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.pipeline.miners import get_miner
-from repro.pipeline.spec import PipelineCellTask, PipelineSpec, matrix_digest
-from repro.rr.matrix import RRMatrix, stack_matrices
+from repro.pipeline.spec import PipelineCellTask, PipelineSpec
+from repro.rr.matrix import RRMatrix, matrix_digest, stack_matrices
 from repro.rr.randomize import RandomizedResponse
+from repro.utils.arrays import dump_canonical_json
 
 #: Format identifier embedded in pipeline documents.
 PIPELINE_FORMAT_VERSION = 1
@@ -148,8 +149,6 @@ class PipelineResult:
 
     def aggregate_json(self) -> str:
         """Canonical JSON text of :meth:`aggregate_document`."""
-        from repro.io import dump_canonical_json
-
         return dump_canonical_json(self.aggregate_document())
 
 

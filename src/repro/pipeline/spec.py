@@ -26,7 +26,7 @@ from repro.core.result import OptimizationResult
 from repro.data.workload import resolve_workload_prior
 from repro.exceptions import ValidationError
 from repro.pipeline.miners import get_miner
-from repro.rr.family import scheme_family
+from repro.rr.family import scheme_matrix
 from repro.rr.matrix import RRMatrix
 
 #: Cache-key prefix; bump when the key derivation itself changes.
@@ -35,16 +35,6 @@ PIPELINE_KEY_SCHEMA = "pipeline-cell-v3"
 
 #: Default number of records in the sampled workload dataset.
 DEFAULT_N_RECORDS = 20_000
-
-
-def matrix_digest(matrix: RRMatrix) -> str:
-    """SHA-256 of a matrix's full-precision entries.
-
-    The single digest convention shared by the cell cache keys and the
-    disguise-stream derivation (:func:`repro.pipeline.runner.disguise_seed`).
-    """
-    payload = json.dumps(matrix.probabilities.tolist())
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -191,26 +181,9 @@ def parse_seed_argument(text: str) -> tuple[int, ...]:
 
 
 def resolve_scheme_argument(argument: str, n_categories: int) -> PipelineScheme:
-    """Resolve one ``--schemes`` entry into a named matrix.
-
-    The form is ``family:parameter`` where family is one of the classic
-    scheme families (``warner``, ``up``/``uniform-perturbation``, ``frapp``)
-    and parameter is the family's sweep parameter.
-    """
-    if ":" not in argument:
-        raise ValidationError(
-            f"scheme {argument!r} must have the form family:parameter "
-            f"(e.g. warner:0.8)"
-        )
-    family_name, parameter_text = argument.split(":", 1)
-    try:
-        parameter = float(parameter_text)
-    except ValueError as exc:
-        raise ValidationError(
-            f"scheme parameter {parameter_text!r} in {argument!r} is not a number"
-        ) from exc
-    family = scheme_family(family_name, n_categories)
-    return PipelineScheme(name=argument, matrix=family.matrix(parameter))
+    """Resolve one ``--schemes`` entry (``family:parameter``, see
+    :func:`repro.rr.family.scheme_matrix`) into a named matrix."""
+    return PipelineScheme(name=argument, matrix=scheme_matrix(argument, n_categories))
 
 
 def schemes_from_front(

@@ -7,68 +7,3 @@ families, the disguise mechanism, the inversion and iterative distribution
 estimators (Theorem 1 and Eq. 3), and the multi-dimensional extension noted as
 future work.
 """
-
-from repro.rr.matrix import RRMatrix, random_rr_matrix
-from repro.rr.schemes import (
-    frapp_matrix,
-    identity_matrix,
-    total_randomization_matrix,
-    uniform_perturbation_matrix,
-    warner_matrix,
-)
-from repro.rr.family import (
-    FrappFamily,
-    SchemeFamily,
-    UniformPerturbationFamily,
-    WarnerFamily,
-    scheme_family,
-)
-from repro.rr.randomize import RandomizedResponse
-from repro.rr.estimation import (
-    DistributionEstimate,
-    InversionEstimator,
-    IterativeEstimator,
-    estimate_distribution,
-)
-from repro.rr.streaming import (
-    CountAccumulator,
-    OnlineEstimator,
-    StreamingDisguiser,
-    iter_chunks,
-)
-from repro.rr.multidim import MultiDimensionalRR
-from repro.rr.ldp import (
-    epsilon_for_delta_bound,
-    k_rr_matrix,
-    ldp_epsilon,
-    satisfies_ldp,
-)
-
-__all__ = [
-    "epsilon_for_delta_bound",
-    "k_rr_matrix",
-    "ldp_epsilon",
-    "satisfies_ldp",
-    "CountAccumulator",
-    "DistributionEstimate",
-    "FrappFamily",
-    "InversionEstimator",
-    "IterativeEstimator",
-    "MultiDimensionalRR",
-    "OnlineEstimator",
-    "RRMatrix",
-    "RandomizedResponse",
-    "SchemeFamily",
-    "StreamingDisguiser",
-    "UniformPerturbationFamily",
-    "WarnerFamily",
-    "estimate_distribution",
-    "iter_chunks",
-    "frapp_matrix",
-    "identity_matrix",
-    "random_rr_matrix",
-    "scheme_family",
-    "total_randomization_matrix",
-    "uniform_perturbation_matrix",
-    "warner_matrix",
-]

@@ -142,6 +142,28 @@ def scheme_family(name: str, n_categories: int) -> SchemeFamily:
     return factory(n_categories)
 
 
+def scheme_matrix(argument: str, n_categories: int) -> RRMatrix:
+    """The matrix named by a ``family:parameter`` scheme argument.
+
+    ``family`` is one of the classic scheme families (``warner``,
+    ``up``/``uniform-perturbation``, ``frapp``) and ``parameter`` the
+    family's sweep parameter, e.g. ``warner:0.8``.
+    """
+    if ":" not in argument:
+        raise ValidationError(
+            f"scheme {argument!r} must have the form family:parameter "
+            f"(e.g. warner:0.8)"
+        )
+    family_name, parameter_text = argument.split(":", 1)
+    try:
+        parameter = float(parameter_text)
+    except ValueError as exc:
+        raise ValidationError(
+            f"scheme parameter {parameter_text!r} in {argument!r} is not a number"
+        ) from exc
+    return scheme_family(family_name, n_categories).matrix(parameter)
+
+
 def family_names() -> Sequence[str]:
     """Canonical names of the available families."""
     return ("warner", "uniform-perturbation", "frapp")

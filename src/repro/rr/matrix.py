@@ -9,6 +9,8 @@ Columns therefore sum to one.  The disguised distribution is ``P* = M P``
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,3 +224,14 @@ def random_rr_matrix(
         matrix = matrix + diagonal_bias * np.eye(n_categories)
         matrix = matrix / matrix.sum(axis=0, keepdims=True)
     return RRMatrix(matrix)
+
+
+def matrix_digest(matrix: RRMatrix) -> str:
+    """SHA-256 of a matrix's full-precision entries.
+
+    The single digest convention shared by the pipeline's cell cache keys,
+    its disguise-stream derivation (:func:`repro.pipeline.runner.
+    disguise_seed`) and the ``optrr disguise`` report.
+    """
+    payload = json.dumps(matrix.probabilities.tolist())
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -54,16 +54,20 @@ def disguise_codes(
     exactly ``1.0``) — bit-identical to the frozen ``(n, N)`` broadcast in
     ``tests/oracles/disguise.py``.
 
-    Sort-and-group ``searchsorted``: stable-argsort the codes (radix sort for
-    int64, O(N)), gather the uniforms into category order once, then
-    binary-search each category's contiguous slice against its column CDF.
-    ``side="left"`` counts the CDF entries strictly below each uniform, and
-    peak auxiliary memory stays O(N + n^2).
+    Sort-and-group ``searchsorted``: stable-argsort the codes, gather the
+    uniforms into category order once, then binary-search each category's
+    contiguous slice against its column CDF.  ``side="left"`` counts the CDF
+    entries strictly below each uniform.  The sort key is the smallest
+    unsigned dtype holding ``n - 1`` (the caller's :func:`check_codes` has
+    held the codes to ``[0, n)``, so the cast cannot wrap): NumPy radix-sorts
+    keys of 16 bits or fewer in O(N), and for ``n <= 65536`` the kernel costs
+    O(N log n) in the searches; wider keys fall back to an O(N log N)
+    timsort.  Peak auxiliary memory stays O(N + n^2).
     """
     n = probabilities.shape[0]
     cdf = np.cumsum(probabilities, axis=0)
     cdf[-1, :] = 1.0
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes.astype(np.min_scalar_type(n - 1)), kind="stable")
     sorted_uniforms = uniforms[order]
     boundaries = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=n), out=boundaries[1:])
@@ -103,7 +107,9 @@ class RandomizedResponse:
         RR matrix via inverse-CDF sampling: one ``rng.random(N)`` draw, then
         the deterministic :func:`disguise_codes` kernel, bit-identical to the
         historical ``(n, N)`` broadcast path while peak memory stays
-        O(N + n^2) and compute O(N log n).
+        O(N + n^2) and compute O(N log n) (a radix grouping pass plus
+        per-category binary searches; domains above 65536 categories sort
+        in O(N log N)).
         """
         codes = check_codes(codes, self.n_categories)
         rng = as_rng(seed)

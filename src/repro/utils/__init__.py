@@ -1,35 +1,1 @@
 """Small shared utilities: validation, linear algebra and logging helpers."""
-
-from repro.utils.validation import (
-    check_in_unit_interval,
-    check_matrix_stack,
-    check_positive_int,
-    check_probability_vector,
-    check_square_matrix,
-    check_stochastic_columns,
-    normalize_probabilities,
-)
-from repro.utils.linalg import (
-    batched_condition_numbers,
-    batched_safe_inverses,
-    condition_number,
-    one_norm_condition_estimate,
-    safe_inverse,
-)
-from repro.utils.logging import get_logger
-
-__all__ = [
-    "batched_condition_numbers",
-    "batched_safe_inverses",
-    "check_in_unit_interval",
-    "check_matrix_stack",
-    "check_positive_int",
-    "check_probability_vector",
-    "check_square_matrix",
-    "check_stochastic_columns",
-    "condition_number",
-    "get_logger",
-    "normalize_probabilities",
-    "one_norm_condition_estimate",
-    "safe_inverse",
-]

@@ -1,4 +1,4 @@
-"""Bit-exact JSON serialization of numpy arrays.
+"""Bit-exact JSON serialization of numpy arrays, and canonical JSON text.
 
 Checkpoint documents (:mod:`repro.emoo.driver`, :mod:`repro.io`) must restore
 optimizer state *bit-for-bit*: a resumed run has to retrace the uninterrupted
@@ -11,12 +11,15 @@ bytes, base64-encoded inside an ordinary JSON object::
 
 ``encode_array``/``decode_array`` round-trip every dtype this code base uses
 (float64 including ``inf``/``nan``/``-0.0``, bool, int64) without touching a
-single bit.
+single bit.  :func:`dump_canonical_json` renders whole documents the same
+way every time, which content-addressed caches and byte-compared outputs
+rely on.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 from typing import Any
 
 import numpy as np
@@ -56,3 +59,12 @@ def decode_array(document: dict[str, Any]) -> np.ndarray:
     # frombuffer returns a read-only view over the bytes object; copy so the
     # restored optimizer state is writable like the state it replaces.
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def dump_canonical_json(document: dict[str, Any]) -> str:
+    """Render a document as canonical JSON (sorted keys, fixed indent).
+
+    The campaign cache and the campaign aggregates rely on this being
+    deterministic: the same document always produces the same bytes.
+    """
+    return json.dumps(document, indent=2, sort_keys=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.compare import compare_fronts
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.exceptions import ValidationError
 
 

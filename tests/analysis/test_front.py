@@ -1,11 +1,11 @@
-"""Tests for repro.analysis.front."""
+"""Tests for the columnar Pareto front (repro.core.result.ParetoFront)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.core.optimizer import OptRROptimizer
 from repro.data.synthetic import normal_distribution
 from repro.emoo.dominance import non_dominated_indices

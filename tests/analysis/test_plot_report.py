@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.compare import compare_fronts
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import (
     format_comparison_table,

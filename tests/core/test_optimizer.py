@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis.front import ParetoFront
+from repro.core.result import ParetoFront
 from repro.core.config import OptRRConfig
 from repro.core.archive import OptimalSet
 from repro.core.optimizer import OptRROptimizer

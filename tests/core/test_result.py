@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.front import FrontRow
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
-from repro.core.result import OptimizationResult
+from repro.core.result import FrontRow, OptimizationResult
 from repro.data.synthetic import normal_distribution
 from repro.exceptions import OptimizationError, ValidationError
 from repro.io import result_to_dict

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import available_experiments, get_experiment
+from repro.experiments.registry import available_experiments, get_experiment
 from repro.experiments.base import (
     ExperimentResult,
     ExperimentSpec,

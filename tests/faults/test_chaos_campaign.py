@@ -12,8 +12,10 @@ import json
 
 from repro.cli import main
 from repro.experiments.campaign import run_campaign
-from repro.faults import FAULTS_ENVIRONMENT_VARIABLE, fault_plan, parse_fault_plan
-from repro.pipeline import plan_pipeline, run_pipeline
+from repro.faults.injector import FAULTS_ENVIRONMENT_VARIABLE, fault_plan
+from repro.faults.plan import parse_fault_plan
+from repro.pipeline.runner import run_pipeline
+from repro.pipeline.spec import plan_pipeline
 
 
 class TestCampaignAcceptance:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.exceptions import FaultInjectedError, GridCellError
 from repro.experiments.grid import DocumentCache, RetryPolicy, run_grid
-from repro.faults import FAULTS_ENVIRONMENT_VARIABLE, fault_plan, parse_fault_plan
+from repro.faults.injector import FAULTS_ENVIRONMENT_VARIABLE, fault_plan
+from repro.faults.plan import parse_fault_plan
 
 
 def _worker(payload):

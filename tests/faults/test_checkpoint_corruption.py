@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import CheckpointCorruptionError
-from repro.faults import fault_plan, parse_fault_plan
+from repro.faults.injector import fault_plan
+from repro.faults.plan import parse_fault_plan
 from repro.io import (
     checkpoint_quarantine_path,
     checkpoint_rotation_path,

@@ -7,15 +7,16 @@ import json
 import pytest
 
 from repro.exceptions import FaultInjectedError
-from repro.faults import (
+from repro.faults.injector import (
     FAULTS_ENVIRONMENT_VARIABLE,
     active_fault_plan,
+    corrupt_stored_document,
     fault_plan,
     fire_cell_faults,
     install_fault_plan,
-    parse_fault_plan,
+    truncate_checkpoint_file,
 )
-from repro.faults.injector import corrupt_stored_document, truncate_checkpoint_file
+from repro.faults.plan import parse_fault_plan
 
 
 class TestActivation:

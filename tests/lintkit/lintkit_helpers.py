@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lintkit import ProjectContext, all_rules, collect_files, run_rules
-from repro.lintkit.model import Violation
+from repro.lintkit.model import ProjectContext, Violation
+from repro.lintkit.registry import all_rules
+from repro.lintkit.runner import collect_files, run_rules
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -16,8 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.front import ParetoFront
-from repro.core.result import OptimizationResult
+from repro.core.result import OptimizationResult, ParetoFront
 from repro.core.search_space import log10_rr_matrix_combinations, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import non_dominated_indices

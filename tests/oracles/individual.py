@@ -2,7 +2,7 @@
 
 ``repro`` keeps every candidate as a row of a structure-of-arrays
 :class:`~repro.emoo.population.Population` and every OptRR result as
-columnar :class:`~repro.analysis.front.ParetoFront` rows.  The frozen
+columnar :class:`~repro.core.result.ParetoFront` rows.  The frozen
 list-based references —
 the OptRR loop in :mod:`tests.oracles.optrr_loop`, the ``Individual``-per-slot
 Ω in :mod:`tests.oracles.omega` and the list wrappers in
@@ -20,8 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.analysis.front import FrontRow, ParetoFront
-from repro.core.result import OptimizationResult
+from repro.core.result import FrontRow, OptimizationResult, ParetoFront
 from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.population import Population
 from repro.rr.matrix import RRMatrix

@@ -17,18 +17,14 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.io import (
-    dump_canonical_json,
     load_pipeline_result,
     pipeline_result_from_dict,
     pipeline_result_to_dict,
     save_pipeline_result,
 )
-from repro.pipeline import (
-    PipelineScheme,
-    disguise_workload,
-    plan_pipeline,
-    run_pipeline,
-)
+from repro.utils.arrays import dump_canonical_json
+from repro.pipeline.runner import disguise_workload, run_pipeline
+from repro.pipeline.spec import PipelineScheme, plan_pipeline
 from repro.data.workload import build_workload
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.analysis.front import FrontRow
-from repro.core.result import OptimizationResult
+from repro.core.result import FrontRow, OptimizationResult
 from repro.exceptions import ValidationError
 from repro.pipeline.spec import (
     PipelineScheme,

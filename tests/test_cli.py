@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Tiny optimizer budget for campaign CLI tests.
 FAST_CAMPAIGN = ["--generations", "5", "--population", "8"]
@@ -29,6 +35,50 @@ class TestList:
         output = capsys.readouterr().out
         assert "fig4a" in output
         assert "thm2" in output
+
+
+class TestImportBudget:
+    """Handlers import the reporting, experiment-harness, document and lint
+    modules they run; neither a bare ``import repro.cli`` nor an
+    ``optrr disguise`` run with a family scheme loads them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["disguise", "codes.txt", "--matrix", "warner:0.7", "--categories", "64",
+             "--output", "out.txt", "--report", "report.json"],
+        ],
+        ids=["import", "disguise"],
+    )
+    def test_handler_modules_stay_unloaded(self, argv, tmp_path):
+        (tmp_path / "codes.txt").write_text(
+            "\n".join(str(code % 64) for code in range(500)) + "\n", encoding="ascii"
+        )
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    assert repro.cli.main(argv) == 0\n"
+            "grid = {'repro.experiments.grid', 'repro.experiments.procpool'}\n"
+            "loaded = sorted(\n"
+            "    name for name in sys.modules\n"
+            "    if name.startswith(('repro.analysis', 'repro.lintkit', 'repro.io'))\n"
+            "    or name in ('repro.core.search_space', 'repro.emoo.indicators')\n"
+            "    or (name.startswith('repro.experiments.') and name not in grid)\n"
+            ")\n"
+            "assert not loaded, loaded\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestSearchSpace:
@@ -886,7 +936,7 @@ def _malformed_fronts(tmp_path):
     without its matrix, a ``points`` field that is not a list, a non-finite,
     bool or string objective, a non-integral, string or negative count, and
     matrices of two sizes in one front."""
-    from repro.analysis.front import FrontRow
+    from repro.core.result import FrontRow
     from repro.io import matrix_to_dict, result_to_dict
     from repro.rr.matrix import RRMatrix
     from tests.oracles.individual import result_from_rows

@@ -13,7 +13,6 @@ from repro.exceptions import RRMatrixError, ValidationError
 from repro.io import (
     comparison_from_dict,
     comparison_to_dict,
-    dump_canonical_json,
     experiment_result_from_dict,
     experiment_result_to_dict,
     load_experiment_result,
@@ -27,6 +26,7 @@ from repro.io import (
     save_matrix,
     save_result,
 )
+from repro.utils.arrays import dump_canonical_json
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
 

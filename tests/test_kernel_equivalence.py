@@ -498,9 +498,11 @@ class TestDisguiseCodes:
         if count:
             assert actual.min() >= 0 and actual.max() < n
 
-    @pytest.mark.parametrize("n", [2, 100])
+    # 255/256/257 straddle the uint8/uint16 boundary of the sort key.
+    @pytest.mark.parametrize("n", [2, 100, 255, 256, 257])
     def test_extreme_domain_sizes(self, n):
         probabilities, codes, uniforms = _disguise_inputs(7, n, 5_000)
+        codes[-1] = n - 1  # the largest key of the domain
         np.testing.assert_array_equal(
             disguise_codes(probabilities, codes, uniforms),
             broadcast_disguise_reference(probabilities, codes, uniforms),

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 import repro.io
 from repro.cli import main
-from repro.analysis.front import FrontRow
-from repro.core.result import OptimizationResult
+from repro.core.result import FrontRow, OptimizationResult
 from repro.exceptions import ValidationError
 from repro.io import (
     front_from_dict,
