@@ -59,12 +59,10 @@ _EXPORTS = {
     "gamma_distribution": "repro.data.synthetic",
     "load_adult_like": "repro.data.adult",
     "normal_distribution": "repro.data.synthetic",
-    "privacy_score": "repro.metrics.privacy",
     "rr_matrix_combinations": "repro.core.search_space",
     "sample_dataset": "repro.data.synthetic",
     "uniform_distribution": "repro.data.synthetic",
     "uniform_perturbation_matrix": "repro.rr.schemes",
-    "utility_score": "repro.metrics.utility",
     "warner_matrix": "repro.rr.schemes",
     "zipf_distribution": "repro.data.synthetic",
 }

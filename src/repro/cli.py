@@ -16,7 +16,6 @@ Usage examples::
         --chunk-size 10000 --estimator iterative --report report.json
     optrr compare-schemes --distribution normal --categories 10
     optrr search-space --categories 10 --grid 100
-    optrr lint --list-rules
 
 Exit codes: ``0`` success, ``1`` a paper claim diverged (``run``), ``2`` a
 usage error (unknown experiment, conflicting ``--categories``, rejected
@@ -34,7 +33,7 @@ from typing import Sequence
 # Module level: the optimizer, pipeline and streaming runtimes, which hold
 # every layer perfbench/layers.py traces, so that a traced run's
 # `python.import` span covers their import.  Each handler imports the
-# analysis, experiment-harness, document and lint modules only it runs.
+# analysis, experiment-harness and document modules only it runs.
 from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.result import ParetoFront
@@ -307,14 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     space_parser = subparsers.add_parser("search-space", help="print the Fact 1 search-space size")
     space_parser.add_argument("--categories", type=int, default=DEFAULT_CATEGORIES)
     space_parser.add_argument("--grid", type=int, default=100)
-
-    # repro-lint parses its own flags (`optrr lint --help`), so the analyzer
-    # is imported only when `lint` runs.
-    subparsers.add_parser(
-        "lint",
-        add_help=False,
-        help="run the repro-lint AST invariant analyzer (rules in docs/invariants.md)",
-    )
 
     return parser
 
@@ -965,13 +956,7 @@ def _command_search_space(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if args.command == "lint":
-        from repro.lintkit.runner import main as lint_main
-
-        return lint_main(extra, prog="optrr lint")
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _command_list()
     if args.command == "run":

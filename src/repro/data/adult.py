@@ -22,8 +22,6 @@ in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.data.dataset import CategoricalAttribute, CategoricalDataset
@@ -179,8 +177,3 @@ def load_adult_like(
         metadata.append(CategoricalAttribute(name, distribution.categories))
         columns.append(distribution.sample(n_records, seed=rng))
     return CategoricalDataset(tuple(metadata), np.column_stack(columns))
-
-
-def adult_marginals() -> Mapping[str, Mapping[str, float]]:
-    """Return a read-only view of the embedded approximate marginals."""
-    return {name: dict(weights) for name, weights in _ADULT_MARGINALS.items()}

@@ -10,7 +10,7 @@ adversary) and the utility metric (which needs the disguised distribution
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -181,10 +181,3 @@ class CategoricalDistribution:
             f"{label}={prob:.4f}" for label, prob in zip(self.categories, self.probabilities)
         )
         return f"CategoricalDistribution({pairs})"
-
-
-def empirical_distribution(
-    samples: Iterable[int] | np.ndarray, n_categories: int
-) -> CategoricalDistribution:
-    """Convenience alias for :meth:`CategoricalDistribution.from_samples`."""
-    return CategoricalDistribution.from_samples(np.asarray(list(samples)), n_categories)

@@ -11,7 +11,7 @@ dataset from that prior.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -194,14 +194,6 @@ def geometric_distribution(
     ks = np.arange(n_categories, dtype=np.float64)
     weights = success_probability * (1.0 - success_probability) ** ks
     return CategoricalDistribution.from_weights(weights)
-
-
-def custom_distribution(
-    weights: Sequence[float] | np.ndarray,
-    categories: Sequence[str] | None = None,
-) -> CategoricalDistribution:
-    """Build a prior from arbitrary non-negative weights."""
-    return CategoricalDistribution.from_weights(np.asarray(weights, dtype=np.float64), categories)
 
 
 #: Named registry of the synthetic priors used throughout the experiments.

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ValidationError
-
 
 def dominance_matrix_from_arrays(
     objectives: np.ndarray, feasible: np.ndarray | None = None
@@ -81,15 +79,3 @@ def pareto_ranks_from_arrays(
         alive &= ~front
         front_index += 1
     return ranks
-
-
-def non_dominated_objectives(objectives: np.ndarray) -> np.ndarray:
-    """Filter a raw objective array down to its non-dominated rows.
-
-    A convenience for working with plain ``(n_points, n_objectives)`` arrays
-    (e.g. baseline scheme sweeps).
-    """
-    points = np.asarray(objectives, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValidationError(f"objectives must be 2-D, got shape {points.shape}")
-    return points[non_dominated_indices(points)]

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError, ReproError, ValidationError
-from repro.types import SeedLike, as_rng
+from repro.types import SeedLike, as_rng, restore_rng_state, rng_state_document
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_counter, check_positive_int
@@ -265,7 +265,7 @@ class OptimizationDriver:
             "generation": self.generation,
             "stopped": bool(stopped),
             "elapsed_seconds": float(self._elapsed),
-            "rng_state": _rng_state_document(self.rng),
+            "rng_state": rng_state_document(self.rng),
             "termination": {"stale": self.stale},
             "state": self.optimization.state_document(),
         }
@@ -353,7 +353,7 @@ class OptimizationDriver:
             )
         elapsed = float(elapsed)
         self.optimization.restore_state(document["state"])
-        _restore_rng_state(self.rng, document["rng_state"])
+        restore_rng_state(self.rng, document["rng_state"])
         self.stale = stale
         self._elapsed = elapsed
         self._elapsed_anchor = elapsed
@@ -513,31 +513,6 @@ def workload_fingerprint(payload: dict[str, Any]) -> str:
     ).hexdigest()
 
 
-def _rng_state_document(rng: np.random.Generator) -> dict[str, Any]:
-    """The generator's bit-generator state as plain JSON data."""
-    return _plain(rng.bit_generator.state)
-
-
-def _restore_rng_state(rng: np.random.Generator, document: dict[str, Any]) -> None:
-    try:
-        rng.bit_generator.state = document
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ValidationError(f"cannot restore RNG state: {exc}") from exc
-
-
-def _plain(value: Any) -> Any:
-    """Recursively convert numpy scalars to native types (ints stay exact:
-    Python ints are arbitrary precision, and the PCG64 state is two 128-bit
-    integers)."""
-    if isinstance(value, dict):
-        return {key: _plain(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(entry) for entry in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 # -- ambient checkpoint scope --------------------------------------------------
 @dataclass
 class CheckpointScope:
@@ -619,11 +594,6 @@ def checkpoint_scope(
         yield scope
     finally:
         _ACTIVE_SCOPE = previous
-
-
-def active_checkpoint_scope() -> CheckpointScope | None:
-    """The innermost active scope, if any."""
-    return _ACTIVE_SCOPE
 
 
 def claim_scoped_checkpoint() -> tuple[Path | None, int, float | None, dict[str, Any] | None]:

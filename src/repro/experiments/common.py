@@ -24,7 +24,6 @@ from repro.experiments.base import (
     default_low_fidelity_fraction,
     default_population,
 )
-from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.family import WarnerFamily
 
 
@@ -172,11 +171,6 @@ def _measured_text(comparison: FrontComparison) -> str:
         f"wins/losses/ties {comparison.candidate_wins}/{comparison.baseline_wins}/"
         f"{comparison.ties}"
     )
-
-
-def evaluator_for(workload: FrontComparisonWorkload) -> MatrixEvaluator:
-    """The privacy/utility evaluator for a workload (used by ablations)."""
-    return MatrixEvaluator(workload.prior, workload.n_records, workload.delta)
 
 
 def empirical_front_mse(

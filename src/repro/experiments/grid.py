@@ -493,16 +493,54 @@ def run_grid(
         if on_task_done is not None:
             on_task_done(index, False)
 
-    def quarantine(index: int, attempts: list[CellAttempt]) -> CellFailure:
-        failure = CellFailure(
-            index=index, key=token_for(index), attempts=tuple(attempts)
+    failed: dict[int, list[CellAttempt]] = {}
+
+    def on_outcome(outcome: AttemptOutcome) -> float | None:
+        # The retry bookkeeping both executors feed every attempt through:
+        # record the cell's attempt history, finish a success, and return
+        # the backoff before a failed cell's next attempt (None once the
+        # cell is settled).  A cell out of attempts is quarantined under
+        # keep_going; otherwise its own exception (or a GridCellError for
+        # a timeout or crash) is raised.
+        index, attempt = outcome.index, outcome.attempt
+        if outcome.status == "ok":
+            record = failed.pop(index, None)
+            if record is not None:
+                record.append(CellAttempt(attempt, "ok"))
+                histories[index] = tuple(record)
+            assert outcome.document is not None
+            finish(index, outcome.document, attempt)
+            return None
+        message = outcome.message
+        record = failed.setdefault(index, [])
+        if attempt < policy.max_attempts:
+            backoff = policy.backoff_seconds(attempt)
+            record.append(CellAttempt(attempt, outcome.status, message, backoff))
+            logger.warning(
+                "%s: cell %d attempt %d failed (%s); retrying in %.2fs",
+                label, index, attempt, message, backoff,
+            )
+            return backoff
+        record.append(CellAttempt(attempt, outcome.status, message))
+        histories[index] = tuple(record)
+        failed.pop(index, None)
+        if policy.keep_going:
+            failure = CellFailure(index=index, key=token_for(index), attempts=tuple(record))
+            failures.append(failure)
+            logger.error(
+                "%s: cell %d (%s) quarantined after %d attempt(s): %s",
+                label, index, failure.key, len(record), failure.message,
+            )
+            return None
+        if outcome.error is not None:
+            # Re-raise the cell's real exception so callers keep their
+            # exception-type contracts (a process runner kills its remaining
+            # workers on the way out).
+            raise outcome.error
+        raise GridCellError(
+            f"{label}: cell {index} ({token_for(index)}) failed: {message}",
+            failure=CellFailure(index, token_for(index), tuple(record)),
         )
-        failures.append(failure)
-        logger.error(
-            "%s: cell %d (%s) quarantined after %d attempt(s): %s",
-            label, index, failure.key, len(attempts), failure.message,
-        )
-        return failure
 
     if pending:
         logger.info(
@@ -515,11 +553,10 @@ def run_grid(
         policy.cell_timeout is not None or (n_jobs > 1 and len(pending) > 1)
     )
     if not use_processes:
-        _run_serial(pending, bundle, finish, quarantine, histories, policy, label)
+        _run_serial(pending, bundle, on_outcome)
     else:
         _run_isolated(
-            pending, bundle, finish, quarantine, histories, policy, label,
-            n_jobs=n_jobs, token_for=token_for,
+            pending, bundle, on_outcome, n_jobs=n_jobs, cell_timeout=policy.cell_timeout
         )
 
     return GridReport(
@@ -541,139 +578,41 @@ def run_grid(
 def _run_serial(
     pending: list[int],
     bundle: Callable[[int, int], tuple],
-    finish: Callable[[int, dict[str, Any], int], None],
-    quarantine: Callable[[int, list[CellAttempt]], CellFailure],
-    histories: dict[int, tuple[CellAttempt, ...]],
-    policy: RetryPolicy,
-    label: str,
+    on_outcome: Callable[[AttemptOutcome], float | None],
 ) -> None:
     """In-process execution: retries and backoff, but no timeout or crash
     isolation (a worker that dies takes this process with it)."""
     for index in pending:
-        attempts: list[CellAttempt] = []
         attempt = 1
         while True:
             try:
                 document = _run_cell(bundle(index, attempt))
             except Exception as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                if attempt < policy.max_attempts:
-                    backoff = policy.backoff_seconds(attempt)
-                    attempts.append(CellAttempt(attempt, "error", message, backoff))
-                    logger.warning(
-                        "%s: cell %d attempt %d failed (%s); retrying in %.2fs",
-                        label, index, attempt, message, backoff,
-                    )
-                    time.sleep(backoff)
-                    attempt += 1
-                    continue
-                attempts.append(CellAttempt(attempt, "error", message))
-                histories[index] = tuple(attempts)
-                if policy.keep_going:
-                    quarantine(index, attempts)
-                    break
-                raise
+                outcome = AttemptOutcome(index, attempt, "error", error=exc)
             else:
-                if attempts:
-                    attempts.append(CellAttempt(attempt, "ok"))
-                    histories[index] = tuple(attempts)
-                finish(index, document, attempt)
+                outcome = AttemptOutcome(index, attempt, "ok", document=document)
+            backoff = on_outcome(outcome)
+            if backoff is None:
                 break
+            time.sleep(backoff)
+            attempt += 1
 
 
 def _run_isolated(
     pending: list[int],
     bundle: Callable[[int, int], tuple],
-    finish: Callable[[int, dict[str, Any], int], None],
-    quarantine: Callable[[int, list[CellAttempt]], CellFailure],
-    histories: dict[int, tuple[CellAttempt, ...]],
-    policy: RetryPolicy,
-    label: str,
+    on_outcome: Callable[[AttemptOutcome], float | None],
     *,
     n_jobs: int,
-    token_for: Callable[[int], str],
+    cell_timeout: float | None,
 ) -> None:
     """Process-isolated execution: kill-and-replace timeouts, crash
     classification, asynchronous backoff."""
-    in_flight: dict[int, list[CellAttempt]] = {}
-
-    def on_outcome(outcome: AttemptOutcome) -> float | None:
-        index, attempt = outcome.index, outcome.attempt
-        if outcome.status == "ok":
-            record = in_flight.pop(index, None)
-            if record is not None:
-                record.append(CellAttempt(attempt, "ok"))
-                histories[index] = tuple(record)
-            assert outcome.document is not None
-            finish(index, outcome.document, attempt)
-            return None
-        message = outcome.message
-        record = in_flight.setdefault(index, [])
-        if attempt < policy.max_attempts:
-            backoff = policy.backoff_seconds(attempt)
-            record.append(CellAttempt(attempt, outcome.status, message, backoff))
-            logger.warning(
-                "%s: cell %d attempt %d failed (%s); retrying in %.2fs",
-                label, index, attempt, message, backoff,
-            )
-            return backoff
-        record.append(CellAttempt(attempt, outcome.status, message))
-        histories[index] = tuple(record)
-        in_flight.pop(index, None)
-        if policy.keep_going:
-            quarantine(index, record)
-            return None
-        if outcome.error is not None:
-            # Re-raise the worker's real exception so callers keep their
-            # exception-type contracts (the runner kills remaining workers).
-            raise outcome.error
-        raise GridCellError(
-            f"{label}: cell {index} ({token_for(index)}) failed: {message}",
-            failure=CellFailure(index, token_for(index), tuple(record)),
-        )
-
     max_workers = min(max(1, n_jobs), len(pending))
     runner = ProcessCellRunner(
         _run_cell if max_workers == 1 else _run_cell_on_one_thread,
         bundle,
         max_workers=max_workers,
-        cell_timeout=policy.cell_timeout,
+        cell_timeout=cell_timeout,
     )
     runner.drive(pending, on_outcome)
-
-
-def execute_grid(
-    payloads: Sequence[Any],
-    worker: Callable[[Any], dict[str, Any]],
-    *,
-    parse: Callable[[dict[str, Any]], Any],
-    keys: Sequence[str] | None = None,
-    cache: DocumentCache | None = None,
-    n_jobs: int = 1,
-    on_task_done: Callable[[int, bool], None] | None = None,
-    label: str = "grid",
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-) -> list[GridOutcome]:
-    """Run a grid and require every cell to produce a result.
-
-    Thin wrapper over :func:`run_grid` for callers that have no use for a
-    partial grid: quarantined cells (possible only with
-    ``policy.keep_going``) raise :class:`GridCellError`.  See
-    :func:`run_grid` for parameter semantics.
-    """
-    report = run_grid(
-        payloads,
-        worker,
-        parse=parse,
-        keys=keys,
-        cache=cache,
-        n_jobs=n_jobs,
-        on_task_done=on_task_done,
-        label=label,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        policy=policy,
-    )
-    return report.require_complete()

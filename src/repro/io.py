@@ -40,7 +40,6 @@ from repro.core.result import OptimizationResult, ParetoFront
 from repro.exceptions import CheckpointCorruptionError, ValidationError
 from repro.faults.injector import truncate_checkpoint_file
 from repro.rr.matrix import RRMatrix
-from repro.utils.arrays import dump_canonical_json
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_counter
 
@@ -397,87 +396,6 @@ def pipeline_result_to_dict(result: "PipelineResult") -> dict[str, Any]:
     }
 
 
-def pipeline_result_from_dict(document: dict[str, Any]) -> "PipelineResult":
-    """Deserialize a pipeline result from :func:`pipeline_result_to_dict`
-    output (cache provenance flags reset — a loaded document no longer knows
-    which cells were cache hits)."""
-    from repro.pipeline.runner import (
-        PipelineCellRecord,
-        PipelineResult,
-        SchemeEvaluation,
-    )
-    from repro.pipeline.spec import PipelineScheme, PipelineSpec
-
-    _check_document(document, "pipeline_result")
-    schemes = tuple(
-        PipelineScheme(name=str(item["name"]), matrix=matrix_from_dict(item["matrix"]))
-        for item in document.get("schemes", [])
-    )
-    evaluations = tuple(
-        SchemeEvaluation(
-            scheme=str(item["name"]),
-            privacy=float(item["privacy"]),
-            utility=float(item["utility"]),
-            max_posterior=float(item["max_posterior"]),
-            invertible=bool(item.get("invertible", True)),
-        )
-        for item in document.get("schemes", [])
-    )
-    miner_params = tuple(
-        (str(miner), tuple(sorted(dict(params).items())))
-        for miner, params in document.get("miner_params", {}).items()
-    )
-    raw_categories = document.get("n_categories")
-    spec = PipelineSpec(
-        data=str(document["data"]),
-        n_records=int(document["n_records"]),
-        n_categories=int(raw_categories) if raw_categories is not None else None,
-        schemes=schemes,
-        miners=tuple(str(miner) for miner in document.get("miners", [])),
-        seeds=tuple(int(seed) for seed in document.get("seeds", [])),
-        miner_params=miner_params,
-    )
-    cells = tuple(
-        PipelineCellRecord(
-            scheme=str(item["scheme"]),
-            seed=int(item["seed"]),
-            miner=str(item["miner"]),
-            metrics={key: float(value) for key, value in item.get("metrics", {}).items()},
-            from_cache=False,
-        )
-        for item in document.get("cells", [])
-    )
-    manifest = document.get("failure_manifest")
-    failures: tuple[tuple[str, int, str], ...] = ()
-    if manifest is not None:
-        failures = tuple(
-            (str(cell["scheme"]), int(cell["seed"]), str(cell["miner"]))
-            for cell in manifest.get("cells", [])
-            if cell.get("quarantined")
-        )
-    return PipelineResult(
-        spec=spec,
-        evaluations=evaluations,
-        cells=cells,
-        failures=failures,
-        failure_manifest=manifest,
-    )
-
-
-def save_pipeline_result(result: "PipelineResult", path: str | Path) -> Path:
-    """Write a pipeline result to a canonical-JSON file and return the path."""
-    path = Path(path)
-    path.write_text(dump_canonical_json(pipeline_result_to_dict(result)), encoding="utf-8")
-    return path
-
-
-def load_pipeline_result(path: str | Path) -> "PipelineResult":
-    """Read a pipeline result from a JSON file written by
-    :func:`save_pipeline_result`."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    return pipeline_result_from_dict(document)
-
-
 def checkpoint_rotation_path(path: str | Path) -> Path:
     """The ``.prev`` rotation sibling of a checkpoint file."""
     path = Path(path)
@@ -629,21 +547,6 @@ def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Pat
             f"both corrupt or missing"
         ) from corruption
     raise FileNotFoundError(f"no checkpoint at {path}")
-
-
-def save_experiment_result(result: "ExperimentResult", path: str | Path) -> Path:
-    """Write an experiment result to a canonical-JSON file and return the
-    path."""
-    path = Path(path)
-    path.write_text(dump_canonical_json(experiment_result_to_dict(result)), encoding="utf-8")
-    return path
-
-
-def load_experiment_result(path: str | Path) -> "ExperimentResult":
-    """Read an experiment result from a JSON file written by
-    :func:`save_experiment_result`."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    return experiment_result_from_dict(document)
 
 
 def save_matrix(matrix: RRMatrix, path: str | Path) -> Path:

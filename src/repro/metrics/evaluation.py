@@ -247,8 +247,7 @@ class BatchEvaluation:
     """Privacy/utility evaluation of a whole stack of RR matrices.
 
     Every attribute is an array over the batch dimension ``B``; index the
-    object (or call :meth:`unpack`) to recover per-matrix
-    :class:`MatrixEvaluation` views.
+    object to recover a per-matrix :class:`MatrixEvaluation` view.
 
     Attributes
     ----------
@@ -288,10 +287,6 @@ class BatchEvaluation:
             feasible=bool(self.feasible[index]),
             invertible=bool(self.invertible[index]),
         )
-
-    def unpack(self) -> list[MatrixEvaluation]:
-        """Per-matrix :class:`MatrixEvaluation` objects, in batch order."""
-        return [self[index] for index in range(len(self))]
 
     @property
     def objectives(self) -> np.ndarray:
@@ -410,9 +405,3 @@ class MatrixEvaluator:
                 f"domain {self.n_categories}"
             )
         return self.evaluate_batch(matrix.probabilities[None, :, :])[0]
-
-    def evaluate_many(self, matrices: list[RRMatrix]) -> list[MatrixEvaluation]:
-        """Evaluate a batch of matrices (vectorized, scalar results)."""
-        if not matrices:
-            return []
-        return self.evaluate_batch(matrices).unpack()

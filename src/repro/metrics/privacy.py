@@ -8,16 +8,17 @@ the optimal (MAP) estimation strategy:
 The worst-case constraint (Eq. 9) additionally bounds every posterior:
 ``max_y max_x P(x | y) <= delta``.  Theorem 5 shows ``delta`` can never be
 smaller than the largest prior probability.
+
+The posterior kernels here work on a ``(B, n, n)`` stack of RR matrices, the form
+:mod:`repro.metrics.evaluation` and the repair operator consume; the
+one-matrix reference forms live in ``tests/oracles/scalar.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import InfeasibleBoundError, ValidationError
-from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval, check_probability_vector
 
 #: Numerical slack used when checking the delta bound, so matrices produced by
@@ -26,21 +27,9 @@ from repro.utils.validation import check_in_unit_interval, check_probability_vec
 BOUND_ATOL = 1e-9
 
 
-def _joint_matrix(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Return ``joint[y, x] = P(Y = c_y, X = c_x) = M[y, x] P(x)``."""
-    prior = check_probability_vector(prior, "prior")
-    probabilities = matrix.probabilities if isinstance(matrix, RRMatrix) else np.asarray(matrix)
-    if probabilities.shape != (prior.size, prior.size):
-        raise ValidationError(
-            f"RR matrix shape {probabilities.shape} does not match prior of "
-            f"length {prior.size}"
-        )
-    return probabilities * prior[None, :]
-
-
 def joint_tensor(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Batched joint ``joint[b, y, x] = M_b[y, x] P(x)`` for a ``(B, n, n)``
-    stack of RR matrices (the broadcast analogue of :func:`_joint_matrix`)."""
+    stack of RR matrices."""
     prior = check_probability_vector(prior, "prior")
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1:] != (prior.size, prior.size):
@@ -57,7 +46,7 @@ def posterior_from_joint(joint: np.ndarray) -> np.ndarray:
     Works on a single ``(n, n)`` joint matrix or a ``(B, n, n)`` joint tensor
     (the candidate-original axis is always last).  Rows whose report has zero
     probability are returned as all zeros — this helper is the single home of
-    that convention for both the scalar and batched paths.
+    that convention.
     """
     report_probabilities = joint.sum(axis=-1, keepdims=True)
     safe = np.where(report_probabilities > 0, report_probabilities, 1.0)
@@ -67,75 +56,8 @@ def posterior_from_joint(joint: np.ndarray) -> np.ndarray:
 def posterior_tensor(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Batched posterior ``P(X = c_x | Y = c_y)`` for every matrix in a
     ``(B, n, n)`` stack; rows with zero report probability come back as zeros
-    (same convention as :func:`posterior_matrix`)."""
+    (see :func:`posterior_from_joint`)."""
     return posterior_from_joint(joint_tensor(stack, prior))
-
-
-def adversary_accuracy_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Per-matrix adversary accuracy ``A`` (Eq. 8) for a ``(B, n, n)`` stack."""
-    joint = joint_tensor(stack, prior)
-    return joint.max(axis=2).sum(axis=1)
-
-
-def privacy_score_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Per-matrix privacy ``1 - A`` (Eq. 8) for a ``(B, n, n)`` stack."""
-    return 1.0 - adversary_accuracy_batch(stack, prior)
-
-
-def max_posterior_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Per-matrix worst-case posterior (Eq. 9 left-hand side) for a stack."""
-    return posterior_tensor(stack, prior).max(axis=(1, 2))
-
-
-def posterior_matrix(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Posterior ``P(X = c_x | Y = c_y)`` for every (report, original) pair.
-
-    Rows index the observed report ``y``; columns index the candidate original
-    value ``x``.  Rows whose report has zero probability under the prior are
-    returned as all zeros (the report can never be observed).
-    """
-    return posterior_from_joint(_joint_matrix(matrix, prior))
-
-
-def map_estimates(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """MAP estimate ``x_hat_y`` for every possible report ``y`` (Theorem 3)."""
-    posterior = posterior_matrix(matrix, prior)
-    return np.argmax(posterior, axis=1)
-
-
-def adversary_accuracy(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
-    """The adversary's expected accuracy ``A`` under MAP estimation (Eq. 8
-    before the ``1 -`` complement)."""
-    joint = _joint_matrix(matrix, prior)
-    return float(joint.max(axis=1).sum())
-
-
-def privacy_score(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
-    """Privacy of an RR matrix for a given prior: ``1 - A`` (Eq. 8).
-
-    Larger values mean better privacy.  The value lies in
-    ``[0, 1 - max_x P(x)]`` because the adversary can always guess the prior
-    mode.
-    """
-    return 1.0 - adversary_accuracy(matrix, prior)
-
-
-def max_posterior(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
-    """The largest posterior ``max_y max_x P(x | y)`` (the quantity bounded by
-    ``delta`` in Eq. 9)."""
-    return float(posterior_matrix(matrix, prior).max())
-
-
-def satisfies_bound(
-    matrix: RRMatrix | np.ndarray,
-    prior: np.ndarray,
-    delta: float,
-    *,
-    atol: float = BOUND_ATOL,
-) -> bool:
-    """Whether the matrix satisfies the worst-case bound ``max P(X|Y) <= delta``."""
-    check_in_unit_interval(delta, "delta", inclusive_low=False)
-    return max_posterior(matrix, prior) <= delta + atol
 
 
 def check_bound_feasible(prior: np.ndarray, delta: float) -> None:
@@ -148,47 +70,3 @@ def check_bound_feasible(prior: np.ndarray, delta: float) -> None:
             f"delta={delta} is below the largest prior probability "
             f"{prior.max():.6f}; by Theorem 5 no RR matrix can satisfy it"
         )
-
-
-@dataclass(frozen=True)
-class PrivacyReport:
-    """Full privacy analysis of one RR matrix against one prior.
-
-    Attributes
-    ----------
-    privacy:
-        The average-case privacy score ``1 - A`` (Eq. 8).
-    adversary_accuracy:
-        The adversary's expected MAP accuracy ``A``.
-    max_posterior:
-        The worst-case posterior (Eq. 9 left-hand side).
-    map_estimates:
-        MAP estimate index for every possible report.
-    posterior:
-        The full posterior matrix ``P(X | Y)``.
-    """
-
-    privacy: float
-    adversary_accuracy: float
-    max_posterior: float
-    map_estimates: np.ndarray
-    posterior: np.ndarray
-
-    def satisfies(self, delta: float, *, atol: float = BOUND_ATOL) -> bool:
-        """Whether the analysed matrix satisfies the bound ``delta``."""
-        check_in_unit_interval(delta, "delta", inclusive_low=False)
-        return self.max_posterior <= delta + atol
-
-
-def privacy_report(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> PrivacyReport:
-    """Compute the full :class:`PrivacyReport` for ``matrix`` and ``prior``."""
-    joint = _joint_matrix(matrix, prior)
-    posterior = posterior_from_joint(joint)
-    accuracy = float(joint.max(axis=1).sum())
-    return PrivacyReport(
-        privacy=1.0 - accuracy,
-        adversary_accuracy=accuracy,
-        max_posterior=float(posterior.max()),
-        map_estimates=np.argmax(posterior, axis=1),
-        posterior=posterior,
-    )

@@ -14,59 +14,18 @@ where ``B = M^-1`` and ``(N_1, ..., N_n)`` is a multinomial sample of size
 
 because ``sum_i B[k, i] P*_i = (M^-1 P*)_k = P_k``.  The reported utility is
 the average MSE over all categories (Eq. 10); *lower is better*.
+
+Both functions here work on a ``(B, n, n)`` stack of RR matrices; the
+one-matrix closed form and the explicit Var/Cov expansion it is checked
+against live in ``tests/oracles/scalar.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.rr.estimation import DistributionEstimate
-from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_positive_int, check_probability_vector
-
-
-def theoretical_mse(
-    matrix: RRMatrix,
-    prior: np.ndarray,
-    n_records: int,
-) -> np.ndarray:
-    """Per-category closed-form MSE of the inversion estimator (Theorem 6).
-
-    Parameters
-    ----------
-    matrix:
-        The RR matrix ``M`` (must be invertible).
-    prior:
-        The original distribution ``P``.
-    n_records:
-        Number of records ``N`` in the disguised data set.
-
-    Returns
-    -------
-    numpy.ndarray
-        Vector of per-category MSE values ``MSE(X = c_k)``.
-    """
-    prior = check_probability_vector(prior, "prior")
-    check_positive_int(n_records, "n_records")
-    if matrix.n_categories != prior.size:
-        raise ValidationError(
-            f"matrix domain {matrix.n_categories} does not match prior length {prior.size}"
-        )
-    inverse = matrix.inverse()
-    disguised = matrix.disguise_distribution(prior)
-    # Var(sum_i B[k,i] p*_i_hat) with multinomial covariance of p*_hat:
-    #   (1/N) [ sum_i B[k,i]^2 p*_i - (sum_i B[k,i] p*_i)^2 ]
-    linear = inverse @ disguised  # equals the prior, up to numerical error
-    quadratic = (inverse ** 2) @ disguised
-    return (quadratic - linear ** 2) / float(n_records)
-
-
-def utility_score(matrix: RRMatrix, prior: np.ndarray, n_records: int) -> float:
-    """Average closed-form MSE over all categories (Eq. 10); lower is better."""
-    return float(np.mean(theoretical_mse(matrix, prior, n_records)))
 
 
 def theoretical_mse_batch(
@@ -121,82 +80,3 @@ def utility_score_batch(
 ) -> np.ndarray:
     """Per-matrix average closed-form MSE (Eq. 10) for a ``(B, n, n)`` stack."""
     return theoretical_mse_batch(stack, inverses, prior, n_records).mean(axis=1)
-
-
-def variance_covariance(disguised: np.ndarray, n_records: int) -> np.ndarray:
-    """Multinomial covariance matrix of the empirical disguised frequencies.
-
-    ``Var(N_i / N) = P*_i (1 - P*_i) / N`` and
-    ``Cov(N_i / N, N_j / N) = -P*_i P*_j / N``; this is the matrix the paper's
-    Theorem 6 expands term by term.
-    """
-    p_star = check_probability_vector(disguised, "disguised")
-    check_positive_int(n_records, "n_records")
-    covariance = -np.outer(p_star, p_star)
-    covariance[np.diag_indices_from(covariance)] = p_star * (1.0 - p_star)
-    return covariance / float(n_records)
-
-
-def theoretical_mse_from_covariance(
-    matrix: RRMatrix, prior: np.ndarray, n_records: int
-) -> np.ndarray:
-    """Per-category MSE computed via the explicit quadratic form
-    ``B Sigma B^T`` (used in tests to cross-check the fast closed form)."""
-    prior = check_probability_vector(prior, "prior")
-    inverse = matrix.inverse()
-    disguised = matrix.disguise_distribution(prior)
-    covariance = variance_covariance(disguised, n_records)
-    return np.einsum("ki,ij,kj->k", inverse, covariance, inverse)
-
-
-def empirical_mse(
-    estimates: list[DistributionEstimate] | list[np.ndarray],
-    true_prior: np.ndarray,
-) -> float:
-    """Empirical mean squared error of repeated distribution estimates.
-
-    Used by Figure 5(d), where the utility of each matrix is re-measured by
-    actually disguising the data and running the iterative estimator, instead
-    of using the closed form.
-    """
-    truth = check_probability_vector(true_prior, "true_prior")
-    if not estimates:
-        raise ValidationError("at least one estimate is required")
-    errors = []
-    for estimate in estimates:
-        vector = estimate.probabilities if isinstance(estimate, DistributionEstimate) else np.asarray(estimate)
-        if vector.shape != truth.shape:
-            raise ValidationError(
-                f"estimate shape {vector.shape} does not match prior shape {truth.shape}"
-            )
-        errors.append(np.mean((vector - truth) ** 2))
-    return float(np.mean(errors))
-
-
-@dataclass(frozen=True)
-class UtilityReport:
-    """Full utility analysis of one RR matrix against one prior.
-
-    Attributes
-    ----------
-    utility:
-        Average per-category MSE (Eq. 10); lower is better.
-    per_category_mse:
-        The closed-form MSE of each category's estimate.
-    n_records:
-        Sample size the MSE was computed for.
-    """
-
-    utility: float
-    per_category_mse: np.ndarray
-    n_records: int
-
-
-def utility_report(matrix: RRMatrix, prior: np.ndarray, n_records: int) -> UtilityReport:
-    """Compute the full :class:`UtilityReport` for ``matrix`` and ``prior``."""
-    per_category = theoretical_mse(matrix, prior, n_records)
-    return UtilityReport(
-        utility=float(np.mean(per_category)),
-        per_category_mse=per_category,
-        n_records=int(n_records),
-    )

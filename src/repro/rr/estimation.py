@@ -14,7 +14,6 @@ Two estimators are implemented, matching Section III-A of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -59,15 +58,6 @@ class DistributionEstimate:
         """Mean squared error of the corrected estimate against the truth."""
         truth = check_probability_vector(true_probabilities, "true_probabilities")
         return float(np.mean((self.probabilities - truth) ** 2))
-
-
-class DistributionEstimator(Protocol):
-    """Protocol shared by all distribution estimators."""
-
-    def estimate(
-        self, disguised_counts: np.ndarray, matrix: RRMatrix
-    ) -> DistributionEstimate:  # pragma: no cover - protocol
-        ...
 
 
 def _empirical_disguised_distribution(disguised_counts: np.ndarray, n_categories: int) -> np.ndarray:

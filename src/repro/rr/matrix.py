@@ -187,12 +187,6 @@ def stack_matrices(matrices: "list[RRMatrix] | tuple[RRMatrix, ...]") -> np.ndar
     return np.stack([matrix.probabilities for matrix in matrices])
 
 
-def unstack_matrices(stack: np.ndarray) -> list[RRMatrix]:
-    """Turn a ``(B, n, n)`` array back into validated :class:`RRMatrix`
-    objects (the inverse of :func:`stack_matrices`)."""
-    return [RRMatrix(matrix) for matrix in check_matrix_stack(stack)]
-
-
 def as_matrix_stack(matrices: "np.ndarray | list[RRMatrix]") -> np.ndarray:
     """Accept either a ``(B, n, n)`` array or a list of :class:`RRMatrix` and
     return the stacked array (copying only in the list case)."""

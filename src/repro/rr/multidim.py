@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -134,14 +133,3 @@ class MultiDimensionalRR:
             else:
                 raise DataError(f"unknown estimation method {method!r}")
         return estimates
-
-
-def joint_distribution_from_marginals(marginals: Sequence[np.ndarray]) -> np.ndarray:
-    """Outer-product joint distribution of independent per-attribute marginals
-    (useful for constructing ground truth in tests and examples)."""
-    if not marginals:
-        raise DataError("at least one marginal is required")
-    joint = np.asarray(marginals[0], dtype=np.float64)
-    for marginal in marginals[1:]:
-        joint = np.outer(joint, np.asarray(marginal, dtype=np.float64)).ravel()
-    return joint

@@ -135,21 +135,3 @@ class RandomizedResponse:
     def expected_disguised_distribution(self, prior: np.ndarray) -> np.ndarray:
         """Return ``P* = M P`` for a prior ``P`` (Eq. 1)."""
         return self.matrix.disguise_distribution(prior)
-
-
-def randomize_dataset(
-    dataset: CategoricalDataset,
-    matrices: dict[str, RRMatrix],
-    seed: SeedLike = None,
-) -> CategoricalDataset:
-    """Disguise several attributes of ``dataset`` (one RR matrix each).
-
-    Attributes without a matrix are left untouched.  This is the
-    one-dimensional-RR-per-attribute setting the paper focuses on.
-    """
-    rng = as_rng(seed)
-    result = dataset
-    for attribute, matrix in matrices.items():
-        mechanism = RandomizedResponse(matrix)
-        result = mechanism.randomize_attribute(result, attribute, seed=rng)
-    return result

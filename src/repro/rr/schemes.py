@@ -28,16 +28,6 @@ from repro.utils.validation import (
 )
 
 
-def identity_matrix(n_categories: int) -> RRMatrix:
-    """The no-disguise matrix (the paper's ``M1`` example)."""
-    return RRMatrix.identity(n_categories)
-
-
-def total_randomization_matrix(n_categories: int) -> RRMatrix:
-    """The full-randomization matrix (the paper's ``M2`` example)."""
-    return RRMatrix.uniform(n_categories)
-
-
 def warner_matrix(n_categories: int, p: float) -> RRMatrix:
     """Warner scheme matrix with retention probability ``p``.
 

@@ -41,7 +41,7 @@ from repro.rr.estimation import (
 )
 from repro.rr.matrix import RRMatrix
 from repro.rr.randomize import RandomizedResponse, check_codes
-from repro.types import SeedLike, as_rng
+from repro.types import SeedLike, as_rng, restore_rng_state, rng_state_document
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_counter, check_positive_int
 
@@ -208,18 +208,6 @@ class CodeLineWriter:
         self._stream.write(self._lines[codes].tobytes().replace(b"\0", b""))
 
 
-def _plain_state(value: Any) -> Any:
-    """Recursively convert numpy scalars in a bit-generator state dict to
-    native Python types (exact: Python ints are arbitrary precision)."""
-    if isinstance(value, dict):
-        return {key: _plain_state(entry) for key, entry in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):  # pragma: no cover - PCG64 state is ints
-        return float(value)
-    return value
-
-
 def _check_schema(schema: Any, expected: str, owner: str) -> None:
     if schema != expected:
         raise ValidationError(
@@ -272,17 +260,14 @@ class StreamingDisguiser:
         """JSON-compatible snapshot for a warm restart."""
         return {
             "schema": DISGUISER_STATE_SCHEMA,
-            "rng_state": _plain_state(self._rng.bit_generator.state),
+            "rng_state": rng_state_document(self._rng),
             "records_seen": int(self._records_seen),
         }
 
     def restore_state(self, document: dict[str, Any]) -> None:
         """Restore a :meth:`state_document` snapshot (bit-exact resume)."""
         _check_schema(document.get("schema"), DISGUISER_STATE_SCHEMA, "StreamingDisguiser")
-        try:
-            self._rng.bit_generator.state = document["rng_state"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"cannot restore RNG state: {exc}") from exc
+        restore_rng_state(self._rng, document.get("rng_state"))
         self._records_seen = check_counter(
             document["records_seen"], "StreamingDisguiser records_seen"
         )

@@ -1,14 +1,13 @@
-"""Shared type aliases used across the library."""
+"""Shared type aliases and the seeded-generator helpers used across the library."""
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-#: A probability vector over the categorical domain (sums to one).
-ProbabilityVector = NDArray[np.float64]
+from repro.exceptions import ValidationError
 
 #: A column-stochastic randomized-response matrix.
 MatrixLike = Union[NDArray[np.float64], Sequence[Sequence[float]]]
@@ -26,3 +25,29 @@ def as_rng(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def rng_state_document(rng: np.random.Generator) -> dict[str, Any]:
+    """The generator's bit-generator state as plain JSON data."""
+    return _plain(rng.bit_generator.state)
+
+
+def restore_rng_state(rng: np.random.Generator, state: Any) -> None:
+    """Restore a :func:`rng_state_document` snapshot into ``rng``."""
+    try:
+        rng.bit_generator.state = state
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"cannot restore RNG state: {exc}") from exc
+
+
+def _plain(value: Any) -> Any:
+    """Recursively convert numpy scalars to native types (ints stay exact:
+    Python ints are arbitrary precision, and the PCG64 state is two 128-bit
+    integers)."""
+    if isinstance(value, dict):
+        return {key: _plain(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(entry) for entry in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value

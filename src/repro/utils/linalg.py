@@ -95,22 +95,6 @@ def safe_inverse(
     return inverse
 
 
-def batched_condition_numbers(stack: np.ndarray) -> np.ndarray:
-    """Condition number of every matrix in a ``(B, n, n)`` stack.
-
-    Singular matrices get ``inf`` instead of raising, so a whole population
-    can be classified in one call.
-    """
-    stack = check_matrix_stack(stack)
-    if stack.shape[0] == 0:
-        return np.empty(0)
-    try:
-        conditions = np.linalg.cond(stack)
-    except np.linalg.LinAlgError:  # pragma: no cover - gesdd non-convergence
-        conditions = np.array([condition_number(matrix) for matrix in stack])
-    return np.where(np.isnan(conditions), np.inf, conditions)
-
-
 def batched_safe_inverses(
     stack: np.ndarray,
     *,

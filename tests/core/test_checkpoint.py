@@ -284,20 +284,20 @@ class TestRngStateRoundTrip:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=500))
     @settings(max_examples=30, deadline=None)
     def test_bit_generator_state_round_trips(self, seed, burn):
-        from repro.emoo.driver import _restore_rng_state, _rng_state_document
+        from repro.types import restore_rng_state, rng_state_document
 
         rng = np.random.default_rng(seed)
         rng.random(burn)  # advance to an arbitrary mid-stream state
-        document = json_round_trip(_rng_state_document(rng))
+        document = json_round_trip(rng_state_document(rng))
         expected = rng.random(128)
         fresh = np.random.default_rng(0)
-        _restore_rng_state(fresh, document)
+        restore_rng_state(fresh, document)
         np.testing.assert_array_equal(fresh.random(128), expected)
 
     def test_restore_into_wrong_bit_generator(self):
-        from repro.emoo.driver import _restore_rng_state
+        from repro.types import restore_rng_state
 
         rng = np.random.Generator(np.random.MT19937(0))
         document = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2}}
         with pytest.raises(ValidationError, match="RNG state"):
-            _restore_rng_state(rng, document)
+            restore_rng_state(rng, document)

@@ -12,9 +12,9 @@ from repro.core.operators import (
     random_initial_matrices,
 )
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import max_posterior
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import max_posterior
 
 
 def assert_is_rr_matrix(matrix: RRMatrix) -> None:

@@ -16,8 +16,8 @@ from repro.emoo.dominance import non_dominated_indices
 from repro.emoo.population import Population
 from repro.exceptions import InfeasibleBoundError
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.metrics.privacy import max_posterior
 from repro.rr.family import WarnerFamily
+from tests.oracles.scalar import max_posterior
 
 
 def utility_at_privacy(front: ParetoFront, privacy: float) -> float:

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.problem import RRMatrixProblem
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import max_posterior
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import max_posterior
 
 
 def evaluate(problem: RRMatrixProblem, matrix: RRMatrix):

@@ -8,7 +8,6 @@ import pytest
 from repro.data.adult import (
     adult_attribute_distribution,
     adult_attribute_names,
-    adult_marginals,
     load_adult_like,
 )
 from repro.exceptions import DataError
@@ -36,12 +35,6 @@ class TestMarginals:
     def test_unknown_attribute_raises(self):
         with pytest.raises(DataError, match="unknown Adult attribute"):
             adult_attribute_distribution("shoe_size")
-
-    def test_marginals_view_is_a_copy(self):
-        view = adult_marginals()
-        view["age"]["17-24"] = 99.0
-        assert adult_attribute_distribution("age").probabilities.sum() == pytest.approx(1.0)
-
 
 class TestLoadAdultLike:
     def test_default_shape(self):

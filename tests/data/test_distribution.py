@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.distribution import CategoricalDistribution, empirical_distribution
+from repro.data.distribution import CategoricalDistribution
 from repro.exceptions import DataError
+
+
+def empirical_distribution(samples, n_categories: int) -> CategoricalDistribution:
+    """Convenience alias for :meth:`CategoricalDistribution.from_samples`."""
+    return CategoricalDistribution.from_samples(np.asarray(list(samples)), n_categories)
 
 
 class TestConstruction:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.data.synthetic import (
     DISTRIBUTION_FACTORIES,
-    custom_distribution,
     gamma_distribution,
     geometric_distribution,
     make_distribution,
@@ -69,10 +68,6 @@ class TestOtherDistributions:
     def test_geometric_is_decreasing(self):
         probs = geometric_distribution(8, success_probability=0.5).probabilities
         assert np.all(np.diff(probs) < 0)
-
-    def test_custom(self):
-        dist = custom_distribution([1, 1, 2], categories=("a", "b", "c"))
-        np.testing.assert_allclose(dist.probabilities, [0.25, 0.25, 0.5])
 
     def test_registry_contains_paper_distributions(self):
         assert {"normal", "gamma", "uniform"} <= set(DISTRIBUTION_FACTORIES)

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
     non_dominated_indices,
-    non_dominated_objectives,
     pareto_ranks_from_arrays,
 )
 
@@ -106,18 +104,3 @@ class TestParetoRanks:
     def test_every_individual_is_ranked(self, rng):
         ranks = pareto_ranks_from_arrays(rng.normal(size=(30, 2)))
         assert np.all(ranks >= 0)
-
-
-class TestNonDominatedObjectives:
-    def test_filters_raw_arrays(self):
-        points = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-        kept = non_dominated_objectives(points)
-        assert kept.shape == (3, 2)
-        assert not any(np.allclose(row, [1.0, 1.0]) for row in kept)
-
-    def test_rejects_1d_input(self):
-        with pytest.raises(ValueError):
-            non_dominated_objectives(np.array([1.0, 2.0]))
-
-    def test_empty_input_passthrough(self):
-        assert non_dominated_objectives(np.empty((0, 2))).shape == (0, 2)

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from repro.experiments.grid import DocumentCache, execute_grid
+from repro.experiments.grid import DocumentCache, GridOutcome, run_grid
+
+
+def execute_grid(payloads, worker, **options) -> list[GridOutcome]:
+    """Run a grid and require every cell to produce a result."""
+    return run_grid(payloads, worker, **options).require_complete()
 
 
 def _worker(payload):

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit.baseline import (
+from lintkit.baseline import (
     JUSTIFICATION_PLACEHOLDER,
     Baseline,
     load_baseline,
     write_baseline,
 )
-from repro.lintkit.model import Violation
-from repro.lintkit.runner import main
+from lintkit.model import Violation
+from lintkit.runner import main
 
 
 def _violation(snippet: str = "import random") -> Violation:

@@ -1,5 +1,5 @@
-"""Entry points and the self-gate: ``tools/lint_repro.py``, ``optrr lint``,
-the real tree staying clean, and the cache-key acceptance check."""
+"""The entry point and the self-gate: ``tools/lint_repro.py``, the real tree
+staying clean, and the cache-key acceptance check."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import pytest
 
 from lintkit_helpers import REPO_ROOT, lint_tree
 
-from repro.cli import main as cli_main
-from repro.lintkit.runner import main as runner_main
+from lintkit.runner import main as runner_main
 
 MATERIALIZATION_LINE = '"low_fidelity_fraction": default_low_fidelity_fraction(),'
 
@@ -33,17 +32,8 @@ def test_bad_root_is_a_usage_error(tmp_path: Path) -> None:
     assert runner_main(["--root", str(tmp_path / "missing")]) == 2
 
 
-def test_cli_subcommand_dispatches(bad_tree: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    assert cli_main(["lint", "--list-rules"]) == 0
-    assert "rng-discipline" in capsys.readouterr().out
-    assert (
-        cli_main(["lint", "--root", str(bad_tree), "--no-baseline", "src"]) == 1
-    )
-    assert "RL001[rng-discipline]" in capsys.readouterr().out
-
-
 def test_tools_wrapper_runs_without_pythonpath(tmp_path: Path) -> None:
-    # The wrapper must bootstrap src/ onto sys.path on its own.
+    # The wrapper finds tools/lintkit on its own, without PYTHONPATH.
     result = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "lint_repro.py"), "--list-rules"],
         capture_output=True,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from lintkit_helpers import lint_tree
 
-from repro.lintkit.pragmas import parse_pragmas
+from lintkit.pragmas import parse_pragmas
 
 
 def _tree_with(tmp_path: Path, body: str) -> Path:

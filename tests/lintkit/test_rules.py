@@ -12,7 +12,7 @@ from pathlib import Path
 
 from lintkit_helpers import lint_tree
 
-from repro.lintkit.registry import all_rules
+from lintkit.registry import all_rules
 
 
 def _by_rule(violations) -> dict[str, list]:

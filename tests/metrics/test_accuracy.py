@@ -1,4 +1,5 @@
-"""Tests for repro.metrics.accuracy (Bayes estimation, Theorems 3 and 4)."""
+"""Tests for the Bayes-estimation oracle (tests/oracles/accuracy.py,
+Theorems 3 and 4)."""
 
 from __future__ import annotations
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError, ValidationError
-from repro.metrics.accuracy import (
+from repro.metrics.evaluation import evaluate_stack
+from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices
+from repro.rr.schemes import warner_matrix
+from tests.oracles.accuracy import (
     OrdinalAccuracy,
     ZeroOneAccuracy,
     bayes_estimate,
     expected_accuracy,
 )
-from repro.rr.schemes import warner_matrix
 
 
 class TestZeroOneAccuracy:
@@ -90,3 +93,47 @@ class TestExpectedAccuracy:
     def test_shape_mismatch_raises(self, small_prior):
         with pytest.raises(ValidationError):
             expected_accuracy(small_prior.probabilities, np.eye(3))
+
+
+PRIOR_FIXTURES = ["small_prior", "normal_prior", "gamma_prior", "uniform_prior"]
+
+
+def _test_matrices(n_categories: int) -> list[RRMatrix]:
+    """Identity, total randomization, a Warner matrix, random matrices, and
+    one matrix that never reports category 0 (a zero-probability report)."""
+    rng = np.random.default_rng(n_categories)
+    never_zero = np.full((n_categories, n_categories), 1.0 / (n_categories - 1))
+    never_zero[0] = 0.0
+    return [
+        RRMatrix.identity(n_categories),
+        RRMatrix.uniform(n_categories),
+        warner_matrix(n_categories, 0.6),
+        random_rr_matrix(n_categories, rng),
+        random_rr_matrix(n_categories, rng, diagonal_bias=2.0),
+        RRMatrix(never_zero),
+    ]
+
+
+class TestProductionPrivacyKernel:
+    """Report-by-report Bayes estimation as a second opinion on the
+    joint-tensor reductions of the production kernel (Eq. 8, Eq. 9)."""
+
+    @pytest.mark.parametrize("prior_fixture", PRIOR_FIXTURES)
+    def test_privacy_is_one_minus_expected_accuracy(self, request, prior_fixture):
+        prior = request.getfixturevalue(prior_fixture).probabilities
+        matrices = _test_matrices(prior.size)
+        privacy, _, _, _ = evaluate_stack(stack_matrices(matrices), prior, 1000)
+        expected = [1.0 - expected_accuracy(prior, m.probabilities) for m in matrices]
+        np.testing.assert_allclose(privacy, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("prior_fixture", PRIOR_FIXTURES)
+    def test_worst_posterior_is_best_bayes_score(self, request, prior_fixture):
+        prior = request.getfixturevalue(prior_fixture).probabilities
+        matrices = _test_matrices(prior.size)
+        _, _, worst, _ = evaluate_stack(stack_matrices(matrices), prior, 1000)
+        for matrix, kernel_worst in zip(matrices, worst):
+            joint = matrix.probabilities * prior[None, :]
+            scores = [
+                bayes_estimate(row / row.sum())[1] for row in joint if row.sum() > 0
+            ]
+            assert kernel_worst == pytest.approx(max(scores), abs=1e-12)

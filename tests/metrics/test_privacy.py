@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleBoundError
-from repro.metrics.privacy import (
+from repro.metrics.privacy import check_bound_feasible
+from repro.rr.matrix import RRMatrix
+from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import (
     adversary_accuracy,
-    check_bound_feasible,
     map_estimates,
     max_posterior,
     posterior_matrix,
@@ -16,8 +18,6 @@ from repro.metrics.privacy import (
     privacy_score,
     satisfies_bound,
 )
-from repro.rr.matrix import RRMatrix
-from repro.rr.schemes import warner_matrix
 
 
 class TestPosteriorMatrix:

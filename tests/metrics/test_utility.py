@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.metrics.utility import (
+from repro.rr.estimation import InversionEstimator
+from repro.rr.matrix import RRMatrix
+from repro.rr.randomize import RandomizedResponse
+from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import (
     empirical_mse,
     theoretical_mse,
     theoretical_mse_from_covariance,
@@ -14,10 +18,6 @@ from repro.metrics.utility import (
     utility_score,
     variance_covariance,
 )
-from repro.rr.estimation import InversionEstimator
-from repro.rr.matrix import RRMatrix
-from repro.rr.randomize import RandomizedResponse
-from repro.rr.schemes import warner_matrix
 
 
 class TestVarianceCovariance:

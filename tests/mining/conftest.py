@@ -13,8 +13,8 @@ import pytest
 
 from repro.data.dataset import CategoricalDataset
 from repro.rr.matrix import RRMatrix
-from repro.rr.randomize import randomize_dataset
 from repro.rr.schemes import warner_matrix
+from tests.oracles.randomize import randomize_dataset
 
 
 N_RECORDS = 8000

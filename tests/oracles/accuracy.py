@@ -5,9 +5,16 @@ The paper models the adversary's estimation quality with an accuracy function
 Theorem 4, inconsistent) estimation strategy is the Bayes estimate that
 maximises the expected accuracy under the posterior ``P(X | Y)``.  For the
 paper's 0/1 accuracy function the Bayes estimate reduces to the MAP estimate
-(Theorem 3); other accuracy functions are supported so the library can express
-application-specific privacy notions (e.g. partial credit for "close"
-categories on ordinal domains).
+(Theorem 3); other accuracy functions express application-specific privacy
+notions (e.g. partial credit for "close" categories on ordinal domains).
+
+The Bayes estimate is written report by report, from the posterior and the
+score matrix, not from the joint-tensor reductions the production kernel
+uses.  The accuracy tests therefore check
+:func:`repro.metrics.evaluation.evaluate_stack` against it: its privacy is
+``1 - expected_accuracy`` and its worst posterior is the best 0/1 Bayes
+score over the reports that can occur.  Nothing in ``src/`` imports this
+module.
 """
 
 from __future__ import annotations

@@ -18,8 +18,13 @@ This module provides that modern lens on the paper's objects:
   posterior bound ``delta`` (Eq. 9) into the ``epsilon`` that guarantees it
   for a given prior, and vice versa.
 
-The translation lets users state privacy requirements in whichever currency
-they prefer and still use the OptRR optimizer.
+These are closed forms derived independently of the production privacy
+kernel, so the LDP tests use them as a second opinion on it: the worst
+posterior :func:`repro.metrics.evaluation.evaluate_stack` reports never
+exceeds :func:`max_posterior_under_ldp` at the matrix's own epsilon, and
+:func:`repro.metrics.privacy.check_bound_feasible` refuses exactly the
+``delta`` that :func:`epsilon_for_delta_bound` refuses (Theorem 5).
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations

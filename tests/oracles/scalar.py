@@ -9,9 +9,22 @@ the equivalence suites and the benchmarks that time the engine against them:
   :func:`_rebalance_column` rule) and :func:`enforce_privacy_bound`; the
   production operators are the batched ones in
   :mod:`repro.core.operators`;
+* the one-matrix privacy metrics (Eq. 8, Eq. 9: :func:`privacy_score`,
+  :func:`max_posterior`, :func:`satisfies_bound`, :func:`privacy_report`, ...)
+  and utility metrics (Theorem 6, Eq. 10: :func:`theoretical_mse`,
+  :func:`utility_score`, the Var/Cov expansion
+  :func:`theoretical_mse_from_covariance`, :func:`utility_report`, ...), plus
+  the stack-level :func:`privacy_score_batch` / :func:`max_posterior_batch`;
+  the production forms are the stack kernels in :mod:`repro.metrics.privacy`,
+  :mod:`repro.metrics.utility` and :func:`repro.metrics.evaluation.
+  evaluate_stack`;
 * :func:`evaluate_scalar`, the per-matrix privacy/utility evaluation the
   batched :meth:`repro.metrics.evaluation.MatrixEvaluator.evaluate_batch`
-  replaced;
+  replaced, and the list-of-results wrappers :func:`evaluate_many` /
+  :func:`unpack` over it;
+* :func:`batched_condition_numbers` (2-norm condition numbers by SVD) and
+  :func:`unstack_matrices`, the inverse of
+  :func:`repro.rr.matrix.stack_matrices`;
 * :func:`pareto_ranks_reference`, Deb's fast non-dominated sort with
   explicit domination counts;
 * the ``Individual``-list SPEA2 wrappers (:func:`assign_spea2_fitness`,
@@ -27,6 +40,8 @@ differ bitwise (it redistributes mass with array reductions).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.emoo.density import pairwise_distances
@@ -38,12 +53,18 @@ from repro.emoo.selection import (
     truncate_indices,
 )
 from repro.exceptions import OptimizationError, SingularMatrixError, ValidationError
-from repro.metrics.evaluation import MatrixEvaluation, MatrixEvaluator
-from repro.metrics.privacy import max_posterior, posterior_matrix, privacy_score
-from repro.metrics.utility import utility_score
+from repro.metrics.evaluation import BatchEvaluation, MatrixEvaluation, MatrixEvaluator
+from repro.metrics.privacy import BOUND_ATOL, joint_tensor, posterior_from_joint, posterior_tensor
+from repro.rr.estimation import DistributionEstimate
 from repro.rr.matrix import RRMatrix
 from repro.types import SeedLike, as_rng
-from repro.utils.validation import check_in_unit_interval, check_positive_int
+from repro.utils.linalg import condition_number
+from repro.utils.validation import (
+    check_in_unit_interval,
+    check_matrix_stack,
+    check_positive_int,
+    check_probability_vector,
+)
 from tests.oracles.individual import Individual, objectives_array
 
 #: Must stay equal to ``repro.core.operators._EPSILON``.
@@ -223,6 +244,248 @@ def enforce_privacy_bound(
     return RRMatrix(best_values)
 
 
+# -- privacy metrics (Section IV-A, Eq. 8, Eq. 9) ------------------------------
+def _joint_matrix(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Return ``joint[y, x] = P(Y = c_y, X = c_x) = M[y, x] P(x)``."""
+    prior = check_probability_vector(prior, "prior")
+    probabilities = matrix.probabilities if isinstance(matrix, RRMatrix) else np.asarray(matrix)
+    if probabilities.shape != (prior.size, prior.size):
+        raise ValidationError(
+            f"RR matrix shape {probabilities.shape} does not match prior of "
+            f"length {prior.size}"
+        )
+    return probabilities * prior[None, :]
+
+
+def adversary_accuracy_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Per-matrix adversary accuracy ``A`` (Eq. 8) for a ``(B, n, n)`` stack."""
+    joint = joint_tensor(stack, prior)
+    return joint.max(axis=2).sum(axis=1)
+
+
+def privacy_score_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Per-matrix privacy ``1 - A`` (Eq. 8) for a ``(B, n, n)`` stack."""
+    return 1.0 - adversary_accuracy_batch(stack, prior)
+
+
+def max_posterior_batch(stack: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Per-matrix worst-case posterior (Eq. 9 left-hand side) for a stack."""
+    return posterior_tensor(stack, prior).max(axis=(1, 2))
+
+
+def posterior_matrix(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Posterior ``P(X = c_x | Y = c_y)`` for every (report, original) pair.
+
+    Rows index the observed report ``y``; columns index the candidate original
+    value ``x``.  Rows whose report has zero probability under the prior are
+    returned as all zeros (the report can never be observed).
+    """
+    return posterior_from_joint(_joint_matrix(matrix, prior))
+
+
+def map_estimates(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """MAP estimate ``x_hat_y`` for every possible report ``y`` (Theorem 3)."""
+    posterior = posterior_matrix(matrix, prior)
+    return np.argmax(posterior, axis=1)
+
+
+def adversary_accuracy(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
+    """The adversary's expected accuracy ``A`` under MAP estimation (Eq. 8
+    before the ``1 -`` complement)."""
+    joint = _joint_matrix(matrix, prior)
+    return float(joint.max(axis=1).sum())
+
+
+def privacy_score(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
+    """Privacy of an RR matrix for a given prior: ``1 - A`` (Eq. 8).
+
+    Larger values mean better privacy.  The value lies in
+    ``[0, 1 - max_x P(x)]`` because the adversary can always guess the prior
+    mode.
+    """
+    return 1.0 - adversary_accuracy(matrix, prior)
+
+
+def max_posterior(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> float:
+    """The largest posterior ``max_y max_x P(x | y)`` (the quantity bounded by
+    ``delta`` in Eq. 9)."""
+    return float(posterior_matrix(matrix, prior).max())
+
+
+def satisfies_bound(
+    matrix: RRMatrix | np.ndarray,
+    prior: np.ndarray,
+    delta: float,
+    *,
+    atol: float = BOUND_ATOL,
+) -> bool:
+    """Whether the matrix satisfies the worst-case bound ``max P(X|Y) <= delta``."""
+    check_in_unit_interval(delta, "delta", inclusive_low=False)
+    return max_posterior(matrix, prior) <= delta + atol
+
+
+@dataclass(frozen=True)
+class PrivacyReport:
+    """Full privacy analysis of one RR matrix against one prior.
+
+    Attributes
+    ----------
+    privacy:
+        The average-case privacy score ``1 - A`` (Eq. 8).
+    adversary_accuracy:
+        The adversary's expected MAP accuracy ``A``.
+    max_posterior:
+        The worst-case posterior (Eq. 9 left-hand side).
+    map_estimates:
+        MAP estimate index for every possible report.
+    posterior:
+        The full posterior matrix ``P(X | Y)``.
+    """
+
+    privacy: float
+    adversary_accuracy: float
+    max_posterior: float
+    map_estimates: np.ndarray
+    posterior: np.ndarray
+
+    def satisfies(self, delta: float, *, atol: float = BOUND_ATOL) -> bool:
+        """Whether the analysed matrix satisfies the bound ``delta``."""
+        check_in_unit_interval(delta, "delta", inclusive_low=False)
+        return self.max_posterior <= delta + atol
+
+
+def privacy_report(matrix: RRMatrix | np.ndarray, prior: np.ndarray) -> PrivacyReport:
+    """Compute the full :class:`PrivacyReport` for ``matrix`` and ``prior``."""
+    joint = _joint_matrix(matrix, prior)
+    posterior = posterior_from_joint(joint)
+    accuracy = float(joint.max(axis=1).sum())
+    return PrivacyReport(
+        privacy=1.0 - accuracy,
+        adversary_accuracy=accuracy,
+        max_posterior=float(posterior.max()),
+        map_estimates=np.argmax(posterior, axis=1),
+        posterior=posterior,
+    )
+
+
+# -- utility metrics (Section IV-B, Theorem 6, Eq. 10) -------------------------
+def theoretical_mse(
+    matrix: RRMatrix,
+    prior: np.ndarray,
+    n_records: int,
+) -> np.ndarray:
+    """Per-category closed-form MSE of the inversion estimator (Theorem 6).
+
+    Parameters
+    ----------
+    matrix:
+        The RR matrix ``M`` (must be invertible).
+    prior:
+        The original distribution ``P``.
+    n_records:
+        Number of records ``N`` in the disguised data set.
+
+    Returns
+    -------
+    numpy.ndarray
+        Vector of per-category MSE values ``MSE(X = c_k)``.
+    """
+    prior = check_probability_vector(prior, "prior")
+    check_positive_int(n_records, "n_records")
+    if matrix.n_categories != prior.size:
+        raise ValidationError(
+            f"matrix domain {matrix.n_categories} does not match prior length {prior.size}"
+        )
+    inverse = matrix.inverse()
+    disguised = matrix.disguise_distribution(prior)
+    # Var(sum_i B[k,i] p*_i_hat) with multinomial covariance of p*_hat:
+    #   (1/N) [ sum_i B[k,i]^2 p*_i - (sum_i B[k,i] p*_i)^2 ]
+    linear = inverse @ disguised  # equals the prior, up to numerical error
+    quadratic = (inverse ** 2) @ disguised
+    return (quadratic - linear ** 2) / float(n_records)
+
+
+def utility_score(matrix: RRMatrix, prior: np.ndarray, n_records: int) -> float:
+    """Average closed-form MSE over all categories (Eq. 10); lower is better."""
+    return float(np.mean(theoretical_mse(matrix, prior, n_records)))
+
+
+def variance_covariance(disguised: np.ndarray, n_records: int) -> np.ndarray:
+    """Multinomial covariance matrix of the empirical disguised frequencies.
+
+    ``Var(N_i / N) = P*_i (1 - P*_i) / N`` and
+    ``Cov(N_i / N, N_j / N) = -P*_i P*_j / N``; this is the matrix the paper's
+    Theorem 6 expands term by term.
+    """
+    p_star = check_probability_vector(disguised, "disguised")
+    check_positive_int(n_records, "n_records")
+    covariance = -np.outer(p_star, p_star)
+    covariance[np.diag_indices_from(covariance)] = p_star * (1.0 - p_star)
+    return covariance / float(n_records)
+
+
+def theoretical_mse_from_covariance(
+    matrix: RRMatrix, prior: np.ndarray, n_records: int
+) -> np.ndarray:
+    """Per-category MSE computed via the explicit quadratic form
+    ``B Sigma B^T`` (used in tests to cross-check the fast closed form)."""
+    prior = check_probability_vector(prior, "prior")
+    inverse = matrix.inverse()
+    disguised = matrix.disguise_distribution(prior)
+    covariance = variance_covariance(disguised, n_records)
+    return np.einsum("ki,ij,kj->k", inverse, covariance, inverse)
+
+
+def empirical_mse(
+    estimates: list[DistributionEstimate] | list[np.ndarray],
+    true_prior: np.ndarray,
+) -> float:
+    """Empirical mean squared error of repeated distribution estimates (the
+    measure :func:`repro.experiments.common.empirical_front_mse` takes per
+    front point for Figure 5(d))."""
+    truth = check_probability_vector(true_prior, "true_prior")
+    if not estimates:
+        raise ValidationError("at least one estimate is required")
+    errors = []
+    for estimate in estimates:
+        vector = estimate.probabilities if isinstance(estimate, DistributionEstimate) else np.asarray(estimate)
+        if vector.shape != truth.shape:
+            raise ValidationError(
+                f"estimate shape {vector.shape} does not match prior shape {truth.shape}"
+            )
+        errors.append(np.mean((vector - truth) ** 2))
+    return float(np.mean(errors))
+
+
+@dataclass(frozen=True)
+class UtilityReport:
+    """Full utility analysis of one RR matrix against one prior.
+
+    Attributes
+    ----------
+    utility:
+        Average per-category MSE (Eq. 10); lower is better.
+    per_category_mse:
+        The closed-form MSE of each category's estimate.
+    n_records:
+        Sample size the MSE was computed for.
+    """
+
+    utility: float
+    per_category_mse: np.ndarray
+    n_records: int
+
+
+def utility_report(matrix: RRMatrix, prior: np.ndarray, n_records: int) -> UtilityReport:
+    """Compute the full :class:`UtilityReport` for ``matrix`` and ``prior``."""
+    per_category = theoretical_mse(matrix, prior, n_records)
+    return UtilityReport(
+        utility=float(np.mean(per_category)),
+        per_category_mse=per_category,
+        n_records=int(n_records),
+    )
+
+
 # -- evaluation ---------------------------------------------------------------
 def evaluate_scalar(evaluator: MatrixEvaluator, matrix: RRMatrix) -> MatrixEvaluation:
     """Reference per-matrix implementation (the pre-batch hot path).
@@ -255,6 +518,41 @@ def evaluate_scalar(evaluator: MatrixEvaluator, matrix: RRMatrix) -> MatrixEvalu
         feasible=feasible,
         invertible=invertible,
     )
+
+
+def unpack(batch: BatchEvaluation) -> list[MatrixEvaluation]:
+    """Per-matrix :class:`MatrixEvaluation` objects, in batch order."""
+    return [batch[index] for index in range(len(batch))]
+
+
+def evaluate_many(evaluator: MatrixEvaluator, matrices: list[RRMatrix]) -> list[MatrixEvaluation]:
+    """Evaluate a batch of matrices (vectorized, scalar results)."""
+    if not matrices:
+        return []
+    return unpack(evaluator.evaluate_batch(matrices))
+
+
+# -- matrix stacks ----------------------------------------------------------------
+def batched_condition_numbers(stack: np.ndarray) -> np.ndarray:
+    """Condition number of every matrix in a ``(B, n, n)`` stack.
+
+    Singular matrices get ``inf`` instead of raising, so a whole population
+    can be classified in one call.
+    """
+    stack = check_matrix_stack(stack)
+    if stack.shape[0] == 0:
+        return np.empty(0)
+    try:
+        conditions = np.linalg.cond(stack)
+    except np.linalg.LinAlgError:  # pragma: no cover - gesdd non-convergence
+        conditions = np.array([condition_number(matrix) for matrix in stack])
+    return np.where(np.isnan(conditions), np.inf, conditions)
+
+
+def unstack_matrices(stack: np.ndarray) -> list[RRMatrix]:
+    """Turn a ``(B, n, n)`` array back into validated :class:`RRMatrix`
+    objects (the inverse of :func:`stack_matrices`)."""
+    return [RRMatrix(matrix) for matrix in check_matrix_stack(stack)]
 
 
 # -- EMOO primitives -----------------------------------------------------------

@@ -12,22 +12,102 @@ The two properties the subsystem guarantees:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Any
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.io import (
-    load_pipeline_result,
-    pipeline_result_from_dict,
-    pipeline_result_to_dict,
-    save_pipeline_result,
-)
+from repro.io import _check_document, matrix_from_dict, pipeline_result_to_dict
 from repro.utils.arrays import dump_canonical_json
-from repro.pipeline.runner import disguise_workload, run_pipeline
-from repro.pipeline.spec import PipelineScheme, plan_pipeline
+from repro.pipeline.runner import (
+    PipelineCellRecord,
+    PipelineResult,
+    SchemeEvaluation,
+    disguise_workload,
+    run_pipeline,
+)
+from repro.pipeline.spec import PipelineScheme, PipelineSpec, plan_pipeline
 from repro.data.workload import build_workload
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
+
+
+# -- the pipeline_result document reader (nothing in the package reads one back)
+def pipeline_result_from_dict(document: dict[str, Any]) -> PipelineResult:
+    """Deserialize a pipeline result from :func:`pipeline_result_to_dict`
+    output (cache provenance flags reset — a loaded document no longer knows
+    which cells were cache hits)."""
+    _check_document(document, "pipeline_result")
+    schemes = tuple(
+        PipelineScheme(name=str(item["name"]), matrix=matrix_from_dict(item["matrix"]))
+        for item in document.get("schemes", [])
+    )
+    evaluations = tuple(
+        SchemeEvaluation(
+            scheme=str(item["name"]),
+            privacy=float(item["privacy"]),
+            utility=float(item["utility"]),
+            max_posterior=float(item["max_posterior"]),
+            invertible=bool(item.get("invertible", True)),
+        )
+        for item in document.get("schemes", [])
+    )
+    miner_params = tuple(
+        (str(miner), tuple(sorted(dict(params).items())))
+        for miner, params in document.get("miner_params", {}).items()
+    )
+    raw_categories = document.get("n_categories")
+    spec = PipelineSpec(
+        data=str(document["data"]),
+        n_records=int(document["n_records"]),
+        n_categories=int(raw_categories) if raw_categories is not None else None,
+        schemes=schemes,
+        miners=tuple(str(miner) for miner in document.get("miners", [])),
+        seeds=tuple(int(seed) for seed in document.get("seeds", [])),
+        miner_params=miner_params,
+    )
+    cells = tuple(
+        PipelineCellRecord(
+            scheme=str(item["scheme"]),
+            seed=int(item["seed"]),
+            miner=str(item["miner"]),
+            metrics={key: float(value) for key, value in item.get("metrics", {}).items()},
+            from_cache=False,
+        )
+        for item in document.get("cells", [])
+    )
+    manifest = document.get("failure_manifest")
+    failures: tuple[tuple[str, int, str], ...] = ()
+    if manifest is not None:
+        failures = tuple(
+            (str(cell["scheme"]), int(cell["seed"]), str(cell["miner"]))
+            for cell in manifest.get("cells", [])
+            if cell.get("quarantined")
+        )
+    return PipelineResult(
+        spec=spec,
+        evaluations=evaluations,
+        cells=cells,
+        failures=failures,
+        failure_manifest=manifest,
+    )
+
+
+def save_pipeline_result(result: PipelineResult, path: str | Path) -> Path:
+    """Write a pipeline result to a canonical-JSON file and return the path."""
+    path = Path(path)
+    path.write_text(dump_canonical_json(pipeline_result_to_dict(result)), encoding="utf-8")
+    return path
+
+
+def load_pipeline_result(path: str | Path) -> PipelineResult:
+    """Read a pipeline result from a JSON file written by
+    :func:`save_pipeline_result`."""
+    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    return pipeline_result_from_dict(document)
 
 #: Small but signal-bearing workload shared by the determinism tests.
 FAST = dict(n_records=3000)

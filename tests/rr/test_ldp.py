@@ -1,4 +1,4 @@
-"""Tests for the LDP bridge (repro.rr.ldp)."""
+"""Tests for the LDP bridge oracle (tests/oracles/ldp.py)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
-from repro.metrics.privacy import max_posterior
-from repro.rr.ldp import (
+from repro.exceptions import InfeasibleBoundError, ValidationError
+from repro.metrics.evaluation import evaluate_stack
+from repro.metrics.privacy import check_bound_feasible
+from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices
+from repro.rr.schemes import warner_matrix
+from tests.oracles.ldp import (
     epsilon_for_delta_bound,
     epsilon_of_k_rr,
     k_rr_matrix,
@@ -17,8 +20,7 @@ from repro.rr.ldp import (
     max_posterior_under_ldp,
     satisfies_ldp,
 )
-from repro.rr.matrix import RRMatrix
-from repro.rr.schemes import warner_matrix
+from tests.oracles.scalar import max_posterior
 
 
 class TestLdpEpsilon:
@@ -177,3 +179,55 @@ class TestTranslationValidation:
             epsilon_for_delta_bound(small_prior.probabilities, float(d)) for d in deltas
         ]
         assert all(b > a for a, b in zip(epsilons, epsilons[1:]))
+
+
+PRIOR_FIXTURES = ["small_prior", "normal_prior", "gamma_prior", "uniform_prior"]
+
+
+class TestProductionPrivacyKernel:
+    """The LDP closed forms as a second opinion on the production kernels."""
+
+    @pytest.mark.parametrize("prior_fixture", PRIOR_FIXTURES)
+    def test_worst_posterior_within_ldp_bound(self, request, prior_fixture):
+        prior = request.getfixturevalue(prior_fixture).probabilities
+        rng = np.random.default_rng(prior.size)
+        matrices = [
+            random_rr_matrix(prior.size, rng, diagonal_bias=bias) for bias in (0.0, 0.5, 2.0, 8.0)
+        ]
+        _, _, worst, _ = evaluate_stack(stack_matrices(matrices), prior, 1000)
+        bounds = np.array([max_posterior_under_ldp(prior, ldp_epsilon(m)) for m in matrices])
+        assert np.all(worst <= bounds + 1e-12)
+
+    @pytest.mark.parametrize("prior_fixture", PRIOR_FIXTURES)
+    def test_k_rr_at_translated_epsilon_meets_delta(self, request, prior_fixture):
+        prior = request.getfixturevalue(prior_fixture).probabilities
+        p_max = float(prior.max())
+        deltas = p_max + (1.0 - p_max) * np.array([0.1, 0.5, 0.9])
+        stack = stack_matrices(
+            [k_rr_matrix(prior.size, epsilon_for_delta_bound(prior, float(d))) for d in deltas]
+        )
+        _, _, worst, _ = evaluate_stack(stack, prior, 1000)
+        assert np.all(worst <= deltas + 1e-9)
+
+    def test_ldp_bound_is_tight_for_k_rr_on_a_uniform_prior(self, uniform_prior):
+        prior = uniform_prior.probabilities
+        epsilons = [0.0, 0.5, 1.0, 3.0]
+        stack = stack_matrices([k_rr_matrix(prior.size, e) for e in epsilons])
+        _, _, worst, _ = evaluate_stack(stack, prior, 1000)
+        np.testing.assert_allclose(
+            worst, [max_posterior_under_ldp(prior, e) for e in epsilons], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("prior_fixture", PRIOR_FIXTURES)
+    def test_feasibility_agrees_with_theorem_5(self, request, prior_fixture):
+        prior = request.getfixturevalue(prior_fixture).probabilities
+        p_max = float(prior.max())
+        for delta in (0.5 * p_max, p_max - 1e-6, p_max + 1e-6, 0.5 * (1.0 + p_max)):
+            if delta < p_max:
+                with pytest.raises(ValidationError):
+                    epsilon_for_delta_bound(prior, delta)
+                with pytest.raises(InfeasibleBoundError):
+                    check_bound_feasible(prior, delta)
+            else:
+                assert epsilon_for_delta_bound(prior, delta) >= 0.0
+                check_bound_feasible(prior, delta)

@@ -7,9 +7,21 @@ import pytest
 
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError, RRMatrixError
-from repro.rr.matrix import RRMatrix
-from repro.rr.multidim import MultiDimensionalRR, joint_distribution_from_marginals
+from repro.rr.matrix import RRMatrix, random_rr_matrix
+from repro.rr.multidim import MultiDimensionalRR
 from repro.rr.schemes import warner_matrix
+from tests.oracles.randomize import randomize_dataset
+
+
+def joint_distribution_from_marginals(marginals: list[np.ndarray]) -> np.ndarray:
+    """Outer-product joint distribution of independent per-attribute
+    marginals, flattened in the attribute order of the joint domain."""
+    if not marginals:
+        raise DataError("at least one marginal is required")
+    joint = np.asarray(marginals[0], dtype=np.float64)
+    for marginal in marginals[1:]:
+        joint = np.outer(joint, np.asarray(marginal, dtype=np.float64)).ravel()
+    return joint
 
 
 @pytest.fixture
@@ -52,6 +64,24 @@ class TestJointMatrix:
             ("a", "b"), (warner_matrix(3, 0.5), warner_matrix(4, 0.7))
         ).joint_matrix()
         np.testing.assert_allclose(joint.probabilities.sum(axis=0), 1.0)
+
+    @pytest.mark.parametrize("domain_sizes", [(2, 2), (3, 4), (2, 3, 2)])
+    def test_disguises_independent_joint_into_product_of_marginals(self, domain_sizes):
+        # P*(joint) = (M_1 kron M_2 ...) P(joint) factorises when the
+        # attributes are independent: each marginal is disguised on its own.
+        rng = np.random.default_rng(len(domain_sizes) * 10 + sum(domain_sizes))
+        matrices = tuple(random_rr_matrix(size, rng) for size in domain_sizes)
+        marginals = [rng.dirichlet(np.ones(size)) for size in domain_sizes]
+        names = tuple(f"x{index}" for index in range(len(domain_sizes)))
+        joint = MultiDimensionalRR(names, matrices).joint_matrix()
+        np.testing.assert_allclose(
+            joint.disguise_distribution(joint_distribution_from_marginals(marginals)),
+            joint_distribution_from_marginals(
+                [matrix.disguise_distribution(marginal) for matrix, marginal in zip(matrices, marginals)]
+            ),
+            rtol=1e-12,
+            atol=1e-15,
+        )
 
     def test_refuses_huge_joint_domains(self):
         matrices = tuple(warner_matrix(20, 0.8) for _ in range(3))
@@ -165,6 +195,15 @@ class TestRandomizeDeterminism:
         second = rr.randomize(two_attribute_dataset, seed=9)
         np.testing.assert_array_equal(first.column("a"), second.column("a"))
         np.testing.assert_array_equal(first.column("b"), second.column("b"))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2024])
+    def test_matches_per_attribute_reference(self, two_attribute_dataset, seed):
+        matrices = {"a": warner_matrix(3, 0.7), "b": warner_matrix(2, 0.8)}
+        rr = MultiDimensionalRR(tuple(matrices), tuple(matrices.values()))
+        disguised = rr.randomize(two_attribute_dataset, seed=seed)
+        reference = randomize_dataset(two_attribute_dataset, matrices, seed=seed)
+        for name in matrices:
+            np.testing.assert_array_equal(disguised.column(name), reference.column(name))
 
     def test_untouched_attributes_survive(self, rng):
         dataset = CategoricalDataset.from_columns(

@@ -9,8 +9,9 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.synthetic import sample_dataset, uniform_distribution
 from repro.exceptions import DataError, RRMatrixError
 from repro.rr.matrix import RRMatrix
-from repro.rr.randomize import RandomizedResponse, randomize_dataset
+from repro.rr.randomize import RandomizedResponse
 from repro.rr.schemes import warner_matrix
+from tests.oracles.randomize import randomize_dataset
 
 
 class TestRandomizeCodes:

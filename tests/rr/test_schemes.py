@@ -8,14 +8,22 @@ import pytest
 from repro.exceptions import RRMatrixError, ValidationError
 from repro.rr.schemes import (
     frapp_matrix,
-    identity_matrix,
-    total_randomization_matrix,
     uniform_perturbation_matrix,
     warner_equivalent_p,
     warner_matrix,
     warner_stack,
 )
 from repro.rr.matrix import RRMatrix
+
+
+def identity_matrix(n_categories: int) -> RRMatrix:
+    """The no-disguise matrix (the paper's ``M1`` example)."""
+    return RRMatrix.identity(n_categories)
+
+
+def total_randomization_matrix(n_categories: int) -> RRMatrix:
+    """The full-randomization matrix (the paper's ``M2`` example)."""
+    return RRMatrix.uniform(n_categories)
 
 
 class TestWarner:

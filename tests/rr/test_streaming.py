@@ -112,6 +112,12 @@ class TestStreamingDisguiser:
         with pytest.raises(ValidationError, match="schema"):
             disguiser.restore_state({"schema": "bogus-v9"})
 
+    def test_restore_rejects_a_missing_rng_state(self):
+        document = StreamingDisguiser(warner_matrix(3, 0.5), seed=0).state_document()
+        del document["rng_state"]
+        with pytest.raises(ValidationError, match="cannot restore RNG state"):
+            StreamingDisguiser(warner_matrix(3, 0.5), seed=0).restore_state(document)
+
     @pytest.mark.parametrize("records_seen", [-7, True, 2.0, "3"])
     def test_restore_rejects_a_tampered_record_count(self, records_seen):
         disguiser = StreamingDisguiser(warner_matrix(3, 0.5), seed=0)

@@ -25,23 +25,22 @@ from repro.core.operators import (
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import pareto_ranks_from_arrays
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.metrics.privacy import (
-    adversary_accuracy,
-    adversary_accuracy_batch,
-    max_posterior,
-    max_posterior_batch,
-    posterior_matrix,
-    posterior_tensor,
-    privacy_score,
-    privacy_score_batch,
-)
-from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_matrices
+from repro.metrics.privacy import posterior_tensor
+from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices
 from tests.oracles.individual import Individual
 from tests.oracles.scalar import (
     _rebalance_column,
+    adversary_accuracy,
+    adversary_accuracy_batch,
     enforce_privacy_bound,
     evaluate_scalar,
+    max_posterior,
+    max_posterior_batch,
     pareto_ranks_reference,
+    posterior_matrix,
+    privacy_score,
+    privacy_score_batch,
+    unstack_matrices,
 )
 
 TOLERANCE = 1e-12

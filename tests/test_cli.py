@@ -38,7 +38,7 @@ class TestList:
 
 
 class TestImportBudget:
-    """Handlers import the reporting, experiment-harness, document and lint
+    """Handlers import the reporting, experiment-harness and document
     modules they run; neither a bare ``import repro.cli`` nor an
     ``optrr disguise`` run with a family scheme loads them."""
 
@@ -64,7 +64,7 @@ class TestImportBudget:
             "grid = {'repro.experiments.grid', 'repro.experiments.procpool'}\n"
             "loaded = sorted(\n"
             "    name for name in sys.modules\n"
-            "    if name.startswith(('repro.analysis', 'repro.lintkit', 'repro.io'))\n"
+            "    if name.startswith(('repro.analysis', 'repro.io'))\n"
             "    or name in ('repro.core.search_space', 'repro.emoo.indicators')\n"
             "    or (name.startswith('repro.experiments.') and name not in grid)\n"
             ")\n"
@@ -577,6 +577,13 @@ class TestArgumentErrors:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_lint_is_not_a_subcommand(self, capsys):
+        # repro-lint runs as tools/lint_repro.py only.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--list-rules"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 #: Tiny shared workload for checkpoint/resume CLI tests.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,25 +11,39 @@ import pytest
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.exceptions import RRMatrixError, ValidationError
+from repro.experiments.base import ExperimentResult
 from repro.io import (
     comparison_from_dict,
     comparison_to_dict,
     experiment_result_from_dict,
     experiment_result_to_dict,
-    load_experiment_result,
     load_matrix,
     load_result,
     matrix_from_dict,
     matrix_to_dict,
     result_from_dict,
     result_to_dict,
-    save_experiment_result,
     save_matrix,
     save_result,
 )
 from repro.utils.arrays import dump_canonical_json
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import warner_matrix
+
+
+def save_experiment_result(result: ExperimentResult, path: str | Path) -> Path:
+    """Write an experiment result to a canonical-JSON file and return the
+    path."""
+    path = Path(path)
+    path.write_text(dump_canonical_json(experiment_result_to_dict(result)), encoding="utf-8")
+    return path
+
+
+def load_experiment_result(path: str | Path) -> ExperimentResult:
+    """Read an experiment result from a JSON file written by
+    :func:`save_experiment_result`."""
+    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    return experiment_result_from_dict(document)
 
 
 class TestMatrixSerialization:

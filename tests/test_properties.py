@@ -28,8 +28,6 @@ from repro.core.operators import (
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.indicators import hypervolume_2d
-from repro.metrics.privacy import max_posterior, privacy_score
-from repro.metrics.utility import theoretical_mse, utility_score
 from repro.rr.estimation import InversionEstimator, IterativeEstimator
 from repro.rr.matrix import RRMatrix
 from repro.rr.schemes import (
@@ -38,6 +36,7 @@ from repro.rr.schemes import (
     warner_equivalent_p,
     warner_matrix,
 )
+from tests.oracles.scalar import max_posterior, privacy_score, theoretical_mse, utility_score
 
 SETTINGS = settings(
     max_examples=40,

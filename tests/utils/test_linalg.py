@@ -9,13 +9,13 @@ from repro.exceptions import SingularMatrixError
 from repro.exceptions import ValidationError
 from repro.utils.linalg import (
     DEFAULT_CONDITION_LIMIT,
-    batched_condition_numbers,
     batched_safe_inverses,
     condition_number,
     is_invertible,
     one_norm_condition_estimate,
     safe_inverse,
 )
+from tests.oracles.scalar import batched_condition_numbers
 
 
 class TestConditionNumber:

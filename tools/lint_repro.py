@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """repro-lint entry point: AST invariant analyzer for the repo's contracts.
 
-Thin wrapper around :mod:`repro.lintkit.runner` (also reachable as
-``optrr lint``).  Run from the repository root::
+Thin wrapper around :mod:`lintkit.runner` (``tools/lintkit``, which Python
+finds because a script's own directory heads ``sys.path``).  Run from the
+repository root::
 
     python tools/lint_repro.py                  # whole tree, committed baseline
     python tools/lint_repro.py src/repro/emoo   # a subtree
@@ -19,13 +20,7 @@ entries), 2 usage errors.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
+from lintkit.runner import main
 
 if __name__ == "__main__":
-    try:
-        from repro.lintkit.runner import main
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.lintkit.runner import main
     raise SystemExit(main())

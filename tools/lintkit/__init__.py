@@ -7,5 +7,6 @@ order-stable optimizer hot paths.  This package checks their static halves
 at lint time — rule ids, the pragma syntax and the baseline workflow are
 documented in ``docs/invariants.md``.
 
-Entry points: ``tools/lint_repro.py`` and ``optrr lint``.
+Entry point: ``tools/lint_repro.py``.  Python puts a script's own directory,
+here ``tools/``, on ``sys.path``, so this package imports as ``lintkit``.
 """

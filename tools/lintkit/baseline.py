@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.lintkit.model import Violation
+from lintkit.model import Violation
 
 BASELINE_VERSION = 1
 JUSTIFICATION_PLACEHOLDER = "TODO: justify or fix"

@@ -5,7 +5,7 @@ The analyzer works on two objects:
 * :class:`SourceFile` — one parsed Python file: raw text, split lines, a
   lazily built :mod:`ast` tree, and the per-line pragma index
   (``# repro-lint: allow[<rule>]`` comments, see
-  :mod:`repro.lintkit.pragmas`).
+  :mod:`lintkit.pragmas`).
 * :class:`ProjectContext` — the project being analyzed: its root directory,
   the selected files, and a cached loader so cross-file rules (cache-key
   completeness) can read companion files exactly once.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from repro.lintkit.pragmas import parse_pragmas
+from lintkit.pragmas import parse_pragmas
 
 
 @dataclass(frozen=True)

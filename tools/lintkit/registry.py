@@ -7,7 +7,7 @@ name, a description, and one or both hooks:
   project-relative path falls under the rule's ``scopes`` prefixes;
 * :meth:`Rule.check_project` — called once per run for cross-file
   invariants (the rule reads companion files itself through the
-  :class:`~repro.lintkit.model.ProjectContext`).
+  :class:`~lintkit.model.ProjectContext`).
 
 Rules register themselves with the :func:`register` decorator at import
 time; :func:`all_rules` returns one instance of each, ordered by id, so a
@@ -20,7 +20,7 @@ import ast
 import importlib
 from typing import Iterable, Iterator
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.model import ProjectContext, SourceFile, Violation
 
 _REGISTRY: dict[str, type["Rule"]] = {}
 
@@ -101,7 +101,7 @@ _RULE_MODULES = (
 def all_rules() -> list[Rule]:
     """One instance of every registered rule, ordered by rule id."""
     for module in _RULE_MODULES:
-        importlib.import_module(f"repro.lintkit.rules.{module}")
+        importlib.import_module(f"lintkit.rules.{module}")
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 

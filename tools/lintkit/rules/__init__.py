@@ -1,6 +1,6 @@
 """The repro-lint rule set.
 
-Importing a rule module registers its rule (:func:`repro.lintkit.registry.
+Importing a rule module registers its rule (:func:`lintkit.registry.
 all_rules` imports them all); the ids are stable and documented in
 ``docs/invariants.md``:
 

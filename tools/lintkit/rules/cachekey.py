@@ -27,8 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
 
 CONFIG_PATH = "src/repro/core/config.py"
 BASE_PATH = "src/repro/experiments/base.py"

@@ -25,8 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
 
 WRITER = "state_document"
 READER = "restore_state"
@@ -113,7 +113,7 @@ class CheckpointSymmetryRule(Rule):
         "state_document/restore_state must come in pairs and agree on the "
         "literal dict keys they write and read"
     )
-    scopes = ("src/repro", "benchmarks/baselines")
+    scopes = ("src/repro", "tools/lintkit", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

@@ -28,8 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
 
 #: Catch-all exception classes a broad handler names.
 BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
@@ -87,7 +87,7 @@ class ExceptionDisciplineRule(Rule):
         "log, or use the caught exception — silent swallowing erases the "
         "failure signal the resilience layer classifies"
     )
-    scopes = ("src/repro", "benchmarks/baselines")
+    scopes = ("src/repro", "tools/lintkit", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

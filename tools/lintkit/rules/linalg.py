@@ -10,8 +10,9 @@ engine from ever disagreeing about a matrix.
 The guarantee collapses as soon as another module calls ``numpy.linalg``
 itself: its private inversion skips the condition rule and silently
 classifies near-singular matrices differently.  This rule therefore bans
-every use of ``numpy.linalg`` under ``src/repro`` (and in the ablation
-baselines, ``benchmarks/baselines``) outside ``src/repro/utils/linalg.py``:
+every use of ``numpy.linalg`` under ``src/repro`` (and in the analyzer's
+own ``tools/lintkit`` and the ablation baselines, ``benchmarks/baselines``)
+outside ``src/repro/utils/linalg.py``:
 
 * attribute access through ``np.linalg`` / ``numpy.linalg``;
 * ``import numpy.linalg`` and ``from numpy.linalg import ...``;
@@ -23,9 +24,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
-from repro.lintkit.rules.rng import _dotted
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
+from lintkit.rules.rng import _dotted
 
 #: The one module allowed to touch ``numpy.linalg``.
 LINALG_HOME = "src/repro/utils/linalg.py"
@@ -42,7 +43,7 @@ class LinalgConfinementRule(Rule):
         "numpy.linalg is used only in src/repro/utils/linalg.py, so every "
         "inversion shares the one 1-norm condition rule"
     )
-    scopes = ("src/repro", "benchmarks/baselines")
+    scopes = ("src/repro", "tools/lintkit", "benchmarks/baselines")
 
     def applies_to(self, relpath: str) -> bool:
         return relpath != LINALG_HOME and super().applies_to(relpath)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
-from repro.lintkit.rules.rng import _dotted
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
+from lintkit.rules.rng import _dotted
 
 
 def _is_set_expression(node: ast.expr) -> bool:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
 
 #: numpy.random attributes that belong to the sanctioned Generator API.
 ALLOWED_NP_RANDOM = frozenset(
@@ -64,7 +64,7 @@ class RngDisciplineRule(Rule):
         "legacy np.random globals, unseeded default_rng() and the stdlib "
         "random module are banned"
     )
-    scopes = ("src/repro", "benchmarks/baselines", "examples")
+    scopes = ("src/repro", "tools/lintkit", "benchmarks/baselines", "examples")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

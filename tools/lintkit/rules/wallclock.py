@@ -5,8 +5,9 @@ OS-entropy draws and UUIDs all make two identical invocations diverge.  The
 only sanctioned optimizer timing site is the stepwise driver, which
 *measures* elapsed wall time (it rides the checkpoint as data) and checks
 the stopping rule's deadline against it — allowlisted by path below, next
-to the process pool's cell timeouts.  Everywhere else under ``src/repro``
-and in the ablation baselines (``benchmarks/baselines``), timing belongs in
+to the process pool's cell timeouts.  Everywhere else under ``src/repro``,
+in the analyzer's own ``tools/lintkit`` and in the ablation baselines
+(``benchmarks/baselines``), timing belongs in
 the benchmark harness and entropy belongs to the seeded Generator channel
 (RL001).
 """
@@ -16,9 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, register
-from repro.lintkit.rules.rng import _dotted
+from lintkit.model import ProjectContext, SourceFile, Violation
+from lintkit.registry import Rule, register
+from lintkit.rules.rng import _dotted
 
 #: Files allowed to read the wall clock: the driver measures elapsed time
 #: (checkpointed as data) and enforces the deadline with it, and the
@@ -73,7 +74,7 @@ class WallClockRule(Rule):
         "wall-clock reads, OS entropy and UUIDs are banned outside the "
         "allowlisted driver/process-pool timing sites"
     )
-    scopes = ("src/repro", "benchmarks/baselines")
+    scopes = ("src/repro", "tools/lintkit", "benchmarks/baselines")
 
     def check_file(
         self, source: SourceFile, project: ProjectContext

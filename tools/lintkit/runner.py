@@ -1,8 +1,6 @@
 """File collection, rule execution and reporting.
 
-The runner is shared by the two entry points — ``tools/lint_repro.py`` and
-``optrr lint`` — via :func:`configure_parser`/:func:`run_from_args`, so the
-flags and semantics cannot drift apart.
+The entry point is ``tools/lint_repro.py``, which calls :func:`main`.
 
 Execution order is fully deterministic: files are collected sorted, rules
 run ordered by id, and violations are reported sorted by (path, line,
@@ -17,9 +15,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.lintkit.baseline import Baseline, load_baseline, write_baseline
-from repro.lintkit.model import ProjectContext, Violation
-from repro.lintkit.registry import Rule, all_rules
+from lintkit.baseline import Baseline, load_baseline, write_baseline
+from lintkit.model import ProjectContext, Violation
+from lintkit.registry import Rule, all_rules
 
 #: Path roots scanned when no explicit paths are given (relative to --root).
 DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples", "tools")
@@ -188,11 +186,10 @@ def run_from_args(
     return 1 if failures else 0
 
 
-def main(argv: Sequence[str] | None = None, *, prog: str = "lint_repro") -> int:
-    """Command-line entry point of ``tools/lint_repro.py`` and ``optrr lint``
-    (``prog`` names the command in usage and help text)."""
+def main(argv: Sequence[str] | None = None) -> int:
+    """Command-line entry point of ``tools/lint_repro.py``."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="lint_repro",
         description="repro-lint: AST invariant analyzer for determinism, "
                     "checkpoint symmetry and cache-key completeness",
     )
