@@ -8,8 +8,10 @@ front-quality indicators in :mod:`repro.emoo.indicators`.
 
 NSGA-II runs on the package's public pieces: the problem's stack hooks, the
 stepwise driver (it is a :class:`~repro.emoo.driver.SteppableOptimization`,
-so it checkpoints and resumes like OptRR), the fidelity scheduler and the
-dominance and crowding kernels.
+so it checkpoints and resumes like OptRR) and the dominance kernels.  The
+two NSGA-II-only kernels, non-dominated sorting
+(:func:`pareto_ranks_from_arrays`) and the crowding distance
+(:func:`crowding_distances_from_objectives`), live here.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.emoo.density import crowding_distances_from_objectives
-from repro.emoo.dominance import non_dominated_indices, pareto_ranks_from_arrays
+from repro.emoo.dominance import dominance_matrix_from_arrays, non_dominated_indices
 from repro.emoo.driver import (
     OptimizationDriver,
     StepOutcome,
@@ -30,7 +31,6 @@ from repro.emoo.driver import (
     population_to_document,
     workload_fingerprint,
 )
-from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
@@ -40,6 +40,60 @@ from repro.utils.validation import check_counter, check_in_unit_interval, check_
 #: Callback invoked after each generation with (generation index, survivors,
 #: their Pareto ranks).
 GenerationCallback = Callable[[int, Population, np.ndarray], None]
+
+
+def pareto_ranks_from_arrays(
+    objectives: np.ndarray, feasible: np.ndarray | None = None
+) -> np.ndarray:
+    """Non-dominated sorting ranks (0 = first front) over raw arrays.
+
+    Fronts are peeled with boolean matrix reductions instead of per-individual
+    queues: at each step the individuals not dominated by any still-alive
+    individual form the next front.  Equivalent to the classic fast
+    non-dominated sort (Deb's domination-count loop), but every peel is one
+    ``any``-reduction over the dominance matrix.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    size = objectives.shape[0]
+    ranks = np.full(size, -1, dtype=np.int64)
+    if size == 0:
+        return ranks
+    matrix = dominance_matrix_from_arrays(objectives, feasible)
+    alive = np.ones(size, dtype=bool)
+    front_index = 0
+    while alive.any():
+        dominated_by_alive = matrix[alive].any(axis=0)
+        front = alive & ~dominated_by_alive
+        # A strict partial order always has minimal elements, so the peel
+        # terminates; guard anyway so a broken dominance matrix cannot hang.
+        assert front.any(), "non-dominated sorting failed to peel a front"
+        ranks[front] = front_index
+        alive &= ~front
+        front_index += 1
+    return ranks
+
+
+def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row of a single front's objective array.
+
+    Pure array computation (one stable argsort per objective).
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    size = objectives.shape[0]
+    if size == 0:
+        return np.empty(0)
+    distances = np.zeros(size, dtype=np.float64)
+    for objective_index in range(objectives.shape[1]):
+        order = np.argsort(objectives[:, objective_index], kind="stable")
+        values = objectives[order, objective_index]
+        distances[order[0]] = np.inf
+        distances[order[-1]] = np.inf
+        value_range = values[-1] - values[0]
+        if value_range <= 0 or size <= 2:
+            continue
+        spacing = (values[2:] - values[:-2]) / value_range
+        distances[order[1:-1]] += spacing
+    return distances
 
 
 @dataclass(frozen=True)
@@ -78,20 +132,13 @@ class NSGA2:
     :class:`~repro.core.problem.RRMatrixProblem` defines
     (``initial_population_soa``, ``evaluate_population``,
     ``crossover_stack``, ``mutate_stack``, ``repair_stack`` and
-    ``fingerprint_document``).
-
-    ``fidelity`` optionally enables multi-fidelity offspring evaluation with
-    promotion of the top fraction (see :mod:`repro.emoo.fidelity`); it
-    requires a problem whose ``evaluate_population`` supports the
-    ``fidelity`` keyword, and ``None`` keeps the exact single-fidelity path.
-    ``n_generations`` is the generation budget.
+    ``fingerprint_document``).  ``n_generations`` is the generation budget.
     """
 
     problem: Any
     settings: NSGA2Settings = field(default_factory=NSGA2Settings)
     n_generations: int = 100
     seed: SeedLike = None
-    fidelity: FidelitySchedule | None = None
 
     def run(self, on_generation: GenerationCallback | None = None) -> NSGA2Result:
         """Run the optimization and return the result.
@@ -242,19 +289,11 @@ class _NSGA2Steppable(SteppableOptimization):
         self.ranks: np.ndarray | None = None
         self.crowding: np.ndarray | None = None
         self.n_evaluations = 0
-        self.fidelity: FidelityScheduler | None = (
-            FidelityScheduler(algorithm.fidelity) if algorithm.fidelity is not None else None
-        )
 
     def setup(self, rng: np.random.Generator) -> None:
         algorithm = self._algorithm
-        # Fidelity-scheduled offspring carry a ``fidelity`` metadata column,
-        # so the initial population is evaluated (at full fidelity) with one
-        # too: Population.concat requires identical columns.
         self.population = algorithm.problem.initial_population_soa(
-            algorithm.settings.population_size,
-            rng,
-            fidelity=1.0 if self.fidelity is not None else None,
+            algorithm.settings.population_size, rng
         )
         if self.population.size == 0:
             raise OptimizationError("the problem produced an empty initial population")
@@ -263,33 +302,15 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def step(self, rng: np.random.Generator, generation: int) -> StepOutcome:
         algorithm = self._algorithm
-        offspring_stack = algorithm._make_offspring(
-            self.population, self.ranks, self.crowding, rng
+        offspring = algorithm.problem.evaluate_population(
+            algorithm._make_offspring(self.population, self.ranks, self.crowding, rng)
         )
-        if self.fidelity is None:
-            offspring = algorithm.problem.evaluate_population(offspring_stack)
-            self.n_evaluations += offspring.size
-        else:
-            spent = self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations
-            offspring = self.fidelity.evaluate_stack(algorithm.problem, offspring_stack)
-            self.n_evaluations += (
-                self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations - spent
-            )
+        self.n_evaluations += offspring.size
         union = Population.concat(self.population, offspring)
         self.population, self.ranks, self.crowding = algorithm._select_next_generation(
             union
         )
-        n_low = self.fidelity.n_low_evaluations if self.fidelity is not None else 0
-        return StepOutcome(
-            archive_updates=1,
-            n_evaluations=self.n_evaluations,
-            n_full_evaluations=self.n_evaluations - n_low,
-            n_low_evaluations=n_low,
-        )
-
-    def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
-        if self.fidelity is not None:
-            self.fidelity.adapt(elapsed_seconds, deadline_seconds)
+        return StepOutcome(archive_updates=1, n_evaluations=self.n_evaluations)
 
     def finish(self, generation: int) -> NSGA2Result:
         population = self.population
@@ -307,27 +328,21 @@ class _NSGA2Steppable(SteppableOptimization):
     def setup_fingerprint(self) -> str:
         from dataclasses import asdict
 
-        payload = {
-            "algorithm": self.algorithm_name,
-            "problem": self._algorithm.problem.fingerprint_document(),
-            "settings": asdict(self._algorithm.settings),
-        }
-        # Keyed only when scheduling is on, so fingerprints of plain runs
-        # stay identical to pre-fidelity checkpoints.
-        if self._algorithm.fidelity is not None:
-            payload["fidelity"] = asdict(self._algorithm.fidelity)
-        return workload_fingerprint(payload)
+        return workload_fingerprint(
+            {
+                "algorithm": self.algorithm_name,
+                "problem": self._algorithm.problem.fingerprint_document(),
+                "settings": asdict(self._algorithm.settings),
+            }
+        )
 
     def state_document(self) -> dict:
-        document = {
+        return {
             "population": population_to_document(self.population),
             "ranks": encode_array(self.ranks),
             "crowding": encode_array(self.crowding),
             "n_evaluations": self.n_evaluations,
         }
-        if self.fidelity is not None:
-            document["fidelity"] = self.fidelity.state_document()
-        return document
 
     def restore_state(self, document: dict) -> None:
         self.population = population_from_document(document["population"])
@@ -336,6 +351,3 @@ class _NSGA2Steppable(SteppableOptimization):
         self.n_evaluations = check_counter(
             document["n_evaluations"], "checkpointed n_evaluations"
         )
-        fidelity_state = document.get("fidelity")
-        if self.fidelity is not None and fidelity_state is not None:
-            self.fidelity.restore_state(fidelity_state)

@@ -8,8 +8,7 @@ provides:
 * privacy and utility quantification based on estimation theory —
   :mod:`repro.metrics`;
 * the evolutionary multi-objective optimization substrate on genome stacks
-  (the SPEA2 array kernels, the checkpointing driver, multi-fidelity
-  scheduling) — :mod:`repro.emoo`;
+  (the SPEA2 array kernels, the checkpointing driver) — :mod:`repro.emoo`;
 * the OptRR optimizer that searches for Pareto-optimal RR matrices, the
   package's one optimizer — :mod:`repro.core` (the NSGA-II and weighted-sum
   ablation baselines live in ``benchmarks/baselines``);

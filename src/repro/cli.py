@@ -26,6 +26,7 @@ full reference for every subcommand lives in ``docs/cli.md``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,7 @@ from typing import Sequence
 # every layer perfbench/layers.py traces, so that a traced run's
 # `python.import` span covers their import.  Each handler imports the
 # analysis, experiment-harness and document modules only it runs.
-from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
+from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.result import ParetoFront
 from repro.data.distribution import CategoricalDistribution
@@ -169,18 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget for this invocation's work, combined with "
              "the generation budget (time spent before a --resume does not "
              "count against it)",
-    )
-    optimize_parser.add_argument(
-        "--fidelity", action="store_true",
-        help="enable multi-fidelity scheduling: offspring are evaluated at a "
-             "reduced fidelity first and only the most promising fraction is "
-             f"promoted to a full evaluation (default low fraction "
-             f"{DEFAULT_LOW_FIDELITY_FRACTION})",
-    )
-    optimize_parser.add_argument(
-        "--low-fidelity-fraction", type=float, default=None, metavar="F",
-        help="record fraction for low-fidelity evaluations, in (0, 1] "
-             "(implies --fidelity; 1.0 disables fidelity scheduling)",
     )
 
     pipeline_parser = subparsers.add_parser(
@@ -532,10 +521,6 @@ def _command_optimize(args: argparse.Namespace) -> int:
         return _fail("--checkpoint-every needs --checkpoint or --resume")
     if args.deadline is not None and args.deadline <= 0:
         return _fail("--deadline must be positive")
-    if args.low_fidelity_fraction is not None and not (
-        0.0 < args.low_fidelity_fraction <= 1.0
-    ):
-        return _fail("--low-fidelity-fraction must lie in (0, 1]")
     output_path = Path(args.output) if args.output is not None else None
     if output_path is not None and not output_path.parent.is_dir():
         return _fail(f"--output directory {str(output_path.parent)!r} does not exist")
@@ -548,12 +533,17 @@ def _command_optimize(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"checkpoint i/o failed: {exc}")
-    print(format_front_table(result.front, max_rows=30))
-    if args.plot:
-        print(ascii_scatter([result.front]))
-    low, high = result.front.privacy_range
-    print(f"privacy range: [{low:.4f}, {high:.4f}]  "
-          f"({len(result)} Pareto points, {result.n_evaluations} evaluations)")
+    found = not result.front.is_empty
+    if found:
+        print(format_front_table(result.front, max_rows=30))
+        if args.plot:
+            print(ascii_scatter([result.front]))
+        low, high = result.front.privacy_range
+        print(f"privacy range: [{low:.4f}, {high:.4f}]  "
+              f"({len(result)} Pareto points, {result.n_evaluations} evaluations)")
+    else:
+        print(f"no bound-feasible matrix found: the front is empty "
+              f"({result.n_evaluations} evaluations)")
     if output_path is not None:
         from repro.io import save_result
 
@@ -562,24 +552,17 @@ def _command_optimize(args: argparse.Namespace) -> int:
         except OSError as exc:
             return _fail(f"could not write --output: {exc}")
         print(f"front written to {args.output}")
-    return 0
+    return 0 if found else 1
 
 
 def _fresh_optimization(args: argparse.Namespace):
     """Run `optrr optimize` from scratch (optionally writing checkpoints)."""
     prior = _resolve_distribution(args.distribution, args.categories)
-    if args.low_fidelity_fraction is not None:
-        low_fidelity_fraction = args.low_fidelity_fraction
-    elif args.fidelity:
-        low_fidelity_fraction = DEFAULT_LOW_FIDELITY_FRACTION
-    else:
-        low_fidelity_fraction = 1.0
     config = OptRRConfig(
         population_size=args.population,
         archive_size=args.population,
         n_generations=args.generations if args.generations is not None else 200,
         delta=args.delta,
-        low_fidelity_fraction=low_fidelity_fraction,
         seed=args.seed,
     )
     return OptRROptimizer(prior, args.records, config).run(
@@ -825,6 +808,8 @@ def _resolve_disguise_matrix(args: argparse.Namespace):
 def _command_disguise(args: argparse.Namespace) -> int:
     if args.chunk_size < 1:
         return _fail("--chunk-size must be at least 1")
+    if args.seed < 0:
+        return _fail("--seed must be non-negative")
     try:
         name, matrix = _resolve_disguise_matrix(args)
     except (ValidationError, DataError, EstimationError) as exc:
@@ -955,6 +940,20 @@ def _command_search_space(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
+    try:
+        code = _dispatch(argv)
+        # Flush here so a closed stdout surfaces below, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`optrr list | head -2`): stop
+        # without a traceback.  Point stdout at /dev/null so the
+        # interpreter's final flush of the buffered rest cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":

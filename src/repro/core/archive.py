@@ -195,17 +195,18 @@ class OptimalSet:
         a malformed document raises :class:`~repro.exceptions.ValidationError`
         and leaves Ω untouched."""
         try:
-            size, slots = document["size"], document.get("slots", [])
-            n_updates = document.get("n_updates", 0)
+            size, slots, n_updates = document["size"], document["slots"], document["n_updates"]
             if size != self.size or not _is_int(size):
                 raise ValidationError(f"has {size!r} slots, this one {self.size}")
             if not isinstance(slots, list) or not all(
                 _is_int(slot) and 0 <= slot < self.size for slot in slots
             ) or any(later <= earlier for earlier, later in zip(slots, slots[1:])):
                 raise ValidationError(f"slots must be strictly increasing ints in [0, {size})")
-            if not _is_int(n_updates) or n_updates < len(slots):
+            # Ω never empties a slot, so any accepted offer leaves one occupied.
+            if not _is_int(n_updates) or n_updates < len(slots) or (n_updates > 0) != bool(slots):
                 raise ValidationError(
-                    f"n_updates {n_updates!r} must be an int >= its {len(slots)} occupied slots"
+                    f"n_updates {n_updates!r} must be an int >= its {len(slots)} occupied "
+                    f"slots, and 0 exactly when none is occupied"
                 )
             members = None
             if slots:

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_in_unit_interval, check_positive_int
-
-#: Low-fidelity fraction the CLI uses when ``--fidelity`` is passed without
-#: an explicit ``--low-fidelity-fraction``.
-DEFAULT_LOW_FIDELITY_FRACTION = 0.2
+from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -53,19 +49,8 @@ class OptRRConfig:
         only accelerates convergence towards the front the paper reaches
         after 20 000 generations; set to 0 for the paper's purely random
         initialisation.
-    low_fidelity_fraction:
-        Fraction of the record count used for the cheap first-pass evaluation
-        of each offspring generation (multi-fidelity scheduling, see
-        :mod:`repro.emoo.fidelity`).  The default 1.0 disables fidelity
-        scheduling entirely and keeps the exact single-fidelity path.
-    promotion_fraction:
-        Fraction of each offspring generation promoted to a full-fidelity
-        re-evaluation (only used when ``low_fidelity_fraction < 1``).
-    min_fidelity:
-        Floor for the deadline-driven low-fidelity adaptation (only used
-        when ``low_fidelity_fraction < 1``).
     seed:
-        Random seed for reproducibility.
+        Random seed for reproducibility: a non-negative int, or ``None``.
     """
 
     population_size: int = 40
@@ -80,9 +65,6 @@ class OptRRConfig:
     density_k: int = 1
     diagonal_bias: float = 2.0
     baseline_seeds: int = 1001
-    low_fidelity_fraction: float = 1.0
-    promotion_fraction: float = 0.25
-    min_fidelity: float = 0.05
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -105,20 +87,10 @@ class OptRRConfig:
             raise ValidationError("diagonal_bias must be non-negative")
         if self.baseline_seeds < 0:
             raise ValidationError("baseline_seeds must be non-negative")
-        if not 0.0 < self.low_fidelity_fraction <= 1.0:
-            raise ValidationError(
-                f"low_fidelity_fraction must be in (0, 1], got {self.low_fidelity_fraction}"
-            )
-        if not 0.0 < self.promotion_fraction <= 1.0:
-            raise ValidationError(
-                f"promotion_fraction must be in (0, 1], got {self.promotion_fraction}"
-            )
-        if not 0.0 < self.min_fidelity <= 1.0:
-            raise ValidationError(
-                f"min_fidelity must be in (0, 1], got {self.min_fidelity}"
-            )
         if self.population_size < 2:
             raise ValidationError("population_size must be at least 2")
+        if self.seed is not None:
+            check_counter(self.seed, "seed")
 
     def with_updates(self, **changes) -> "OptRRConfig":
         """Return a copy of this configuration with the given fields replaced."""

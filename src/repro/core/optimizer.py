@@ -44,6 +44,7 @@ from repro.emoo.driver import (
     StepOutcome,
     SteppableOptimization,
     build_driver,
+    check_checkpoint_version,
     population_from_document,
     population_to_document,
     workload_fingerprint,
@@ -53,7 +54,6 @@ from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
 from repro.emoo.dominance import non_dominated_indices
-from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.emoo.population import Population
 from repro.emoo.selection import (
@@ -220,10 +220,13 @@ class OptRROptimizer:
         The checkpoint embeds the full workload setup (prior, record count,
         configuration), so ``optrr optimize --resume`` needs nothing but the
         checkpoint file.  Restore the run state itself with
-        :meth:`OptimizationDriver.restore` on :meth:`driver`'s result.
+        :meth:`OptimizationDriver.restore` on :meth:`driver`'s result.  The
+        setup layout is versioned, so another ``checkpoint_version`` is
+        rejected before it is read.
         """
         from repro.utils.arrays import decode_array
 
+        check_checkpoint_version(document)
         try:
             setup = document["state"]["setup"]
             prior = CategoricalDistribution(decode_array(setup["prior"]))
@@ -238,9 +241,7 @@ class OptRROptimizer:
         return cls(prior, n_records, config)
 
     # -- internals -----------------------------------------------------------
-    def _baseline_seed_population(
-        self, rng: np.random.Generator, *, fidelity: float | None = None
-    ) -> Population | None:
+    def _baseline_seed_population(self, rng: np.random.Generator) -> Population | None:
         """Warm-start population: Warner-family matrices (bound-repaired when
         a ``delta`` is configured), evaluated like any other candidates.
 
@@ -260,9 +261,7 @@ class OptRROptimizer:
         stack = warner_stack(
             self.prior.n_categories, np.linspace(0.0, 1.0, config.baseline_seeds)
         )
-        return self._problem.evaluate_population(
-            self._problem.repair_stack(stack), fidelity=fidelity
-        )
+        return self._problem.evaluate_population(self._problem.repair_stack(stack))
 
     def _make_offspring(
         self, archive: Population, rng: np.random.Generator, generation: int
@@ -318,18 +317,6 @@ class _OptRRSteppable(SteppableOptimization):
         self.population: Population | None = None
         self.archive: Population | None = None
         self.optimal_set: OptimalSet | None = None
-        # Multi-fidelity scheduling (repro.emoo.fidelity): only constructed
-        # when the configuration actually reduces the fidelity, so disabled
-        # runs keep the exact single-fidelity code path and checkpoint layout.
-        self.fidelity: FidelityScheduler | None = None
-        if optimizer.config.low_fidelity_fraction < 1.0:
-            self.fidelity = FidelityScheduler(
-                FidelitySchedule(
-                    low_fidelity=optimizer.config.low_fidelity_fraction,
-                    promotion_fraction=optimizer.config.promotion_fraction,
-                    min_fidelity=optimizer.config.min_fidelity,
-                )
-            )
         # The workload identity is immutable; cache its serializations so
         # per-generation checkpoints don't recompute them.
         self._fingerprint: str | None = None
@@ -338,14 +325,8 @@ class _OptRRSteppable(SteppableOptimization):
     def setup(self, rng: np.random.Generator) -> None:
         optimizer = self._optimizer
         config = self._config
-        # In fidelity-scheduled runs every population carries a ``fidelity``
-        # metadata column (Population.concat requires identical key sets);
-        # the setup populations are evaluated at full fidelity.
-        setup_fidelity = 1.0 if self.fidelity is not None else None
-        population = self._problem.initial_population_soa(
-            config.population_size, rng, fidelity=setup_fidelity
-        )
-        baseline = optimizer._baseline_seed_population(rng, fidelity=setup_fidelity)
+        population = self._problem.initial_population_soa(config.population_size, rng)
+        baseline = optimizer._baseline_seed_population(rng)
         optimal_set = OptimalSet(config.optimal_set_size)
         optimal_set.offer_population(population)
         # The full baseline sweep goes straight into Ω (O(1) per matrix); only
@@ -385,53 +366,27 @@ class _OptRRSteppable(SteppableOptimization):
         archive.set_fitness(fitness[selected], generation)
         # 3-5. Mating selection, crossover, mutation, bound repair — the
         # whole offspring generation moves as one (B, n, n) stack.
-        offspring_stack = optimizer._make_offspring(archive, rng, generation)
-        if self.fidelity is None:
-            population = problem.evaluate_population(offspring_stack)
-        else:
-            population = self.fidelity.evaluate_stack(problem, offspring_stack)
+        population = problem.evaluate_population(
+            optimizer._make_offspring(archive, rng, generation)
+        )
         # 6. Update the three sets: Ω absorbs the new generation, and the
         # archive/population are refreshed with Ω's best matrices for the
-        # privacy levels they already occupy.  Low-fidelity rows carry
-        # *upper-bound* utilities and are never offered to Ω — only
-        # full-fidelity evaluations may enter the long-term store.
-        updates = optimal_set.offer_population(self._full_fidelity_rows(population))
-        updates += optimal_set.offer_population(self._full_fidelity_rows(archive))
+        # privacy levels they already occupy.
+        updates = optimal_set.offer_population(population)
+        updates += optimal_set.offer_population(archive)
         optimal_set.refresh(population)
         optimal_set.refresh(archive)
         self.population = population
         self.archive = archive
-        return StepOutcome(
-            archive_updates=updates,
-            n_evaluations=problem.n_evaluations,
-            n_full_evaluations=problem.n_full_evaluations,
-            n_low_evaluations=problem.n_low_evaluations,
-        )
-
-    @staticmethod
-    def _full_fidelity_rows(population: Population) -> Population:
-        """Restrict to rows evaluated at full fidelity (the whole population
-        when no fidelity column exists, i.e. fidelity scheduling is off)."""
-        column = population.metadata.get("fidelity")
-        if column is None:
-            return population
-        return population.take(np.flatnonzero(column >= 1.0))
-
-    def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
-        if self.fidelity is not None:
-            self.fidelity.adapt(elapsed_seconds, deadline_seconds)
+        return StepOutcome(archive_updates=updates, n_evaluations=problem.n_evaluations)
 
     def finish(self, generation: int) -> OptimizationResult:
         problem = self._problem
         members = self.optimal_set.members()
         if members is None:
-            # No feasible matrix was ever found (possible only with an
-            # extremely tight delta); fall back to the archive's
-            # non-dominated rows so the caller still gets diagnostics.
-            front = problem.population_individual(
-                self.archive, non_dominated_indices(self.archive.objectives)
-            )
-            spectrum = front.take(np.arange(0))
+            # Ω never accepted a bound-feasible matrix (possible only with an
+            # extremely tight delta): the result is an empty front.
+            front = spectrum = problem.population_individual(self.population, np.arange(0))
         else:
             # The spectrum is the occupied slots, in slot order, as rows of
             # Ω's own (read-only, no longer changing) genome array; the front
@@ -475,7 +430,7 @@ class _OptRRSteppable(SteppableOptimization):
                 "n_records": self._optimizer.n_records,
                 "config": asdict(self._config),
             }
-        document = {
+        return {
             # "setup" is read by OptRROptimizer.from_checkpoint (which must
             # rebuild the optimizer *before* a restore_state target exists),
             # not by restore_state itself — an intentional asymmetry.
@@ -487,23 +442,14 @@ class _OptRRSteppable(SteppableOptimization):
             ),
             "optimal_set": self.optimal_set.state_document(),
         }
-        # Only fidelity-scheduled runs carry scheduler state.
-        if self.fidelity is not None:
-            document["fidelity"] = self.fidelity.state_document()
-        return document
 
     def restore_state(self, document: dict) -> None:
         self._problem.restore_counters(document["problem"])
-        fidelity_state = document.get("fidelity")
-        if self.fidelity is not None and fidelity_state is not None:
-            self.fidelity.restore_state(fidelity_state)
         population = population_from_document(document["population"])
         self._check_genomes(population.genomes, "population")
-        archive_document = document.get("archive")
-        archive = None
-        if archive_document is not None:
-            archive = population_from_document(archive_document)
-            self._check_genomes(archive.genomes, "archive")
+        # Checkpoints are written after a generation, so the archive exists.
+        archive = population_from_document(document["archive"])
+        self._check_genomes(archive.genomes, "archive")
         optimal_set = OptimalSet(self._config.optimal_set_size)
         optimal_set.restore_state(document["optimal_set"])
         members = optimal_set.members()

@@ -4,11 +4,10 @@ Genomes are ``(B, n, n)`` stacks of column-stochastic RR matrices; the two
 minimised objectives are ``(-privacy, utility)``; the variation operators are
 the paper's column crossover and proportional column mutation; and the repair
 step enforces the worst-case privacy bound ``delta`` when one is configured.
-:class:`RRMatrixProblem` defines every stack hook the optimizer and the
-fidelity scheduler call (``initial_population_soa``,
-``evaluate_population``, ``crossover_stack``, ``mutate_stack``,
-``repair_stack``, ``fingerprint_document``); the ablation baselines in
-``benchmarks/baselines`` drive the same hooks.
+:class:`RRMatrixProblem` defines every stack hook the optimizer calls
+(``initial_population_soa``, ``evaluate_population``, ``crossover_stack``,
+``mutate_stack``, ``repair_stack``, ``fingerprint_document``); the ablation
+baselines in ``benchmarks/baselines`` drive the same hooks.
 
 Evaluation and repair run through the batch engine:
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` and
@@ -33,6 +32,7 @@ from repro.core.operators import (
 from repro.core.result import ParetoFront
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.population import Population
+from repro.exceptions import ValidationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.utils.validation import check_counter, check_in_unit_interval, check_positive_int
 
@@ -75,7 +75,6 @@ class RRMatrixProblem:
         check_in_unit_interval(self.mutation_scale, "mutation_scale", inclusive_low=False)
         self._evaluator = MatrixEvaluator(self.prior, self.n_records, self.delta)
         self._n_evaluations = 0
-        self._n_low_evaluations = 0
         self._counter = 0
 
     # -- bookkeeping -----------------------------------------------------------
@@ -90,17 +89,6 @@ class RRMatrixProblem:
         return self._n_evaluations
 
     @property
-    def n_low_evaluations(self) -> int:
-        """How many of those evaluations ran at reduced fidelity (< 1)."""
-        return self._n_low_evaluations
-
-    @property
-    def n_full_evaluations(self) -> int:
-        """How many evaluations ran at full fidelity (every evaluation is
-        either low- or full-fidelity, so this is the complement)."""
-        return self._n_evaluations - self._n_low_evaluations
-
-    @property
     def evaluator(self) -> MatrixEvaluator:
         """The underlying privacy/utility evaluator."""
         return self._evaluator
@@ -111,30 +99,23 @@ class RRMatrixProblem:
         ``counter`` drives the random-genome kind cycling of
         :meth:`initial_population_soa`, so restoring it keeps any post-resume
         genome creation on the same cycle; the
-        evaluation counts make resumed results report the true cumulative
-        cost (split into full- and low-fidelity work)."""
+        evaluation count makes resumed results report the true cumulative
+        cost."""
         return {
             "n_evaluations": self._n_evaluations,
-            "n_low_evaluations": self._n_low_evaluations,
             "counter": self._counter,
         }
 
     def restore_counters(self, document: dict[str, int]) -> None:
         """Restore the counters captured by :meth:`counters_document`; each
-        must be a non-negative int, with no more low-fidelity evaluations
-        than evaluations (:class:`~repro.exceptions.ValidationError`
-        otherwise, before any counter is written)."""
-        n_evaluations = check_counter(
-            document.get("n_evaluations", 0), "checkpointed n_evaluations"
-        )
-        n_low_evaluations = check_counter(
-            document.get("n_low_evaluations", 0),
-            "checkpointed n_low_evaluations",
-            at_most=n_evaluations,
-        )
-        counter = check_counter(document.get("counter", 0), "checkpointed counter")
+        must be present and a non-negative int
+        (:class:`~repro.exceptions.ValidationError` otherwise, before any
+        counter is written)."""
+        if not isinstance(document, dict):
+            raise ValidationError(f"checkpointed counters must be an object, got {document!r:.40}")
+        n_evaluations = check_counter(document["n_evaluations"], "checkpointed n_evaluations")
+        counter = check_counter(document["counter"], "checkpointed counter")
         self._n_evaluations = n_evaluations
-        self._n_low_evaluations = n_low_evaluations
         self._counter = counter
 
     # -- stack hooks -------------------------------------------------------------
@@ -153,12 +134,7 @@ class RRMatrixProblem:
             "diagonal_bias": self.diagonal_bias,
         }
 
-    def evaluate_population(
-        self,
-        stack: np.ndarray,
-        *,
-        fidelity: float | np.ndarray | None = None,
-    ) -> Population:
+    def evaluate_population(self, stack: np.ndarray) -> Population:
         """Evaluate a ``(B, n, n)`` stack into a structure-of-arrays population.
 
         This is the optimizer hot path: one call computes privacy, utility,
@@ -167,13 +143,8 @@ class RRMatrixProblem:
         array — no per-matrix ``RRMatrix`` construction or re-validation
         happens inside the generation loop.  Result rows are gathered only
         at the result boundary, by :meth:`population_individual`.
-
-        ``fidelity`` (a scalar or per-row column in ``(0, 1]``) evaluates the
-        stack at reduced fidelity (see :meth:`MatrixEvaluator.evaluate_batch`)
-        and adds a ``fidelity`` metadata column; ``None`` keeps the exact
-        full-fidelity path and metadata layout unchanged.
         """
-        evaluation = self._evaluator.evaluate_batch(stack, fidelity=fidelity)
+        evaluation = self._evaluator.evaluate_batch(stack)
         self._n_evaluations += len(evaluation)
         metadata = {
             "privacy": np.asarray(evaluation.privacy, dtype=np.float64),
@@ -181,9 +152,6 @@ class RRMatrixProblem:
             "max_posterior": np.asarray(evaluation.max_posterior, dtype=np.float64),
             "invertible": np.asarray(evaluation.invertible, dtype=bool),
         }
-        if evaluation.fidelity is not None:
-            self._n_low_evaluations += int(np.count_nonzero(evaluation.fidelity < 1.0))
-            metadata["fidelity"] = np.asarray(evaluation.fidelity, dtype=np.float64)
         finite_utility = np.where(
             np.isfinite(evaluation.utility), evaluation.utility, SINGULAR_UTILITY_PENALTY
         )
@@ -211,13 +179,7 @@ class RRMatrixProblem:
             stack_rows=rows,
         )
 
-    def initial_population_soa(
-        self,
-        size: int,
-        rng: np.random.Generator,
-        *,
-        fidelity: float | np.ndarray | None = None,
-    ) -> Population:
+    def initial_population_soa(self, size: int, rng: np.random.Generator) -> Population:
         """Create, batch-repair and batch-evaluate ``size`` random genomes
         into a structure-of-arrays population.
 
@@ -236,7 +198,7 @@ class RRMatrixProblem:
                 kind=self._counter,
                 diagonal_bias=self.diagonal_bias,
             ).probabilities
-        return self.evaluate_population(self.repair_stack(raw), fidelity=fidelity)
+        return self.evaluate_population(self.repair_stack(raw))
 
     # -- stacked variation -----------------------------------------------------
     def crossover_stack(

@@ -3,8 +3,7 @@
 The array kernels of SPEA2 (fitness, density, environmental selection and
 truncation — the algorithm the paper builds on, assembled into OptRR by
 ``repro.core``), the stepwise checkpointing driver with its stopping rule,
-multi-fidelity scheduling, Pareto dominance utilities, the crowding
-distance and front-quality indicators.
+Pareto dominance utilities and front-quality indicators.
 
 The kernels work on genome stacks and structure-of-arrays
 :class:`~repro.emoo.population.Population` objects; the only problem in the

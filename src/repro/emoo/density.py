@@ -4,9 +4,6 @@ SPEA2 breaks fitness ties between equally-dominated individuals with a
 density estimate: the distance to the ``k``-th nearest neighbour in objective
 space, mapped through ``d = 1 / (sigma_k + 2)`` so it is always below one and
 cannot override a dominance difference (the paper's Section V-B).
-
-The crowding distance of one front (:func:`crowding_distances_from_objectives`)
-orders the multi-fidelity scheduler's promotions (:mod:`repro.emoo.fidelity`).
 """
 
 from __future__ import annotations
@@ -83,26 +80,3 @@ def spea2_density(
     sigma = kth_nearest_distances(objectives, k, distances=distances)
     finite_sigma = np.where(np.isfinite(sigma), sigma, np.finfo(np.float64).max / 4)
     return 1.0 / (finite_sigma + 2.0)
-
-
-def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
-    """Crowding distance of every row of a single front's objective array.
-
-    Pure array computation (one stable argsort per objective).
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    size = objectives.shape[0]
-    if size == 0:
-        return np.empty(0)
-    distances = np.zeros(size, dtype=np.float64)
-    for objective_index in range(objectives.shape[1]):
-        order = np.argsort(objectives[:, objective_index], kind="stable")
-        values = objectives[order, objective_index]
-        distances[order[0]] = np.inf
-        distances[order[-1]] = np.inf
-        value_range = values[-1] - values[0]
-        if value_range <= 0 or size <= 2:
-            continue
-        spacing = (values[2:] - values[:-2]) / value_range
-        distances[order[1:-1]] += spacing
-    return distances

@@ -6,11 +6,10 @@ compared on their objectives like feasible ones (so the population can still
 be driven towards feasibility).
 
 Everything here works on plain ``(size, n_objectives)`` objective arrays
-(plus a feasibility mask) via whole-matrix operations: the dominance matrix,
-non-dominated filtering (:func:`non_dominated_indices`, which picks every
-engine's front out of its population rows) and non-dominated sorting.  The
-pure-Python front-peeling reference the vectorized sort is tested against
-lives in ``tests/oracles/scalar.py``.
+(plus a feasibility mask) via whole-matrix operations: the dominance matrix
+and non-dominated filtering (:func:`non_dominated_indices`, which picks every
+engine's front out of its population rows).  Non-dominated sorting serves
+only the NSGA-II baseline and lives with it in ``benchmarks/baselines``.
 """
 
 from __future__ import annotations
@@ -48,24 +47,6 @@ def non_dominated_indices(
     """Ascending indices of the rows no other row dominates (under
     constrained dominance when a ``feasible`` mask is given)."""
     return np.flatnonzero(~dominance_matrix_from_arrays(objectives, feasible).any(axis=0))
-
-
-def pareto_ranks_from_arrays(
-    objectives: np.ndarray, feasible: np.ndarray | None = None
-) -> np.ndarray:
-    """Non-dominated sorting ranks (0 = first front) over raw arrays.
-
-    Fronts are peeled with boolean matrix reductions instead of per-individual
-    queues: at each step the individuals not dominated by any still-alive
-    individual form the next front.  Equivalent to the classic fast
-    non-dominated sort (Deb's domination-count loop), but every peel is one
-    ``any``-reduction over the dominance matrix.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    size = objectives.shape[0]
-    ranks = np.full(size, -1, dtype=np.int64)
-    if size == 0:
-        return ranks
     matrix = dominance_matrix_from_arrays(objectives, feasible)
     alive = np.ones(size, dtype=bool)
     front_index = 0

@@ -59,7 +59,7 @@ logger = get_logger(__name__)
 
 #: Version of the ``checkpoint`` document layout (bumped independently of the
 #: io-wide ``format_version`` when the state payload changes shape).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Default checkpoint cadence (generations between checkpoint writes).  At 50
 #: the measured end-to-end overhead stays under 5% even with a well-filled Ω
@@ -110,16 +110,10 @@ class StepOutcome:
     n_evaluations:
         Cumulative objective evaluations since the start of the run
         (including any resumed-from segments).
-    n_full_evaluations / n_low_evaluations:
-        Cumulative full- and reduced-fidelity split of ``n_evaluations``.
-        Algorithms without a fidelity axis leave both ``None`` and the
-        driver reports every evaluation as full fidelity.
     """
 
     archive_updates: int
     n_evaluations: int
-    n_full_evaluations: int | None = None
-    n_low_evaluations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,6 @@ class GenerationSnapshot:
     stopped:
         Whether the stopping rule fired after this generation (this is the
         last snapshot of the run when True).
-    n_full_evaluations / n_low_evaluations:
-        Cumulative full- and reduced-fidelity split of ``n_evaluations``
-        (``n_low_evaluations`` stays 0 for runs without a fidelity axis).
     """
 
     generation: int
@@ -150,8 +141,6 @@ class GenerationSnapshot:
     n_evaluations: int
     elapsed_seconds: float
     stopped: bool
-    n_full_evaluations: int = 0
-    n_low_evaluations: int = 0
 
 
 class SteppableOptimization(ABC):
@@ -180,12 +169,6 @@ class SteppableOptimization(ABC):
     @abstractmethod
     def restore_state(self, document: dict[str, Any]) -> None:
         """Restore the state captured by :meth:`state_document`."""
-
-    def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
-        """Called by the driver before every :meth:`step` with the wall time
-        consumed by the *current* segment and the stopping rule's deadline
-        (None without one).  Fidelity-scheduling algorithms adapt their
-        low-fidelity budget here (default: nothing)."""
 
     def setup_fingerprint(self) -> str:
         """Hash identifying the workload (not the stopping rule or seed).
@@ -305,11 +288,7 @@ class OptimizationDriver:
             raise ValidationError(
                 f"expected a 'checkpoint' document, got {document.get('type')!r}"
             )
-        version = document.get("checkpoint_version")
-        if version != CHECKPOINT_VERSION:
-            raise ValidationError(
-                f"unsupported checkpoint version {version!r} (supported: {CHECKPOINT_VERSION})"
-            )
+        check_checkpoint_version(document)
         algorithm = document.get("algorithm")
         if algorithm != self.optimization.algorithm_name:
             raise ValidationError(
@@ -382,9 +361,6 @@ class OptimizationDriver:
         rule = self.rule
         mark = time.perf_counter()
         while True:
-            self.optimization.notify_progress(
-                self._elapsed - self._elapsed_anchor, rule.deadline
-            )
             outcome = self.optimization.step(self.rng, self.generation)
             mark = self._accumulate(mark)
             self.stale = 0 if outcome.archive_updates > 0 else self.stale + 1
@@ -407,16 +383,6 @@ class OptimizationDriver:
                 n_evaluations=outcome.n_evaluations,
                 elapsed_seconds=self._elapsed,
                 stopped=stop,
-                n_full_evaluations=(
-                    outcome.n_full_evaluations
-                    if outcome.n_full_evaluations is not None
-                    else outcome.n_evaluations
-                ),
-                n_low_evaluations=(
-                    outcome.n_low_evaluations
-                    if outcome.n_low_evaluations is not None
-                    else 0
-                ),
             )
             mark = self._accumulate(mark)
             if stop:
@@ -474,23 +440,35 @@ def population_from_document(document: dict[str, Any]) -> Population:
     """Rebuild a population from :func:`population_to_document` output.
 
     Any other layout (such as the per-individual one written before every
-    engine worked on genome stacks) raises
-    :class:`~repro.exceptions.ValidationError`.
+    engine worked on genome stacks), or a document or ``metadata`` that is
+    not an object, raises :class:`~repro.exceptions.ValidationError`.
     """
+    if not isinstance(document, dict):
+        raise ValidationError(f"a population must be an object, got {document!r:.40}")
     layout = document.get("layout")
     if layout != "arrays":
         raise ValidationError(f"unknown population layout {layout!r}")
+    metadata = document.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError(f"population metadata must be an object, got {metadata!r:.40}")
     return Population(
         genomes=decode_array(document["genomes"]),
         objectives=decode_array(document["objectives"]),
         feasible=decode_array(document["feasible"]),
-        metadata={
-            key: decode_array(column)
-            for key, column in document.get("metadata", {}).items()
-        },
+        metadata={key: decode_array(column) for key, column in metadata.items()},
         fitness=decode_array(document["fitness"]),
         fitness_generation=int(document.get("fitness_generation", -1)),
     )
+
+
+def check_checkpoint_version(document: dict[str, Any]) -> None:
+    """Reject a checkpoint whose state layout is not
+    :data:`CHECKPOINT_VERSION` (:class:`~repro.exceptions.ValidationError`)."""
+    version = document.get("checkpoint_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValidationError(
+            f"unsupported checkpoint version {version!r} (supported: {CHECKPOINT_VERSION})"
+        )
 
 
 def checkpoint_generation(document: dict[str, Any]) -> int:

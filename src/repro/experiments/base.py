@@ -18,7 +18,7 @@ from repro.exceptions import ExperimentError, ValidationError
 
 #: Override keys accepted by the front-comparison experiments (the common
 #: case); specs with a different workload declare their own tuple.
-DEFAULT_ACCEPTED_OVERRIDES = ("n_generations", "population_size", "low_fidelity_fraction")
+DEFAULT_ACCEPTED_OVERRIDES = ("n_generations", "population_size")
 
 
 def environment_override_defaults() -> dict[str, object]:
@@ -33,7 +33,6 @@ def environment_override_defaults() -> dict[str, object]:
     return {
         "n_generations": default_generations(),
         "population_size": default_population(),
-        "low_fidelity_fraction": default_low_fidelity_fraction(),
     }
 
 #: Environment variable that overrides the number of optimizer generations in
@@ -43,14 +42,10 @@ GENERATIONS_ENV_VAR = "REPRO_GENERATIONS"
 #: Environment variable that overrides the optimizer population/archive size.
 POPULATION_ENV_VAR = "REPRO_POPULATION"
 
-#: Environment variable that overrides the optimizer's low-fidelity fraction
-#: (1.0, the default, keeps the exact single-fidelity evaluation path).
-LOW_FIDELITY_ENV_VAR = "REPRO_LOW_FIDELITY"
-
 
 def default_generations(fallback: int = 400) -> int:
     """Number of generations to run, honouring the environment override."""
-    value = _environment_number(GENERATIONS_ENV_VAR, int, fallback)
+    value = _environment_int(GENERATIONS_ENV_VAR, fallback)
     if value <= 0:
         raise ValidationError(f"{GENERATIONS_ENV_VAR} must be positive, got {value}")
     return value
@@ -58,29 +53,21 @@ def default_generations(fallback: int = 400) -> int:
 
 def default_population(fallback: int = 40) -> int:
     """Population/archive size to use, honouring the environment override."""
-    value = _environment_number(POPULATION_ENV_VAR, int, fallback)
+    value = _environment_int(POPULATION_ENV_VAR, fallback)
     if value <= 1:
         raise ValidationError(f"{POPULATION_ENV_VAR} must be at least 2, got {value}")
     return value
 
 
-def default_low_fidelity_fraction(fallback: float = 1.0) -> float:
-    """Low-fidelity fraction to use, honouring the environment override."""
-    value = _environment_number(LOW_FIDELITY_ENV_VAR, float, fallback)
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(f"{LOW_FIDELITY_ENV_VAR} must lie in (0, 1], got {value}")
-    return value
-
-
-def _environment_number(name: str, kind: type, fallback):
-    """The variable parsed with ``kind``, or ``fallback`` when it is unset."""
+def _environment_int(name: str, fallback: int) -> int:
+    """The variable parsed as an int, or ``fallback`` when it is unset."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return kind(raw)
+        return int(raw)
     except ValueError as exc:
-        raise ValidationError(f"{name} is not a valid {kind.__name__}: {raw!r}") from exc
+        raise ValidationError(f"{name} is not a valid int: {raw!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from repro.data.distribution import CategoricalDistribution
 from repro.experiments.base import (
     ExperimentResult,
     default_generations,
-    default_low_fidelity_fraction,
     default_population,
 )
 from repro.rr.family import WarnerFamily
@@ -65,7 +64,6 @@ def optimize_front(
     seed: int = 0,
     n_generations: int | None = None,
     population_size: int | None = None,
-    low_fidelity_fraction: float | None = None,
 ) -> tuple[ParetoFront, OptimizationResult]:
     """Run OptRR on the workload and return its Pareto front."""
     config = OptRRConfig(
@@ -73,11 +71,6 @@ def optimize_front(
         archive_size=population_size or default_population(),
         n_generations=n_generations or default_generations(),
         delta=delta,
-        low_fidelity_fraction=(
-            low_fidelity_fraction
-            if low_fidelity_fraction is not None
-            else default_low_fidelity_fraction()
-        ),
         seed=seed,
     )
     optimizer = OptRROptimizer(prior, n_records, config)
@@ -103,7 +96,6 @@ def run_front_comparison(
     seed: int = 0,
     n_generations: int | None = None,
     population_size: int | None = None,
-    low_fidelity_fraction: float | None = None,
 ) -> ExperimentResult:
     """Run one figure-style comparison of OptRR against the Warner baseline."""
     optrr, optimization = optimize_front(
@@ -113,7 +105,6 @@ def run_front_comparison(
         seed=seed,
         n_generations=n_generations,
         population_size=population_size,
-        low_fidelity_fraction=low_fidelity_fraction,
     )
     warner = warner_front(workload.prior, workload.n_records, workload.delta)
     comparison = compare_fronts(optrr, warner)

@@ -17,14 +17,6 @@ Two evaluation paths are provided:
   one implementation.  The original per-matrix implementation is frozen in
   ``tests/oracles/scalar.py`` for equivalence tests and benchmarks.
 
-The batch path additionally supports a *fidelity* axis (multi-fidelity
-optimization): ``evaluate_batch`` accepts a per-individual fidelity column in
-``(0, 1]`` realised as record subsampling.  Theorem 6's MSE is exactly
-proportional to ``1/N``, so evaluating a matrix against the subsampled record
-count ``n_eff = max(1, rint(fidelity * N))`` amounts to scaling the full
-utility by ``N / n_eff`` — an exact, monotonically decreasing upper bound on
-the full-fidelity utility that converges to it as ``fidelity -> 1`` (and is
-bit-identical at ``fidelity = 1``).  Privacy is prior-only and stays exact.
 On every path the worst-case posterior is computed through the row-max/row-sum
 bound, which equals the full posterior-tensor maximum bit for bit (division by
 a positive row sum is monotone, so the maximum commutes with it) without
@@ -112,34 +104,10 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def resolve_fidelity_column(
-    fidelity: float | np.ndarray | None, batch_size: int
-) -> np.ndarray | None:
-    """Normalise a fidelity argument into a validated ``(B,)`` column.
-
-    ``None`` stays ``None`` (full-fidelity evaluation, the untouched exact
-    path); a scalar broadcasts over the batch; an array must already have
-    shape ``(batch_size,)``.  Every value must lie in ``(0, 1]``.
-    """
-    if fidelity is None:
-        return None
-    column = np.asarray(fidelity, dtype=np.float64)
-    if column.ndim == 0:
-        column = np.full(batch_size, float(column))
-    if column.shape != (batch_size,):
-        raise ValidationError(
-            f"fidelity column shape {column.shape} does not match the batch "
-            f"size ({batch_size},)"
-        )
-    if not np.all(np.isfinite(column)) or np.any(column <= 0.0) or np.any(column > 1.0):
-        raise ValidationError("fidelity values must lie in (0, 1]")
-    return column
-
-
 def evaluate_stack(
     stack: np.ndarray, prior: np.ndarray, n_records: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Full-fidelity evaluation of a C-contiguous ``(B, n, n)`` stack.
+    """Evaluation of a C-contiguous ``(B, n, n)`` stack.
 
     Returns the ``(B,)`` columns ``(privacy, utility, worst_posterior,
     invertible)`` (see :func:`_evaluate_block`).  Rows are independent, so
@@ -262,11 +230,6 @@ class BatchEvaluation:
         ``(B,)`` boolean mask of delta-feasible, invertible matrices.
     invertible:
         ``(B,)`` boolean mask of numerically invertible matrices.
-    fidelity:
-        ``(B,)`` fidelity column the batch was evaluated at, or ``None`` for
-        a plain full-fidelity evaluation.  Utilities of rows with fidelity
-        below 1 are the exact subsampled-record values (upper bounds on the
-        full-fidelity utility).
     """
 
     privacy: np.ndarray
@@ -274,7 +237,6 @@ class BatchEvaluation:
     max_posterior: np.ndarray
     feasible: np.ndarray
     invertible: np.ndarray
-    fidelity: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.privacy.size)
@@ -333,16 +295,7 @@ class MatrixEvaluator:
         """Domain size of the evaluated matrices."""
         return self.prior.n_categories
 
-    def effective_record_counts(self, fidelity_column: np.ndarray) -> np.ndarray:
-        """Subsampled record counts ``n_eff = max(1, rint(fidelity * N))``."""
-        return np.maximum(1.0, np.rint(fidelity_column * self.n_records))
-
-    def evaluate_batch(
-        self,
-        matrices: np.ndarray | list[RRMatrix],
-        *,
-        fidelity: float | np.ndarray | None = None,
-    ) -> BatchEvaluation:
+    def evaluate_batch(self, matrices: np.ndarray | list[RRMatrix]) -> BatchEvaluation:
         """Evaluate a whole stack of matrices with batched linear algebra.
 
         Parameters
@@ -350,13 +303,6 @@ class MatrixEvaluator:
         matrices:
             A ``(B, n, n)`` array of column-stochastic matrices, or a list of
             :class:`RRMatrix` objects (stacked internally).
-        fidelity:
-            Optional per-individual evaluation fidelity in ``(0, 1]`` (a
-            scalar broadcasts over the batch).  Fidelity ``f`` evaluates the
-            Theorem-6 utility against ``n_eff = max(1, rint(f * N))`` records
-            instead of ``N`` — exactly the subsampled MSE, since the MSE is
-            proportional to ``1/N``.  ``None`` (and a fidelity of exactly 1)
-            reproduce the full-fidelity evaluation bit for bit.
 
         Returns
         -------
@@ -370,17 +316,10 @@ class MatrixEvaluator:
                 f"matrix stack domain {stack.shape[1:]} does not match the "
                 f"prior domain ({n}, {n})"
             )
-        fidelity_column = resolve_fidelity_column(fidelity, stack.shape[0])
         prior_vector = self.prior.probabilities
         privacy, utility, worst_posterior, invertible = evaluate_stack(
             stack, prior_vector, self.n_records
         )
-        if fidelity_column is not None:
-            # MSE is exactly proportional to 1/N (Theorem 6), so the
-            # subsampled utility is the full utility scaled by N / n_eff.
-            # At fidelity 1 the factor is exactly 1.0 and the product is
-            # bit-identical; infinite utilities stay infinite.
-            utility = utility * (float(self.n_records) / self.effective_record_counts(fidelity_column))
         feasible = invertible.copy()
         if self.delta is not None:
             feasible &= worst_posterior <= self.delta + BOUND_ATOL
@@ -390,7 +329,6 @@ class MatrixEvaluator:
             max_posterior=worst_posterior,
             feasible=feasible,
             invertible=invertible,
-            fidelity=fidelity_column,
         )
 
     def evaluate(self, matrix: RRMatrix) -> MatrixEvaluation:

@@ -33,10 +33,18 @@ def rng_state_document(rng: np.random.Generator) -> dict[str, Any]:
 
 
 def restore_rng_state(rng: np.random.Generator, state: Any) -> None:
-    """Restore a :func:`rng_state_document` snapshot into ``rng``."""
+    """Restore a :func:`rng_state_document` snapshot into ``rng``.
+
+    The bit generator checks its own fields, except the buffered-draw flag
+    ``has_uint32``, which it takes as any truthy value; that one must be 0
+    or 1 (:class:`~repro.exceptions.ValidationError` otherwise).
+    """
+    flag = state.get("has_uint32", 0) if isinstance(state, dict) else 0
+    if type(flag) is not int or flag not in (0, 1):
+        raise ValidationError(f"cannot restore RNG state: has_uint32 must be 0 or 1, got {flag!r}")
     try:
         rng.bit_generator.state = state
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ValidationError(f"cannot restore RNG state: {exc}") from exc
 
 

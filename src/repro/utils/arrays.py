@@ -44,6 +44,9 @@ def encode_array(array: np.ndarray) -> dict[str, Any]:
 def decode_array(document: dict[str, Any]) -> np.ndarray:
     """Decode :func:`encode_array` output back into a writable array."""
     try:
+        if not isinstance(document["dtype"], str):
+            # np.dtype(None) would quietly mean float64.
+            raise TypeError(f"dtype must be a string, got {document['dtype']!r}")
         dtype = np.dtype(document["dtype"])
         shape = tuple(int(extent) for extent in document["shape"])
         raw = base64.b64decode(document["data"])

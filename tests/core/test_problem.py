@@ -91,16 +91,14 @@ class TestCounters:
         [
             {"n_evaluations": -500},
             {"counter": -3},
-            {"n_low_evaluations": -1},
             {"n_evaluations": True},
             {"counter": 2.0},
             {"n_evaluations": "7"},
-            {"n_evaluations": 4, "n_low_evaluations": 5},
         ],
     )
     def test_tampered_counters_are_rejected_untouched(self, small_prior, counters):
         problem = RRMatrixProblem(small_prior, n_records=1000)
-        document = {"n_evaluations": 10, "n_low_evaluations": 2, "counter": 3}
+        document = {"n_evaluations": 10, "counter": 3}
         problem.restore_counters(document)
         with pytest.raises(ValidationError, match="checkpointed"):
             problem.restore_counters({**document, **counters})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.emoo.population import Population
-from repro.exceptions import OptimizationError
 
 
 class SphereTradeoffProblem:
@@ -19,15 +18,11 @@ class SphereTradeoffProblem:
     :class:`repro.core.problem.RRMatrixProblem`.
     """
 
-    def initial_population_soa(self, size, rng, *, fidelity=None) -> Population:
+    def initial_population_soa(self, size, rng) -> Population:
         stack = rng.uniform(-0.5, 1.5, size=(size, 1))
-        return self.evaluate_population(self.repair_stack(stack), fidelity=fidelity)
+        return self.evaluate_population(self.repair_stack(stack))
 
-    def evaluate_population(self, stack, *, fidelity=None) -> Population:
-        if fidelity is not None:
-            raise OptimizationError(
-                f"{type(self).__name__} does not support reduced-fidelity evaluation"
-            )
+    def evaluate_population(self, stack) -> Population:
         x = np.asarray(stack, dtype=np.float64)[:, 0]
         return Population(
             genomes=np.asarray(stack, dtype=np.float64),

@@ -1,5 +1,5 @@
-"""Tests for repro.emoo.density and repro.emoo.fitness (SPEA2 components and
-the crowding distance)."""
+"""Tests for repro.emoo.density and repro.emoo.fitness (SPEA2 components) and
+the NSGA-II baseline's crowding distance (benchmarks/baselines/nsga2.py)."""
 
 from __future__ import annotations
 
@@ -10,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emoo.density import (
-    crowding_distances_from_objectives,
-    kth_nearest_distances,
-    pairwise_distances,
-    spea2_density,
-)
+from benchmarks.baselines.nsga2 import crowding_distances_from_objectives
+from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.exceptions import OptimizationError
 from tests.oracles import kernels as oracle

@@ -1,14 +1,12 @@
-"""Tests for repro.emoo.dominance."""
+"""Tests for repro.emoo.dominance and the NSGA-II baseline's non-dominated
+sorting (benchmarks/baselines/nsga2.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.emoo.dominance import (
-    dominance_matrix_from_arrays,
-    non_dominated_indices,
-    pareto_ranks_from_arrays,
-)
+from benchmarks.baselines.nsga2 import pareto_ranks_from_arrays
+from repro.emoo.dominance import dominance_matrix_from_arrays, non_dominated_indices
 
 
 def dominates(first, second, feasible=(True, True)) -> bool:

@@ -60,7 +60,6 @@ class Scripted(SteppableOptimization):
         self.updates = updates
         self.clock = clock
         self.step_seconds = step_seconds
-        self.progress: list[tuple[float, float | None]] = []
 
     def setup(self, rng) -> None:
         pass
@@ -79,9 +78,6 @@ class Scripted(SteppableOptimization):
 
     def restore_state(self, document: dict) -> None:
         pass
-
-    def notify_progress(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
-        self.progress.append((elapsed_seconds, deadline_seconds))
 
 
 def generations_run(rule: StoppingRule, updates: tuple[int, ...] = (), **scripted) -> int:
@@ -143,8 +139,6 @@ class TestDeadline:
         driver = OptimizationDriver(algorithm, rule=StoppingRule(1000, deadline=3.0))
         assert driver.run() == 3
         assert driver.elapsed_seconds == 3.0
-        # The algorithm sees the segment's elapsed time and the deadline.
-        assert algorithm.progress == [(0.0, 3.0), (1.0, 3.0), (2.0, 3.0)]
 
     def test_rejects_non_positive_budget(self):
         for seconds in (0.0, -1.0, float("nan"), float("inf")):
@@ -180,7 +174,7 @@ class TestStateDocuments:
         next(steps)
         next(steps)
         document = interrupted.checkpoint_document()
-        assert document["checkpoint_version"] == CHECKPOINT_VERSION == 2
+        assert document["checkpoint_version"] == CHECKPOINT_VERSION == 3
         assert document["termination"] == {"stale": 2}
         resumed = OptimizationDriver(Scripted((0, 0, 0, 0)), rule=rule)
         resumed.restore(document)
@@ -221,7 +215,6 @@ class TestStateDocuments:
         resumed.restore(document)
         assert resumed.run() == 9 + 10
         assert resumed.elapsed_seconds == 190.0
-        assert algorithm.progress[0] == (0.0, 100.0)
 
     def test_any_criterion_round_trip(self):
         """A rule with budget, patience and deadline writes only the counter,
@@ -240,9 +233,9 @@ class TestStateDocuments:
         resumed.restore(document)
         assert resumed.run() == 7
 
-    def test_any_criterion_forwards_notify_resumed(self, clock):
-        """After a resume, a rule with patience and a deadline hands the
-        algorithm the resumed segment's elapsed time, not the whole run's."""
+    def test_any_criterion_deadline_anchors_on_resume(self, clock):
+        """After a resume, a rule with patience and a deadline budgets the
+        resumed segment's elapsed time, not the whole run's."""
         rule = StoppingRule(1000, patience=50, deadline=25.0)
         interrupted = OptimizationDriver(
             Scripted(clock=clock, step_seconds=10.0), rule=rule
@@ -255,7 +248,7 @@ class TestStateDocuments:
         resumed = OptimizationDriver(algorithm, rule=rule)
         resumed.restore(document)
         assert resumed.run() == 2 + 3
-        assert algorithm.progress == [(0.0, 25.0), (10.0, 25.0), (20.0, 25.0)]
+        assert resumed.elapsed_seconds == 50.0
 
     def test_stateless_criteria_have_empty_documents(self):
         """Budget and deadline keep no state of their own: the document of a
@@ -323,14 +316,12 @@ class TestStateDocuments:
 
 
 class TestTerminationDeadlineSeconds:
-    """Which deadline ``build_driver`` hands the rule (and ``notify_progress``)."""
+    """Which deadline ``build_driver`` hands the rule."""
 
     def test_plain_deadline(self):
-        algorithm = Scripted()
-        driver = build_driver(algorithm, max_generations=2, deadline=42.0)
+        driver = build_driver(Scripted(), max_generations=2, deadline=42.0)
         assert driver.rule == StoppingRule(2, deadline=42.0)
-        driver.run()
-        assert [deadline for _, deadline in algorithm.progress] == [42.0, 42.0]
+        assert driver.run() == 2
 
     def test_combined_takes_the_tightest_deadline(self):
         """An explicit deadline and a scope's remaining budget both count
@@ -345,21 +336,17 @@ class TestTerminationDeadlineSeconds:
         assert 0 < scoped <= 30.0
 
     def test_combined_without_deadline(self):
-        algorithm = Scripted()
-        driver = build_driver(algorithm, max_generations=2, patience=3)
+        driver = build_driver(Scripted(), max_generations=2, patience=3)
         assert driver.rule == StoppingRule(2, patience=3)
-        driver.run()
-        assert [deadline for _, deadline in algorithm.progress] == [None, None]
+        assert driver.run() == 2
 
     def test_non_deadline_criteria_have_no_budget(self):
         """A budget-only rule built outside any checkpoint scope carries no
-        deadline, and the algorithm is told there is none."""
-        algorithm = Scripted()
-        driver = build_driver(algorithm, max_generations=3)
+        deadline."""
+        driver = build_driver(Scripted(), max_generations=3)
         assert driver.rule == StoppingRule(3)
         assert driver.rule.deadline is None
         assert driver.run() == 3
-        assert [deadline for _, deadline in algorithm.progress] == [None, None, None]
 
     def test_explicit_checkpoint_path_ignores_the_scope(self, tmp_path):
         """A run given its own checkpoint path claims nothing from the

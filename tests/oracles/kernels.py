@@ -50,9 +50,9 @@ def evaluate_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(privacy, utility, worst_posterior, invertible)`` of a stack.
 
-    ``cheap_posterior_bound=False`` is the full-fidelity reference (posterior
-    tensor maximum); ``True`` is the row-max/row-sum bound the fidelity path
-    used.  Both are bit-identical, which the equivalence suite checks.
+    ``cheap_posterior_bound=False`` is the posterior-tensor-maximum
+    reference; ``True`` is the row-max/row-sum bound.  Both are
+    bit-identical, which the equivalence suite checks.
     """
     # One joint tensor serves both the adversary accuracy (Eq. 8) and the
     # posterior maximum (Eq. 9).

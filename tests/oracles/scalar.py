@@ -565,7 +565,7 @@ def pareto_ranks_reference(population: list[Individual]) -> np.ndarray:
     non-dominated sort with explicit domination counts).
 
     Kept as the ground truth the vectorized
-    :func:`repro.emoo.dominance.pareto_ranks_from_arrays` is tested against;
+    :func:`benchmarks.baselines.nsga2.pareto_ranks_from_arrays` is tested against;
     does *not* write ranks back onto the individuals.
     """
     size = len(population)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from benchmarks.baselines.nsga2 import pareto_ranks_from_arrays
 from repro.core.operators import (
     _rebalance_columns_batch,
     column_crossover_batch,
@@ -23,7 +24,6 @@ from repro.core.operators import (
     proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import pareto_ranks_from_arrays
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import posterior_tensor
 from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices

@@ -37,6 +37,38 @@ class TestList:
         assert "thm2" in output
 
 
+class TestClosedStdout:
+    """``optrr list | head -1``: the reader is gone before the first write
+    (its end of the pipe is closed up front), so every write and the
+    interpreter's final flush meet a broken pipe.  ``cli.main`` handles it
+    for every subcommand."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["list"], ["search-space", "--categories", "4"]],
+                             ids=["list", "search-space"])
+    def test_exits_1_without_a_traceback(self, argv, unbuffered):
+        """Buffered, the broken pipe shows at the last flush; unbuffered,
+        at the subcommand's first ``print``."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONPATH": str(SRC)},
+                text=True,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.stderr == ""
+        assert completed.returncode == 1
+
+
 class TestImportBudget:
     """Handlers import the reporting, experiment-harness and document
     modules they run; neither a bare ``import repro.cli`` nor an
@@ -79,6 +111,25 @@ class TestImportBudget:
             timeout=300,
         )
         assert completed.returncode == 0, completed.stderr
+
+
+class TestNegativeSeed:
+    """NumPy takes no negative seed; every ``--seed`` rejects one up front."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--generations", "2", "--population", "4"],
+            ["run", "fig4a", "--generations", "2", "--population", "4"],
+            ["disguise", "codes.txt", "--matrix", "warner:0.8", "--categories", "4"],
+        ],
+        ids=["optimize", "run", "disguise"],
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "codes.txt").write_text("0 1 2 3\n", encoding="utf-8")
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert_one_error_line(capsys.readouterr(), "seed must be")
 
 
 class TestSearchSpace:
@@ -178,7 +229,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         ("variable", "value"),
-        [("REPRO_POPULATION", "0"), ("REPRO_LOW_FIDELITY", "nan"), ("REPRO_GENERATIONS", "abc")],
+        [("REPRO_POPULATION", "0"), ("REPRO_GENERATIONS", "abc")],
     )
     def test_malformed_environment_default_exits_2(self, capsys, monkeypatch, variable, value):
         monkeypatch.setenv(variable, value)
@@ -317,6 +368,41 @@ class TestOptimizeOutput:
         ])
         assert exit_code == 2
         assert "--output" in capsys.readouterr().err
+
+
+class TestEmptyFront:
+    """With ``delta`` equal to a uniform prior's probability only singular
+    (rank-one) matrices meet the bound, so no run finds a feasible one."""
+
+    @pytest.fixture
+    def empty_front(self, capsys, tmp_path) -> Path:
+        output = tmp_path / "front.json"
+        exit_code = main([
+            "optimize", "--distribution", "uniform", "--categories", "5",
+            "--records", "1000", "--delta", "0.2", "--generations", "5",
+            "--population", "10", "--seed", "1", "--output", str(output),
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "no bound-feasible matrix found: the front is empty (1061 evaluations)",
+            f"front written to {output}",
+        ]
+        return output
+
+    def test_optimize_reports_one_line_and_writes_the_empty_front(self, empty_front):
+        from repro.io import load_result
+
+        result = load_result(empty_front)
+        assert len(result) == 0 and result.n_generations == 5
+
+    def test_disguise_front_exits_2_with_one_line(self, capsys, tmp_path, empty_front):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0 1 2 3\n", encoding="utf-8")
+        exit_code = main(["disguise", str(codes), "--front", str(empty_front)])
+        assert exit_code == 2
+        assert_one_error_line(capsys.readouterr(), "the optimized front contains no points")
 
 
 #: Tiny pipeline workload shared by the CLI pipeline tests.
@@ -686,12 +772,11 @@ class TestOptimizeCheckpointResume:
         assert main(["optimize", "--resume", str(bogus)]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
-    def _broken_checkpoint(self, tmp_path, capsys, breaker, extra=()) -> str:
+    def _broken_checkpoint(self, tmp_path, capsys, breaker) -> str:
         checkpoint = tmp_path / "ck.json"
         assert main(
             FAST_OPTIMIZE
-            + ["--generations", "2", "--checkpoint", str(checkpoint),
-               "--checkpoint-every", "1", *extra]
+            + ["--generations", "2", "--checkpoint", str(checkpoint), "--checkpoint-every", "1"]
         ) == 0
         document = json.loads(checkpoint.read_text())
         breaker(document)
@@ -793,24 +878,23 @@ class TestOptimizeCheckpointResume:
         exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
         self._assert_one_line_error(capsys, exit_code, f"'{field}'")
 
-    def test_resume_rejects_a_version_1_checkpoint(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_resume_rejects_an_old_checkpoint_version(self, tmp_path, capsys, version):
         def breaker(document):
-            document["checkpoint_version"] = 1
+            document["checkpoint_version"] = version
+            if version == 2:
+                # The version-2 layout: three more config fields and one
+                # more counter, which the current OptRRConfig cannot take.
+                document["state"]["setup"]["config"].update(
+                    low_fidelity_fraction=1.0, promotion_fraction=0.25, min_fidelity=0.05
+                )
+                document["state"]["problem"]["n_low_evaluations"] = 0
 
         checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker)
         exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
-        self._assert_one_line_error(capsys, exit_code, "unsupported checkpoint version 1")
-
-    @pytest.mark.parametrize("fidelity", [1.0, -5.0, "0.1"])
-    def test_resume_rejects_an_unreachable_low_fidelity(self, tmp_path, capsys, fidelity):
-        """The fidelity ratchet only moves down from 0.2 to its 0.05 floor."""
-
-        def breaker(document):
-            document["state"]["fidelity"]["current_low_fidelity"] = fidelity
-
-        checkpoint = self._broken_checkpoint(tmp_path, capsys, breaker, ["--fidelity"])
-        exit_code = main(["optimize", "--resume", checkpoint, "--generations", "4"])
-        self._assert_one_line_error(capsys, exit_code, "current_low_fidelity")
+        self._assert_one_line_error(
+            capsys, exit_code, f"unsupported checkpoint version {version}"
+        )
 
     def test_resume_missing_setup_names_the_field(self, tmp_path, capsys):
         def breaker(document):
@@ -827,7 +911,6 @@ class TestOptimizeCheckpointResume:
             ({"counter": -3}, "counter must be a non-negative"),
             ({"n_evaluations": True}, "n_evaluations must be a non-negative"),
             ({"n_evaluations": 12.0}, "n_evaluations must be a non-negative"),
-            ({"n_low_evaluations": 10**9}, "n_low_evaluations 1000000000 exceeds"),
         ],
     )
     def test_resume_rejects_tampered_problem_counters(

@@ -21,6 +21,7 @@ computes — only how fast.  Three layers of evidence:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
+from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
@@ -230,9 +231,7 @@ class TestTruncationEquivalence:
 #: Fixed-seed trajectories recorded before the batched kernels were unified
 #: (the reference and fused implementations produced them identically):
 #: sha256 of the front's float64 bytes, the evaluation budget and the final
-#: bit-generator state.  ``optrr-fidelity`` runs with multi-fidelity
-#: scheduling at the CLI's ``--fidelity`` default, which drives the
-#: low-fidelity evaluation path.  ``nsga2`` was recorded while NSGA-II still
+#: bit-generator state.  ``nsga2`` was recorded while NSGA-II still
 #: varied one ``RRMatrix`` at a time and reproduces exactly on the genome
 #: stacks.  ``weighted-sum`` was recorded after the GA moved onto the stack
 #: hooks: its batched bound repair differs bitwise from the per-matrix repair
@@ -244,20 +243,6 @@ PINNED_TRAJECTORIES = {
         "front_sha256": "260ac97e766a7fa2b60922d73f5ba204c49548445e5f8cccc6a2437a59003903",
         "front_shape": (61, 2),
         "n_evaluations": 277,
-        "rng_state": {
-            "bit_generator": "PCG64",
-            "has_uint32": 0,
-            "state": {
-                "inc": 7937318808080196428804369945471644491,
-                "state": 163882010986462633563647035502043999900,
-            },
-            "uinteger": 3535276771,
-        },
-    },
-    "optrr-fidelity": {
-        "front_sha256": "207d520ee39fc52b09e8893b38559f087dc8a210c0cf5703c708c1dd808e6484",
-        "front_shape": (58, 2),
-        "n_evaluations": 317,
         "rng_state": {
             "bit_generator": "PCG64",
             "has_uint32": 0,
@@ -300,34 +285,41 @@ PINNED_TRAJECTORIES = {
 
 
 #: sha256 of ``json.dumps(checkpoint["state"], sort_keys=True)`` at the end
-#: of the pinned ``optrr`` and ``optrr-fidelity`` runs, recorded while Ω still
-#: stored one ``Individual`` per slot.  It pins the population, archive, Ω
-#: and counter payload of a checkpoint bit for bit (``elapsed_seconds``, the
-#: only run-to-run variable field, sits outside ``state``).
+#: of the pinned ``optrr`` run (``checkpoint_version`` 3).  It pins the
+#: population, archive, Ω and counter payload of a checkpoint bit for bit
+#: (``elapsed_seconds``, the only run-to-run variable field, sits outside
+#: ``state``).
 PINNED_CHECKPOINT_STATES = {
-    "optrr": "2c3139a03aeec59c600f16654218e73a9943df712c00426b06fe54c429762875",
-    "optrr-fidelity": "90a2be6b9665fad6b5fbe5069c16effbc1a6995a6e27ebb51b1d1507c3e26549",
+    "optrr": "111859a2c883ba1cc5d9ac2a1cc0edaff67c30e2ab50af894017084bcc2ca8af",
+}
+
+#: The same digest for ``checkpoint_version`` 2, recorded while Ω still
+#: stored one ``Individual`` per slot.  Version 3 dropped only the three
+#: scheduling fields of ``setup.config`` (with their defaults below) and the
+#: ``problem.n_low_evaluations`` counter (always 0 on that path).
+VERSION_2_CHECKPOINT_STATE = "2c3139a03aeec59c600f16654218e73a9943df712c00426b06fe54c429762875"
+VERSION_2_ONLY_CONFIG = {
+    "low_fidelity_fraction": 1.0,
+    "promotion_fraction": 0.25,
+    "min_fidelity": 0.05,
 }
 
 
-def _pinned_optrr_run(engine: str):
-    """The pinned ``optrr``/``optrr-fidelity`` run: ``(driver, result)``."""
-    fidelity = (
-        {"low_fidelity_fraction": DEFAULT_LOW_FIDELITY_FRACTION}
-        if engine == "optrr-fidelity"
-        else {}
-    )
-    optimizer = OptRROptimizer(
-        normal_distribution(8), 5_000, _config(n_generations=10, **fidelity)
-    )
+def _pinned_optrr_run():
+    """The pinned ``optrr`` run: ``(driver, result)``."""
+    optimizer = OptRROptimizer(normal_distribution(8), 5_000, _config(n_generations=10))
     driver = optimizer.driver()
     return driver, optimizer.run_driver(driver)
 
 
+def _state_digest(state: dict) -> str:
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _pinned_run(engine: str):
     """One short fixed-seed run: ``(front, n_evaluations, rng_state)``."""
-    if engine in ("optrr", "optrr-fidelity"):
-        driver, result = _pinned_optrr_run(engine)
+    if engine == "optrr":
+        driver, result = _pinned_optrr_run()
         return _points(result), result.n_evaluations, driver.rng.bit_generator.state
     problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
     if engine == "nsga2":
@@ -373,10 +365,21 @@ class TestPinnedTrajectories:
 
     @pytest.mark.parametrize("engine", sorted(PINNED_CHECKPOINT_STATES))
     def test_checkpoint_state_matches_pin(self, engine):
-        driver, _ = _pinned_optrr_run(engine)
-        state = json.dumps(driver.checkpoint_document()["state"], sort_keys=True)
-        digest = hashlib.sha256(state.encode("utf-8")).hexdigest()
-        assert digest == PINNED_CHECKPOINT_STATES[engine]
+        driver, _ = _pinned_optrr_run()
+        assert _state_digest(driver.checkpoint_document()["state"]) == (
+            PINNED_CHECKPOINT_STATES[engine]
+        )
+
+    def test_checkpoint_state_is_version_2_without_the_scheduling_fields(self):
+        """The version-3 re-pin moved nothing but the dropped fields: put
+        them back and the state hashes to the version-2 pin."""
+        driver, _ = _pinned_optrr_run()
+        state = copy.deepcopy(driver.checkpoint_document()["state"])
+        assert not VERSION_2_ONLY_CONFIG.keys() & state["setup"]["config"].keys()
+        assert "n_low_evaluations" not in state["problem"]
+        state["setup"]["config"].update(VERSION_2_ONLY_CONFIG)
+        state["problem"]["n_low_evaluations"] = 0
+        assert _state_digest(state) == VERSION_2_CHECKPOINT_STATE
 
 
 class TestMatingSelectionEquivalence:

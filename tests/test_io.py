@@ -229,7 +229,7 @@ class TestCheckpointDocuments:
         document = load_checkpoint(path)
         assert document["type"] == "checkpoint"
         assert document["algorithm"] == "optrr"
-        assert document["checkpoint_version"] == 2
+        assert document["checkpoint_version"] == 3
         assert list(document["termination"]) == ["stale"]
         copy_path = save_checkpoint(document, tmp_path / "copy.json")
         assert load_checkpoint(copy_path) == document

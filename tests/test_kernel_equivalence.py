@@ -207,9 +207,8 @@ def evaluation_prior(prior: np.ndarray) -> np.ndarray:
 
 
 class TestEvaluatorCallers:
-    """``MatrixEvaluator.evaluate_batch`` as the full-fidelity caller (which
-    the oracle serves through the posterior tensor) and as the fidelity
-    caller (served through the row bound)."""
+    """``MatrixEvaluator.evaluate_batch`` against the oracle served through
+    the posterior tensor."""
 
     @given(seed=seeds, batch=st.integers(1, 8), n=st.integers(2, 6))
     @SETTINGS
@@ -220,29 +219,6 @@ class TestEvaluatorCallers:
         privacy, utility, worst, invertible = _oracle_evaluation(
             stack, evaluation_prior(prior), 10_000, tensor_posterior=True
         )
-        _assert_columns_equal(
-            (evaluation.privacy, evaluation.utility, evaluation.max_posterior,
-             evaluation.invertible),
-            (privacy, utility, worst, invertible),
-        )
-
-    @given(
-        seed=seeds,
-        batch=st.integers(1, 8),
-        n=st.integers(2, 6),
-        fidelity=st.sampled_from([0.05, 0.25, 1.0]),
-    )
-    @SETTINGS
-    def test_fidelity_caller(self, seed, batch, n, fidelity):
-        stack = _stochastic_stack(seed, batch, n, include_singular=True)
-        prior = _prior(seed + 1, n)
-        evaluator = MatrixEvaluator(prior, 10_000)
-        evaluation = evaluator.evaluate_batch(stack, fidelity=fidelity)
-        privacy, utility, worst, invertible = _oracle_evaluation(
-            stack, evaluation_prior(prior), 10_000, tensor_posterior=False
-        )
-        column = np.full(batch, fidelity)
-        utility = utility * (10_000.0 / evaluator.effective_record_counts(column))
         _assert_columns_equal(
             (evaluation.privacy, evaluation.utility, evaluation.max_posterior,
              evaluation.invertible),

@@ -250,84 +250,3 @@ class TestMechanismProperties:
         assert disguised.shape == codes.shape
         assert disguised.min() >= 0
         assert disguised.max() < matrix.n_categories
-
-
-# -- multi-fidelity evaluation invariants -------------------------------------
-class TestFidelityInvariants:
-    """Invariants the promotion scheduler relies on (see repro.emoo.fidelity):
-    reduced-fidelity utilities are exact upper bounds that tighten
-    monotonically to the full-fidelity value, and everything else about the
-    evaluation (privacy, posterior, feasibility) is fidelity-independent."""
-
-    @SETTINGS
-    @given(
-        pair=priors_and_matrices(),
-        fraction=st.floats(0.01, 0.99, allow_nan=False),
-        n_records=st.integers(10, 100_000),
-    )
-    def test_low_fidelity_utility_is_an_upper_bound(self, pair, fraction, n_records):
-        from repro.metrics.evaluation import MatrixEvaluator
-
-        prior, matrix = pair
-        evaluator = MatrixEvaluator(prior, n_records)
-        stack = matrix.probabilities[np.newaxis]
-        full = evaluator.evaluate_batch(stack)
-        low = evaluator.evaluate_batch(stack, fidelity=fraction)
-        assert low.utility[0] >= full.utility[0]
-        # Privacy, posterior and feasibility never depend on the fidelity.
-        np.testing.assert_array_equal(low.privacy, full.privacy)
-        np.testing.assert_array_equal(low.max_posterior, full.max_posterior)
-        np.testing.assert_array_equal(low.feasible, full.feasible)
-
-    @SETTINGS
-    @given(pair=priors_and_matrices(), n_records=st.integers(10, 100_000))
-    def test_utility_tightens_monotonically_as_fidelity_grows(self, pair, n_records):
-        from repro.metrics.evaluation import MatrixEvaluator
-
-        prior, matrix = pair
-        evaluator = MatrixEvaluator(prior, n_records)
-        stack = matrix.probabilities[np.newaxis]
-        fractions = [0.05, 0.2, 0.5, 0.8, 0.95, 1.0]
-        utilities = [
-            evaluator.evaluate_batch(stack, fidelity=f).utility[0] for f in fractions
-        ]
-        for tighter, looser in zip(utilities[1:], utilities[:-1]):
-            assert tighter <= looser
-        full = evaluator.evaluate_batch(stack).utility[0]
-        assert utilities[-1] == full
-
-    @SETTINGS
-    @given(pair=priors_and_matrices(), n_records=st.integers(10, 100_000))
-    def test_fidelity_one_is_bit_identical_to_exact_path(self, pair, n_records):
-        from repro.metrics.evaluation import MatrixEvaluator
-
-        prior, matrix = pair
-        # delta is drawn feasibly: Theorem 5 requires delta >= max P(X).
-        delta = 0.5 * (prior.max_probability + 1.0)
-        evaluator = MatrixEvaluator(prior, n_records, delta=delta)
-        stack = matrix.probabilities[np.newaxis]
-        exact = evaluator.evaluate_batch(stack)
-        scheduled = evaluator.evaluate_batch(stack, fidelity=1.0)
-        np.testing.assert_array_equal(scheduled.privacy, exact.privacy)
-        np.testing.assert_array_equal(scheduled.utility, exact.utility)
-        np.testing.assert_array_equal(scheduled.max_posterior, exact.max_posterior)
-        np.testing.assert_array_equal(scheduled.feasible, exact.feasible)
-        np.testing.assert_array_equal(scheduled.invertible, exact.invertible)
-
-    @SETTINGS
-    @given(
-        pair=priors_and_matrices(),
-        fraction=st.floats(0.01, 1.0, allow_nan=False),
-        n_records=st.integers(10, 100_000),
-    )
-    def test_effective_record_counts_round_and_floor(self, pair, fraction, n_records):
-        from repro.metrics.evaluation import MatrixEvaluator, resolve_fidelity_column
-
-        prior, _ = pair
-        evaluator = MatrixEvaluator(prior, n_records)
-        column = resolve_fidelity_column(fraction, 3)
-        counts = evaluator.effective_record_counts(column)
-        assert counts.shape == (3,)
-        assert np.all(counts >= 1.0)
-        assert np.all(counts <= n_records)
-        np.testing.assert_array_equal(counts, np.maximum(1.0, np.rint(fraction * n_records)))

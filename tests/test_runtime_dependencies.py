@@ -4,9 +4,7 @@ Each case runs in a fresh interpreter whose import system refuses every
 ``scipy`` module, then checks that the run succeeded and that no ``scipy``
 module was loaded.  An optimize run reaches every SPEA2 selection kernel
 (distances, density, dominance, truncation) plus the bound repair and the
-checkpoint writer; the ``--fidelity`` run reaches the multi-fidelity
-scheduler's promotion order, non-dominated sorting and the crowding
-distance.
+checkpoint writer.
 """
 
 from __future__ import annotations
@@ -53,18 +51,6 @@ code = main([
 assert code == 0, code
 """
 
-OPTIMIZE_FIDELITY = """
-from repro.cli import main
-
-code = main([
-    "optimize", "--distribution", "normal", "--categories", "6",
-    "--records", "2000", "--delta", "0.8", "--generations", "3",
-    "--population", "8", "--seed", "1", "--fidelity",
-])
-assert code == 0, code
-"""
-
-
 def _run_without_scipy(payload: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
@@ -77,9 +63,7 @@ def _run_without_scipy(payload: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "payload", [OPTIMIZE, OPTIMIZE_FIDELITY], ids=["optimize", "optimize-fidelity"]
-)
+@pytest.mark.parametrize("payload", [OPTIMIZE], ids=["optimize"])
 def test_runs_without_scipy(payload, tmp_path):
     completed = _run_without_scipy(payload, tmp_path)
     assert completed.returncode == 0, completed.stderr

@@ -5,9 +5,10 @@ experiment id, effective overrides, seed)``.  The *effective overrides* are
 the weak point: an override key whose runner-level default comes from the
 environment must be materialized into
 ``environment_override_defaults()`` (``src/repro/experiments/base.py``) or
-two runs under different environments share a cache key — exactly the
-``low_fidelity_fraction`` incident this rule exists to prevent (PR 6 had to
-hand-wire it in after the fact).
+two runs under different environments share a cache key, and a cached
+result is replayed for a run it does not belong to.  ``n_generations`` and
+``population_size`` (``REPRO_GENERATIONS``, ``REPRO_POPULATION``) are the
+materialized keys today.
 
 The rule cross-references three name sets, all extracted statically:
 
@@ -56,8 +57,6 @@ EXEMPT_FIELDS: dict[str, str] = {
     "density_k": "pinned by the experiment spec / explicit override only",
     "diagonal_bias": "pinned by the experiment spec / explicit override only",
     "baseline_seeds": "pinned by the experiment spec / explicit override only",
-    "promotion_fraction": "fixed at its default; no override or env channel",
-    "min_fidelity": "fixed at its default; no override or env channel",
     # Explicit-only workload overrides: no environment default exists, so
     # they are always present in the effective overrides when set.
     "n_categories": "explicit-only override; no environment default",
