@@ -115,7 +115,7 @@ def measure_repair_speedup(
         ]
 
     def batch_path():
-        return enforce_privacy_bound_batch(stack, prior.probabilities, DELTA)
+        return enforce_privacy_bound_batch(stack, prior, DELTA)
 
     scalar_time = _best_of(scalar_path, repeats)
     batch_time = _best_of(batch_path, repeats)

@@ -61,9 +61,9 @@ class OptimalSet:
     def slots_of(self, privacy: np.ndarray) -> np.ndarray:
         """Slot index of every privacy value in ``privacy``."""
         privacy = np.asarray(privacy, dtype=np.float64)
-        if privacy.size and not np.all(np.isfinite(privacy)):
+        if not np.isfinite(privacy).all():
             raise OptimizationError("privacy values must be finite")
-        indices = np.floor(np.clip(privacy, 0.0, 1.0) * self.size).astype(np.intp)
+        indices = np.floor(privacy.clip(0.0, 1.0) * self.size).astype(np.intp)
         return np.minimum(indices, self.size - 1)
 
     # -- updates ---------------------------------------------------------------
@@ -78,7 +78,7 @@ class OptimalSet:
         offered population's dtypes and metadata keys.
         """
         utility = population.metadata["utility"]
-        rows = np.flatnonzero(population.feasible & np.isfinite(utility))
+        rows = (population.feasible & np.isfinite(utility)).nonzero()[0]
         slots = self.slots_of(population.metadata["privacy"][rows])
         improving = utility[rows] < self._utilities[slots]
         rows, slots = rows[improving], slots[improving]
@@ -110,7 +110,7 @@ class OptimalSet:
         """Overwrite in place every feasible row of ``population`` whose slot
         holds a strictly lower-utility member (Ω's reverse direction).  Rows
         keep their selection fitness, so an archive's stamp stays truthful."""
-        rows = np.flatnonzero(population.feasible)
+        rows = population.feasible.nonzero()[0]
         slots = self.slots_of(population.metadata["privacy"][rows])
         better = self._utilities[slots] < population.metadata["utility"][rows]
         rows, slots = rows[better], slots[better]

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.distribution import CategoricalDistribution, prior_probabilities
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import posterior_tensor
+from repro.metrics.privacy import posterior_from_joint
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import (
@@ -80,12 +81,13 @@ def _rebalance_columns_batch(
     rows = np.arange(batch_size)
     cols = np.array(columns, dtype=np.float64)
     cols[rows, changed] = cols[rows, changed] + delta
-    others = np.ones((batch_size, n), dtype=bool)
-    others[rows, changed] = False
     positive = delta > 0
-    weights = np.where(others, cols, 0.0)
+    # The changed entry takes no share of the redistributed mass.
+    weights = cols.copy()
+    weights[rows, changed] = 0.0
     total_weight = weights.sum(axis=1)
-    headroom = np.where(others, 1.0 - cols, 0.0)
+    headroom = 1.0 - cols
+    headroom[rows, changed] = 0.0
     total_headroom = headroom.sum(axis=1)
     # Undo rows: nothing to take from / add to, so the change is reverted
     # (with the add-then-subtract rounding of the original operator).
@@ -146,16 +148,12 @@ def proportional_column_mutation_batch(
     rows = np.arange(batch_size)
     columns = stack[rows, :, column_indices]  # (B, n) copies via fancy indexing
     element_values = columns[rows, element_indices]
-    delta = np.where(
-        add,
-        np.minimum(magnitudes, 1.0 - element_values),
-        -np.minimum(magnitudes, element_values),
-    )
+    up = np.minimum(magnitudes, 1.0 - element_values)
+    down = -np.minimum(magnitudes, element_values)
+    delta = np.where(add, up, down)
     # The element is already saturated in the chosen direction; flip it.
     saturated = np.abs(delta) <= _EPSILON
-    flip_add = np.minimum(magnitudes, 1.0 - element_values)
-    flip_sub = -np.minimum(magnitudes, element_values)
-    flipped = np.where(flip_add != 0.0, flip_add, flip_sub)
+    flipped = np.where(up != 0.0, up, down)
     delta = np.where(saturated, np.where(delta != 0.0, -delta, flipped), delta)
     unchanged = np.abs(delta) <= _EPSILON
     mutated_columns = _rebalance_columns_batch(columns, element_indices, delta)
@@ -167,7 +165,7 @@ def proportional_column_mutation_batch(
 
 def enforce_privacy_bound_batch(
     stack: np.ndarray,
-    prior: np.ndarray,
+    prior: CategoricalDistribution | np.ndarray,
     delta: float,
     *,
     max_passes: int = 50,
@@ -188,77 +186,78 @@ def enforce_privacy_bound_batch(
     be repaired (``delta < max P(X)``, impossible by Theorem 5) come back in
     their best-effort state and the evaluator marks them infeasible.  The
     repair is fully deterministic.
+
+    The prior is validated once, on entry
+    (:func:`~repro.data.distribution.prior_probabilities`).  The active set
+    is kept compact: ``work`` holds only the active matrices and ``ids``
+    their rows of the stack, so a pass scores and edits ``work`` in place
+    and a matrix that meets the bound or freezes is dropped from both.
     """
     check_in_unit_interval(delta, "delta", inclusive_low=False)
     check_positive_int(max_passes, "max_passes")
-    prior = np.asarray(prior, dtype=np.float64)
-    values = check_matrix_stack(stack, "stack").copy()
-    batch_size, n, _ = values.shape
+    prior = prior_probabilities(prior)
+    best = check_matrix_stack(stack, "stack").copy()
+    batch_size, n, _ = best.shape
     if batch_size == 0:
-        return values
-    best = values.copy()
+        return best
     best_worst = np.full(batch_size, np.inf)
-    active = np.ones(batch_size, dtype=bool)
-    for pass_index in range(max_passes + 1):
-        index = np.flatnonzero(active)
-        if index.size == 0:
-            break
-        posterior = posterior_tensor(values[index], prior)
-        worst = posterior.reshape(index.size, -1).max(axis=1)
-        improved = worst < best_worst[index]
-        if improved.any():
-            improved_index = index[improved]
-            best[improved_index] = values[improved_index]
-            best_worst[improved_index] = worst[improved]
-        met = worst <= delta + tolerance
-        active[index[met]] = False
-        if pass_index == max_passes:
-            break
-        index = index[~met]
-        if index.size == 0:
-            continue
-        posterior = posterior[~met]
-        flat = posterior.reshape(index.size, -1).argmax(axis=1)
-        i = flat // n
-        j = flat % n
-        local = np.arange(index.size)
-        row_values = values[index, i, :]  # (A, n)
-        cell = values[index, i, j]
-        prior_j = prior[j]
-        row_rest = row_values @ prior - cell * prior_j
-        ok = prior_j > _EPSILON
-        if delta < 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
+    work = best.copy()
+    ids = np.arange(batch_size)
+    # One error state for the whole loop: the target and spread quotients
+    # divide by zero on rows the ``ok`` mask then freezes.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pass_index in range(max_passes + 1):
+            posterior = posterior_from_joint(work * prior).reshape(ids.size, -1)
+            worst = posterior.max(axis=1)
+            improved = worst < best_worst[ids]
+            improved_ids = ids[improved]
+            if pass_index and improved_ids.size:
+                best[improved_ids] = work[improved]
+            best_worst[improved_ids] = worst[improved]
+            # Not ``worst > delta + tolerance``: a NaN posterior stays active.
+            unmet = ~(worst <= delta + tolerance)
+            if pass_index == max_passes or not unmet.any():
+                break
+            if not unmet.all():
+                work, ids, posterior = work[unmet], ids[unmet], posterior[unmet]
+            flat = posterior.argmax(axis=1)
+            i = flat // n
+            j = flat % n
+            local = np.arange(ids.size)
+            cell = work[local, i, j]
+            prior_j = prior[j]
+            row_rest = work[local, i, :] @ prior - cell * prior_j
+            ok = prior_j > _EPSILON
+            if delta < 1.0:
                 target = delta * row_rest / (prior_j * (1.0 - delta))
-        else:
-            target = cell.copy()
-        target = np.clip(target, 0.0, cell)
-        removed = cell - target
-        ok &= removed > _EPSILON
-        columns = values[index, :, j]  # (A, n)
-        columns[local, i] = target
-        others = np.ones((index.size, n), dtype=bool)
-        others[local, i] = False
-        headroom = np.where(others, 1.0 - columns, 0.0)
-        total_headroom = headroom.sum(axis=1)
-        ok &= total_headroom > _EPSILON
-        with np.errstate(divide="ignore", invalid="ignore"):
+            else:
+                target = cell.copy()
+            target = target.clip(0.0, cell)
+            removed = cell - target
+            ok &= removed > _EPSILON
+            columns = work[local, :, j]  # (A, n)
+            columns[local, i] = target
+            headroom = 1.0 - columns
+            headroom[local, i] = 0.0
+            total_headroom = headroom.sum(axis=1)
+            ok &= total_headroom > _EPSILON
             spread = (
                 removed[:, None]
                 * headroom
                 / np.where(total_headroom > 0, total_headroom, 1.0)[:, None]
             )
-        new_columns = np.clip(columns + spread, 0.0, 1.0)
-        column_sums = new_columns.sum(axis=1)
-        ok &= column_sums > 0
-        # Matrices that cannot be reduced further freeze at their current
-        # (already scored) state.
-        active[index[~ok]] = False
-        if ok.any():
-            apply = np.flatnonzero(ok)
-            values[index[apply], :, j[apply]] = (
-                new_columns[apply] / column_sums[apply, None]
-            )
+            new_columns = (columns + spread).clip(0.0, 1.0)
+            column_sums = new_columns.sum(axis=1)
+            ok &= column_sums > 0
+            # Matrices that cannot be reduced further freeze at their current
+            # (already scored) state: they leave the working set unchanged.
+            if not ok.all():
+                if not ok.any():
+                    break
+                work, ids, j = work[ok], ids[ok], j[ok]
+                new_columns, column_sums = new_columns[ok], column_sums[ok]
+                local = np.arange(ids.size)
+            work[local, :, j] = new_columns / column_sums[:, None]
     return best
 
 

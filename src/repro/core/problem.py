@@ -218,4 +218,4 @@ class RRMatrixProblem:
         ``delta`` is configured."""
         if self.delta is None:
             return stack
-        return enforce_privacy_bound_batch(stack, self.prior.probabilities, self.delta)
+        return enforce_privacy_bound_batch(stack, self.prior, self.delta)

@@ -181,3 +181,20 @@ class CategoricalDistribution:
             f"{label}={prob:.4f}" for label, prob in zip(self.categories, self.probabilities)
         )
         return f"CategoricalDistribution({pairs})"
+
+
+def prior_probabilities(
+    prior: CategoricalDistribution | Sequence[float] | np.ndarray,
+) -> np.ndarray:
+    """The validated ``float64`` probability vector of ``prior``.
+
+    A :class:`CategoricalDistribution` was validated when it was built, so
+    its :attr:`~CategoricalDistribution.probabilities` come back as they
+    are; any other value is checked (and clipped) by
+    :func:`~repro.utils.validation.check_probability_vector`, once, here.
+    The batched kernels take the vector this returns and never re-validate
+    it.
+    """
+    if isinstance(prior, CategoricalDistribution):
+        return prior.probabilities
+    return check_probability_vector(prior, "prior")

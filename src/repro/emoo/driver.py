@@ -275,11 +275,11 @@ class OptimizationDriver:
         ``--generations``.
 
         Validation failures (wrong document type, another algorithm, another
-        workload fingerprint, a malformed ``generation`` or stagnation
-        counter) raise before any state is touched.  Payload errors raised
-        later may leave algorithm state partially written, but always
-        *before* the RNG is overwritten — and a subsequent fresh start runs
-        ``setup()``, which rebuilds it completely, so a caught restore
+        workload fingerprint or none, a malformed ``generation`` or
+        stagnation counter) raise before any state is touched.  Payload
+        errors raised later may leave algorithm state partially written, but
+        always *before* the RNG is overwritten — and a subsequent fresh start
+        runs ``setup()``, which rebuilds it completely, so a caught restore
         failure still yields an exact seed-deterministic fresh run.
         """
         if self._started:
@@ -296,12 +296,17 @@ class OptimizationDriver:
                 f"{self.optimization.algorithm_name!r}"
             )
         fingerprint = self.optimization.setup_fingerprint()
-        stored = document.get("fingerprint", "")
-        if fingerprint and stored and stored != fingerprint:
-            raise ValidationError(
-                "checkpoint fingerprint does not match this optimizer's workload "
-                "(different prior, bound, or hyper-parameters)"
-            )
+        if fingerprint:
+            stored = document.get("fingerprint")
+            if not isinstance(stored, str) or not stored:
+                raise ValidationError(
+                    f"checkpoint field 'fingerprint' must be a non-empty string, got {stored!r}"
+                )
+            if stored != fingerprint:
+                raise ValidationError(
+                    "checkpoint fingerprint does not match this optimizer's workload "
+                    "(different prior, bound, or hyper-parameters)"
+                )
         # Mutation order matters for the catch-and-start-fresh fallback in
         # the optimizers' driver() wrappers: everything that can raise runs
         # before the RNG is overwritten, so any payload error leaves it
@@ -580,10 +585,11 @@ def claim_scoped_checkpoint() -> tuple[Path | None, int, float | None, dict[str,
     Returns ``(path, cadence, remaining_deadline, resume_document)``; all
     None/default when no scope is active.  When the claimed file (or its
     ``.prev`` rotation sibling) already holds a valid checkpoint it is
-    returned for auto-resume; a corrupt newest checkpoint is quarantined by
+    returned for auto-resume; a torn newest checkpoint is quarantined by
     :func:`repro.io.load_checkpoint_with_fallback` and resume falls back to
-    the previous one.  With no valid candidate at all the run starts fresh
-    and overwrites.
+    the previous one.  With no valid candidate at all, or a decodable file
+    whose envelope is not a checkpoint's, the run starts fresh and
+    overwrites.
     """
     scope = _ACTIVE_SCOPE
     if scope is None:

@@ -19,10 +19,11 @@ Truncation is incremental: the distance matrix is masked in place per removal
 (the victim's row and column are set to ``+inf``) and the next victim is found
 with one NaN-skipping ``fmin``-reduction.  Only the rows that tie on their
 nearest-neighbour distance (in practice the closest pair, on every removal)
-are copied out and row-sorted, and the tie is broken on the first column
-where their sorted rows differ.  The removal order is bit-for-bit identical to the
-reference in ``tests/oracles/optrr_loop.py`` (property-tested in
-``tests/test_engine_equivalence.py``).
+are copied out whole and row-sorted (removed columns are ``+inf`` in every
+such row, which leaves their order unchanged), and the tie is broken on the
+first column where their sorted rows differ.  The removal order is
+bit-for-bit identical to the reference in ``tests/oracles/optrr_loop.py``
+(property-tested in ``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -127,22 +128,21 @@ def truncate_indices(distances: np.ndarray, target_size: int) -> np.ndarray:
     nearest_at = (masked == nearest[:, None]).argmax(axis=1)
     while n_alive > target_size:
         # Removed rows carry +inf too, so ties are taken over alive rows only.
-        tied = np.flatnonzero(alive & (nearest == nearest.min()))
+        tied = (alive & (nearest == nearest.min())).nonzero()[0]
         victim = int(tied[0])
         if tied.size > 1:
             # The closest pair always ties on its own distance, so this path
             # runs on nearly every removal: break the tie on the full sorted
-            # neighbour-distance vectors.
-            alive_columns = np.flatnonzero(alive)
-            rows = np.sort(masked[np.ix_(tied, alive_columns)], axis=1)
-            victim = int(tied[_lexicographic_first(rows)])
+            # neighbour-distance vectors (whole masked rows, see
+            # :func:`_lexicographic_first`).
+            victim = int(tied[_lexicographic_first(np.sort(masked[tied], axis=1))])
         masked[victim, :] = np.inf
         masked[:, victim] = np.inf
         alive[victim] = False
         nearest[victim] = np.inf
         n_alive -= 1
         if n_alive > target_size:
-            stale = np.flatnonzero(alive & (nearest_at == victim))
+            stale = (alive & (nearest_at == victim)).nonzero()[0]
             if stale.size:
                 rows = masked[stale]
                 nearest[stale] = np.fmin.reduce(rows, axis=1)
@@ -158,6 +158,20 @@ def _lexicographic_first(rows: np.ndarray) -> int:
     lowest index.  Each comparison looks only at the first column where two
     rows differ.  Sorting puts a row's NaNs last, so two NaNs at that column
     mean the rows agree to the end.
+
+    The callers sort whole rows of the masked matrix, dead columns included,
+    where the reference sorts only the alive columns.  The order is the
+    same.  Every dead column is ``+inf`` in every compared row, so each row
+    gains the same ``k`` infs, and in a sorted row they land at one place:
+    the inf/NaN boundary.  Order the values ``x < inf < NaN`` and let two
+    alive-column rows ``a < b`` first differ at column ``c``, so that
+    ``a[c] < b[c]``.  If ``a[c]`` is finite, no inf lands before ``c`` in
+    either row; at ``c``, ``a`` keeps ``a[c]`` and ``b`` holds ``b[c]`` or an
+    inf, both larger.  If ``a[c]`` is inf, ``b[c]`` is NaN; both rows then
+    hold infs from ``c`` to ``c + k - 1``, and at ``c + k`` ``a`` still holds
+    an inf while ``b`` holds a NaN.  Either way the padded ``a`` stays
+    smaller, and equal rows stay equal, so a full tie still goes to the
+    lowest index.
     """
     best = 0
     for candidate in range(1, rows.shape[0]):
@@ -201,13 +215,12 @@ def _remove_duplicate_clusters(
     # labels the cluster.
     labels = np.minimum(members, zero_pairs[members].argmax(axis=1))
     budget = n_alive - target_size
-    excess = members.size - np.unique(labels).size
-    if excess <= budget:
+    # ``members`` is ascending, so the last occurrence of each label is the
+    # cluster's highest member.
+    unique_labels, last_of_label = np.unique(labels[::-1], return_index=True)
+    if members.size - unique_labels.size <= budget:
         # Order-free bulk case: the phase runs to completion, so each cluster
         # keeps exactly its highest-index member no matter the removal order.
-        # ``members`` is ascending, so the last occurrence of each label is
-        # the survivor.
-        _, last_of_label = np.unique(labels[::-1], return_index=True)
         keep = np.zeros(members.size, dtype=bool)
         keep[members.size - 1 - last_of_label] = True
         victims = members[~keep]
@@ -233,9 +246,8 @@ def _remove_duplicate_clusters(
             # sorted rows of one representative each (rows are identical
             # within a cluster, and stability resolves full ties to the
             # lowest current member — hence the ascending candidate order).
-            representatives = np.array([cluster[0] for cluster in candidates])
-            alive_columns = np.flatnonzero(alive)
-            rows = np.sort(masked[np.ix_(representatives, alive_columns)], axis=1)
+            representatives = [cluster[0] for cluster in candidates]
+            rows = np.sort(masked[representatives], axis=1)
             chosen = candidates[_lexicographic_first(rows)]
         victim = chosen.pop(0)
         masked[victim, :] = np.inf

@@ -489,28 +489,40 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
     fallback to the previous valid checkpoint).
     """
     path = Path(path)
+    document = _decode_checkpoint(path)
+    _check_checkpoint_envelope(document, path)
+    return document
+
+
+def _decode_checkpoint(path: Path) -> Any:
     text = path.read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} is not decodable JSON: {exc}"
         ) from exc
+
+
+def _check_checkpoint_envelope(document: Any, path: Path) -> None:
     try:
         _check_document(document, "checkpoint")
     except ValidationError as exc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} failed envelope validation: {exc}"
         ) from exc
-    return document
 
 
 def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Path]:
     """Load ``path``'s checkpoint, falling back to its ``.prev`` rotation.
 
-    Corrupt candidates are quarantined (renamed to ``.corrupt`` with a
-    logged warning) before the next candidate is tried.  Returns the
-    document together with the path it was actually read from.  Raises
+    Only a torn candidate (one that does not decode as JSON) is
+    quarantined (renamed to ``.corrupt`` with a logged warning) before the
+    next candidate is tried.  A candidate that decodes but fails the
+    envelope check (another ``type`` or ``format_version``) was edited, not
+    torn: it raises :class:`~repro.exceptions.CheckpointCorruptionError`
+    where it lies, with no quarantine and no fallback.  Returns the document
+    together with the path it was actually read from.  Raises
     :class:`FileNotFoundError` when no candidate exists at all, and
     :class:`~repro.exceptions.CheckpointCorruptionError` when candidates
     existed but none was valid.
@@ -521,7 +533,7 @@ def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Pat
         if not candidate.is_file():
             continue
         try:
-            document = load_checkpoint(candidate)
+            document = _decode_checkpoint(candidate)
         except CheckpointCorruptionError as exc:
             if corruption is None:
                 corruption = exc
@@ -535,6 +547,7 @@ def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Pat
                 candidate.name, quarantine.name, exc,
             )
             continue
+        _check_checkpoint_envelope(document, candidate)
         if candidate != path:
             logger.warning(
                 "checkpoint %s unusable; resuming from rotation sibling %s",

@@ -37,10 +37,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.data.distribution import CategoricalDistribution
+from repro.data.distribution import CategoricalDistribution, prior_probabilities
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import BOUND_ATOL, joint_tensor
-from repro.metrics.utility import utility_score_batch
+from repro.metrics.privacy import BOUND_ATOL
+from repro.metrics.utility import closed_form_mse
 from repro.rr.matrix import RRMatrix, as_matrix_stack
 from repro.utils.linalg import batched_safe_inverses
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -105,18 +105,29 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def evaluate_stack(
-    stack: np.ndarray, prior: np.ndarray, n_records: int
+    stack: np.ndarray,
+    prior: CategoricalDistribution | np.ndarray,
+    n_records: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluation of a C-contiguous ``(B, n, n)`` stack.
 
     Returns the ``(B,)`` columns ``(privacy, utility, worst_posterior,
-    invertible)`` (see :func:`_evaluate_block`).  Rows are independent, so
+    invertible)`` (see :func:`_evaluate_block`).  The prior is validated
+    here, once (:func:`~repro.data.distribution.prior_probabilities`: a
+    distribution's vector as it is, a raw vector checked), and the blocks
+    work on that vector directly.  Rows are independent, so
     the stack is evaluated in contiguous blocks of ``max(1, BLOCK_WORK //
     n**3)`` rows: on the calling thread when it is one block or only one CPU
     is usable, otherwise on the shared thread pool, one task per block.  The
     columns are concatenated in block order and equal a one-block
     evaluation bit for bit.
     """
+    prior = prior_probabilities(prior)
+    if stack.ndim != 3 or stack.shape[1:] != (prior.size, prior.size):
+        raise ValidationError(
+            f"matrix stack shape {stack.shape} does not match the prior domain "
+            f"(expected (B, {prior.size}, {prior.size}))"
+        )
     size = stack.shape[0]
     rows = max(1, BLOCK_WORK // stack.shape[-1] ** 3)
     if size <= rows:
@@ -147,7 +158,7 @@ def evaluate_stack(
 def _evaluate_block(
     stack: np.ndarray, prior: np.ndarray, n_records: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One block of :func:`evaluate_stack`.
+    """One block of :func:`evaluate_stack`, on its validated prior vector.
 
     Utility is ``inf`` for rows that are not numerically invertible under
     :func:`~repro.utils.linalg.batched_safe_inverses`.  One joint tensor
@@ -158,18 +169,19 @@ def _evaluate_block(
     row's utility does not depend on its neighbours) and non-invertible
     rows, which may overflow, are masked out.
     """
-    joint = joint_tensor(stack, prior)
+    joint = stack * prior
     row_max = joint.max(axis=2)
     row_sum = joint.sum(axis=2)
     del joint
     privacy = 1.0 - row_max.sum(axis=1)
-    safe = np.where(row_sum > 0, row_sum, 1.0)
-    worst_posterior = np.where(row_sum > 0, row_max / safe, 0.0).max(axis=1)
+    reported = row_sum > 0
+    safe = np.where(reported, row_sum, 1.0)
+    worst_posterior = np.where(reported, row_max / safe, 0.0).max(axis=1)
     inverses, invertible = batched_safe_inverses(stack)
     utility = np.full(stack.shape[0], np.inf)
     if invertible.any():
         with np.errstate(over="ignore", invalid="ignore"):
-            mse = utility_score_batch(stack, inverses, prior, n_records)
+            mse = closed_form_mse(stack, inverses, prior, n_records).mean(axis=1)
         utility[invertible] = mse[invertible]
     return privacy, utility, worst_posterior, invertible
 
@@ -309,16 +321,8 @@ class MatrixEvaluator:
         BatchEvaluation
             Array-valued privacy, utility, worst posterior and feasibility.
         """
-        stack = as_matrix_stack(matrices)
-        n = self.n_categories
-        if stack.shape[1:] != (n, n):
-            raise ValidationError(
-                f"matrix stack domain {stack.shape[1:]} does not match the "
-                f"prior domain ({n}, {n})"
-            )
-        prior_vector = self.prior.probabilities
         privacy, utility, worst_posterior, invertible = evaluate_stack(
-            stack, prior_vector, self.n_records
+            as_matrix_stack(matrices), self.prior, self.n_records
         )
         feasible = invertible.copy()
         if self.delta is not None:

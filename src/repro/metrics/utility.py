@@ -66,6 +66,19 @@ def theoretical_mse_batch(
         raise ValidationError(
             f"inverse stack shape {inverses.shape} does not match matrix stack {stack.shape}"
         )
+    return closed_form_mse(stack, inverses, prior, n_records)
+
+
+def closed_form_mse(
+    stack: np.ndarray,
+    inverses: np.ndarray,
+    prior: np.ndarray,
+    n_records: int,
+) -> np.ndarray:
+    """The ``(B, n)`` Theorem-6 closed form without input checks: the
+    arithmetic of :func:`theoretical_mse_batch`, for callers that already
+    hold a validated prior vector and matching float64 stacks (the
+    evaluation kernel, once per block)."""
     disguised = np.matmul(stack, prior[None, :, None])  # (B, n, 1): P* = M P
     linear = np.matmul(inverses, disguised)[..., 0]
     quadratic = np.matmul(inverses**2, disguised)[..., 0]

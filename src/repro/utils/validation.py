@@ -78,7 +78,9 @@ def check_probability_vector(
     if np.any(array < -atol):
         raise DataError(f"{name} must be non-negative, got minimum {array.min()}")
     total = float(array.sum())
-    if not np.isclose(total, 1.0, atol=atol, rtol=0.0):
+    # ``np.isclose(total, 1.0, atol=atol, rtol=0.0)`` for the finite or
+    # +inf sum a finite vector has, without its array machinery.
+    if not abs(total - 1.0) <= atol:
         raise DataError(f"{name} must sum to 1, got {total}")
     return np.clip(array, 0.0, 1.0)
 

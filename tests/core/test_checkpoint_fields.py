@@ -5,7 +5,9 @@ deleted, set to ``null``, to a string, to an empty list and to ``-1`` in
 turn, and the resume must end one of two ways: exit 2 with one
 ``optrr: error:`` line, or exit 0 with the byte-identical result of the
 untampered resume (the field was optional, or the value means the same).
-It must never end in a traceback or in a different result.
+It must never end in a traceback or in a different result.  The envelope
+keys and the workload fingerprint are never optional, and a file with an
+edited envelope stays where the user named it.
 
 :data:`KEY_PATHS` spells out the version-3 layout; a layout change that
 adds, drops or renames a field fails :func:`test_key_paths_are_the_layout`
@@ -75,6 +77,15 @@ def _key_paths() -> tuple[str, ...]:
 
 #: Every dict key of a version-3 optrr checkpoint, as a dotted path.
 KEY_PATHS = _key_paths()
+
+#: The envelope keys: a decodable file with either one edited is rejected
+#: where it lies (one stderr line, no quarantine, no ``.prev`` fallback).
+ENVELOPE_KEYS = ("type", "format_version")
+
+#: Keys no tampering gets past: the envelope says what the file is, the
+#: fingerprint which workload it belongs to, and neither has a value that
+#: means "unchecked".
+REQUIRED_KEYS = (*ENVELOPE_KEYS, "fingerprint")
 
 
 def _delete(node: dict, key: str) -> None:
@@ -153,8 +164,13 @@ def test_tampered_field_is_rejected_or_changes_nothing(checkpoint, tmp_path, pat
         tamper(node, key)
         code, stderr, output = _resume(tampered, tmp_path / name)
         if code == 0:
+            assert path not in REQUIRED_KEYS, f"{name}: resumed without the {path!r} check"
             assert output.read_bytes() == reference, f"{name}: resumed to a different result"
         else:
             errors = [line for line in stderr.splitlines() if line.startswith("optrr: error:")]
             assert code == 2 and len(errors) == 1, (name, code, stderr)
             assert "Traceback" not in stderr, (name, stderr)
+        if path in ENVELOPE_KEYS:
+            assert len(stderr.splitlines()) == 1, (name, stderr)
+            assert (tmp_path / name / "ck.json").is_file(), name
+            assert not (tmp_path / name / "ck.json.corrupt").exists(), name

@@ -249,6 +249,19 @@ class TestDriverBehaviour:
         with pytest.raises(ValidationError, match="fingerprint"):
             other.driver().restore(document)
 
+    @pytest.mark.parametrize("stored", [None, "", 0, ["x"], "missing"])
+    def test_restore_requires_a_fingerprint(self, tmp_path, stored):
+        path = tmp_path / "ck.json"
+        driver = make_optrr().driver(checkpoint_path=str(path), checkpoint_every=1)
+        next(driver.steps())
+        document = load_checkpoint(path)
+        if stored == "missing":
+            del document["fingerprint"]
+        else:
+            document["fingerprint"] = stored
+        with pytest.raises(ValidationError, match="checkpoint field 'fingerprint'"):
+            make_optrr().driver().restore(document)
+
     def test_restore_of_stopped_checkpoint_reproduces_result(self, tmp_path):
         path = tmp_path / "ck.json"
         reference = make_optrr().run(checkpoint_path=str(path), checkpoint_every=1)

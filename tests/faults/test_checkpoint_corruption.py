@@ -4,6 +4,8 @@ newest checkpoint recovers from the previous valid one bit-exactly."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -88,6 +90,21 @@ class TestFallback:
         document, loaded_from = load_checkpoint_with_fallback(path)
         assert document["generation"] == 2
         assert loaded_from == path
+
+    @pytest.mark.parametrize("edit", ["type", "format_version"])
+    def test_edited_envelope_is_rejected_in_place(self, tmp_path, edit):
+        path = tmp_path / "ck.json"
+        save_checkpoint(_document(1), path)
+        save_checkpoint(_document(2), path)
+        document = load_checkpoint(path)
+        del document[edit]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        # Decodable, so not a torn write: no quarantine, no .prev fallback.
+        with pytest.raises(CheckpointCorruptionError, match="envelope"):
+            load_checkpoint_with_fallback(path)
+        assert path.is_file()
+        assert not checkpoint_quarantine_path(path).exists()
+        assert checkpoint_rotation_path(path).is_file()
 
     def test_all_candidates_corrupt_raises_corruption(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -11,8 +11,10 @@ generator in the documented order, so the draw order is pinned too.
 Inputs are generated from hypothesis-drawn seeds/shapes, including exactly
 singular and duplicated-column stack members (which make one-call inversion
 raise and take the ``slogdet``-screened path), zero-probability prior
-categories, empty stacks, saturated mutation targets, and the near-singular
-1-norm classification band from ``tests/utils/test_linalg.py``.  The SPEA2
+categories, empty stacks, saturated mutation targets, bound-repair edge
+stacks (δ = 1, δ below max P(X), one-hot and mass-starved rows, feasible
+rows mixed in, one pass and fifty), and the near-singular 1-norm
+classification band from ``tests/utils/test_linalg.py``.  The SPEA2
 selection kernels (distances, k-th nearest distance, dominance, raw
 fitness) run on hostile objective sets: up to 200 rows and 12 objectives,
 ±inf, -0.0, scales up to 1e155, duplicate rows and feasibility masks,
@@ -509,4 +511,63 @@ class TestRepairStack:
         np.testing.assert_array_equal(
             enforce_privacy_bound_batch(stack, prior, delta, max_passes=5, tolerance=1e-9),
             oracle.repair_stack(stack, prior, delta, max_passes=5, tolerance=1e-9),
+        )
+
+    @given(
+        seed=seeds,
+        batch=st.integers(1, 8),
+        n=st.integers(2, 6),
+        bound=st.sampled_from(["0.5", "0.8", "1.0", "below-max-prior"]),
+        zero_prior=st.booleans(),
+        one_hot=st.booleans(),
+        starved=st.booleans(),
+        feasible_rows=st.booleans(),
+        max_passes=st.sampled_from([1, 50]),
+    )
+    @settings(SETTINGS, max_examples=100)
+    def test_matches_oracle_on_edge_stacks(
+        self, seed, batch, n, bound, zero_prior, one_hot, starved, feasible_rows, max_passes
+    ):
+        rng = np.random.default_rng(seed)
+        noise = _stochastic_stack(seed, batch, n)
+        stack = 0.7 * np.eye(n)[None, :, :] + 0.3 * noise
+        stack = stack / stack.sum(axis=1, keepdims=True)
+        prior = _prior(seed + 1, n)
+        if zero_prior:
+            # Zero-prior categories: their posteriors are 0 and a violation
+            # never targets them, but their columns still take spread mass.
+            prior[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+            prior = prior / prior.sum()
+        if one_hot:
+            # One-hot columns: a violating 1 has nothing but zero entries to
+            # spread into, and a violation at a 0 entry removes no mass.
+            for row in rng.choice(batch, size=max(1, batch // 2), replace=False):
+                column = rng.integers(n)
+                stack[row, :, column] = 0.0
+                stack[row, rng.integers(n), column] = 1.0
+        if starved:
+            # A row whose only mass is one 1e-13 entry: its worst posterior
+            # is 1, but there is no mass to remove, so the matrix freezes.
+            row, column = rng.integers(n), rng.integers(n)
+            for member in rng.choice(batch, size=max(1, batch // 2), replace=False):
+                other = (row + 1) % n
+                stack[member, other, :] += stack[member, row, :]
+                stack[member, row, :] = 0.0
+                stack[member, row, column] = 1e-13
+                stack[member, other, column] -= 1e-13
+        if feasible_rows:
+            # Uniform rows have posterior = prior: already feasible for any
+            # bound at or above max P(X), so they leave on the first check.
+            stack[rng.random(batch) < 0.5] = 1.0 / n
+        if bound == "below-max-prior":
+            # Theorem 5: no matrix meets it, so rows freeze at their best.
+            delta = 0.9 * float(prior.max())
+        else:
+            delta = float(bound)
+        stack = np.ascontiguousarray(stack)
+        np.testing.assert_array_equal(
+            enforce_privacy_bound_batch(
+                stack, prior, delta, max_passes=max_passes, tolerance=1e-9
+            ),
+            oracle.repair_stack(stack, prior, delta, max_passes=max_passes, tolerance=1e-9),
         )
